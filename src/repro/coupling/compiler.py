@@ -1,0 +1,758 @@
+"""The compile half of the ask pipeline: goal × mode → :class:`CompiledPlan`.
+
+Paper Figure 1 is one chain — classify → metaevaluate → DBCL →
+Algorithm 2 → SQL — and this module holds the only copy of it.  Every
+entry point of the session (``ask``, ``ask_consistent``, the
+``metaevaluate/4`` fetch, ``explain``) compiles through
+:meth:`Compiler.compile`; a :class:`Mode` selects only
+
+* the shape-key prefix its plans are cached under (:meth:`lookup`),
+* the *front* — how the goal becomes a DBCL predicate (the classified
+  external block / a pure-external block or :class:`CqaError` / the
+  single rule branch of a view), and
+* the *finish* applied to the simplified predicate (translate + prepare
+  / the same plus a certainty suffix, or repair enumeration).
+
+The plan cache is filled lazily (:meth:`store`): a shape's first miss
+stores the cold compilation as an exact-constant plan, its second miss
+pays the marker analysis (:meth:`_parameterize`) that abstracts the
+constants into bind parameters, and a shape whose compilation consults
+a concrete constant keeps exact-constant variants.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+from contextlib import nullcontext
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Optional, Sequence, Union
+
+from ..concurrency import LockedCounters
+from ..dbcl.grammar import format_dbcl
+from ..dbcl.predicate import DbclPredicate
+from ..dbcl.symbols import watch_marker_consultation
+from ..errors import CouplingError, CqaError, TranslationError
+from ..metaevaluate.recursion import view_call_graph
+from ..optimize.costs import order_rows
+from ..optimize.pipeline import SimplificationResult, SimplifyOptions, simplify
+from ..prolog.terms import (
+    Struct,
+    Term,
+    Variable,
+    conjoin,
+    conjuncts,
+    goal_indicator,
+    variables_of,
+)
+from ..sql.ast import SqlQuery, empty_query
+from ..sql.printer import print_sql
+from ..sql.translate import translate
+from .global_opt import (
+    UNCACHEABLE,
+    CompiledPlan,
+    GoalShape,
+    goal_shape,
+    goal_with_markers,
+    is_database_indicator,
+    marker_columns,
+    marker_for,
+    markers_in_comparisons,
+    markers_in_rows,
+    plan_goal,
+    reachable,
+)
+
+_pc = time.perf_counter
+
+
+@dataclass(frozen=True)
+class Mode:
+    """Which flavour of the one pipeline an entry point asks for."""
+
+    name: str  # 'plain' | 'cqa' | 'fetch'
+    #: prepended to the goal's shape key, so the modes' plans never collide
+    prefix: tuple = ()
+    #: False only for a ``metaevaluate/4`` fetch with ``no_optim``
+    optimize: bool = True
+    span_kind: str = "ask"
+
+
+PLAIN = Mode("plain")
+CQA = Mode("cqa", ("cqa",), span_kind="ask_consistent")
+FETCH = {
+    use_optim: Mode("fetch", ("fetch", use_optim), optimize=use_optim)
+    for use_optim in (True, False)
+}
+
+
+@dataclass
+class CompilePhaseStats(LockedCounters):
+    """Wall-clock breakdown of cold compilations, per pipeline phase.
+
+    A cold ask pays classification (goal split over the view call graph),
+    metaevaluation (Prolog → DBCL), optimization (Algorithm 2 plus the
+    cost-based row order), translation (DBCL → SQL tree), and printing
+    (tree → prepared text).  ``session.stats()["compile_phases"]``
+    exposes the accumulated seconds per phase so a cost-model regression
+    (say, the greedy join order suddenly dominating compile time) is
+    observable instead of vanishing into one opaque cold-ask number.
+    """
+
+    cold_compilations: int = 0
+    classify_seconds: float = 0.0
+    metaevaluate_seconds: float = 0.0
+    optimize_seconds: float = 0.0
+    translate_seconds: float = 0.0
+    print_seconds: float = 0.0
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    _snapshot_fields = (
+        "cold_compilations",
+        "classify_seconds",
+        "metaevaluate_seconds",
+        "optimize_seconds",
+        "translate_seconds",
+        "print_seconds",
+    )
+
+
+@dataclass
+class TranslationTrace:
+    """Everything the pipeline produced for one goal (``explain``)."""
+
+    goal: Term
+    dbcl: DbclPredicate
+    simplification: SimplificationResult
+    sql: SqlQuery
+
+    @property
+    def dbcl_text(self) -> str:
+        return format_dbcl(self.dbcl)
+
+    @property
+    def optimized_dbcl_text(self) -> str:
+        return format_dbcl(self.simplification.predicate)
+
+    @property
+    def sql_text(self) -> str:
+        return print_sql(self.sql)
+
+
+@dataclass
+class Front:
+    """The mode-specific front half of one compilation."""
+
+    kind: str  # the plan kind: 'external' | 'mixed' | 'cqa' | 'fetch'
+    options: SimplifyOptions
+    fetch_targets: tuple[Variable, ...]
+    #: positions of the goal's conjuncts that compile to the database
+    #: (in compilation order) and of those Prolog resolves afterwards
+    external_indices: tuple[int, ...]
+    internal_indices: tuple[int, ...]
+    #: the goal's conjuncts (constants possibly replaced by markers) →
+    #: the DBCL predicate of the external block
+    predicate: Callable[[Sequence[Term]], Optional[DbclPredicate]]
+
+
+class _ConstantSensitive(Exception):
+    """A marker compilation consulted concrete constants.
+
+    ``params`` are the positions to make concrete before retrying; empty
+    means the culprit is not attributable and the shape stays exact.
+    """
+
+    def __init__(self, params: frozenset = frozenset()):
+        super().__init__()
+        self.params = params
+
+
+def params_in_conjuncts(
+    conjunct_list: Sequence[Term], selected: Iterable[int]
+) -> frozenset:
+    """Parameter indices occupied by the selected conjuncts.
+
+    Mirrors :func:`goal_shape`'s traversal: constants are numbered
+    across the whole conjunction; only those inside the selected
+    conjunct positions are returned.
+    """
+    wanted = set(selected)
+    found: set[int] = set()
+    position = 0
+    for index, conjunct in enumerate(conjunct_list):
+        if not isinstance(conjunct, Struct):
+            continue
+        for argument in conjunct.args:
+            if isinstance(argument, Variable):
+                continue
+            if index in wanted:
+                found.add(position)
+            position += 1
+    return frozenset(found)
+
+
+class Compiler:
+    """Plan lookup, cold compilation and lazy parameterization."""
+
+    def __init__(self, session):
+        self.session = session
+        self.phases = CompilePhaseStats()
+        #: Reachable-base-relation sets per (goal indicators, kb
+        #: generation) — the call graph only changes with the kb, so a
+        #: warm consistent ask skips the graph traversal entirely.
+        self._relations_memo: dict[tuple, frozenset] = {}
+
+    def options(self, use_optim: bool = True) -> SimplifyOptions:
+        """Algorithm 2's stage toggles for this session."""
+        optimize = use_optim and self.session.optimize
+        return SimplifyOptions() if optimize else SimplifyOptions.none()
+
+    # -- the view call graph ---------------------------------------------------------
+
+    def call_graph(self):
+        session = self.session
+        if session._plan_caching:
+            return session.plans.graph(session.kb, session.schema)
+        return view_call_graph(session.kb, session.schema)
+
+    @staticmethod
+    def _indicators(terms: Iterable[Term]) -> list[tuple[str, int]]:
+        indicators = []
+        for term in terms:
+            try:
+                indicators.append(goal_indicator(term))
+            except ValueError:
+                continue
+        return indicators
+
+    def reachable_from(self, terms: Iterable[Term]) -> set[tuple[str, int]]:
+        """Every predicate the given goal terms can call, themselves included."""
+        return reachable(self.call_graph(), self._indicators(terms))
+
+    def base_relations(self, goal: Term) -> frozenset:
+        """Base relations the goal can read, transitively through views."""
+        indicators = self._indicators(conjuncts(goal))
+        memo_key = (frozenset(indicators), self.session.kb.generation)
+        cached = self._relations_memo.get(memo_key)
+        if cached is not None:
+            return cached
+        schema = self.session.schema
+        relations = frozenset(
+            indicator[0]
+            for indicator in reachable(self.call_graph(), indicators)
+            if is_database_indicator(schema, indicator)
+        )
+        if len(self._relations_memo) >= 128:
+            self._relations_memo.clear()
+        self._relations_memo[memo_key] = relations
+        return relations
+
+    def _constant_discriminating(
+        self, terms: Sequence[Term], ignore_facts: bool = False
+    ) -> bool:
+        """Do reachable clauses pattern-match constants in their heads?
+
+        Unfolding a goal whose argument is a parameter marker must take
+        exactly the branches a concrete constant would; a clause head with
+        a constant argument breaks that (the marker fails the unification
+        some constants would pass), so such shapes stay unparameterized.
+
+        ``ignore_facts`` skips bodyless clauses: the fetch path discards
+        branches without database calls, so a fact matching one constant
+        and not another never changes the compiled rule branch.
+        """
+        for indicator in self.reachable_from(terms):
+            for clause in self.session.kb.all_clauses(indicator):
+                if ignore_facts and clause.is_fact:
+                    continue
+                head = clause.head
+                if isinstance(head, Struct) and any(
+                    not isinstance(argument, Variable) for argument in head.args
+                ):
+                    return True
+        return False
+
+    # -- lookup ----------------------------------------------------------------------
+
+    def lookup(self, goal: Term, mode: Mode, span=None, count: bool = True):
+        """sync → goal shape → plan cache: ``(shape, plan)``.
+
+        ``plan`` is None on a miss.  ``shape`` is None when nothing may be
+        stored for the goal — plan caching is off, the goal has no shape,
+        or its shape is marked uncacheable (cold path, no recompilation
+        attempt).  The open span records which of ``hit`` / ``miss`` /
+        ``uncacheable`` it was; ``count=False`` leaves the hit/miss
+        counters to a later lookup (the read-locked attempt of an ask
+        that may restart on the write side).
+        """
+        session = self.session
+        plans = session.plans
+        shape = None
+        if session._plan_caching:
+            mark = _pc() if span is not None else 0.0
+            plans.sync(session.kb)
+            shape = goal_shape(goal)
+            if span is not None:
+                # Inlined span.mark(): method-call frames on this path
+                # are paid on every warm ask (E20 overhead budget).
+                now = _pc()
+                phases = span.phases
+                phases["shape"] = phases.get("shape", 0.0) + (now - mark)
+                mark = now
+        if shape is None:
+            if span is not None:
+                span.plan_cache = "miss"
+            return None, None
+        if mode.prefix:
+            shape = GoalShape(key=mode.prefix + shape.key, constants=shape.constants)
+        plan = plans.peek(shape)
+        if plan is None:
+            status = "miss"
+        elif plan is UNCACHEABLE:
+            status = "uncacheable"
+        else:
+            status = "hit"
+        if count and status != "uncacheable":
+            plans.stats.incr("hits" if status == "hit" else "misses")
+        if span is not None:
+            span.shape_key = shape.key
+            span.plan_cache = status
+            if status == "hit":
+                span.plan_kind = plan.kind
+            phases["plan_lookup"] = phases.get("plan_lookup", 0.0) + (_pc() - mark)
+        if status == "uncacheable":
+            return None, None
+        return shape, plan
+
+    # -- cold compilation ------------------------------------------------------------
+
+    def _phase(self, phase: str, started: float) -> float:
+        """Accumulate one compile phase's wall clock; returns a new mark.
+
+        Feeds both the session-wide :class:`CompilePhaseStats` and — when
+        an ask span is open on this thread — that span's per-ask phase
+        breakdown, so cold compiles are explainable from one trace record.
+        """
+        now = _pc()
+        elapsed = now - started
+        self.phases.incr(f"{phase}_seconds", elapsed)
+        span = self.session.tracer.current_span()
+        if span is not None:
+            span.phases[phase] = span.phases.get(phase, 0.0) + elapsed
+        return now
+
+    def compile(self, goal: Term, mode: Mode, shape: Optional[GoalShape] = None):
+        """Classify and compile ``goal`` for exactly its constants.
+
+        Returns ``(plan, front)``; :meth:`store` recompiles the shape with
+        markers through ``front``, which is None for the ``recursive`` /
+        ``engine`` stubs (they compile nothing).  The plan is None only
+        for a fetch whose view unfolds to fact branches alone: its
+        answers are already in the internal database.
+        """
+        front = self._front(goal, mode)
+        if isinstance(front, CompiledPlan):
+            return front, None
+        if front.kind == "cqa" and shape is not None:
+            # Rewritings are expected to repeat: parameterize on the first
+            # miss (one round); exact constants only when that fails.
+            relevant = params_in_conjuncts(conjuncts(goal), front.external_indices)
+            if relevant and self._strategy(shape, relevant) != "exact":
+                _, plan = self._parameterize(shape, goal, front, relevant, frozenset())
+                if plan is not None:
+                    return plan, front
+        mark = _pc()
+        predicate = front.predicate(conjuncts(goal))
+        if predicate is None:
+            return None, None
+        self._phase("metaevaluate", mark)
+        return self._plan(front, self._lower(predicate, front)), front
+
+    def explain(self, goal: Term) -> TranslationTrace:
+        """The whole goal through the chain, in the paper's row order."""
+        targets = [v for v in variables_of(goal) if not v.is_anonymous]
+        predicate = self.session.metaevaluator.metaevaluate(goal, targets=targets)
+        whole = Front("external", self.options(), tuple(targets), (), (), None)
+        result, _, sql, _, _ = self._lower(predicate, whole, order=False)
+        return TranslationTrace(
+            goal=goal,
+            dbcl=predicate,
+            simplification=result,
+            sql=sql if sql is not None else empty_query(),
+        )
+
+    def fetch_predicate(self, goal: Term) -> Optional[DbclPredicate]:
+        """The unsimplified DBCL predicate of a view's single rule branch.
+
+        A view that was metaevaluated before carries its previous answers
+        as asserted facts; unfolding now yields extra *fact branches* with
+        no database calls.  Those answers are already in the internal
+        database, so only the rule branch compiles — None when there is
+        none.
+        """
+        metaevaluator = self.session.metaevaluator
+        branches = [
+            branch
+            for branch in metaevaluator.collect_branches(goal)
+            if branch.dbcalls
+        ]
+        if not branches:
+            return None
+        name = metaevaluator._default_name(goal)
+        if len(branches) > 1:
+            raise CouplingError(
+                f"metaevaluate/4 on disjunctive view {name}; use "
+                "ask_disjunctive instead"
+            )
+        targets = [v for v in variables_of(goal) if not v.is_anonymous]
+        return metaevaluator.branch_to_dbcl(branches[0], name, targets)
+
+    def _front(self, goal: Term, mode: Mode) -> Union[Front, CompiledPlan]:
+        """Classify the goal: its :class:`Front`, or a plan that needs none."""
+        session = self.session
+        conjunct_list = conjuncts(goal)
+        options = self.options(mode.optimize)
+        if mode.name == "fetch":
+            self.phases.incr("cold_compilations")
+            return Front(
+                "fetch",
+                options,
+                tuple(v for v in variables_of(goal) if not v.is_anonymous),
+                tuple(range(len(conjunct_list))),
+                (),
+                lambda marked: self.fetch_predicate(conjoin(list(marked))),
+            )
+        consistent = mode.name == "cqa"
+        graph = self.call_graph()
+        if session._recursion.is_recursive(goal, graph):
+            if consistent:
+                raise CqaError(
+                    "consistent answers are not defined for recursive goals: "
+                    "neither the rewriting nor the repair enumeration covers "
+                    "them (ROADMAP E19 scope)"
+                )
+            return CompiledPlan(kind="recursive")
+        mark = _pc()
+        self.phases.incr("cold_compilations")
+        try:
+            split = plan_goal(session.kb, session.schema, goal, graph=graph)
+        except CouplingError as error:
+            if consistent:
+                raise CqaError(
+                    f"goal mixes internal and external knowledge inside one "
+                    f"view; repairs only range over the external store: {error}"
+                ) from error
+            # A "mixed" goal interleaves database and internal knowledge in
+            # one view — the paper's programs handle these themselves by
+            # calling metaevaluate/4 inside the rule (the partner example),
+            # so ordinary Prolog resolution is the correct evaluator.
+            return CompiledPlan(kind="engine")
+        if consistent:
+            if not split.is_pure_external:
+                raise CqaError(
+                    "consistent answers need a pure-external conjunctive goal; "
+                    "internal conjuncts have no repair semantics"
+                )
+            session._cqa.stats.incr("rewrite_compiles")
+            kind = "cqa"
+        elif split.is_pure_internal:
+            return CompiledPlan(kind="engine")
+        else:
+            kind = "external" if split.is_pure_external else "mixed"
+        self._phase("classify", mark)
+        index_of = {id(term): i for i, term in enumerate(conjunct_list)}
+        external_indices = tuple(index_of[id(term)] for term in split.external)
+        interface = set(split.interface_variables)
+        fetch_targets = tuple(
+            v
+            for v in variables_of(conjoin(split.external))
+            if not v.is_anonymous and v in interface
+        )
+        return Front(
+            kind,
+            options,
+            fetch_targets,
+            external_indices,
+            tuple(index_of[id(term)] for term in split.internal),
+            lambda marked: session.metaevaluator.metaevaluate(
+                conjoin([marked[i] for i in external_indices]),
+                targets=list(fetch_targets),
+            ),
+        )
+
+    def _cost_ordered(self, predicate: DbclPredicate) -> DbclPredicate:
+        """Rows reordered by the statistics-driven greedy join order.
+
+        Applied between Algorithm 2 and SQL translation: the simplified
+        tableau's rows are permuted so the most selective relation leads
+        and each join extends the cheapest prefix (System R estimates
+        over the backend's relation statistics).  Answer-preserving by
+        construction — see :mod:`repro.optimize.costs` — and skipped
+        when the backend has no statistics service.
+        """
+        if len(predicate.rows) <= 1:
+            return predicate
+        stats_of = getattr(self.session.database, "relation_statistics", None)
+        if stats_of is None:
+            return predicate
+        try:
+            return order_rows(predicate, stats_of)
+        except Exception:  # noqa: BLE001 - cost ordering is advisory
+            return predicate
+
+    def _lower(
+        self,
+        predicate: DbclPredicate,
+        front: Front,
+        open_params: frozenset = frozenset(),
+        order: bool = True,
+    ):
+        """Algorithm 2 → cost order → SQL tree, for one DBCL predicate.
+
+        Returns ``(simplification, final, sql, certainty, parameter_map)``:
+        ``final`` is None when the predicate is provably empty, ``sql`` is
+        None when there is nothing to send (a false ground comparison
+        survived, or a consistent-mode goal must be enumerated —
+        ``certainty`` is the peel order otherwise).  With ``open_params``
+        the predicate carries markers (``parameter_map``: marker text →
+        position), and any sign that their concrete values matter raises
+        :class:`_ConstantSensitive`:
+
+        * Algorithm 2 or the translator consulted a marker's *value* —
+          every ordering decision about constants funnels through
+          ``compare_values``, which a :func:`watch_marker_consultation`
+          witness instruments; equality-only reasoning treats markers as
+          distinct constants, which at worst under-simplifies
+          (answer-preserving) or empties the marker plan (detected below);
+        * the marker plan is empty (a constant interacted with the
+          constraints, or a marker-free ground comparison is false for
+          every constant choice — the exact path replays the empty);
+        * a marker vanished from the simplified predicate (its
+          restriction was reasoned away).
+        """
+        options = front.options
+        watch = watch_marker_consultation if open_params else nullcontext
+        mark = _pc()
+        with watch() as witness:
+            result = simplify(predicate, self.session.constraints, options)
+        if open_params:
+            if result.is_empty:
+                raise _ConstantSensitive()
+            if witness.consulted:
+                # Attribute the consultation to the markers visible in
+                # comparisons (the only place ordering reasoning reaches).
+                raise _ConstantSensitive(
+                    (
+                        frozenset(markers_in_comparisons(predicate))
+                        | frozenset(markers_in_comparisons(result.predicate))
+                    )
+                    & open_params
+                )
+            vanished = (
+                open_params
+                - frozenset(markers_in_rows(result.predicate))
+                - frozenset(markers_in_comparisons(result.predicate))
+            )
+            if vanished:
+                raise _ConstantSensitive(vanished)
+        if result.is_empty:
+            self._phase("optimize", mark)
+            return result, None, None, None, {}
+        final = result.predicate
+        if order and options != SimplifyOptions.none():
+            # Cardinality estimates never consult a marker's concrete
+            # value, so the order is the one a cold compile applies.
+            final = self._cost_ordered(final)
+        mark = self._phase("optimize", mark)
+        parameter_map = {str(marker_for(index)): index for index in open_params}
+        certainty = None
+        if front.kind == "cqa":
+            certainty = self.session._cqa.certainty_order(final)
+            if certainty is None:
+                return result, final, None, None, parameter_map
+        try:
+            with watch() as witness:
+                sql = translate(
+                    final, distinct=True, parameters=parameter_map or None
+                )
+        except TranslationError:
+            if open_params:
+                raise _ConstantSensitive() from None
+            raise
+        if open_params and (witness.consulted or sql.is_empty):
+            raise _ConstantSensitive()
+        self._phase("translate", mark)
+        return result, final, None if sql.is_empty else sql, certainty, parameter_map
+
+    def _plan(
+        self,
+        front: Front,
+        lowered,
+        open_params: frozenset = frozenset(),
+        param_cells: Optional[dict] = None,
+    ) -> CompiledPlan:
+        """Prepare the lowered predicate's statement and wrap it as a plan."""
+        result, final, sql, certainty, parameter_map = lowered
+        kind = front.kind
+        parameters = dict(
+            open_params=tuple(sorted(open_params)),
+            param_columns={
+                index: (param_cells or {}).get(index, ()) for index in open_params
+            },
+            fetch_targets=front.fetch_targets,
+            internal_indices=front.internal_indices,
+        )
+        if final is None:
+            # Proved empty; the pre-simplification predicate is the trace.
+            return CompiledPlan(
+                kind=kind, is_empty=True, template=result.original, **parameters
+            )
+        if sql is None:
+            if kind == "cqa" and certainty is None:
+                # Not first-order rewritable: the plan carries only the
+                # template for the repair enumerator.
+                return CompiledPlan(kind="cqa_enum", template=final, **parameters)
+            return CompiledPlan(
+                kind=kind, is_empty=True, template=final, **parameters
+            )
+        mark = _pc()
+        text = self.session.database.prepare(sql)
+        self._phase("print", mark)
+        bind_order = sql.parameter_order()
+        if kind == "cqa":
+            # The tree is dropped: an ``IN (VALUES …)`` batch variant
+            # would let one goal's answer satisfy another goal's
+            # certainty condition, so consistent plans never batch.
+            text, bind_order = self.session._cqa.rewritten(
+                final, certainty, sql, text, parameter_map
+            )
+            sql = None
+        return CompiledPlan(
+            kind=kind,
+            template=final,
+            sql_text=text,
+            sql=sql if open_params else None,
+            bind_order=bind_order,
+            **parameters,
+        )
+
+    # -- filling the plan cache --------------------------------------------------------
+
+    def store(
+        self, shape: GoalShape, goal: Term, plan: CompiledPlan, front: Optional[Front]
+    ) -> None:
+        """Cache a reusable plan for the goal's shape.
+
+        Never raises: a shape the machinery cannot compile (disjunctive
+        views, unexpected structure) is marked uncacheable so the session
+        does not retry on every ask.
+        """
+        # retain, not sync: executing the cold compilation may have
+        # advanced the generation (a segment merge, a fetch's answer
+        # facts), but this shape's own cache slot (and its lazy
+        # `attempted` progress) stays valid across its own side effects.
+        plans = self.session.plans
+        plans.retain(shape, self.session.kb)
+        try:
+            if front is None or plan.open_params:
+                # A stub, or a plan compile() already parameterized.
+                plans.store(shape, (), plan)
+                return
+            # Constants inside internal conjuncts never reach the external
+            # compilation, and the warm path re-reads internal conjuncts
+            # from the live goal — so they are neither parameterized nor
+            # part of the variant key, and rotating them reuses one plan.
+            relevant = params_in_conjuncts(conjuncts(goal), front.external_indices)
+            # (A consistent-mode shape that reaches here failed its
+            # marker analysis in compile(): exact variants only.)
+            strategy = (
+                "exact" if front.kind == "cqa" else self._strategy(shape, relevant)
+            )
+            if relevant and strategy not in (None, "exact"):
+                material, compiled = self._parameterize(
+                    shape, goal, front, relevant, strategy
+                )
+                if compiled is not None:
+                    plans.store(shape, material, compiled)
+                    return
+            # The cold compilation itself, keyed by its exact constants.
+            plans.store(shape, relevant, plan, attempted=strategy is not None)
+        except Exception:
+            plans.mark_uncacheable(shape)
+
+    def _strategy(
+        self, shape: GoalShape, relevant: frozenset
+    ) -> Union[None, str, frozenset]:
+        """How to build this shape's plan, given its cache history.
+
+        * ``None`` — first encounter: store the cold compilation as a
+          cheap exact-constant plan; defer the marker analysis until the
+          shape proves it repeats (one-off goals never pay for it);
+        * ``"exact"`` — parameterization already failed for this shape:
+          add another exact variant without re-running the analysis;
+        * a frozenset — run the marker analysis, seeded with the material
+          set discovered previously (skips the discovery iterations when
+          a partial-material shape compiles a new variant).
+        """
+        entry = self.session.plans.entry_for(shape)
+        if entry is None or entry.uncacheable:
+            return None
+        if not entry.attempted:
+            return frozenset()
+        if entry.material == tuple(sorted(relevant)):
+            return "exact"
+        return frozenset(entry.material) & relevant
+
+    def _parameterize(
+        self,
+        shape: GoalShape,
+        goal: Term,
+        front: Front,
+        relevant: frozenset,
+        initial_material: frozenset,
+    ) -> tuple[frozenset, Optional[CompiledPlan]]:
+        """Find the maximal parameterization of a shape, compile it.
+
+        Starts with every relevant constant abstracted to a marker and
+        grows the *material* set (constants the compilation must see
+        concretely) until the marker compilation is provably
+        constant-insensitive (see :meth:`_lower`).  Consistent-mode
+        shapes get one round: any sensitivity sends them to exact plans.
+
+        Returns ``(material, plan)``; ``plan`` is None when every position
+        is material — the caller falls back to exact-constant caching.
+        Shapes whose reachable clauses pattern-match on constants in their
+        heads cannot be parameterized at all (a marker would fail a head
+        unification a concrete constant might pass).
+        """
+        conjunct_list = conjuncts(goal)
+        if self._constant_discriminating(
+            [conjunct_list[i] for i in front.external_indices],
+            ignore_facts=front.kind == "fetch",
+        ):
+            return relevant, None
+        irrelevant = frozenset(range(shape.parameter_count)) - relevant
+        material = frozenset(initial_material) & relevant
+        for _attempt in range(1 if front.kind == "cqa" else 4):
+            if material == relevant:
+                break
+            # Irrelevant (internal-conjunct) constants keep their concrete
+            # values: they never reach the compiled predicate anyway.
+            marker_goal = goal_with_markers(goal, material | irrelevant)
+            predicate = front.predicate(conjuncts(marker_goal))
+            if predicate is None:
+                raise CouplingError("view shape is not a single rule branch")
+            open_params = relevant - material
+            try:
+                lowered = self._lower(predicate, front, open_params)
+            except _ConstantSensitive as sensitive:
+                if not sensitive.params:
+                    break
+                material |= sensitive.params
+                continue
+            return material, self._plan(
+                front, lowered, open_params, marker_columns(predicate)
+            )
+        return relevant, None

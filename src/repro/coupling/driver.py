@@ -1,0 +1,193 @@
+"""The one ask driver: every entry point, one path.
+
+``ask``, ``ask_consistent`` and the ``metaevaluate/4`` fetch all run
+``lookup(goal, mode)`` → hit: ``execute(plan, constants)`` | miss:
+``compile(goal, mode)`` → ``execute`` → ``store``, wrapped once in
+tracing, a deadline scope and transient retry (stage diagram: README,
+"The compile-once ask path").  A :class:`~.compiler.Mode` selects the
+shape-key prefix, the compiler's front and finish and — through the
+plan's kind — the executor's answer assembly; nothing here forks on it
+beyond the consistent mode's violation probe.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Optional, Union
+
+from ..errors import ExecutionError, TransientBackendError
+from ..prolog.reader import parse_goal
+from ..prolog.terms import Term
+from .compiler import CQA, PLAIN, Mode
+from .executor import NEEDS_WRITE
+
+
+def drive(
+    session,
+    goal: Union[str, Term],
+    mode: Mode,
+    max_solutions: Optional[int],
+    deadline: Optional[float],
+) -> list[dict]:
+    """Answer one goal: span, deadline scope and transient retry.
+
+    Wraps :func:`attempt` for every public ask entry point.  A
+    transient backend failure that outlasted the backend's own retry
+    ladder restarts the whole attempt, bounded by the fault policy's
+    ``max_ask_retries``.
+    """
+    if isinstance(goal, str):
+        goal = parse_goal(goal)
+    tracer = session.tracer
+    database = session.database
+    span = tracer.begin(goal, mode.span_kind)
+    try:
+        with database.deadline(deadline):
+            attempts = 0
+            while True:
+                try:
+                    answers = attempt(session, goal, mode, max_solutions, span)
+                    break
+                except TransientBackendError:
+                    attempts += 1
+                    policy = database.policy
+                    if not policy.enabled or attempts > policy.max_ask_retries:
+                        raise
+                    database.resilience.incr("ask_retries")
+                    pause = policy.ask_retry_pause * min(attempts, 8)
+                    scope = database.current_deadline()
+                    if scope is not None:
+                        if scope.expired:
+                            raise  # the next attempt could only time out
+                        pause = scope.clamp(pause)
+                    time.sleep(pause)
+            if span is not None and deadline is not None:
+                scope = database.current_deadline()
+                if scope is not None:
+                    span.deadline_remaining = round(scope.remaining(), 6)
+        if span is not None:
+            span.answers = len(answers)
+        return answers
+    except Exception as error:
+        if span is not None:
+            span.error = f"{type(error).__name__}: {error}"
+        raise
+    finally:
+        if span is not None:
+            tracer.commit(span)
+
+
+def attempt(
+    session, goal: Term, mode: Mode, max_solutions: Optional[int], span=None
+) -> list[dict]:
+    """One attempt: under the read lock if possible, else the write lock.
+
+    A consistent ask first probes the goal's relations for key
+    violations; a clean store answers through the plain mode, a dirty
+    one compiles and runs its certain-answer plan on the write side.
+    """
+    dirty = None
+    if mode is CQA:
+        relations = session._compiler.base_relations(goal)
+        session._executor.merge_pending(relations)
+        dirty = session._cqa.dirty(relations)
+        if not dirty:
+            # Every repair of a clean store is the store itself:
+            # certain answers coincide with plain answers, and the
+            # plain mode (same span, same caches) answers without one
+            # extra statement beyond the cached probes above.
+            session.cqa_stats.incr("clean_fast_paths")
+            if span is not None:
+                span.cqa = {"mode": "clean_fast_path", "violating_blocks": 0}
+            mode = PLAIN
+    lock = session.kb.lock
+    if mode is PLAIN:
+        with lock.read():
+            answers = answer(session, goal, mode, max_solutions, span, False)
+        if answers is not NEEDS_WRITE:
+            return answers
+    with lock.write():
+        return answer(session, goal, mode, max_solutions, span, True, dirty)
+
+
+def answer(
+    session,
+    goal: Term,
+    mode: Mode,
+    max_solutions: Optional[int],
+    span,
+    exclusive: bool,
+    dirty=None,
+):
+    """lookup → hit: execute | miss: compile → execute → store.
+
+    The whole pipeline for one goal in one mode.  ``exclusive`` says
+    the caller holds the write lock; without it, anything but a warm
+    pure-external execution returns :data:`~.executor.NEEDS_WRITE`
+    so the caller restarts on the write side (which repeats the
+    lookup and does the hit/miss accounting, so counts match
+    single-threaded use).  The open span (if any) arrives as a
+    parameter — the warm path is where the E20 overhead budget is
+    spent, and a thread-local read per ask is measurable there.
+    """
+    if mode is PLAIN:
+        if exclusive:
+            if span is None:
+                span = session.tracer.current_span()
+            maintained = session.materialize.answer(goal, max_solutions)
+        else:
+            status, maintained = session.materialize.try_answer(goal, max_solutions)
+            if status == "stale":
+                return NEEDS_WRITE
+            if status != "hit":
+                maintained = None
+        if maintained is not None:
+            if span is not None:
+                span.plan_cache = "maintained"
+                span.plan_kind = "maintained"
+            return maintained
+    shape, plan = session._compiler.lookup(goal, mode, span, exclusive)
+    if plan is not None:
+        if not exclusive:
+            if plan.kind != "external" or plan.internal_indices:
+                return NEEDS_WRITE
+            session.plans.stats.incr("hits")
+        elif mode is CQA:
+            session.cqa_stats.incr("rewrite_cache_hits")
+        try:
+            return session._executor.execute(
+                plan, shape, goal, max_solutions, span, exclusive, dirty
+            )
+        except TransientBackendError:
+            raise  # drive() retries whole attempts
+        except ExecutionError:
+            # The warm plan failed *permanently* mid-execution (a
+            # prepared statement the backend no longer accepts).
+            # Recovery mutates the plan cache and recompiles cold:
+            # write side only, and not for a certain-answer plan
+            # (whose executor already degraded to enumeration).
+            if not exclusive:
+                return NEEDS_WRITE
+            if mode is CQA:
+                raise
+            # Evict the shape so one cold compile heals it for every
+            # later ask; result rows cached through the dead plan were
+            # fetched from the state the backend just disowned.
+            session.plans.evict(shape)
+            session.cache.invalidate()
+            session.database.resilience.incr("plan_invalidations")
+            if span is not None:
+                span.plan_cache = "miss"
+    elif not exclusive:
+        return NEEDS_WRITE
+    plan, front = session._compiler.compile(goal, mode, shape)
+    if plan is None:
+        return None, []  # a fetch already answered internally
+    if span is not None:
+        span.plan_kind = plan.kind
+    answers = session._executor.execute(
+        plan, shape, goal, max_solutions, span, True, dirty
+    )
+    if shape is not None:
+        session._compiler.store(shape, goal, plan, front)
+    return answers

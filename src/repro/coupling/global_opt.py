@@ -24,7 +24,7 @@ printing all happen once per goal *shape*; subsequent asks bind the new
 constants into a prepared statement.  Shapes whose simplification
 consulted a concrete constant value fall back to exact-constant variants
 so warm answers stay identical to fresh compilation (see
-:func:`goal_shape` and the session's ``_compile_plan``).
+:func:`goal_shape` and :mod:`repro.coupling.compiler`).
 """
 
 from __future__ import annotations
@@ -66,9 +66,27 @@ Kind = str  # 'external' | 'internal' | 'comparison' | 'mixed'
 Value = Union[int, float, str]
 
 
-def _is_database_indicator(schema: DatabaseSchema, indicator: tuple[str, int]) -> bool:
+def is_database_indicator(schema: DatabaseSchema, indicator: tuple[str, int]) -> bool:
+    """Does ``name/arity`` name a base relation of the schema?"""
     name, arity = indicator
     return schema.has_relation(name) and schema.relation(name).arity == arity
+
+
+def reachable(
+    graph: "nx.DiGraph", indicators: Iterable[tuple[str, int]]
+) -> set[tuple[str, int]]:
+    """The indicators plus everything they call, transitively.
+
+    The one walk over the view call graph: classification, result-cache
+    dependencies, the constant-discrimination test and the consistent
+    mode's relation probe all ask this question.
+    """
+    found: set[tuple[str, int]] = set()
+    for indicator in indicators:
+        found.add(indicator)
+        if graph.has_node(indicator):
+            found |= nx.descendants(graph, indicator)
+    return found
 
 
 def classify_conjuncts(
@@ -102,17 +120,15 @@ def classify_conjuncts(
         if arity == 2 and name in COMPARISON_PREDICATES:
             classified.append((subgoal, "comparison"))
             continue
-        if _is_database_indicator(schema, indicator):
+        if is_database_indicator(schema, indicator):
             classified.append((subgoal, "external"))
             continue
-        reachable = {indicator}
-        if graph.has_node(indicator):
-            reachable |= set(nx.descendants(graph, indicator))
-        db_leaves = {i for i in reachable if _is_database_indicator(schema, i)}
-        defined = {i for i in reachable if kb.has_procedure(i)}
+        called = reachable(graph, (indicator,))
+        db_leaves = {i for i in called if is_database_indicator(schema, i)}
+        defined = {i for i in called if kb.has_procedure(i)}
         plain_leaves = {
             i
-            for i in reachable
+            for i in called
             if i not in db_leaves
             and not kb.has_procedure(i)
             and not (i[1] == 2 and i[0] in COMPARISON_PREDICATES)
@@ -138,13 +154,9 @@ def classify_conjuncts(
 def _reaches_database(
     graph: "nx.DiGraph", schema: DatabaseSchema, indicator: tuple[str, int]
 ) -> bool:
-    if _is_database_indicator(schema, indicator):
-        return True
-    if not graph.has_node(indicator):
-        return False
     return any(
-        _is_database_indicator(schema, other)
-        for other in nx.descendants(graph, indicator)
+        is_database_indicator(schema, other)
+        for other in reachable(graph, (indicator,))
     )
 
 
@@ -662,18 +674,26 @@ class PlanCache:
         fail (or be rejected) identically on every retry.
         """
         with self._stripes.for_key(shape.key):
-            entry = self._entries.get(shape.key)
-            if entry is None:
-                self.stats.incr("misses")
-                return None
-            if entry.uncacheable:
-                return UNCACHEABLE
-            plan = entry.variants.get(entry.variant_key(shape.constants))
-            if plan is None:
-                self.stats.incr("misses")
-                return None
+            plan = self.peek(shape)
+        if plan is None:
+            self.stats.incr("misses")
+        elif plan is not UNCACHEABLE:
             self.stats.incr("hits")
-            return plan
+        return plan
+
+    def peek(self, shape: GoalShape):
+        """:meth:`lookup` without the stripe lock or the hit/miss counters.
+
+        The session's ask driver resolves plans through this: its asks
+        already hold the knowledge base's read or write lock, and it
+        counts a lookup only once it knows which side answers it.
+        """
+        entry = self._entries.get(shape.key)
+        if entry is None:
+            return None
+        if entry.uncacheable:
+            return UNCACHEABLE
+        return entry.variants.get(entry.variant_key(shape.constants))
 
     def entry_for(self, shape: GoalShape) -> Optional[ShapeEntry]:
         """The raw cache slot for a shape (no stats accounting)."""
@@ -819,6 +839,10 @@ class ResultCache:
         self._index_lock = threading.RLock()
 
     def lookup(self, predicate: DbclPredicate) -> Optional[list[tuple]]:
+        if not self.policy.enabled:
+            # Nothing is ever stored: a miss, without the canonical key.
+            self.stats.incr("misses")
+            return None
         key = predicate.canonical_key()
         with self._stripes.for_key(key):
             entry = self._entries.get(key)

@@ -1,0 +1,301 @@
+"""Routing recursive goals to the transitive-closure executors.
+
+A goal that reaches a predicate on a call-graph cycle bypasses the DBCL
+compile chain and is answered by a :class:`~.recursion_exec.TransitiveClosure`
+per view.  The router validates that the goal is one the executors can
+answer (a single call of a binary linear-recursive view), asks the
+cost-based planner for a strategy, steps down the degradation ladder
+when it fails, and folds a same-shape ``ask_many`` group into one
+batch-seeded statement.
+"""
+
+from __future__ import annotations
+
+import threading
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
+
+from ..concurrency import LockedCounters
+from ..errors import CouplingError, DeadlineExceeded
+from ..metaevaluate.recursion import is_recursive_goal, recursive_indicators
+from ..prolog.terms import Atom, Struct, Term, Variable, conjuncts
+from .global_opt import CompiledPlan, GoalShape
+from .recursion_exec import RecursionRun, TransitiveClosure
+
+
+@dataclass
+class RecursionPlanStats(LockedCounters):
+    """Observability for the cost-based recursion planner's decisions.
+
+    Every planned recursive ask records which strategy the planner chose
+    (per-strategy counters) plus the *reason string* of the most recent
+    decision, so interval-vs-CTE routing is auditable in production via
+    ``session.stats()["recursion_plans"]`` instead of requiring a
+    debugger on :attr:`TransitiveClosure.last_plan`.
+    """
+
+    planned_asks: int = 0
+    interval: int = 0
+    cte: int = 0
+    topdown: int = 0
+    bottomup: int = 0
+    other: int = 0
+    last_strategy: str = ""
+    last_reason: str = ""
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    _snapshot_fields = (
+        "planned_asks",
+        "interval",
+        "cte",
+        "topdown",
+        "bottomup",
+        "other",
+        "last_strategy",
+        "last_reason",
+    )
+
+    def note(self, plan) -> None:
+        """Record one :class:`~repro.coupling.recursion_exec.RecursionPlan`."""
+        with self._lock:
+            self.planned_asks += 1
+            name = plan.strategy
+            if name in ("interval", "cte", "topdown", "bottomup"):
+                setattr(self, name, getattr(self, name) + 1)
+            else:
+                self.other += 1
+            self.last_strategy = plan.strategy
+            self.last_reason = plan.reason
+
+
+class RecursionRouter:
+    """Answers recursive goals; owns the per-view closure executors."""
+
+    def __init__(self, session):
+        self.session = session
+        self.stats = RecursionPlanStats()
+        self._closures: dict[tuple[str, int], TransitiveClosure] = {}
+        self._closures_lock = threading.Lock()
+
+    def clear(self) -> None:
+        """Drop every closure executor (the program changed)."""
+        with self._closures_lock:
+            self._closures.clear()
+
+    def indicators(self, graph=None) -> set[tuple[str, int]]:
+        """Predicates on a call-graph cycle (memoized per KB generation)."""
+        session = self.session
+        if session._plan_caching:
+            return session.plans.recursive_indicators(session.kb, session.schema)
+        return recursive_indicators(session.kb, session.schema, graph)
+
+    def is_recursive(self, goal: Term, graph) -> bool:
+        """Does ``goal`` reach a recursive predicate of the call graph?"""
+        return is_recursive_goal(
+            self.session.kb,
+            self.session.schema,
+            goal,
+            graph=graph,
+            recursive=self.indicators(graph),
+        )
+
+    def closure_for(self, view_name: str) -> TransitiveClosure:
+        """The (cached) transitive-closure executor for a recursive view."""
+        session = self.session
+        indicator = (view_name, 2)
+        with self._closures_lock:
+            executor = self._closures.get(indicator)
+            if executor is None:
+                executor = TransitiveClosure(
+                    session.kb,
+                    session.schema,
+                    session.constraints,
+                    session.database,
+                    indicator,
+                    optimize=session.optimize,
+                )
+                self._closures[indicator] = executor
+            return executor
+
+    def ask(self, goal: Term) -> list[dict]:
+        """Answer one recursive goal through the planned strategy."""
+        goals = conjuncts(goal)
+        if len(goals) != 1 or not isinstance(goals[0], Struct):
+            raise CouplingError(
+                "recursive goals must be a single view call; combine "
+                "results in Prolog afterwards"
+            )
+        call = goals[0]
+        indicator = call.indicator
+        if indicator not in self.indicators():
+            raise CouplingError(
+                f"goal reaches recursion through {indicator}; call the "
+                "recursive view directly"
+            )
+        if len(call.args) != 2:
+            raise CouplingError(
+                f"{indicator[0]}/{indicator[1]} is recursive but not binary; "
+                "recursion strategies support binary views only"
+            )
+        low_arg, high_arg = call.args
+        low = low_arg.name if isinstance(low_arg, Atom) else None
+        high = high_arg.name if isinstance(high_arg, Atom) else None
+        # Cost-based strategy choice: CTE pushdown for non-trivial edge
+        # views, the prepared frontier loop below the statistics
+        # threshold.  (Maintained views answered earlier, from their
+        # IncrementalClosure, never reach this point.)
+        closure = self.closure_for(indicator[0])
+        try:
+            try:
+                run = closure.solve(low=low, high=high, strategy="plan")
+            except (CouplingError, DeadlineExceeded):
+                raise  # semantic errors and expired budgets are not rungs
+            except Exception:  # noqa: BLE001 - any execution failure degrades
+                run = self._degraded(closure, low, high)
+        finally:
+            # The decision was made even when execution degraded or
+            # failed — record it either way.
+            if closure.last_plan is not None:
+                self.stats.note(closure.last_plan)
+                span = self.session.tracer.current_span()
+                if span is not None:
+                    span.note_recursion(
+                        closure.last_plan, closure.interval_stats()
+                    )
+        answers = []
+        for pair_low, pair_high in sorted(run.pairs):
+            answer: dict = {}
+            if isinstance(low_arg, Variable):
+                answer[low_arg.name] = pair_low
+            if isinstance(high_arg, Variable):
+                answer[high_arg.name] = pair_high
+            answers.append(answer)
+        return answers
+
+    def _degraded(
+        self, closure: TransitiveClosure, low: Optional[str], high: Optional[str]
+    ) -> RecursionRun:
+        """Step down the recursion ladder when the planned strategy fails.
+
+        When the failed plan was the interval probe, the first rung down
+        is the CTE pushdown (stale or failing labels must not cost the
+        whole pushdown tier); then the prepared frontier loop on the
+        bound side (``auto``); finally one flat edge fetch with the
+        fixpoint in Python (``memory``) — the slowest strategy, but the
+        one with the fewest backend dependencies.  Answers from any rung
+        are identical (the E7 equivalence the tests pin); only the cost
+        differs, which is why a stepped-down answer counts as
+        *degraded*, not wrong.
+        """
+        rungs = ["auto", "memory"]
+        plan = closure.last_plan
+        if plan is not None and plan.strategy == "interval":
+            rungs.insert(0, "cte")
+        run = None
+        for position, rung in enumerate(rungs):
+            try:
+                run = closure.solve(low=low, high=high, strategy=rung)
+                break
+            except (CouplingError, DeadlineExceeded):
+                raise
+            except Exception:  # noqa: BLE001 - try the next rung
+                if position == len(rungs) - 1:
+                    raise
+        self.session.database.resilience.incr("degraded_answers")
+        return run
+
+    # -- batch-seeded execution (ask_many) --------------------------------------
+
+    def batch_closure(self, shape: GoalShape, goal: Term):
+        """``(closure, bound_side, variable_name)`` for a batchable
+        recursive shape, else ``None``.
+
+        Batchable means: a single binary view call with exactly one
+        constant argument, whose shape already holds a warm plan of kind
+        ``recursive``, whose view is linearly recursive, and which is
+        *not* maintained (maintained views answer from their
+        :class:`IncrementalClosure` on the serial path — PR 3 semantics).
+        """
+        if shape is None or len(shape.constants) != 1:
+            return None
+        goals = conjuncts(goal)
+        if len(goals) != 1 or not isinstance(goals[0], Struct):
+            return None
+        call = goals[0]
+        if len(call.args) != 2:
+            return None
+        low_arg, high_arg = call.args
+        if isinstance(low_arg, Atom) and isinstance(high_arg, Variable):
+            bound, variable = "low", high_arg
+        elif isinstance(high_arg, Atom) and isinstance(low_arg, Variable):
+            bound, variable = "high", low_arg
+        else:
+            return None
+        session = self.session
+        session.plans.sync(session.kb)
+        plan = session.plans.peek(shape)
+        if not isinstance(plan, CompiledPlan) or plan.kind != "recursive":
+            return None
+        indicator = call.indicator
+        if session.materialize.has_view(indicator):
+            return None
+        if indicator not in self.indicators():
+            return None
+        try:
+            closure = self.closure_for(indicator[0])
+            # Only batch what the CTE can answer; a view whose pushdown
+            # preparation fails keeps the serial frontier path.  The
+            # first preparation metaevaluates the edge view, which reads
+            # the knowledge base: read-locked.
+            with session.kb.lock.read():
+                closure.cte_queries()
+        except Exception:  # noqa: BLE001 - fall back to serial asks
+            return None
+        return closure, bound, variable.name
+
+    def execute_batch(
+        self, recursive, shapes: Sequence[GoalShape]
+    ) -> Optional[list[list[dict]]]:
+        """One batch-seeded ``WITH RECURSIVE`` run for a same-shape group.
+
+        The group's seed constants fold into the statement's
+        ``IN (VALUES …)`` membership; fetched ``(root, node)`` rows
+        demultiplex by root back to per-goal answer lists identical to
+        the serial :meth:`ask` (which sorts closure pairs, so ordering
+        matches too).  Returns ``None`` to fall back to serial asks.
+        """
+        closure, bound, variable_name = recursive
+        seeds = [shape.constants[0] for shape in shapes]
+        distinct: dict = dict.fromkeys(seeds)
+        if len({str(seed) for seed in distinct}) != len(distinct):
+            return None  # affinity-coercible seed collision: serial
+        session = self.session
+        plans = session.plans
+        with session.kb.lock.read():
+            plans.sync(session.kb)
+            entry = plans.entry_for(shapes[0])
+            if entry is None or entry.uncacheable:
+                return None  # a concurrent write invalidated the plan
+            try:
+                # Interval batch probe when the labeling serves (seed
+                # intervals matched through one IN (VALUES …) CTE), the
+                # batch-seeded WITH RECURSIVE otherwise.  Under the read
+                # lock: freshening the labeling must not race a writer.
+                text = closure.batch_probe_text(bound, len(distinct))
+            except Exception:  # noqa: BLE001 - no batch form at all
+                return None
+            rows = session.database.execute_prepared(text, list(distinct))
+        demux: dict = {seed: set() for seed in distinct}
+        for root, node in rows:
+            bucket = demux.get(root)
+            if bucket is None:
+                return None  # affinity coerced a seed: answer serially
+            bucket.add(node)
+        plans.stats.incr("batched_asks", len(shapes))
+        plans.stats.incr("recursive_batches")
+        return [
+            [{variable_name: node} for node in sorted(demux[seed])]
+            for seed in seeds
+        ]

@@ -52,92 +52,43 @@ multiple-query optimization, applied to the prepared-plan hot path).
 
 from __future__ import annotations
 
-import hashlib
-import threading
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
-from ..concurrency import LockedCounters
-
+from ..cqa import CertainAnswers
 from ..dbcl.grammar import format_dbcl
-from ..dbcl.predicate import DbclPredicate
-from ..dbms.internal_db import assert_answers, term_to_value
+from ..dbms.internal_db import term_to_value
 from ..dbms.merge import SegmentMerger
 from ..dbms.sqlite_backend import ExternalDatabase
 from ..dbms.workload import OrgHierarchy, load_org
-from ..cqa import (
-    CqaStats,
-    RelationViolations,
-    ViolationDetector,
-    certain_answers as cqa_certain_answers,
-    peel_order,
-    split_blocks,
-)
-from ..errors import (
-    CouplingError,
-    CqaError,
-    DeadlineExceeded,
-    ExecutionError,
-    MetaevaluationError,
-    ReproError,
-    TransientBackendError,
-)
-from ..metaevaluate.recursion import (
-    is_recursive_goal,
-    recursive_indicators,
-    view_call_graph,
-)
+from ..errors import CouplingError, DeadlineExceeded, ExecutionError, ReproError
 from ..metaevaluate.translator import Metaevaluator
 from ..observe import Tracer
-from ..optimize.pipeline import SimplificationResult, SimplifyOptions, simplify
 from ..prolog.engine import Engine
 from ..prolog.knowledge_base import KnowledgeBase
-from ..prolog.reader import parse_goal
-from ..prolog.terms import (
-    Atom,
-    Clause,
-    Number,
-    Struct,
-    Term,
-    Variable,
-    conjoin,
-    conjuncts,
-    goal_indicator,
-    list_items,
-    variables_of,
-)
-from ..prolog.unify import Substitution, unify
+from ..prolog.reader import parse_goal, parse_term
+from ..prolog.terms import Atom, Struct, Term, list_items, variables_of
+from ..prolog.unify import unify
+from ..prolog.writer import program_to_string
 from ..schema.catalog import DatabaseSchema
 from ..schema.constraints import ConstraintSet
 from ..schema.empdep import empdep_constraints, empdep_schema
-from ..sql.ast import SqlQuery
-from ..sql.printer import print_sql
-from ..sql.translate import certainty_suffix, translate
+from .compiler import CQA, FETCH, PLAIN, Compiler, TranslationTrace
+from .driver import answer, drive
+from .executor import Executor, answer_columns, decode_rows, interface_name
 from .global_opt import (
-    UNCACHEABLE,
     CachePolicy,
-    CompiledPlan,
-    ExecutionPlan,
     GoalShape,
     PlanCache,
     ResultCache,
     goal_shape,
-    goal_with_markers,
-    marker_columns,
-    marker_for,
-    marker_index,
-    markers_in_comparisons,
-    markers_in_rows,
-    plan_goal,
+    is_database_indicator,
 )
+from .multi_query import BatchExecutor
 from .recursion_exec import RecursionRun, TransitiveClosure
+from .recursion_router import RecursionRouter
 
 Value = Union[int, float, str, None]
-
-#: Sentinel: the lock-free/read-locked fast path could not answer the
-#: goal; the caller must re-run the full pipeline under the write lock.
-_NEEDS_WRITE = object()
 
 
 def _hit_rate(hits: int, misses: int) -> Optional[float]:
@@ -146,115 +97,6 @@ def _hit_rate(hits: int, misses: int) -> Optional[float]:
     if not total:
         return None
     return round(hits / total, 4)
-
-
-@dataclass
-class CompilePhaseStats(LockedCounters):
-    """Wall-clock breakdown of cold compilations, per pipeline phase.
-
-    A cold ask pays classification (goal split over the view call graph),
-    metaevaluation (Prolog → DBCL), optimization (Algorithm 2 plus the
-    cost-based row order), translation (DBCL → SQL tree), and printing
-    (tree → prepared text).  ``session.stats()["compile_phases"]``
-    exposes the accumulated seconds per phase so a cost-model regression
-    (say, the greedy join order suddenly dominating compile time) is
-    observable instead of vanishing into one opaque cold-ask number.
-    """
-
-    cold_compilations: int = 0
-    classify_seconds: float = 0.0
-    metaevaluate_seconds: float = 0.0
-    optimize_seconds: float = 0.0
-    translate_seconds: float = 0.0
-    print_seconds: float = 0.0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    _snapshot_fields = (
-        "cold_compilations",
-        "classify_seconds",
-        "metaevaluate_seconds",
-        "optimize_seconds",
-        "translate_seconds",
-        "print_seconds",
-    )
-
-
-@dataclass
-class RecursionPlanStats(LockedCounters):
-    """Observability for the cost-based recursion planner's decisions.
-
-    Every planned recursive ask records which strategy the planner chose
-    (per-strategy counters) plus the *reason string* of the most recent
-    decision, so interval-vs-CTE routing is auditable in production via
-    ``session.stats()["recursion_plans"]`` instead of requiring a
-    debugger on :attr:`TransitiveClosure.last_plan`.
-    """
-
-    planned_asks: int = 0
-    interval: int = 0
-    cte: int = 0
-    topdown: int = 0
-    bottomup: int = 0
-    other: int = 0
-    last_strategy: str = ""
-    last_reason: str = ""
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    _snapshot_fields = (
-        "planned_asks",
-        "interval",
-        "cte",
-        "topdown",
-        "bottomup",
-        "other",
-    )
-
-    def note(self, plan) -> None:
-        """Record one :class:`~repro.coupling.recursion_exec.RecursionPlan`."""
-        with self._lock:
-            self.planned_asks += 1
-            name = plan.strategy
-            if name in ("interval", "cte", "topdown", "bottomup"):
-                setattr(self, name, getattr(self, name) + 1)
-            else:
-                self.other += 1
-            self.last_strategy = plan.strategy
-            self.last_reason = plan.reason
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            data = {
-                name: getattr(self, name) for name in self._snapshot_fields
-            }
-            data["last_strategy"] = self.last_strategy
-            data["last_reason"] = self.last_reason
-            return data
-
-
-@dataclass
-class TranslationTrace:
-    """Everything the pipeline produced for one goal (``explain``)."""
-
-    goal: Term
-    dbcl: DbclPredicate
-    simplification: SimplificationResult
-    sql: SqlQuery
-
-    @property
-    def dbcl_text(self) -> str:
-        return format_dbcl(self.dbcl)
-
-    @property
-    def optimized_dbcl_text(self) -> str:
-        return format_dbcl(self.simplification.predicate)
-
-    @property
-    def sql_text(self) -> str:
-        return print_sql(self.sql)
 
 
 class PrologDbSession:
@@ -293,24 +135,13 @@ class PrologDbSession:
         self.merger = SegmentMerger(self.kb, self.database)
         self.cache = ResultCache(cache_policy)
         self.plans = PlanCache()
-        self.compile_phases = CompilePhaseStats()
-        self.recursion_plans = RecursionPlanStats()
         #: Consistent query answering (ROADMAP E19): key-violation
-        #: detection with per-generation probe caching, plus the
+        #: detection with per-generation probe caching, the certainty
+        #: rewriting's finish and the repair enumeration, plus the
         #: counters ``stats()["cqa"]`` reports.
-        self.cqa_stats = CqaStats()
-        self.cqa_detector = ViolationDetector(
-            self.database, self.constraints, stats=self.cqa_stats
-        )
-        #: Certain-answer sets from repair enumeration, keyed by
-        #: (predicate canonical key, involved data generations) — any
-        #: mutation of an involved relation changes the key.
-        self._cqa_memo: dict[tuple, frozenset] = {}
-        self._cqa_memo_lock = threading.Lock()
-        #: Reachable-base-relation sets per (goal indicators, kb
-        #: generation) — the call graph only changes with the kb, so a
-        #: warm consistent ask skips the graph traversal entirely.
-        self._cqa_relations_memo: dict[tuple, frozenset] = {}
+        self._cqa = CertainAnswers(self.schema, self.constraints, self.database)
+        self.cqa_stats = self._cqa.stats
+        self.cqa_detector = self._cqa.detector
         #: Per-ask tracing (ROADMAP E20).  ``tracing=False`` is the kill
         #: switch: ``Tracer.begin`` then returns ``None`` before any
         #: allocation and the backend execute observer is never installed.
@@ -328,8 +159,6 @@ class PrologDbSession:
         )
         self.tracer.attach(self.database)
         self._plan_caching = plan_cache
-        self._closures: dict[tuple[str, int], TransitiveClosure] = {}
-        self._closures_lock = threading.Lock()
         self._register_metaevaluate_builtin()
         # Any base-relation mutation (including engine-level assertz or
         # retract from inside a Prolog program) invalidates exactly the
@@ -352,13 +181,16 @@ class PrologDbSession:
             policy=storage_policy,
             optimize=optimize,
         )
+        # The one ask pipeline (stage diagram: :mod:`.driver`).
+        self._recursion = RecursionRouter(self)
+        self.recursion_plans = self._recursion.stats
+        self._compiler = Compiler(self)
+        self.compile_phases = self._compiler.phases
+        self._executor = Executor(self)
 
     def _on_base_relation_change(self, kind, indicator, clauses) -> None:
-        name, arity = indicator
-        if self.schema.has_relation(name) and (
-            self.schema.relation(name).arity == arity
-        ):
-            self.cache.invalidate_relation(name)
+        if is_database_indicator(self.schema, indicator):
+            self.cache.invalidate_relation(indicator[0])
 
     # -- program loading ---------------------------------------------------------
 
@@ -369,8 +201,7 @@ class PrologDbSession:
         # or result rows.
         with self.kb.lock.write():
             clauses = self.kb.consult(source)
-            with self._closures_lock:
-                self._closures.clear()
+            self._recursion.clear()
             # Compiled plans key on KnowledgeBase.generation, which consult
             # advanced; the next sync drops them.  Clear eagerly anyway so the
             # cache never outlives a program change even in direct use.
@@ -422,33 +253,12 @@ class PrologDbSession:
         publishing), and shipping them would turn read-only workers
         into writers when their merge procedure fired.
         """
-        from ..prolog.writer import program_to_string
-
         with self.kb.lock.read():
             clauses = []
             for indicator in list(self.kb.indicators()):
-                name, arity = indicator
-                if (
-                    self.schema.has_relation(name)
-                    and self.schema.relation(name).arity == arity
-                ):
-                    continue
-                clauses.extend(self.kb.all_clauses(indicator))
+                if not is_database_indicator(self.schema, indicator):
+                    clauses.extend(self.kb.all_clauses(indicator))
             return self.kb.generation, program_to_string(clauses)
-
-    @staticmethod
-    def _fact_terms(values) -> tuple[Term, ...]:
-        args: list[Term] = []
-        for value in values:
-            if isinstance(value, bool):
-                args.append(Atom("true" if value else "false"))
-            elif isinstance(value, (int, float)):
-                args.append(Number(value))
-            elif isinstance(value, str):
-                args.append(Atom(value))
-            else:
-                raise TypeError(f"unsupported fact argument: {value!r}")
-        return tuple(args)
 
     def assert_fact(self, functor: str, *values) -> None:
         """Add an internal fact (expert-system knowledge).
@@ -471,16 +281,13 @@ class PrologDbSession:
         maintained through delete deltas (DRed delete/re-derive for
         recursive views).  Returns True when something was removed.
         """
-        args = self._fact_terms(values)
-        clause = Clause(Struct(functor, args))
+        clause = KnowledgeBase.fact_clause(functor, values)
+        args = clause.head.args
         # One write bracket for the internal retract *and* the external
         # delete: concurrent readers see the tuple everywhere or nowhere.
         with self.kb.lock.write():
             found = self.kb.retract(clause)
-            if not (
-                self.schema.has_relation(functor)
-                and self.schema.relation(functor).arity == len(args)
-            ):
+            if not is_database_indicator(self.schema, (functor, len(args))):
                 return found
             row = tuple(term_to_value(argument) for argument in args)
             if self.materialize.is_maintained(functor):
@@ -491,21 +298,6 @@ class PrologDbSession:
                 found = found or removed > 0
             self.cache.invalidate_relation(functor)
             return found
-
-    def _merge_internal_segments(self, predicate: DbclPredicate) -> None:
-        """Push internal facts for the predicate's relations to the DBMS.
-
-        The paper's alternative storage strategy ("storing query results
-        in the external database system, to keep a clean separation"):
-        any base relation with internally asserted tuples is materialised
-        externally so the generated SQL sees the union of both segments.
-        """
-        for tag in {row.tag for row in predicate.rows}:
-            if not self.schema.has_relation(tag):
-                continue
-            relation = self.schema.relation(tag)
-            if self.kb.fact_count((tag, relation.arity)):
-                self.merger.materialise_internal(tag)
 
     # -- the paper's amalgamated metaevaluate/4 ------------------------------------
 
@@ -522,8 +314,6 @@ class PrologDbSession:
             inner = goals[0]
             use_optim = subst.apply(options) != Atom("no_optim")
             predicate, rows = session._fetch_view(inner, optimize=use_optim)
-            from ..prolog.reader import parse_term
-
             if predicate is None:
                 # All branches were fact branches: the answers are already
                 # in the internal database from an earlier metaevaluation.
@@ -536,131 +326,24 @@ class PrologDbSession:
 
         self.engine.register_builtin("metaevaluate", 4, builtin_metaevaluate)
 
-    def _phase(self, phase: str, started: float) -> float:
-        """Accumulate one compile phase's wall clock; returns a new mark.
-
-        Feeds both the session-wide :class:`CompilePhaseStats` and — when
-        an ask span is open on this thread — that span's per-ask phase
-        breakdown, so cold compiles are explainable from one trace record.
-        """
-        now = time.perf_counter()
-        elapsed = now - started
-        self.compile_phases.incr(f"{phase}_seconds", elapsed)
-        span = self.tracer.current_span()
-        if span is not None:
-            span.phases[phase] = span.phases.get(phase, 0.0) + elapsed
-        return now
-
-    def _cost_ordered(self, predicate: DbclPredicate) -> DbclPredicate:
-        """Rows reordered by the statistics-driven greedy join order.
-
-        Applied between Algorithm 2 and SQL translation: the simplified
-        tableau's rows are permuted so the most selective relation leads
-        and each join extends the cheapest prefix (System R estimates
-        over the backend's relation statistics).  Answer-preserving by
-        construction — see :mod:`repro.optimize.costs` — and skipped
-        when optimization is off or the backend has no statistics
-        service, so ``explain`` traces and ``no_optim`` runs keep the
-        paper's literal row order.
-        """
-        if not self.optimize or len(predicate.rows) <= 1:
-            return predicate
-        stats_of = getattr(self.database, "relation_statistics", None)
-        if stats_of is None:
-            return predicate
-        from ..optimize.costs import order_rows
-
-        try:
-            return order_rows(predicate, stats_of)
-        except Exception:  # noqa: BLE001 - cost ordering is advisory
-            return predicate
-
-    def _fetch_view(
-        self, goal: Term, optimize: bool = True
-    ) -> tuple[Optional[DbclPredicate], list[tuple]]:
+    def _fetch_view(self, goal: Term, optimize: bool = True):
         """Metaevaluate a single-view goal, execute it, assert the answers.
 
-        A view that was metaevaluated before carries its previous answers
-        as asserted facts; unfolding now yields extra *fact branches* with
-        no database calls.  Those answers are already in the internal
-        database, so only the rule branch is compiled.
-
-        Repeated shapes take the prepared path: the rule branch's
-        compilation is cached per goal shape (see the module docstring)
-        and re-executed with bound parameters.
+        The ``metaevaluate/4`` entry into the ask pipeline (fetch mode):
+        the view's rule branch compiles and caches per goal shape like any
+        plan, and the answers are asserted as facts under the view's name.
+        Runs inside the enclosing ask (its lock, span, deadline, retry).
+        Returns ``(predicate, rows)``: the DBCL trace — None when
+        everything was already answered internally — and the fetched rows.
         """
-        use_optim = bool(optimize and self.optimize)
-        targets = [v for v in variables_of(goal) if not v.is_anonymous]
-        shape: Optional[GoalShape] = None
-        if self._plan_caching:
-            self.plans.sync(self.kb)
-            base = goal_shape(goal)
-            if base is not None:
-                shape = GoalShape(
-                    key=("fetch", use_optim) + base.key,
-                    constants=base.constants,
-                )
-                plan = self.plans.lookup(shape)
-                if plan is UNCACHEABLE:
-                    shape = None  # cold path, no recompilation attempt
-                elif plan is not None:
-                    return self._execute_fetch_plan(plan, shape, goal, targets)
-
-        mark = time.perf_counter()
-        self.compile_phases.incr("cold_compilations")
-        name = self.metaevaluator._default_name(goal)
-        branches = [
-            branch
-            for branch in self.metaevaluator.collect_branches(goal)
-            if branch.dbcalls
-        ]
-        if not branches:
-            return None, []  # everything already answered internally
-        if len(branches) > 1:
-            raise CouplingError(
-                f"metaevaluate/4 on disjunctive view {name}; use "
-                "ask_disjunctive instead"
-            )
-        predicate = self.metaevaluator.branch_to_dbcl(branches[0], name, targets)
-        mark = self._phase("metaevaluate", mark)
-        options = SimplifyOptions() if use_optim else SimplifyOptions.none()
-        result = simplify(predicate, self.constraints, options)
-        if result.is_empty:
-            self._phase("optimize", mark)
-            if shape is not None:
-                self._compile_fetch_plan(
-                    shape, goal, targets, name, options, None, result.original
-                )
-            return result.original, []
-        final = result.predicate
-        if use_optim:
-            final = self._cost_ordered(final)
-        mark = self._phase("optimize", mark)
-        rows = self.cache.lookup(final)
-        sql_text: Optional[str] = None
-        if rows is None:
-            self._merge_internal_segments(final)
-            mark = time.perf_counter()
-            sql = translate(final, distinct=True)
-            mark = self._phase("translate", mark)
-            if sql.is_empty:
-                rows = []
-            else:
-                sql_text = self.database.prepare(sql)
-                self._phase("print", mark)
-                rows = self.database.execute_prepared(sql_text)
-            self.cache.store(final, rows, self._result_dependencies(final, goal))
-        assert_answers(self.kb, goal, final, targets, rows)
-        if shape is not None:
-            # Compile after asserting: the new answer facts advanced the KB
-            # generation, and a plan stored before them would be dropped on
-            # the next sync.  The plan stays valid — answer facts only add
-            # fact branches, which the fetch path filters out by design.
-            self._compile_fetch_plan(
-                shape, goal, targets, name, options, final, result.original,
-                sql_text,
-            )
-        return final, rows
+        predicate, rows = answer(
+            self, goal, FETCH[bool(optimize and self.optimize)], None, None, True
+        )
+        if predicate is None:
+            # Proved empty at bind time: report the (unsimplified)
+            # predicate a cold fetch would have proved empty.
+            predicate = self._compiler.fetch_predicate(goal)
+        return predicate, rows
 
     # -- query answering --------------------------------------------------------------
 
@@ -687,222 +370,7 @@ class PrologDbSession:
         fault policy's ``max_ask_retries``; only a budget this generous
         failing turns into an error the caller sees.
         """
-        if isinstance(goal, str):
-            goal = parse_goal(goal)
-        span = self.tracer.begin(goal)
-        if span is None:  # tracing disabled, or attributed to an outer span
-            with self.database.deadline(deadline):
-                return self._ask_resilient(goal, max_solutions)
-        try:
-            with self.database.deadline(deadline):
-                answers = self._ask_resilient(goal, max_solutions, span)
-                if deadline is not None:
-                    scope = self.database.current_deadline()
-                    if scope is not None:
-                        span.deadline_remaining = round(scope.remaining(), 6)
-            span.answers = len(answers)
-            return answers
-        except Exception as error:
-            span.error = f"{type(error).__name__}: {error}"
-            raise
-        finally:
-            self.tracer.commit(span)
-
-    def _ask_resilient(
-        self, goal: Term, max_solutions: Optional[int], span=None
-    ) -> list[dict[str, Value]]:
-        """Retry transient failures around the whole ask pipeline."""
-        policy = self.database.policy
-        attempts = 0
-        while True:
-            try:
-                return self._ask_once(goal, max_solutions, span)
-            except TransientBackendError:
-                attempts += 1
-                if not policy.enabled or attempts > policy.max_ask_retries:
-                    raise
-                self.database.resilience.incr("ask_retries")
-                pause = policy.ask_retry_pause * min(attempts, 8)
-                scope = self.database.current_deadline()
-                if scope is not None:
-                    if scope.expired:
-                        raise  # the next attempt could only time out
-                    pause = scope.clamp(pause)
-                time.sleep(pause)
-
-    def _ask_once(
-        self, goal: Term, max_solutions: Optional[int], span=None
-    ) -> list[dict[str, Value]]:
-        fast = self._ask_read_path(goal, max_solutions, span)
-        if fast is not _NEEDS_WRITE:
-            return fast
-        with self.kb.lock.write():
-            return self._ask_write_path(goal, max_solutions, span)
-
-    def _ask_read_path(self, goal: Term, max_solutions: Optional[int],
-                       span=None):
-        """Answer under the read lock, or :data:`_NEEDS_WRITE`.
-
-        Only evaluations that provably mutate nothing run here: a fresh
-        maintained view, or a cached pure-external plan whose relations
-        have no pending internal segments.  Plan-cache *stats* for misses
-        are left to the write path (which repeats the lookup), so counts
-        match the single-threaded accounting exactly.  The open span (if
-        any) arrives as a parameter — the warm path is where the E20
-        overhead budget is spent, and a thread-local read per ask is
-        measurable there.
-        """
-        with self.kb.lock.read():
-            status, maintained = self.materialize.try_answer(goal, max_solutions)
-            if status == "hit":
-                if span is not None:
-                    span.plan_cache = "maintained"
-                    span.plan_kind = "maintained"
-                return maintained
-            if status == "stale":
-                return _NEEDS_WRITE
-            if not self._plan_caching:
-                return _NEEDS_WRITE
-            mark = time.perf_counter() if span is not None else 0.0
-            self.plans.sync(self.kb)
-            shape = goal_shape(goal)
-            if span is not None:
-                # Inlined span.mark(): method-call frames on this branch
-                # are paid on every warm ask (E20 overhead budget).
-                now = time.perf_counter()
-                span.phases["shape"] = now - mark
-                mark = now
-            if shape is None:
-                return _NEEDS_WRITE
-            entry = self.plans.entry_for(shape)
-            if entry is None or entry.uncacheable:
-                return _NEEDS_WRITE
-            plan = entry.variants.get(entry.variant_key(shape.constants))
-            if (
-                plan is None
-                or plan.kind != "external"
-                or plan.internal_indices
-            ):
-                return _NEEDS_WRITE
-            self.plans.stats.incr("hits")
-            if span is not None:
-                span.shape_key = shape.key
-                span.plan_cache = "hit"
-                span.plan_kind = plan.kind
-                now = time.perf_counter()
-                span.phases["plan_lookup"] = now - mark
-            if plan.is_empty:
-                return []
-            bound = plan.bind(shape.constants, self.constraints)
-            if bound is None:
-                self.plans.stats.incr("bind_empties")
-                return []
-            if self._pending_merge(bound):
-                return _NEEDS_WRITE  # merging segments mutates both stores
-            # Same executor as the write path's warm branch; its internal
-            # segment merge provably no-ops here (_pending_merge is false),
-            # so nothing mutates under the read lock.
-            try:
-                rows = self._rows_for_plan(plan, shape, bound, goal)
-            except TransientBackendError:
-                raise  # the resilient ask driver retries whole attempts
-            except ExecutionError:
-                # Permanent warm-plan failure.  Recovery (evict the plan,
-                # recompile cold) mutates the plan cache and runs the
-                # cold pipeline: restart on the write side.
-                return _NEEDS_WRITE
-            if span is not None:
-                mark = time.perf_counter()
-            goal_vars = [v for v in variables_of(goal) if not v.is_anonymous]
-            answers = self._rows_to_answers(
-                bound, plan.fetch_targets, rows, goal_vars
-            )
-            if span is not None:
-                span.phases["demux"] = time.perf_counter() - mark
-            if max_solutions is not None:
-                return answers[:max_solutions]
-            return answers
-
-    def _ask_write_path(
-        self, goal: Term, max_solutions: Optional[int], span=None
-    ) -> list[dict[str, Value]]:
-        """The full pipeline (mutations allowed; caller holds write lock)."""
-        if span is None:
-            span = self.tracer.current_span()
-        maintained = self.materialize.answer(goal, max_solutions)
-        if maintained is not None:
-            if span is not None:
-                span.plan_cache = "maintained"
-                span.plan_kind = "maintained"
-            return maintained
-        goal_vars = [v for v in variables_of(goal) if not v.is_anonymous]
-
-        shape: Optional[GoalShape] = None
-        if self._plan_caching:
-            mark = time.perf_counter() if span is not None else 0.0
-            self.plans.sync(self.kb)
-            shape = goal_shape(goal)
-            if span is not None:
-                mark = span.mark("shape", mark)
-                if shape is not None:
-                    span.shape_key = shape.key
-            if shape is not None:
-                plan = self.plans.lookup(shape)
-                if span is not None:
-                    span.mark("plan_lookup", mark)
-                if plan is UNCACHEABLE:
-                    if span is not None:
-                        span.plan_cache = "uncacheable"
-                    shape = None  # cold path, no recompilation attempt
-                elif plan is not None:
-                    if span is not None:
-                        span.plan_cache = "hit"
-                        span.plan_kind = plan.kind
-                    try:
-                        return self._execute_plan(
-                            plan, shape, goal, goal_vars, max_solutions
-                        )
-                    except TransientBackendError:
-                        raise  # retried whole by the resilient driver
-                    except ExecutionError:
-                        # The warm plan failed *permanently* mid-execution
-                        # (a prepared statement the backend no longer
-                        # accepts).  Drop the shape's plans and fall
-                        # through to exactly one cold recompilation.
-                        self._invalidate_failed_plan(shape)
-
-        answers, artifacts = self._ask_cold(goal, goal_vars, max_solutions)
-        if span is not None:
-            span.plan_cache = "miss"
-            span.plan_kind = artifacts.get("kind")
-        if shape is not None:
-            self._try_compile(shape, goal, artifacts)
-        return answers
-
-    def _invalidate_failed_plan(self, shape: GoalShape) -> None:
-        """Drop a warm plan that failed permanently at execution time.
-
-        The prepared statement no longer matches backend reality (a
-        dropped table, a schema drift the generation counter cannot see).
-        Evicting the shape sends this ask down the cold pipeline, which
-        recompiles against the current catalog and re-stores — one cold
-        compile heals the shape for every later ask.  Result rows cached
-        through the dead plan go too: they were fetched from the state
-        the backend just disowned.
-        """
-        self.plans.evict(shape)
-        self.cache.invalidate()
-        self.database.resilience.incr("plan_invalidations")
-
-    def _pending_merge(self, predicate: DbclPredicate) -> bool:
-        """Would executing this predicate first need a segment merge?"""
-        for tag in {row.tag for row in predicate.rows}:
-            if not self.schema.has_relation(tag):
-                continue
-            relation = self.schema.relation(tag)
-            if self.kb.fact_count((tag, relation.arity)):
-                return True
-        return False
+        return drive(self, goal, PLAIN, max_solutions, deadline)
 
     # -- consistent query answering (ROADMAP E19) -------------------------------------
 
@@ -941,537 +409,15 @@ class PrologDbSession:
         :class:`~repro.errors.CqaError`.  ``deadline`` and transient
         retries behave exactly as in :meth:`ask`.
         """
-        if isinstance(goal, str):
-            goal = parse_goal(goal)
-        span = self.tracer.begin(goal, kind="ask_consistent")
-        if span is None:
-            with self.database.deadline(deadline):
-                return self._ask_consistent_resilient(goal, max_solutions, None)
-        try:
-            with self.database.deadline(deadline):
-                answers = self._ask_consistent_resilient(
-                    goal, max_solutions, span
-                )
-                if deadline is not None:
-                    scope = self.database.current_deadline()
-                    if scope is not None:
-                        span.deadline_remaining = round(scope.remaining(), 6)
-            span.answers = len(answers)
-            return answers
-        except Exception as error:
-            span.error = f"{type(error).__name__}: {error}"
-            raise
-        finally:
-            self.tracer.commit(span)
-
-    def _ask_consistent_resilient(
-        self, goal: Term, max_solutions: Optional[int], span=None
-    ) -> list[dict[str, Value]]:
-        """Retry transient failures around the whole consistent ask."""
-        policy = self.database.policy
-        attempts = 0
-        while True:
-            try:
-                return self._ask_consistent_once(goal, max_solutions, span)
-            except TransientBackendError:
-                attempts += 1
-                if not policy.enabled or attempts > policy.max_ask_retries:
-                    raise
-                self.database.resilience.incr("ask_retries")
-                pause = policy.ask_retry_pause * min(attempts, 8)
-                scope = self.database.current_deadline()
-                if scope is not None:
-                    if scope.expired:
-                        raise
-                    pause = scope.clamp(pause)
-                time.sleep(pause)
-
-    def _ask_consistent_once(
-        self, goal: Term, max_solutions: Optional[int], span=None
-    ) -> list[dict[str, Value]]:
-        relations = self._relations_of_goal(goal)
-        self._merge_pending_for(relations)
-        dirty: dict[str, RelationViolations] = {}
-        for name in sorted(relations):
-            snapshot = self.cqa_detector.violations(name)
-            if not snapshot.is_clean:
-                dirty[name] = snapshot
-        if not dirty:
-            # Every repair of a clean store is the store itself: certain
-            # answers coincide with plain answers, and the plain pipeline
-            # (same span, same caches) answers without one extra
-            # statement beyond the cached probes above.
-            self.cqa_stats.incr("clean_fast_paths")
-            if span is not None:
-                span.cqa = {"mode": "clean_fast_path", "violating_blocks": 0}
-            return self._ask_once(goal, max_solutions, span)
-        with self.kb.lock.write():
-            return self._ask_consistent_dirty(goal, dirty, max_solutions, span)
-
-    def _merge_pending_for(self, relations: Iterable[str]) -> None:
-        """Merge pending internal segments before violation probes.
-
-        A fact asserted into a base relation can introduce (or resolve)
-        a key violation; probing the pre-merge store would answer for
-        data the subsequent execution never sees.
-        """
-        pending = [
-            name
-            for name in sorted(set(relations))
-            if self.kb.fact_count((name, self.schema.relation(name).arity))
-        ]
-        if not pending:
-            return
-        with self.kb.lock.write():
-            for name in pending:
-                if self.kb.fact_count((name, self.schema.relation(name).arity)):
-                    self.merger.materialise_internal(name)
-
-    def _relations_of_goal(self, goal: Term) -> set[str]:
-        """Base relations the goal can read, transitively through views."""
-        import networkx as nx
-
-        indicators = []
-        for term in conjuncts(goal):
-            try:
-                indicators.append(goal_indicator(term))
-            except ValueError:
-                continue
-        memo_key = (frozenset(indicators), self.kb.generation)
-        cached = self._cqa_relations_memo.get(memo_key)
-        if cached is not None:
-            return set(cached)
-        graph = (
-            self.plans.graph(self.kb, self.schema)
-            if self._plan_caching
-            else view_call_graph(self.kb, self.schema)
-        )
-        relations: set[str] = set()
-        for indicator in indicators:
-            reachable = {indicator}
-            if graph.has_node(indicator):
-                reachable |= set(nx.descendants(graph, indicator))
-            for name, arity in reachable:
-                if (
-                    self.schema.has_relation(name)
-                    and self.schema.relation(name).arity == arity
-                ):
-                    relations.add(name)
-        if len(self._cqa_relations_memo) >= 128:
-            self._cqa_relations_memo.clear()
-        self._cqa_relations_memo[memo_key] = frozenset(relations)
-        return relations
-
-    def _ask_consistent_dirty(
-        self,
-        goal: Term,
-        dirty: dict[str, RelationViolations],
-        max_solutions: Optional[int],
-        span=None,
-    ) -> list[dict[str, Value]]:
-        """The certain-answer pipeline for a store with violations."""
-        goal_vars = [v for v in variables_of(goal) if not v.is_anonymous]
-        shape: Optional[GoalShape] = None
-        if self._plan_caching:
-            self.plans.sync(self.kb)
-            base = goal_shape(goal)
-            if base is not None:
-                # The consistent-mode variant of the shape: same constants,
-                # prefixed key, so plain and rewritten plans never collide.
-                shape = GoalShape(
-                    key=("cqa",) + base.key, constants=base.constants
-                )
-                cached = self.plans.lookup(shape)
-                if cached is UNCACHEABLE:
-                    shape = None
-                elif cached is not None:
-                    self.cqa_stats.incr("rewrite_cache_hits")
-                    if span is not None:
-                        span.shape_key = shape.key
-                        span.plan_cache = "hit"
-                        span.plan_kind = cached.kind
-                    return self._execute_cqa_plan(
-                        cached, shape.constants, goal_vars, dirty,
-                        max_solutions, span,
-                    )
-        constants = shape.constants if shape is not None else ()
-        try:
-            material, plan = self._compile_cqa_plan(goal, shape)
-        except CqaError:
-            raise
-        except Exception:
-            if shape is not None:
-                self.plans.mark_uncacheable(shape)
-            raise
-        if span is not None:
-            span.plan_cache = "miss"
-            span.plan_kind = plan.kind
-            if shape is not None:
-                span.shape_key = shape.key
-        if shape is not None:
-            self.plans.store(shape, material, plan)
-        return self._execute_cqa_plan(
-            plan, constants, goal_vars, dirty, max_solutions, span
-        )
-
-    def _compile_cqa_plan(
-        self, goal: Term, shape: Optional[GoalShape]
-    ) -> tuple[frozenset, CompiledPlan]:
-        """Classify the goal and compile its consistent-mode plan."""
-        if self._is_recursive(goal):
-            raise CqaError(
-                "consistent answers are not defined for recursive goals: "
-                "neither the rewriting nor the repair enumeration covers "
-                "them (ROADMAP E19 scope)"
-            )
-        graph = (
-            self.plans.graph(self.kb, self.schema) if self._plan_caching else None
-        )
-        try:
-            split = plan_goal(self.kb, self.schema, goal, graph=graph)
-        except CouplingError as error:
-            raise CqaError(
-                f"goal mixes internal and external knowledge inside one "
-                f"view; repairs only range over the external store: {error}"
-            ) from error
-        if not split.is_pure_external:
-            raise CqaError(
-                "consistent answers need a pure-external conjunctive goal; "
-                "internal conjuncts have no repair semantics"
-            )
-        self.cqa_stats.incr("rewrite_compiles")
-        external_goal = conjoin(split.external)
-        interface = set(split.interface_variables)
-        fetch_targets = tuple(
-            v
-            for v in variables_of(external_goal)
-            if not v.is_anonymous and v in interface
-        )
-        options = SimplifyOptions() if self.optimize else SimplifyOptions.none()
-        if (
-            shape is not None
-            and shape.constants
-            and not self._constant_discriminating(
-                [
-                    goal_indicator(term)
-                    for term in split.external
-                    if isinstance(term, Struct)
-                ]
-            )
-        ):
-            plan = self._cqa_marker_plan(goal, shape, fetch_targets, options)
-            if plan is not None:
-                return frozenset(), plan
-        # Exact-constant fallback: one plan per concrete constant tuple.
-        predicate = self.metaevaluator.metaevaluate(
-            external_goal, targets=list(fetch_targets)
-        )
-        result = simplify(predicate, self.constraints, options)
-        material = (
-            frozenset(range(shape.parameter_count)) if shape else frozenset()
-        )
-        if result.is_empty:
-            # Empty under the integrity constraints — and every repair
-            # satisfies them by construction, so certainly empty.
-            return material, CompiledPlan(
-                kind="cqa",
-                is_empty=True,
-                template=result.original,
-                fetch_targets=fetch_targets,
-            )
-        final = self._cost_ordered(result.predicate)
-        return material, self._finish_cqa_plan(
-            final, {}, fetch_targets, (), {}, allow_empty=True
-        )
-
-    def _cqa_marker_plan(
-        self,
-        goal: Term,
-        shape: GoalShape,
-        fetch_targets: tuple[Variable, ...],
-        options: SimplifyOptions,
-    ) -> Optional[CompiledPlan]:
-        """A fully-parameterized consistent plan, or None to fall back.
-
-        One-shot version of :meth:`_parameterize`'s analysis: every
-        constant becomes a marker, and any sign the compilation consulted
-        a concrete value (witness fired, a marker vanished or emptied the
-        plan, translation balked) abandons parameterization for the
-        exact-constant path rather than iterating — rewriting compiles
-        are expected to repeat, so the plan is parameterized eagerly on
-        the first miss.
-        """
-        from ..dbcl.symbols import watch_marker_consultation
-        from ..errors import TranslationError
-
-        open_params = frozenset(range(shape.parameter_count))
-        marker_goal = goal_with_markers(goal, frozenset())
-        predicate_m = self.metaevaluator.metaevaluate(
-            marker_goal, targets=list(fetch_targets)
-        )
-        param_cells = marker_columns(predicate_m)
-        with watch_marker_consultation() as witness:
-            result_m = simplify(predicate_m, self.constraints, options)
-        if result_m.is_empty or witness.consulted:
-            return None
-        final_m = result_m.predicate
-        vanished = (
-            open_params
-            - frozenset(markers_in_rows(final_m))
-            - frozenset(markers_in_comparisons(final_m))
-        )
-        if vanished:
-            return None
-        final_m = self._cost_ordered(final_m)
-        parameter_map = {str(marker_for(index)): index for index in open_params}
-        try:
-            with watch_marker_consultation() as translate_witness:
-                plan = self._finish_cqa_plan(
-                    final_m,
-                    parameter_map,
-                    fetch_targets,
-                    tuple(sorted(open_params)),
-                    {
-                        index: param_cells.get(index, ())
-                        for index in open_params
-                    },
-                    allow_empty=False,
-                )
-            if translate_witness.consulted:
-                return None
-        except TranslationError:
-            return None
-        return plan
-
-    def _finish_cqa_plan(
-        self,
-        final: DbclPredicate,
-        parameter_map: dict,
-        fetch_targets: tuple[Variable, ...],
-        open_params: tuple[int, ...],
-        param_columns: dict,
-        allow_empty: bool,
-    ) -> CompiledPlan:
-        """Decide rewriting vs. enumeration, build the compiled plan.
-
-        ``kind="cqa"`` plans carry the full rewritten statement — the
-        plain translated query with the certainty condition appended —
-        while ``kind="cqa_enum"`` plans carry only the template for the
-        repair enumerator.  The parameterized ``sql`` tree is stored as
-        ``None`` in both: an ``IN (VALUES …)`` batch variant would let
-        one goal's answer satisfy another goal's certainty condition,
-        so consistent plans must never take the batch path.
-        """
-        from ..errors import TranslationError
-
-        keys_of = {
-            row.tag: self.cqa_detector.key_of(row.tag) for row in final.rows
-        }
-        order = peel_order(final, keys_of)
-        if order is None:
-            return CompiledPlan(
-                kind="cqa_enum",
-                template=final,
-                open_params=tuple(open_params),
-                param_columns=dict(param_columns),
-                fetch_targets=tuple(fetch_targets),
-            )
-        sql = translate(final, distinct=True, parameters=parameter_map or None)
-        if sql.is_empty:
-            if not allow_empty:
-                raise TranslationError(
-                    "marker-free ground contradiction: replay via exact plan"
-                )
-            return CompiledPlan(
-                kind="cqa",
-                is_empty=True,
-                template=final,
-                fetch_targets=tuple(fetch_targets),
-            )
-        suffix, suffix_markers = certainty_suffix(
-            final, order, parameters=parameter_map
-        )
-        plain = self.database.prepare(sql)
-        connector = (
-            " AND "
-            if (sql.where or sql.batch_conditions or sql.extra_conditions)
-            else " WHERE "
-        )
-        bind_order = tuple(sql.parameter_order()) + tuple(
-            marker_index(marker) for marker in suffix_markers
-        )
-        return CompiledPlan(
-            kind="cqa",
-            template=final,
-            sql_text=plain + connector + suffix,
-            bind_order=bind_order,
-            open_params=tuple(open_params),
-            param_columns=dict(param_columns),
-            fetch_targets=tuple(fetch_targets),
-        )
-
-    def _execute_cqa_plan(
-        self,
-        plan: CompiledPlan,
-        constants: tuple,
-        goal_vars: Sequence[Variable],
-        dirty: dict[str, RelationViolations],
-        max_solutions: Optional[int],
-        span=None,
-    ) -> list[dict[str, Value]]:
-        """Run a consistent-mode plan against a store with violations."""
-        cqa_info = {
-            "mode": "rewritten" if plan.kind == "cqa" else "enumerated",
-            "rewritable": plan.kind == "cqa",
-            "dirty_relations": sorted(dirty),
-            "violating_blocks": sum(v.block_count for v in dirty.values()),
-        }
-        if span is not None:
-            span.cqa = cqa_info
-        if plan.is_empty:
-            self.cqa_stats.incr("rewritten_asks")
-            return []
-        bound = plan.bind(constants, self.constraints)
-        if bound is None:
-            self.plans.stats.incr("bind_empties")
-            return []
-        if plan.kind == "cqa":
-            try:
-                with self.database.fault_context("cqa_rewrite"):
-                    rows = self.database.execute_prepared(
-                        plan.sql_text, plan.bind_values(constants)
-                    )
-            except TransientBackendError:
-                raise  # retried whole by the resilient driver
-            except ExecutionError:
-                # Degradation rung (extends the PR 6 ladder): the
-                # rewriting statement failed permanently, so fall to
-                # repair enumeration, which reads the store through
-                # plain per-relation fetches instead.
-                self.database.resilience.incr("degraded_answers")
-                self.cqa_stats.incr("degraded")
-                cqa_info["mode"] = "enumerated"
-                cqa_info["degraded"] = True
-                answers = self._enumerate_certain(bound, dirty, goal_vars)
-            else:
-                self.cqa_stats.incr("rewritten_asks")
-                answers = self._rows_to_answers(
-                    bound, plan.fetch_targets, rows, goal_vars
-                )
-        else:
-            answers = self._enumerate_certain(bound, dirty, goal_vars)
-        if max_solutions is not None:
-            return answers[:max_solutions]
-        return answers
-
-    def _enumerate_certain(
-        self,
-        predicate: DbclPredicate,
-        dirty: dict[str, RelationViolations],
-        goal_vars: Sequence[Variable],
-    ) -> list[dict[str, Value]]:
-        """Intersect the goal's answers over every repair (memoized).
-
-        Certain-answer rows never enter the :class:`ResultCache` — its
-        canonical key is the predicate alone, and the *plain* executor
-        stores rows under the same key with different (non-certain)
-        contents — so enumeration results memoize here instead, keyed by
-        predicate plus the data generations of every involved relation.
-        """
-        tags = sorted({row.tag for row in predicate.rows})
-        generations = tuple(
-            (tag, self.database.data_generation(tag)) for tag in tags
-        )
-        memo_key = (predicate.canonical_key(), generations)
-        with self._cqa_memo_lock:
-            certain = self._cqa_memo.get(memo_key)
-        if certain is not None:
-            self.cqa_stats.incr("memo_hits")
-        else:
-            fixed: dict[str, list] = {}
-            blocks: dict[str, list] = {}
-            for tag in tags:
-                rows = [
-                    tuple(row) for row in self.database.fetch_relation(tag)
-                ]
-                snapshot = dirty.get(tag)
-                if snapshot is None or snapshot.is_clean:
-                    fixed[tag] = list(dict.fromkeys(rows))
-                    blocks[tag] = []
-                    continue
-                attributes = tuple(self.schema.relation(tag).attributes)
-                key_positions = [
-                    attributes.index(a) for a in snapshot.key
-                ]
-                fixed[tag], blocks[tag] = split_blocks(rows, key_positions)
-            certain = cqa_certain_answers(
-                predicate, fixed, blocks, stats=self.cqa_stats
-            )
-            with self._cqa_memo_lock:
-                if len(self._cqa_memo) >= 256:
-                    self._cqa_memo.clear()
-                self._cqa_memo[memo_key] = certain
-        self.cqa_stats.incr("fallback_asks")
-        rows = sorted(certain, key=repr)
-        return self._rows_to_answers(predicate, (), rows, goal_vars)
+        return drive(self, goal, CQA, max_solutions, deadline)
 
     def integrity_report(self) -> dict:
         """Per-relation key/FD violation counts with sample blocks.
 
-        Key violations come from the detector's cached probes (so a
-        clean relation re-reports for free); violations of the declared
-        functional dependencies beyond the primary key are counted in
-        Python over one deduplicated fetch per relation that declares
-        any.  Diagnostic view — nothing here feeds the ask paths.
+        Diagnostic view over the consistent mode's violation detector —
+        see :meth:`repro.cqa.CertainAnswers.integrity_report`.
         """
-        report: dict[str, dict] = {}
-        for name in sorted(self.schema.relations):
-            snapshot = self.cqa_detector.violations(name)
-            attributes = tuple(self.schema.relation(name).attributes)
-            entry: dict = {
-                "key": list(snapshot.key),
-                "key_violations": snapshot.block_count,
-                "violating_rows": snapshot.violating_rows,
-                "sample_blocks": [
-                    {
-                        "key": list(key_value),
-                        "rows": [list(row) for row in block[:4]],
-                    }
-                    for key_value, block in list(
-                        zip(snapshot.key_values, snapshot.blocks)
-                    )[:3]
-                ],
-                "funcdeps": [],
-            }
-            rows: Optional[list[tuple]] = None
-            for dependency in self.constraints.funcdeps_of(name):
-                if rows is None:
-                    rows = list(
-                        dict.fromkeys(
-                            tuple(row)
-                            for row in self.database.fetch_relation(name)
-                        )
-                    )
-                lhs_positions = [attributes.index(a) for a in dependency.lhs]
-                rhs_positions = [attributes.index(a) for a in dependency.rhs]
-                groups: dict[tuple, set] = {}
-                for row in rows:
-                    groups.setdefault(
-                        tuple(row[i] for i in lhs_positions), set()
-                    ).add(tuple(row[i] for i in rhs_positions))
-                entry["funcdeps"].append(
-                    {
-                        "lhs": list(dependency.lhs),
-                        "rhs": list(dependency.rhs),
-                        "violations": sum(
-                            1
-                            for images in groups.values()
-                            if len(images) > 1
-                        ),
-                    }
-                )
-            report[name] = entry
-        return report
+        return self._cqa.integrity_report()
 
     # -- set-oriented batch serving ---------------------------------------------------
 
@@ -1523,11 +469,11 @@ class PrologDbSession:
             parse_goal(goal) if isinstance(goal, str) else goal for goal in goals
         ]
         if consistent:
-            reachable: set[str] = set()
-            for goal in parsed:
-                reachable |= self._relations_of_goal(goal)
-            self._merge_pending_for(reachable)
-            if self.cqa_detector.dirty_relations(sorted(reachable)):
+            reachable = set().union(
+                *(self._compiler.base_relations(goal) for goal in parsed)
+            )
+            self._executor.merge_pending(reachable)
+            if self._cqa.dirty(reachable):
                 with self.database.deadline(deadline):
                     return [
                         self.ask_consistent(goal, max_solutions)
@@ -1574,8 +520,6 @@ class PrologDbSession:
         generation like every compiled plan) and re-executes prepared
         statements on later batches.
         """
-        from .multi_query import BatchExecutor
-
         return BatchExecutor(
             self.database,
             self.constraints,
@@ -1584,31 +528,6 @@ class PrologDbSession:
             plans=self.plans if self._plan_caching else None,
             kb=self.kb,
         )
-
-    def _batchable_plan(self, shape: GoalShape):
-        """The shared fully-parameterized plan for a shape, if it has one.
-
-        ``None`` means "not yet": the caller keeps warming the shape
-        serially while ``attempted`` is false, and falls back to the
-        serial path once the shape is known constant-sensitive,
-        uncacheable, or anything but pure-external.
-        """
-        self.plans.sync(self.kb)
-        entry = self.plans.entry_for(shape)
-        if entry is None or entry.uncacheable or not entry.attempted:
-            return None
-        if entry.material:
-            return None  # constant-sensitive: exact variants only
-        plan = entry.variants.get(())
-        if (
-            plan is None
-            or plan.kind != "external"
-            or plan.internal_indices
-            or plan.is_empty
-            or not plan.open_params
-        ):
-            return None
-        return plan
 
     def _ask_group(
         self,
@@ -1630,10 +549,10 @@ class PrologDbSession:
         plan = recursive = None
         while pending:
             if len(pending) > 1:
-                plan = self._batchable_plan(shapes[pending[0]])
+                plan = self._executor.batchable_plan(shapes[pending[0]])
                 if plan is not None:
                     break
-                recursive = self._recursive_batch_closure(
+                recursive = self._recursion.batch_closure(
                     shapes[pending[0]], parsed[pending[0]]
                 )
                 if recursive is not None:
@@ -1649,14 +568,12 @@ class PrologDbSession:
         # the tracer expands the group back to per-goal records on read.
         with self.tracer.group(len(pending)) as gspan:
             if plan is not None:
-                batched = self._execute_batch(
+                batched = self._executor.execute_batch(
                     plan, group_shapes, group_goals, max_solutions
                 )
                 batch_kind = "external"
             else:
-                batched = self._execute_recursive_batch(
-                    recursive, group_shapes, group_goals
-                )
+                batched = self._recursion.execute_batch(recursive, group_shapes)
                 batch_kind = "recursive"
             if batched is not None and gspan is not None:
                 gspan.shape_key = group_shapes[0].key
@@ -1674,1049 +591,14 @@ class PrologDbSession:
         for position, result in zip(pending, batched):
             answers[position] = result
 
-    def _recursive_batch_closure(self, shape: GoalShape, goal: Term):
-        """``(closure, bound_side, variable_name)`` for a batchable
-        recursive shape, else ``None``.
-
-        Batchable means: a single binary view call with exactly one
-        constant argument, whose shape already holds a warm plan of kind
-        ``recursive``, whose view is linearly recursive, and which is
-        *not* maintained (maintained views answer from their
-        :class:`IncrementalClosure` on the serial path — PR 3 semantics).
-        """
-        if shape is None or len(shape.constants) != 1:
-            return None
-        goal_list = conjuncts(goal)
-        if len(goal_list) != 1 or not isinstance(goal_list[0], Struct):
-            return None
-        call = goal_list[0]
-        if len(call.args) != 2:
-            return None
-        low_arg, high_arg = call.args
-        if isinstance(low_arg, Atom) and isinstance(high_arg, Variable):
-            bound, variable = "low", high_arg
-        elif isinstance(high_arg, Atom) and isinstance(low_arg, Variable):
-            bound, variable = "high", low_arg
-        else:
-            return None
-        self.plans.sync(self.kb)
-        entry = self.plans.entry_for(shape)
-        if entry is None or entry.uncacheable:
-            return None
-        plan = entry.variants.get(entry.variant_key(shape.constants))
-        if plan is None or plan.kind != "recursive":
-            return None
-        indicator = call.indicator
-        if self.materialize.has_view(indicator):
-            return None
-        if indicator not in self.plans.recursive_indicators(self.kb, self.schema):
-            return None
-        try:
-            closure = self.closure_for(indicator[0])
-            # Only batch what the CTE can answer; a view whose pushdown
-            # preparation fails keeps the serial frontier path.  The
-            # first preparation metaevaluates the edge view, which reads
-            # the knowledge base: read-locked.
-            with self.kb.lock.read():
-                closure.cte_queries()
-        except Exception:  # noqa: BLE001 - fall back to serial asks
-            return None
-        return closure, bound, variable.name
-
-    def _execute_recursive_batch(
-        self,
-        recursive,
-        shapes: Sequence[GoalShape],
-        goals: Sequence[Term],
-    ) -> Optional[list[list[dict[str, Value]]]]:
-        """One batch-seeded ``WITH RECURSIVE`` run for a same-shape group.
-
-        The group's seed constants fold into the statement's
-        ``IN (VALUES …)`` membership; fetched ``(root, node)`` rows
-        demultiplex by root back to per-goal answer lists identical to
-        serial :meth:`ask` (which sorts closure pairs, so ordering
-        matches too).  Returns ``None`` to fall back to serial asks.
-        """
-        closure, bound, variable_name = recursive
-        seeds = [shape.constants[0] for shape in shapes]
-        distinct: dict = dict.fromkeys(seeds)
-        if len({str(seed) for seed in distinct}) != len(distinct):
-            return None  # affinity-coercible seed collision: serial
-        with self.kb.lock.read():
-            self.plans.sync(self.kb)
-            entry = self.plans.entry_for(shapes[0])
-            if entry is None or entry.uncacheable:
-                return None  # a concurrent write invalidated the plan
-            try:
-                # Interval batch probe when the labeling serves (seed
-                # intervals matched through one IN (VALUES …) CTE), the
-                # batch-seeded WITH RECURSIVE otherwise.  Under the read
-                # lock: freshening the labeling must not race a writer.
-                text = closure.batch_probe_text(bound, len(distinct))
-            except Exception:  # noqa: BLE001 - no batch form at all
-                return None
-            rows = self.database.execute_prepared(text, list(distinct))
-        demux: dict = {seed: set() for seed in distinct}
-        for root, node in rows:
-            bucket = demux.get(root)
-            if bucket is None:
-                return None  # affinity coerced a seed: answer serially
-            bucket.add(node)
-        self.plans.stats.incr("batched_asks", len(goals))
-        self.plans.stats.incr("recursive_batches")
-        return [
-            [{variable_name: node} for node in sorted(demux[seed])]
-            for seed in seeds
-        ]
-
-    def _execute_batch(
-        self,
-        plan: CompiledPlan,
-        shapes: Sequence[GoalShape],
-        goals: Sequence[Term],
-        max_solutions: Optional[int],
-    ) -> Optional[list[list[dict[str, Value]]]]:
-        """One prepared execution for a whole same-shape group, demuxed.
-
-        Returns ``None`` to make the caller fall back to serial asks —
-        when the plan has no batchable SQL form, a pending segment merge
-        needs the write lock, the plan went stale under a concurrent
-        write between warm-up and execution, a ``max_solutions`` cap is
-        in force (the serial path defines which prefix of the answers is
-        returned), or a fetched row's anchor values fail to demultiplex
-        (SQLite affinity matched a constant Python equality cannot).
-        """
-        if max_solutions is not None:
-            return None
-        # Per-goal valuebound replay: members whose constants violate a
-        # declared domain are provably empty and never reach the batch.
-        keys: list[Optional[tuple]] = []
-        distinct: dict[tuple, None] = {}
-        for shape in shapes:
-            if plan.bind_is_empty(shape.constants, self.constraints):
-                self.plans.stats.incr("bind_empties")
-                keys.append(None)
-                continue
-            key = tuple(shape.constants[i] for i in plan.open_params)
-            keys.append(key)
-            distinct[key] = None
-        live = [key for key in keys if key is not None]
-        if not live:
-            return [[] for _ in goals]
-        if len(live) < 2:
-            return None  # a lone live member gains nothing from batching
-        # Two *distinct* Python keys that SQLite affinity would coerce to
-        # one value (30000 vs '30000') would share every fetched row's
-        # anchor tuple, silently starving one member; textual collision is
-        # a safe over-approximation of the coercion rules, so such
-        # batches answer serially.
-        if len({tuple(str(v) for v in key) for key in distinct}) != len(distinct):
-            return None
-        text = plan.batch_statement(self.database, len(distinct))
-        if text is None:
-            return None
-        constants_by_key: dict[tuple, tuple] = {}
-        for shape, key in zip(shapes, keys):
-            if key is not None and key not in constants_by_key:
-                constants_by_key[key] = shape.constants
-        with self.kb.lock.read():
-            if self._pending_merge(plan.template):
-                return None
-            self.plans.sync(self.kb)
-            first = self.plans.entry_for(shapes[0])
-            if first is None or first.variants.get(()) is not plan:
-                return None  # a concurrent write invalidated the plan
-            rows = self.database.execute_prepared(
-                text,
-                plan.batch_bind_values(
-                    [constants_by_key[key] for key in distinct]
-                ),
-            )
-        demux: dict[tuple, list[tuple]] = {key: [] for key in distinct}
-        width = len(plan.open_params)
-        for row in rows:
-            bucket = demux.get(row[-width:])
-            if bucket is None:
-                # SQL equality matched where Python equality does not
-                # (column affinity coerced the constant, e.g. TEXT '30000'
-                # against an INTEGER column): demultiplexing would drop
-                # the row, so answer this batch serially instead.
-                return None
-            bucket.append(row)
-        self.plans.stats.incr("batched_asks", len(goals))
-        self.plans.stats.incr("batch_executions")
-        # Every member shares the shape, so target columns and answer
-        # variable names are identical across the group: resolve them once
-        # (mirroring _rows_to_answers) instead of per goal.
-        names = [t.name for t in plan.template.target_symbols()]
-        wanted = {
-            v.name
-            for v in variables_of(goals[0])
-            if not v.is_anonymous
-        }
-        columns = [
-            (column, name)
-            for column, name in enumerate(names)
-            if name in wanted
-        ]
-        results: list[list[dict[str, Value]]] = []
-        for key in keys:
-            if key is None:
-                results.append([])
-                continue
-            answers: list[dict[str, Value]] = []
-            seen: set[tuple] = set()
-            for row in demux[key]:
-                answer_key = tuple(row[column] for column, _ in columns)
-                if answer_key not in seen:
-                    seen.add(answer_key)
-                    answers.append(
-                        {name: row[column] for column, name in columns}
-                    )
-            results.append(answers)
-        return results
-
-    def _ask_cold(
-        self,
-        goal: Term,
-        goal_vars: Sequence[Variable],
-        max_solutions: Optional[int],
-    ) -> tuple[list[dict[str, Value]], dict]:
-        """The full classify→compile→execute pipeline (plan-cache miss)."""
-        if self._is_recursive(goal):
-            return self._ask_recursive(goal), {"kind": "recursive"}
-
-        mark = time.perf_counter()
-        self.compile_phases.incr("cold_compilations")
-        graph = (
-            self.plans.graph(self.kb, self.schema) if self._plan_caching else None
-        )
-        try:
-            plan = plan_goal(self.kb, self.schema, goal, graph=graph)
-        except CouplingError:
-            # A "mixed" goal interleaves database and internal knowledge in
-            # one view — the paper's programs handle these themselves by
-            # calling metaevaluate/4 inside the rule (the partner example),
-            # so ordinary Prolog resolution is the correct evaluator.
-            return (
-                self._answers_from_engine(goal, goal_vars, max_solutions),
-                {"kind": "engine"},
-            )
-        if plan.is_pure_internal:
-            return (
-                self._answers_from_engine(goal, goal_vars, max_solutions),
-                {"kind": "engine"},
-            )
-
-        mark = self._phase("classify", mark)
-        external_goal = conjoin(plan.external)
-        fetch_targets = [
-            v
-            for v in variables_of(external_goal)
-            if not v.is_anonymous and v in set(plan.interface_variables)
-        ]
-        kind = "external" if plan.is_pure_external else "mixed"
-        artifacts: dict = {
-            "kind": kind,
-            "plan": plan,
-            "fetch_targets": fetch_targets,
-            "final": None,
-        }
-        predicate = self.metaevaluator.metaevaluate(
-            external_goal, targets=fetch_targets
-        )
-        mark = self._phase("metaevaluate", mark)
-        options = SimplifyOptions() if self.optimize else SimplifyOptions.none()
-        result = simplify(predicate, self.constraints, options)
-        if result.is_empty:
-            self._phase("optimize", mark)
-            return [], artifacts
-        final = self._cost_ordered(result.predicate)
-        mark = self._phase("optimize", mark)
-        artifacts["final"] = final
-        rows = self.cache.lookup(final)
-        if rows is None:
-            self._merge_internal_segments(final)
-            mark = time.perf_counter()
-            sql = translate(final, distinct=True)
-            mark = self._phase("translate", mark)
-            if sql.is_empty:
-                # A false ground comparison survived (simplification off):
-                # provably empty, never sent to the DBMS.
-                rows = []
-            else:
-                sql_text = self.database.prepare(sql)
-                self._phase("print", mark)
-                rows = self.database.execute_prepared(sql_text)
-                artifacts["sql_text"] = sql_text
-            self.cache.store(
-                final, rows, self._result_dependencies(final, external_goal)
-            )
-
-        if plan.is_pure_external:
-            answers = self._rows_to_answers(final, fetch_targets, rows, goal_vars)
-            if max_solutions is not None:
-                return answers[:max_solutions], artifacts
-            return answers, artifacts
-
-        # Mixed: assert the external answers under a fresh interface
-        # predicate, then let Prolog combine them with internal knowledge.
-        answers = self._combine_with_internal(
-            final, fetch_targets, rows, plan.internal, goal_vars, max_solutions
-        )
-        return answers, artifacts
-
-    def _combine_with_internal(
-        self,
-        final: DbclPredicate,
-        fetch_targets: Sequence[Variable],
-        rows: Sequence[tuple],
-        internal_goals: Sequence[Term],
-        goal_vars: Sequence[Variable],
-        max_solutions: Optional[int],
-    ) -> list[dict[str, Value]]:
-        """Mixed-plan tail: stage fetched answers, resolve the remainder."""
-        interface_name = self._interface_name(final)
-        interface_goal = Struct(interface_name, tuple(fetch_targets))
-        # Interface facts are derived bookkeeping, not program clauses:
-        # they must not invalidate compiled plans (see KnowledgeBase
-        # generation semantics).
-        with self.kb.preserve_generation():
-            self.kb.retract_all((interface_name, len(fetch_targets)))
-            assert_answers(self.kb, interface_goal, final, fetch_targets, rows)
-        rewritten = conjoin([interface_goal] + list(internal_goals))
-        return self._answers_from_engine(rewritten, goal_vars, max_solutions)
-
-    def _result_dependencies(
-        self, predicate: DbclPredicate, goal: Optional[Term] = None
-    ) -> frozenset:
-        """What a cached result for ``predicate`` depends on, transitively.
-
-        Row tags cover the base relations the *compiled* query reads, but
-        a goal over views depends on the intermediate view definitions
-        too: new clauses (or facts) for ``works_dir_for`` must drop a
-        cached ``same_manager`` result even though the compiled tableau
-        only mentions ``empl``/``dept``.  The view call graph supplies the
-        names on the path plus any indirect base relations simplification
-        may have reasoned away.
-        """
-        import networkx as nx
-
-        relations = {row.tag for row in predicate.rows}
-        if goal is None:
-            return frozenset(relations)
-        graph = (
-            self.plans.graph(self.kb, self.schema)
-            if self._plan_caching
-            else view_call_graph(self.kb, self.schema)
-        )
-        for term in conjuncts(goal):
-            try:
-                indicator = goal_indicator(term)
-            except ValueError:
-                continue
-            reachable = {indicator}
-            if graph.has_node(indicator):
-                reachable |= set(nx.descendants(graph, indicator))
-            for name, arity in reachable:
-                if (
-                    self.schema.has_relation(name)
-                    and self.schema.relation(name).arity == arity
-                ) or self.kb.has_procedure((name, arity)):
-                    relations.add(name)
-        return frozenset(relations)
-
-    @staticmethod
-    def _interface_name(predicate: DbclPredicate) -> str:
-        """A stable, collision-resistant name for an interface predicate.
-
-        Derived from a digest of the canonical key so it is identical
-        across runs (no dependence on Python hash randomization) and
-        distinct for structurally different predicates.
-        """
-        digest = hashlib.blake2b(
-            repr(predicate.canonical_key()).encode("utf-8"), digest_size=6
-        ).hexdigest()
-        return f"$ext_{digest}"
-
-    # -- plan compilation --------------------------------------------------------------
-
-    def _try_compile(self, shape: GoalShape, goal: Term, artifacts: dict) -> None:
-        """Compile and store a reusable plan for the goal's shape.
-
-        Never raises: a shape the machinery cannot compile (disjunctive
-        views, unexpected structure) is marked uncacheable so the session
-        does not retry on every ask.
-        """
-        # retain, not sync: a segment merge during the cold run advanced
-        # the generation, but this shape's own cache slot (and its lazy
-        # `attempted` progress) stays valid across its own side effects.
-        self.plans.retain(shape, self.kb)
-        try:
-            self._compile_plan(shape, goal, artifacts)
-        except Exception:
-            self.plans.mark_uncacheable(shape)
-
-    @staticmethod
-    def _params_in_conjuncts(
-        conjunct_list: Sequence[Term], selected: Sequence[int]
-    ) -> frozenset:
-        """Parameter indices occupied by the selected conjuncts.
-
-        Mirrors :func:`goal_shape`'s traversal: constants are numbered
-        across the whole conjunction; only those inside the selected
-        conjunct positions are returned.
-        """
-        wanted = set(selected)
-        found: set[int] = set()
-        position = 0
-        for index, conjunct in enumerate(conjunct_list):
-            if not isinstance(conjunct, Struct):
-                continue
-            for argument in conjunct.args:
-                if isinstance(argument, Variable):
-                    continue
-                if index in wanted:
-                    found.add(position)
-                position += 1
-        return frozenset(found)
-
-    def _compile_strategy(
-        self, shape: GoalShape, relevant: frozenset
-    ) -> Union[None, str, frozenset]:
-        """How to build this shape's plan, given its cache history.
-
-        * ``None`` — first encounter: store the cold compilation as a
-          cheap exact-constant plan; defer the marker analysis until the
-          shape proves it repeats (one-off goals never pay for it);
-        * ``"exact"`` — parameterization already failed for this shape:
-          add another exact variant without re-running the analysis;
-        * a frozenset — run the marker analysis, seeded with the material
-          set discovered previously (skips the discovery iterations when
-          a partial-material shape compiles a new variant).
-        """
-        entry = self.plans.entry_for(shape)
-        if entry is None or entry.uncacheable:
-            return None
-        if not entry.attempted:
-            return frozenset()
-        if entry.material == tuple(sorted(relevant)):
-            return "exact"
-        return frozenset(entry.material) & relevant
-
-    def _exact_plan(
-        self,
-        kind: str,
-        final: Optional[DbclPredicate],
-        sql_text: Optional[str],
-        fetch_targets: tuple[Variable, ...],
-        internal_indices: tuple[int, ...],
-        original: Optional[DbclPredicate] = None,
-    ) -> CompiledPlan:
-        """A plan replaying one cold compilation for its exact constants."""
-        if final is None:
-            # An empty fetch reports its pre-simplification predicate as
-            # the trace; the ask path just answers [].
-            return CompiledPlan(
-                kind=kind,
-                is_empty=True,
-                template=original,
-                fetch_targets=fetch_targets,
-                internal_indices=internal_indices,
-            )
-        if sql_text is None:
-            sql = translate(final, distinct=True)
-            if sql.is_empty:
-                # A false ground comparison survived into translation
-                # (simplification off): replay the empty answer.
-                return CompiledPlan(
-                    kind=kind,
-                    is_empty=True,
-                    template=final,
-                    fetch_targets=fetch_targets,
-                    internal_indices=internal_indices,
-                )
-            sql_text = self.database.prepare(sql)
-        return CompiledPlan(
-            kind=kind,
-            template=final,
-            sql_text=sql_text,
-            fetch_targets=fetch_targets,
-            internal_indices=internal_indices,
-        )
-
-    def _compile_plan(self, shape: GoalShape, goal: Term, artifacts: dict) -> None:
-        kind = artifacts["kind"]
-        if kind in ("recursive", "engine"):
-            self.plans.store(shape, (), CompiledPlan(kind=kind))
-            return
-
-        split: ExecutionPlan = artifacts["plan"]
-        fetch_targets = tuple(artifacts["fetch_targets"])
-        conjunct_list = conjuncts(goal)
-        index_of = {id(term): i for i, term in enumerate(conjunct_list)}
-        external_indices = [index_of[id(term)] for term in split.external]
-        internal_indices = tuple(index_of[id(term)] for term in split.internal)
-        # Constants inside internal conjuncts never reach the external
-        # compilation, and the warm path re-reads internal conjuncts from
-        # the live goal — so they are neither parameterized nor part of
-        # the variant key, and rotating them reuses one plan.
-        relevant = self._params_in_conjuncts(conjunct_list, external_indices)
-
-        def store_exact(attempted: bool) -> None:
-            plan = self._exact_plan(
-                kind,
-                artifacts["final"],
-                artifacts.get("sql_text"),
-                fetch_targets,
-                internal_indices,
-            )
-            self.plans.store(shape, relevant, plan, attempted=attempted)
-
-        strategy = self._compile_strategy(shape, relevant)
-        if strategy is None:
-            store_exact(attempted=False)
-            return
-        if strategy == "exact":
-            store_exact(attempted=True)
-            return
-
-        options = SimplifyOptions() if self.optimize else SimplifyOptions.none()
-
-        def build_external(marker_conjuncts: Sequence[Term]) -> Term:
-            return conjoin([marker_conjuncts[i] for i in external_indices])
-
-        def compile_external(external_m: Term) -> DbclPredicate:
-            return self.metaevaluator.metaevaluate(
-                external_m, targets=list(fetch_targets)
-            )
-
-        material, compiled = self._parameterize(
-            shape,
-            goal,
-            build_external,
-            compile_external,
-            options,
-            kind=kind,
-            fetch_targets=fetch_targets,
-            internal_indices=internal_indices,
-            external_indicators=[
-                goal_indicator(term)
-                for term in split.external
-                if isinstance(term, Struct)
-            ],
-            relevant=relevant,
-            initial_material=strategy,
-        )
-        if compiled is None:
-            # Constant-sensitive on every relevant position: cache the
-            # cold compilation itself, keyed by the exact constants.
-            store_exact(attempted=True)
-            return
-        self.plans.store(shape, material, compiled)
-
-    def _compile_fetch_plan(
-        self,
-        shape: GoalShape,
-        goal: Term,
-        targets: Sequence[Variable],
-        name: str,
-        options: SimplifyOptions,
-        final: Optional[DbclPredicate],
-        original: Optional[DbclPredicate] = None,
-        sql_text: Optional[str] = None,
-    ) -> None:
-        """Cache the compiled rule branch of a metaevaluate/4 fetch."""
-        # retain, not sync: the assert_answers just above advanced the
-        # generation, but this shape's own cache slot (and its lazy
-        # `attempted` progress) stays valid across its own answer facts.
-        self.plans.retain(shape, self.kb)
-        try:
-            fetch_targets = tuple(targets)
-            relevant = frozenset(range(shape.parameter_count))
-
-            def store_exact(attempted: bool) -> None:
-                plan = self._exact_plan(
-                    "fetch", final, sql_text, fetch_targets, (), original
-                )
-                self.plans.store(shape, relevant, plan, attempted=attempted)
-
-            strategy = self._compile_strategy(shape, relevant)
-            if strategy is None:
-                store_exact(attempted=False)
-                return
-            if strategy == "exact":
-                store_exact(attempted=True)
-                return
-
-            def compile_view(view_goal: Term) -> DbclPredicate:
-                branches = [
-                    branch
-                    for branch in self.metaevaluator.collect_branches(view_goal)
-                    if branch.dbcalls
-                ]
-                if len(branches) != 1:
-                    raise CouplingError("view shape is not a single rule branch")
-                return self.metaevaluator.branch_to_dbcl(
-                    branches[0], name, list(fetch_targets)
-                )
-
-            indicators = [
-                goal_indicator(term)
-                for term in conjuncts(goal)
-                if isinstance(term, Struct)
-            ]
-            material, compiled = self._parameterize(
-                shape,
-                goal,
-                lambda marker_conjuncts: conjoin(list(marker_conjuncts)),
-                compile_view,
-                options,
-                kind="fetch",
-                fetch_targets=fetch_targets,
-                internal_indices=(),
-                external_indicators=indicators,
-                relevant=relevant,
-                initial_material=strategy,
-                ignore_facts=True,
-            )
-            if compiled is None:
-                store_exact(attempted=True)
-                return
-            self.plans.store(shape, material, compiled)
-        except Exception:
-            self.plans.mark_uncacheable(shape)
-
-    def _parameterize(
-        self,
-        shape: GoalShape,
-        goal: Term,
-        build_external,
-        compile_external,
-        options: SimplifyOptions,
-        kind: str,
-        fetch_targets: tuple[Variable, ...],
-        internal_indices: tuple[int, ...],
-        external_indicators: Sequence[tuple[str, int]],
-        relevant: Optional[frozenset] = None,
-        initial_material: frozenset = frozenset(),
-        ignore_facts: bool = False,
-    ) -> tuple[frozenset, Optional[CompiledPlan]]:
-        """Find the maximal parameterization of a shape, compile it.
-
-        Starts with every constant abstracted to a marker and grows the
-        *material* set (constants the compilation must see concretely)
-        until the marker compilation is provably constant-insensitive:
-
-        * Algorithm 2 never consulted a marker's *value* — every ordering
-          decision about constants funnels through ``compare_values``,
-          which a :func:`watch_marker_consultation` witness instruments;
-          equality-only reasoning treats markers as distinct constants,
-          which at worst under-simplifies (answer-preserving) or empties
-          the marker plan (detected below);
-        * the marker plan is non-empty (an empty marker plan means a
-          constant interacted with the constraints);
-        * every marker survives into the simplified predicate (a vanished
-          marker means its restriction was reasoned away).
-
-        Returns ``(material, plan)``; ``plan`` is None when every position
-        is material — the caller falls back to exact-constant caching.
-        Shapes whose reachable clauses pattern-match on constants in their
-        heads cannot be parameterized at all (a marker would fail a head
-        unification a concrete constant might pass).
-        """
-        from ..dbcl.symbols import watch_marker_consultation
-        from ..errors import TranslationError
-
-        all_params = (
-            relevant
-            if relevant is not None
-            else frozenset(range(shape.parameter_count))
-        )
-        irrelevant = frozenset(range(shape.parameter_count)) - all_params
-        if self._constant_discriminating(
-            external_indicators, ignore_facts=ignore_facts
-        ):
-            return all_params, None
-
-        material: frozenset = frozenset(initial_material) & all_params
-        for _attempt in range(4):
-            if all_params and material == all_params:
-                return all_params, None
-            # Irrelevant (internal-conjunct) constants keep their concrete
-            # values: they never reach the compiled predicate anyway.
-            marker_goal = goal_with_markers(goal, material | irrelevant)
-            marker_conjuncts = conjuncts(marker_goal)
-            external_m = build_external(marker_conjuncts)
-            predicate_m = compile_external(external_m)
-            param_cells = marker_columns(predicate_m)
-            open_params = all_params - material
-            with watch_marker_consultation() as witness:
-                result_m = simplify(predicate_m, self.constraints, options)
-            if result_m.is_empty:
-                return all_params, None
-            if witness.consulted:
-                # A marker's value was reasoned about.  Attribute it to the
-                # markers visible in comparisons (the only place ordering
-                # reasoning reaches) and retry with those made concrete;
-                # when the culprit is not attributable, give up entirely.
-                culprits = (
-                    frozenset(markers_in_comparisons(predicate_m))
-                    | frozenset(markers_in_comparisons(result_m.predicate))
-                ) & open_params
-                if culprits:
-                    material |= culprits
-                    continue
-                return all_params, None
-            final_m = result_m.predicate
-            vanished = (
-                open_params
-                - frozenset(markers_in_rows(final_m))
-                - frozenset(markers_in_comparisons(final_m))
-            )
-            if vanished:
-                material |= vanished
-                continue
-            if options != SimplifyOptions.none():
-                # The same statistics-driven row order a cold compile
-                # applies (cardinality estimates never consult a marker's
-                # concrete value, so parameterization is unaffected).
-                final_m = self._cost_ordered(final_m)
-            parameter_map = {
-                str(marker_for(index)): index for index in open_params
-            }
-            try:
-                with watch_marker_consultation() as translate_witness:
-                    sql = translate(
-                        final_m, distinct=True, parameters=parameter_map
-                    )
-                if translate_witness.consulted:
-                    return all_params, None
-            except TranslationError:
-                return all_params, None
-            if sql.is_empty:
-                # A marker-free ground comparison is false for every
-                # constant choice; let the exact path replay the empty.
-                return all_params, None
-            plan = CompiledPlan(
-                kind=kind,
-                template=final_m,
-                sql_text=self.database.prepare(sql),
-                sql=sql,
-                bind_order=sql.parameter_order(),
-                open_params=tuple(sorted(open_params)),
-                param_columns={
-                    index: param_cells.get(index, ()) for index in open_params
-                },
-                fetch_targets=fetch_targets,
-                internal_indices=internal_indices,
-            )
-            return material, plan
-        return all_params, None
-
-    def _constant_discriminating(
-        self,
-        indicators: Sequence[tuple[str, int]],
-        ignore_facts: bool = False,
-    ) -> bool:
-        """Do reachable clauses pattern-match constants in their heads?
-
-        Unfolding a goal whose argument is a parameter marker must take
-        exactly the branches a concrete constant would; a clause head with
-        a constant argument breaks that (the marker fails the unification
-        some constants would pass), so such shapes stay unparameterized.
-
-        ``ignore_facts`` skips bodyless clauses: the fetch path discards
-        branches without database calls, so a fact matching one constant
-        and not another never changes the compiled rule branch.
-        """
-        import networkx as nx
-
-        graph = self.plans.graph(self.kb, self.schema)
-        reachable: set[tuple[str, int]] = set()
-        for indicator in indicators:
-            reachable.add(indicator)
-            if graph.has_node(indicator):
-                reachable |= set(nx.descendants(graph, indicator))
-        for indicator in reachable:
-            for clause in self.kb.all_clauses(indicator):
-                if ignore_facts and clause.is_fact:
-                    continue
-                head = clause.head
-                if isinstance(head, Struct) and any(
-                    not isinstance(argument, Variable) for argument in head.args
-                ):
-                    return True
-        return False
-
-    # -- plan execution ----------------------------------------------------------------
-
-    def _execute_plan(
-        self,
-        plan: CompiledPlan,
-        shape: GoalShape,
-        goal: Term,
-        goal_vars: Sequence[Variable],
-        max_solutions: Optional[int],
-    ) -> list[dict[str, Value]]:
-        """Answer a goal through its cached plan (the warm path)."""
-        if plan.kind == "recursive":
-            return self._ask_recursive(goal)
-        if plan.kind == "engine":
-            return self._answers_from_engine(goal, goal_vars, max_solutions)
-        if plan.is_empty:
-            return []
-        bound = plan.bind(shape.constants, self.constraints)
-        if bound is None:
-            self.plans.stats.incr("bind_empties")
-            return []
-        rows = self._rows_for_plan(plan, shape, bound, goal)
-        # A segment merge inside _rows_for_plan retracts relation facts and
-        # advances the KB generation; keep this shape's plan alive.
-        self.plans.retain(shape, self.kb)
-        if plan.kind == "external":
-            answers = self._rows_to_answers(
-                bound, plan.fetch_targets, rows, goal_vars
-            )
-            if max_solutions is not None:
-                return answers[:max_solutions]
-            return answers
-        # The stored fetch targets carry compile-time ordinals; resolve
-        # them to this goal's variables by name (the shape key guarantees
-        # names match and are unambiguous) so the interface predicate
-        # joins with the internal conjuncts.
-        by_name = {v.name: v for v in variables_of(goal)}
-        current_targets = [by_name[t.name] for t in plan.fetch_targets]
-        conjunct_list = conjuncts(goal)
-        internal_goals = [conjunct_list[i] for i in plan.internal_indices]
-        return self._combine_with_internal(
-            bound, current_targets, rows, internal_goals, goal_vars,
-            max_solutions,
-        )
-
-    def _execute_fetch_plan(
-        self,
-        plan: CompiledPlan,
-        shape: GoalShape,
-        goal: Term,
-        targets: Sequence[Variable],
-    ) -> tuple[Optional[DbclPredicate], list[tuple]]:
-        """The warm half of ``_fetch_view``."""
-        if plan.is_empty:
-            # The cold compile proved this exact-constant shape empty; it
-            # stored the pre-simplification predicate for the trace.
-            self.plans.stats.incr("bind_empties")
-            return plan.template, []
-        bound = plan.bind(shape.constants, self.constraints)
-        if bound is None:
-            self.plans.stats.incr("bind_empties")
-            # Match the cold path's contract: a provably-empty fetch still
-            # reports the (unsimplified) predicate it proved empty.  Re-run
-            # the cold front half for the trace (no rows will be fetched).
-            name = self.metaevaluator._default_name(goal)
-            branches = [
-                b
-                for b in self.metaevaluator.collect_branches(goal)
-                if b.dbcalls
-            ]
-            if not branches:
-                return None, []
-            predicate = self.metaevaluator.branch_to_dbcl(
-                branches[0], name, list(targets)
-            )
-            return predicate, []
-        rows = self._rows_for_plan(plan, shape, bound, goal)
-        assert_answers(self.kb, goal, bound, targets, rows)
-        # New answer facts (or a segment merge above) advanced the KB
-        # generation; keep this shape's plan alive across the bump, as the
-        # cold path does by recompiling after its own assert.
-        self.plans.retain(shape, self.kb)
-        return bound, rows
-
-    def _rows_for_plan(
-        self,
-        plan: CompiledPlan,
-        shape: GoalShape,
-        bound: DbclPredicate,
-        goal: Optional[Term] = None,
-    ) -> list[tuple]:
-        """Result rows for a bound plan: result cache, else prepared SQL."""
-        rows = self.cache.lookup(bound)
-        if rows is None:
-            self._merge_internal_segments(bound)
-            rows = self.database.execute_prepared(
-                plan.sql_text, plan.bind_values(shape.constants)
-            )
-            self.cache.store(bound, rows, self._result_dependencies(bound, goal))
-        return rows
-
-    def _answers_from_engine(
-        self,
-        goal: Term,
-        goal_vars: Sequence[Variable],
-        max_solutions: Optional[int],
-    ) -> list[dict[str, Value]]:
-        def lenient(term: Term) -> Value:
-            # Constants convert to plain values; anything else (an unbound
-            # variable, a structured term such as a bound DBCL predicate)
-            # is rendered as text so answers stay JSON-friendly.
-            try:
-                return term_to_value(term)
-            except CouplingError:
-                if isinstance(term, Variable):
-                    return None
-                from ..prolog.writer import term_to_string
-
-                return term_to_string(term)
-
-        answers = []
-        wanted = set(goal_vars)
-        for binding in self.engine.solve(goal, max_solutions=max_solutions):
-            answers.append(
-                {
-                    variable.name: lenient(term)
-                    for variable, term in binding.items()
-                    if variable in wanted
-                }
-            )
-        return answers
-
-    def _rows_to_answers(
-        self,
-        predicate: DbclPredicate,
-        targets: Sequence[Variable],
-        rows: Sequence[tuple],
-        goal_vars: Sequence[Variable],
-    ) -> list[dict[str, Value]]:
-        names = [t.name for t in predicate.target_symbols()]
-        wanted = {v.name for v in goal_vars}
-        answers = []
-        seen: set[tuple] = set()
-        for row in rows:
-            answer = {
-                name: value for name, value in zip(names, row) if name in wanted
-            }
-            key = tuple(sorted(answer.items()))
-            if key not in seen:
-                seen.add(key)
-                answers.append(answer)
-        return answers
+    #: Kept on the class for callers that name interface predicates.
+    _interface_name = staticmethod(interface_name)
 
     # -- recursion -----------------------------------------------------------------------
 
-    def _is_recursive(self, goal: Term) -> bool:
-        if self._plan_caching:
-            return is_recursive_goal(
-                self.kb,
-                self.schema,
-                goal,
-                graph=self.plans.graph(self.kb, self.schema),
-                recursive=self.plans.recursive_indicators(self.kb, self.schema),
-            )
-        return is_recursive_goal(self.kb, self.schema, goal)
-
     def closure_for(self, view_name: str) -> TransitiveClosure:
         """The (cached) transitive-closure executor for a recursive view."""
-        indicator = (view_name, 2)
-        with self._closures_lock:
-            executor = self._closures.get(indicator)
-            if executor is None:
-                executor = TransitiveClosure(
-                    self.kb,
-                    self.schema,
-                    self.constraints,
-                    self.database,
-                    indicator,
-                    optimize=self.optimize,
-                )
-                self._closures[indicator] = executor
-            return executor
-
-    def _ask_recursive(self, goal: Term) -> list[dict[str, Value]]:
-        goals = conjuncts(goal)
-        if len(goals) != 1 or not isinstance(goals[0], Struct):
-            raise CouplingError(
-                "recursive goals must be a single view call; combine "
-                "results in Prolog afterwards"
-            )
-        call = goals[0]
-        indicator = call.indicator
-        recursive = (
-            self.plans.recursive_indicators(self.kb, self.schema)
-            if self._plan_caching
-            else recursive_indicators(self.kb, self.schema)
-        )
-        if indicator not in recursive:
-            raise CouplingError(
-                f"goal reaches recursion through {indicator}; call the "
-                "recursive view directly"
-            )
-        low_arg, high_arg = call.args
-        low = low_arg.name if isinstance(low_arg, Atom) else None
-        high = high_arg.name if isinstance(high_arg, Atom) else None
-        # Cost-based strategy choice: CTE pushdown for non-trivial edge
-        # views, the prepared frontier loop below the statistics
-        # threshold.  (Maintained views answered earlier, from their
-        # IncrementalClosure, never reach this point.)
-        closure = self.closure_for(indicator[0])
-        try:
-            try:
-                run = closure.solve(low=low, high=high, strategy="plan")
-            except (CouplingError, DeadlineExceeded):
-                raise  # semantic errors and expired budgets are not rungs
-            except Exception:  # noqa: BLE001 - any execution failure degrades
-                run = self._ask_recursive_degraded(closure, low, high)
-        finally:
-            # The decision was made even when execution degraded or
-            # failed — record it either way (observability satellite).
-            if closure.last_plan is not None:
-                self.recursion_plans.note(closure.last_plan)
-                span = self.tracer.current_span()
-                if span is not None:
-                    span.note_recursion(
-                        closure.last_plan, closure.interval_stats()
-                    )
-        answers = []
-        for pair_low, pair_high in sorted(run.pairs):
-            answer: dict[str, Value] = {}
-            if isinstance(low_arg, Variable):
-                answer[low_arg.name] = pair_low
-            if isinstance(high_arg, Variable):
-                answer[high_arg.name] = pair_high
-            answers.append(answer)
-        return answers
-
-    def _ask_recursive_degraded(
-        self, closure: TransitiveClosure, low: Optional[str], high: Optional[str]
-    ) -> RecursionRun:
-        """Step down the recursion ladder when the planned strategy fails.
-
-        When the failed plan was the interval probe, the first rung down
-        is the CTE pushdown (stale or failing labels must not cost the
-        whole pushdown tier); then the prepared frontier loop on the
-        bound side (``auto``); finally one flat edge fetch with the
-        fixpoint in Python (``memory``) — the slowest strategy, but the
-        one with the fewest backend dependencies.  Answers from any rung
-        are identical (the E7 equivalence the tests pin); only the cost
-        differs, which is why a stepped-down answer counts as
-        *degraded*, not wrong.
-        """
-        rungs = ["auto", "memory"]
-        plan = closure.last_plan
-        if plan is not None and plan.strategy == "interval":
-            rungs.insert(0, "cte")
-        run = None
-        for position, rung in enumerate(rungs):
-            try:
-                run = closure.solve(low=low, high=high, strategy=rung)
-                break
-            except (CouplingError, DeadlineExceeded):
-                raise
-            except Exception:  # noqa: BLE001 - try the next rung
-                if position == len(rungs) - 1:
-                    raise
-        self.database.resilience.incr("degraded_answers")
-        return run
+        return self._recursion.closure_for(view_name)
 
     def solve_recursive(
         self,
@@ -2760,24 +642,16 @@ class PrologDbSession:
         if isinstance(goal, str):
             goal = parse_goal(goal)
         targets = [v for v in variables_of(goal) if not v.is_anonymous]
-        options = SimplifyOptions() if self.optimize else SimplifyOptions.none()
         with self.kb.lock.read():
             translation = translate_disjunctive(
                 self.metaevaluator, goal, self.constraints, targets=targets,
-                options=options,
+                options=self._compiler.options(),
             )
             rows = self.database.execute(translation.union)
         live = [p for p in translation.simplified if p is not None]
         if not live:
             return []
-        names = [t.name for t in live[0].target_symbols()]
-        seen: set[tuple] = set()
-        answers = []
-        for row in rows:
-            if row not in seen:
-                seen.add(row)
-                answers.append(dict(zip(names, row)))
-        return answers
+        return decode_rows(answer_columns(live[0], targets), rows)
 
     def ask_with_negation(self, goal: Union[str, Term]) -> list[dict[str, Value]]:
         """Answer ``positive, not(view(...))`` via a NOT IN complement."""
@@ -2786,39 +660,31 @@ class PrologDbSession:
         if isinstance(goal, str):
             goal = parse_goal(goal)
         targets = [v for v in variables_of(goal) if not v.is_anonymous]
-        options = SimplifyOptions() if self.optimize else SimplifyOptions.none()
         with self.kb.lock.read():
             translation = translate_with_negation(
                 self.metaevaluator, goal, self.constraints, targets=targets,
-                options=options,
+                options=self._compiler.options(),
             )
             rows = self.database.execute(translation.query)
-        names = [item.label or item.column.attribute for item in translation.query.select]
         # Targets were projected in goal-variable order by the translator.
+        wanted = {v.name for v in targets}
         target_names = [
             t.name
             for t in translation.positive.target_symbols()
-            if t.name in {v.name for v in targets}
+            if t.name in wanted
         ]
-        answers = []
-        seen: set[tuple] = set()
-        for row in rows:
-            if row not in seen:
-                seen.add(row)
-                answers.append(dict(zip(target_names, row)))
-        return answers
+        return decode_rows(list(enumerate(target_names)), rows)
 
     def ask_stepwise(self, goal: Union[str, Term]):
         """Tuple-substitution evaluation for mixed conjunctions."""
         from ..extensions.stepwise import StepwiseEvaluator
 
-        options = SimplifyOptions() if self.optimize else SimplifyOptions.none()
         evaluator = StepwiseEvaluator(
             self.metaevaluator,
             self.engine,
             self.database,
             self.constraints,
-            options=options,
+            options=self._compiler.options(),
         )
         # Tuple-substitution resolves through the engine (which programs
         # may mutate mid-proof): write side.
@@ -2898,19 +764,7 @@ class PrologDbSession:
         """The full translation trace for an external goal (no execution)."""
         if isinstance(goal, str):
             goal = parse_goal(goal)
-        targets = [v for v in variables_of(goal) if not v.is_anonymous]
-        predicate = self.metaevaluator.metaevaluate(goal, targets=targets)
-        options = SimplifyOptions() if self.optimize else SimplifyOptions.none()
-        result = simplify(predicate, self.constraints, options)
-        if result.is_empty:
-            from ..sql.ast import empty_query
-
-            sql = empty_query()
-        else:
-            sql = translate(result.predicate, distinct=True)
-        return TranslationTrace(
-            goal=goal, dbcl=predicate, simplification=result, sql=sql
-        )
+        return self._compiler.explain(goal)
 
     def close(self) -> None:
         self.database.close()

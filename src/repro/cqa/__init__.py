@@ -1,6 +1,7 @@
 """Consistent query answering over key-violating stores (ROADMAP E19).
 
-Three cooperating pieces behind ``session.ask_consistent``:
+Three cooperating pieces behind ``session.ask_consistent``, tied into
+the ask pipeline by :class:`~.answering.CertainAnswers`:
 
 * :mod:`.detector` — finds key-violating blocks per relation with one
   cached GROUP-BY/HAVING probe (clean stores fast-path to plain ask);
@@ -11,6 +12,7 @@ Three cooperating pieces behind ``session.ask_consistent``:
   for shapes outside the rewritable class.
 """
 
+from .answering import CertainAnswers
 from .detector import RelationViolations, ViolationDetector
 from .repairs import (
     MAX_REPAIRS,
@@ -23,6 +25,7 @@ from .rewrite import CqaAtom, atoms_of, peel_order
 from .stats import CqaStats
 
 __all__ = [
+    "CertainAnswers",
     "CqaAtom",
     "CqaStats",
     "MAX_REPAIRS",

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 Row = tuple
 
@@ -142,16 +142,6 @@ class ViolationDetector:
             f"(SELECT {key_columns} FROM ({distinct}) "
             f"GROUP BY {key_columns} HAVING COUNT(*) > 1)"
         )
-
-    # -- aggregate views -------------------------------------------------------
-
-    def dirty_relations(self, relations: Iterable[str]) -> list[str]:
-        """The subset of ``relations`` holding at least one violation."""
-        return [
-            name
-            for name in relations
-            if not self.violations(name).is_clean
-        ]
 
     def invalidate(self, relation: Optional[str] = None) -> None:
         """Drop cached probe results (one relation, or all)."""

@@ -16,12 +16,11 @@ keeping (large and unlikely to be reused).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..errors import CouplingError
 from ..prolog.knowledge_base import KnowledgeBase
-from ..prolog.terms import Atom, Clause, Struct, Term
-from ..schema.catalog import DatabaseSchema
+from ..prolog.terms import Clause, Struct
 from .internal_db import term_to_value, value_to_term
 from .sqlite_backend import ExternalDatabase
 
@@ -77,6 +76,16 @@ class SegmentMerger:
             merged_rows=len(merged),
         )
         return merged, report
+
+    def pending(self, relations: Iterable[str]) -> list[str]:
+        """The base relations among ``relations`` with unmerged internal facts."""
+        schema, kb = self.database.schema, self.kb
+        return [
+            name
+            for name in relations
+            if schema.has_relation(name)
+            and kb.fact_count((name, schema.relation(name).arity))
+        ]
 
     def materialise_internal(self, relation_name: str) -> MergeReport:
         """Push internal facts for a relation into the external database.

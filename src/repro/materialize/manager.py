@@ -221,12 +221,8 @@ class MaterializeManager:
 
     def _merge_segments(self, relations: frozenset) -> None:
         """Push pending internal facts external before the initial load."""
-        for relation_name in relations:
-            if not self.schema.has_relation(relation_name):
-                continue
-            arity = self.schema.relation(relation_name).arity
-            if self.kb.fact_count((relation_name, arity)):
-                self.merger.materialise_internal(relation_name)
+        for relation_name in self.merger.pending(relations):
+            self.merger.materialise_internal(relation_name)
 
     def _recursive_indicators(self) -> set:
         if self.plans is not None:

@@ -450,8 +450,9 @@ class KnowledgeBase:
             self._bump()
             self._notify("insert", clause.indicator, (clause,))
 
-    def assert_fact(self, functor: str, *values: object) -> None:
-        """Convenience: assert a ground fact from Python values."""
+    @staticmethod
+    def fact_clause(functor: str, values: Iterable[object]) -> Clause:
+        """The ground fact ``functor(values...)`` built from Python values."""
         args: list[Term] = []
         for value in values:
             if isinstance(value, bool):
@@ -462,7 +463,11 @@ class KnowledgeBase:
                 args.append(Atom(value))
             else:
                 raise TypeError(f"unsupported fact argument: {value!r}")
-        self.assertz(Clause(Struct(functor, tuple(args))))
+        return Clause(Struct(functor, tuple(args)))
+
+    def assert_fact(self, functor: str, *values: object) -> None:
+        """Convenience: assert a ground fact from Python values."""
+        self.assertz(self.fact_clause(functor, values))
 
     def retract(self, pattern: Clause) -> bool:
         """Remove the first clause unifying with ``pattern``; True if found.

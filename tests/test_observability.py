@@ -113,6 +113,22 @@ class TestAskSpans:
         assert "CouplingError" in record["error"]
         assert record["answers"] is None
 
+    def test_uncacheable_shape_is_reported_as_such(self, session):
+        """A shape marked uncacheable takes the cold path on every ask;
+        its span must say ``uncacheable``, not ``miss``."""
+        from repro.coupling import goal_shape
+        from repro.prolog import parse_goal
+
+        goal = f"works_dir_for(X, {an_employee(session)})"
+        expected = answer_set(session.ask(goal))
+        session.plans.mark_uncacheable(goal_shape(parse_goal(goal)))
+        assert answer_set(session.ask(goal)) == expected
+        record = session.traces()[-1]
+        assert (record["plan_cache"], record["plan_kind"]) == (
+            "uncacheable", "external",
+        )
+        assert record["shape"] is not None
+
     def test_batched_group_expands_to_member_records(self, session):
         names = [
             row[0]

@@ -508,3 +508,56 @@ class TestRecursionPreparedPath:
         # One commit per frontier level (swap + step inside a transaction),
         # not two per swap as before.
         assert session.database.stats.commits <= run.stats.levels + 1
+
+
+class TestDisabledResultCache:
+    def test_warm_ask_skips_the_cache_work_but_keeps_the_counters(
+        self, org, monkeypatch
+    ):
+        """With the result cache off a warm ask must not pay for it.
+
+        Nothing can ever be stored, so the predicate's canonical key (the
+        cache key) and the transitive dependency set are dead work — yet
+        ``stats()["result_cache"]`` keeps ticking one miss and one
+        rejected store per executed ask, as it always has.
+        """
+        from repro.dbcl.predicate import DbclPredicate
+
+        session = PrologDbSession(cache_policy=CachePolicy(enabled=False))
+        session.load_org(org)
+        session.consult(WORKS_DIR_FOR_SOURCE)
+        names = [e.nam for e in org.employees[:4]]
+        for name in names[:2]:  # exact plan, then the parameterized one
+            session.ask(f"works_dir_for(X, {name})")
+        calls = []
+        original = DbclPredicate.canonical_key
+        monkeypatch.setattr(
+            DbclPredicate,
+            "canonical_key",
+            lambda self: calls.append(self) or original(self),
+        )
+        import networkx
+
+        dependency_walks = []
+        walk = networkx.descendants
+        monkeypatch.setattr(
+            networkx,
+            "descendants",
+            lambda graph, node: dependency_walks.append(node) or walk(graph, node),
+        )
+        before = session.stats()
+        expected = answer_set(fresh_session(org).ask(f"works_dir_for(X, {names[2]})"))
+        calls.clear()
+        dependency_walks.clear()
+        assert answer_set(session.ask(f"works_dir_for(X, {names[2]})")) == expected
+        session.ask(f"works_dir_for(X, {names[3]})")
+        after = session.stats()
+        assert calls == [] and dependency_walks == []
+        assert after["plan_cache"]["hits"] == before["plan_cache"]["hits"] + 2
+        delta = {
+            key: after["result_cache"][key] - before["result_cache"][key]
+            for key in ("hits", "misses", "stored", "rejected", "entries")
+        }
+        assert delta == {
+            "hits": 0, "misses": 2, "stored": 0, "rejected": 2, "entries": 0,
+        }

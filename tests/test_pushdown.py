@@ -629,3 +629,25 @@ class TestRecursiveAskMany:
         batched = session.ask_many(goals)
         for expected, got in zip(serial, batched):
             assert answer_set(expected) == answer_set(got)
+
+
+class TestNonBinaryRecursiveView:
+    """A recursive view the closure executors cannot answer (arity != 2)
+    must fail with a typed error, never a bare unpacking ``ValueError``."""
+
+    SOURCE = """
+    anc3(X, Y, Z) :- works_dir_for(X, Y), works_dir_for(Y, Z).
+    anc3(X, Y, Z) :- works_dir_for(X, M), anc3(M, Y, Z).
+    """
+
+    def test_ask_raises_coupling_error(self, session):
+        from repro.errors import CouplingError
+
+        session.consult(self.SOURCE)
+        with pytest.raises(CouplingError, match="binary"):
+            session.ask("anc3(X, Y, Z)")
+
+    def test_warm_skips_the_goal_and_survives(self, session, org):
+        session.consult(self.SOURCE)
+        good = f"works_dir_for(X, {org.root_manager_name()})"
+        assert session.warm(["anc3(X, Y, Z)", good]) == 1
