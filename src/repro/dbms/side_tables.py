@@ -1,0 +1,390 @@
+"""The three reserved-name table families kept beside the base relations:
+the *intermediate relations* the recursion strategies create with
+``setrel`` (paper section 7), the ``mv_`` materialized count tables (the
+physical half of the paper's "store query results for future reference"
+storage decision) and the ``ivl_`` interval labelings.
+
+Every family is created, replaced, delta-maintained and dropped the same
+way, so :class:`SideTables` does each of those once.  It is a mixin of
+:class:`~repro.dbms.sqlite_backend.ExternalDatabase` written against the
+core's ``read`` / ``write`` / ``transaction`` primitives only: it never
+touches a connection, a lock or a commit.
+"""
+
+from __future__ import annotations
+
+import sqlite3
+from typing import Iterable, Optional, Sequence
+
+from ..errors import ExecutionError, SchemaError
+
+
+def row_match(columns: Sequence[str]) -> str:
+    """``WHERE`` text matching one whole tuple, one ``?`` per column.
+
+    ``IS`` is SQLite's null-safe equality: ``col = ?`` is never true for
+    a NULL, so a NULL-bearing tuple could be neither deleted nor found
+    by a support-count update.  The planner treats ``IS ?`` like ``= ?``
+    (``SEARCH … USING INDEX``).
+    """
+    return " AND ".join(f"{column} IS ?" for column in columns)
+
+
+class SideTables:
+    """Intermediate, materialized and interval tables of one backend."""
+
+    #: Reserved name prefix so materialized tables can never collide with
+    #: base relations or setrel intermediates.
+    MATERIALIZED_PREFIX = "mv_"
+
+    #: Reserved name prefix for interval (pre/post nested-set) labelings,
+    #: disjoint from base relations, setrel intermediates, and ``mv_``
+    #: materialized tables.
+    INTERVAL_PREFIX = "ivl_"
+
+    #: One row per materialized or interval table: the maintenance
+    #: generation last committed to it.  Written in the *same
+    #: transaction* as the delta it stamps, so a stamp that disagrees
+    #: with the view's in-memory generation is proof of torn maintenance.
+    GENERATION_TABLE = "mv__generation_stamps"
+
+    # -- the shared shape: create, stamp, replace, drop ---------------------------
+
+    def _typed_columns(
+        self, labels: Sequence[str], attributes: Sequence[str]
+    ) -> str:
+        """Column definitions typed from the catalog (TEXT when unknown)."""
+        known = self.schema.attribute_names
+        return ", ".join(
+            f"{label} {self.schema.attribute(attribute).sql_type}"
+            if attribute in known
+            else f"{label} TEXT"
+            for label, attribute in zip(labels, attributes)
+        )
+
+    def _create_side_table(
+        self,
+        name: str,
+        columns: Sequence[str],
+        ddl: Sequence[str],
+        prefix: Optional[str] = None,
+    ) -> None:
+        """Create (or reset) one side table and register its columns.
+
+        The prefixed families are generation-stamped: their creation also
+        ensures the stamp table and stamps generation 0, in the same unit.
+        """
+        if prefix is not None and not name.startswith(prefix):
+            raise SchemaError(
+                f"side table {name!r} must use the {prefix!r} prefix"
+            )
+        if self.schema.has_relation(name):
+            raise SchemaError(f"{name!r} clashes with a base relation")
+        with self.transaction() as cursor:
+            cursor.execute(f"DROP TABLE IF EXISTS {name}")
+            for statement in ddl:
+                cursor.execute(statement)
+            if prefix is not None:
+                cursor.execute(
+                    f"CREATE TABLE IF NOT EXISTS {self.GENERATION_TABLE} "
+                    "(view_table TEXT PRIMARY KEY, generation INTEGER NOT NULL)"
+                )
+                self._stamp(cursor, name, 0)
+        self._side_tables[name] = tuple(columns)
+
+    def _stamp(self, cursor, name: str, generation: Optional[int]) -> None:
+        """Record ``generation`` for ``name`` inside the caller's unit."""
+        if generation is not None:
+            cursor.execute(
+                f"INSERT INTO {self.GENERATION_TABLE} (view_table, generation) "
+                "VALUES (?, ?) ON CONFLICT(view_table) DO UPDATE SET "
+                "generation = excluded.generation",
+                (name, generation),
+            )
+
+    def _side_columns(self, name: str) -> tuple[str, ...]:
+        columns = self._side_tables.get(name)
+        if columns is None:
+            raise ExecutionError(f"unknown side table {name!r}")
+        return columns
+
+    def _replace_rows(
+        self, label: str, name: str, rows: Iterable, generation: Optional[int] = None
+    ) -> int:
+        """Swap ``name``'s contents for ``rows`` (whole rows, in column order).
+
+        The delete, the insert and the ``generation`` stamp commit
+        together — once per swap, or once per enclosing
+        :meth:`transaction` — so a torn rewrite is detectable.
+        """
+        placeholders = ", ".join("?" * len(self._side_columns(name)))
+        data = [tuple(row) for row in rows]
+
+        def body(cursor) -> None:
+            cursor.execute(f"DELETE FROM {name}")
+            cursor.executemany(
+                f"INSERT INTO {name} VALUES ({placeholders})", data
+            )
+            self._stamp(cursor, name, generation)
+
+        self.write(label, body)
+        return len(data)
+
+    def _drop_side_table(self, name: str, stamped: bool) -> None:
+        if name not in self._side_tables:
+            return
+        with self.transaction() as cursor:
+            cursor.execute(f"DROP TABLE IF EXISTS {name}")
+            if stamped:
+                cursor.execute(
+                    f"DELETE FROM {self.GENERATION_TABLE} WHERE view_table = ?",
+                    (name,),
+                )
+        self._side_tables.pop(name, None)
+
+    # -- setrel intermediates ------------------------------------------------------
+
+    def create_intermediate(self, name: str, attributes: Sequence[str]) -> None:
+        """``setrel``: create (or reset) an intermediate relation."""
+        # The intermediate's column is joined against a base relation on
+        # every level of the setrel loop; index it like any join column.
+        indexes = [
+            f"CREATE INDEX IF NOT EXISTS idx_{name}_{attribute} "
+            f"ON {name} ({attribute})"
+            for attribute in attributes
+        ]
+        self._create_side_table(
+            name,
+            attributes,
+            [f"CREATE TABLE {name} ({self._typed_columns(attributes, attributes)})"]
+            + indexes,
+        )
+
+    def drop_intermediate(self, name: str) -> None:
+        self._drop_side_table(name, stamped=False)
+
+    def set_intermediate_rows(self, name: str, rows: Iterable[tuple]) -> int:
+        """Replace the contents of an intermediate relation; returns count.
+
+        One commit per swap, or one per enclosing :meth:`transaction`
+        when the recursion loop brackets a whole frontier level.
+        """
+        return self._replace_rows(f"setrel {name}", name, rows)
+
+    # -- materialized view tables --------------------------------------------------
+
+    def create_materialized(self, name: str, attributes: Sequence[str]) -> None:
+        """Create (or reset) a materialized count table for one view.
+
+        Columns follow the view's SELECT list (typed from the catalog when
+        the attribute is known, TEXT otherwise) plus a ``support`` count —
+        the number of derivations of the row, maintained by the counting
+        algorithm so deletions know when a row loses its last derivation.
+        """
+        labels = [f"c{i}_{attribute}" for i, attribute in enumerate(attributes)]
+        self._create_side_table(
+            name,
+            labels + ["support"],
+            [
+                f"CREATE TABLE {name} ({self._typed_columns(labels, attributes)}, "
+                "support INTEGER NOT NULL)",
+                f"CREATE UNIQUE INDEX idx_{name}_row ON {name} "
+                f"({', '.join(labels)})",
+            ],
+            prefix=self.MATERIALIZED_PREFIX,
+        )
+
+    def drop_materialized(self, name: str) -> None:
+        self._drop_side_table(name, stamped=True)
+
+    def set_materialized_rows(
+        self,
+        name: str,
+        counted_rows: Iterable[tuple[tuple, int]],
+        generation: Optional[int] = None,
+    ) -> int:
+        """Replace a materialized table's contents with (row, support) pairs.
+
+        ``generation`` (when given) stamps the maintenance generation in
+        the same commit as the rewrite, so a torn refresh is detectable.
+        """
+        return self._replace_rows(
+            f"materialize {name}",
+            name,
+            (tuple(row) + (support,) for row, support in counted_rows),
+            generation,
+        )
+
+    def apply_materialized_delta(
+        self,
+        name: str,
+        changes: Iterable[tuple[tuple, int]],
+        generation: Optional[int] = None,
+    ) -> int:
+        """Apply per-row support deltas in one transaction.
+
+        Each ``(row, delta)`` adjusts the row's support count: missing
+        rows are inserted, rows whose support reaches zero are deleted.
+        The whole batch commits once (or rolls back together), together
+        with the ``generation`` stamp when one is given.  Returns the
+        number of rows touched.  Runs bare (no retry ladder): the view
+        layer above quarantines and heals a failed delta itself.
+        """
+        columns = self._side_columns(name)
+        match = row_match(columns[:-1])  # every column but ``support``
+        placeholders = ", ".join("?" * len(columns))
+        touched = 0
+        fault = self._fault_point
+        with self.transaction() as cursor:
+            for row, delta in changes:
+                if fault is not None:
+                    # mid-transaction fault injection: a failure here
+                    # must roll the whole delta back (counts never torn)
+                    fault("delta", name)
+                if delta == 0:
+                    continue
+                values = tuple(row)
+                cursor.execute(
+                    f"UPDATE {name} SET support = support + ? WHERE {match}",
+                    (delta,) + values,
+                )
+                if cursor.rowcount == 0:
+                    if delta < 0:
+                        raise ExecutionError(
+                            f"materialized {name}: negative support for {row!r}"
+                        )
+                    cursor.execute(
+                        f"INSERT INTO {name} VALUES ({placeholders})",
+                        values + (delta,),
+                    )
+                else:
+                    cursor.execute(
+                        f"DELETE FROM {name} WHERE support <= 0 AND {match}",
+                        values,
+                    )
+                touched += 1
+            self._stamp(cursor, name, generation)
+        return touched
+
+    def materialized_generation(self, name: str) -> Optional[int]:
+        """The generation last committed for a stamped table (or None)."""
+        try:
+            rows = self.read(
+                f"SELECT generation FROM {self.GENERATION_TABLE} "
+                "WHERE view_table = ?",
+                (name,),
+            )
+        except (sqlite3.Error, ExecutionError):
+            return None  # stamp table absent: nothing stamped yet
+        return rows[0][0] if rows else None
+
+    def fetch_materialized(self, name: str) -> list[tuple]:
+        """The distinct rows of a materialized view (support > 0)."""
+        labels = self._side_columns(name)[:-1]
+        return self.execute(
+            f"SELECT {', '.join(labels)} FROM {name} WHERE support > 0"
+        )
+
+    # -- interval-index tables (nested-set hierarchy labelings) --------------------
+
+    def create_interval_index(self, name: str) -> None:
+        """Create (or reset) an interval-labeling table for one hierarchy.
+
+        One row per node: ``(node, pre, post, cyc)``.  The ``node``
+        column deliberately has *no* declared type — BLOB affinity stores
+        integer and text endpoint values exactly as bound, so probe
+        results demultiplex by Python equality.  The composite
+        ``(pre, post, node)`` index is the accelerator: a descendant
+        probe is one range scan over it, *covering* — the trailing
+        ``node`` column means the probe never touches the table.  ``cyc``
+        marks nodes carrying a self-loop edge (the org generator's
+        self-managed top department), which the tree labels cannot
+        express.
+        """
+        self._create_side_table(
+            name,
+            ("node", "pre", "post", "cyc"),
+            [
+                f"CREATE TABLE {name} (node PRIMARY KEY, "
+                "pre INTEGER NOT NULL, post INTEGER NOT NULL, "
+                "cyc INTEGER NOT NULL DEFAULT 0)",
+                f"CREATE INDEX idx_{name}_pre_post ON {name} (pre, post, node)",
+            ],
+            prefix=self.INTERVAL_PREFIX,
+        )
+
+    def set_interval_rows(
+        self,
+        name: str,
+        rows: Iterable[tuple],
+        generation: Optional[int] = None,
+    ) -> int:
+        """Replace a labeling with ``(node, pre, post, cyc)`` rows.
+
+        The Python-fallback relabel path: labels computed client-side
+        cross the wire once, and the rewrite plus the ``generation``
+        stamp commit together (a torn relabel is detectable).
+        """
+        return self._replace_rows(
+            f"interval relabel {name}", name, rows, generation
+        )
+
+    def relabel_interval(
+        self,
+        name: str,
+        select_text: str,
+        generation: Optional[int] = None,
+    ) -> int:
+        """In-backend bulk relabel: ``DELETE`` + ``INSERT … SELECT`` once.
+
+        ``select_text`` is a (possibly ``WITH RECURSIVE``-prefixed)
+        SELECT producing ``(node, pre, post, cyc)`` rows — the
+        window-function labeling statement — so the labels never cross
+        the wire.  Returns the number of rows inserted; the caller
+        compares it against the expected node count to detect an
+        incomplete walk.
+        """
+        columns = ", ".join(self._side_columns(name))
+        statement = f"INSERT INTO {name} ({columns}) {select_text}"
+
+        def body(cursor) -> int:
+            cursor.execute(f"DELETE FROM {name}")
+            count = cursor.execute(statement).rowcount
+            self._stamp(cursor, name, generation)
+            return count
+
+        return self.write(f"interval relabel {name}", body)
+
+    def apply_interval_delta(
+        self,
+        name: str,
+        upserts: Iterable[tuple] = (),
+        deletes: Iterable = (),
+        generation: Optional[int] = None,
+    ) -> int:
+        """Local label maintenance: upsert placed nodes, tombstone removed ones.
+
+        Gap-based labels absorb a leaf attach as one ``(node, pre, post,
+        cyc)`` upsert inside the parent's gap; a leaf delete just drops
+        the row (its interval becomes reusable gap).  The whole delta and
+        the ``generation`` stamp commit together.
+        """
+        self._side_columns(name)
+        placed = [tuple(row) for row in upserts]
+        removed = [(node,) for node in deletes]
+
+        def body(cursor) -> None:
+            if removed:
+                cursor.executemany(f"DELETE FROM {name} WHERE node = ?", removed)
+            if placed:
+                cursor.executemany(
+                    f"INSERT INTO {name} (node, pre, post, cyc) "
+                    "VALUES (?, ?, ?, ?) ON CONFLICT(node) DO UPDATE SET "
+                    "pre = excluded.pre, post = excluded.post, "
+                    "cyc = excluded.cyc",
+                    placed,
+                )
+            self._stamp(cursor, name, generation)
+
+        self.write(f"interval delta {name}", body)
+        return len(placed) + len(removed)

@@ -2,14 +2,32 @@
 
 The paper's system talks to an SQL DBMS it does not control ("we assume
 the use of an existing database system").  This module is that substitute
-substrate: it creates tables from the catalog, loads tuples, executes the
-generated SQL text, and supports the *intermediate relations* that the
-recursion strategies create with ``setrel`` (paper section 7).
+substrate, and its interface is deliberately narrow — SQL text in,
+tuples out — so the translation layers above cannot accidentally depend
+on anything a 1984 mainframe DBMS would not have offered.
 
-The interface is deliberately narrow — SQL text in, tuples out — so the
-translation layers above cannot accidentally depend on anything a 1984
-mainframe DBMS would not have offered.  Three provisions a real DBMS of
-the era *did* offer are modelled explicitly:
+:class:`ExternalDatabase` is a *statement-execution core*: everything
+reaches the store through :meth:`~ExternalDatabase.read` (one SELECT on
+the routed connection, under the retry ladder) or one of exactly two
+write recipes —
+
+* :meth:`~ExternalDatabase.transaction` — the write unit: write mutex,
+  rollback on error, and the **only** ``commit()`` in the package, at
+  the outermost exit.  Used bare for DDL and for view deltas, whose
+  callers own recovery;
+* :meth:`~ExternalDatabase.write` — the retry ladder around one
+  ``transaction()`` running ``body(cursor)``.  Used for DML: each retry
+  re-runs the whole rolled-back unit.
+
+Every mutating method, here and in the :class:`~repro.dbms.side_tables.
+SideTables` mixin (setrel intermediates of paper section 7, materialized
+count tables, interval labelings), is a body handed to one of the two.
+The stateful machinery is composed: :class:`~repro.dbms.pool.ReaderPool`,
+:class:`~repro.resilience.ladder.RetryLadder` and
+:class:`~repro.dbms.statistics.StatisticsService`.
+
+Besides transactions, two provisions a real DBMS of the era *did* offer
+are modelled explicitly:
 
 * **prepared statements** — :meth:`ExternalDatabase.prepare` renders a
   query tree to text exactly once; :meth:`execute_prepared` re-executes
@@ -18,46 +36,32 @@ the era *did* offer are modelled explicitly:
   once and execute many times;
 * **catalog-driven indexes** — join and key attributes named by the
   catalog (shared attributes, functional-dependency determinants,
-  referential-integrity endpoints) get a ``CREATE INDEX`` at DDL time;
-* **transactions** — :meth:`transaction` brackets multi-statement work
-  (one frontier level of the setrel loop) in a single commit.
-
-On top of the era-faithful core, the incremental-maintenance subsystem
-(:mod:`repro.materialize`) uses **materialized tables**: per-view count
-tables (:meth:`create_materialized`) whose rows carry a support count and
-whose deltas apply transactionally (:meth:`apply_materialized_delta`) —
-the physical half of the paper's "store query results for future
-reference" storage decision.
+  referential-integrity endpoints) get a ``CREATE INDEX`` at DDL time.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import sqlite3
 import threading
 import time
-import weakref
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from contextlib import contextmanager, suppress
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from ..concurrency import Deadline, LockedCounters
-from ..errors import (
-    DeadlineExceeded,
-    ExecutionError,
-    BackendPoisonedError,
-    PoolExhaustedError,
-    SchemaError,
-    TransientBackendError,
-    classify_sqlite_error,
-)
-from ..resilience.policy import CircuitBreaker, FaultPolicy
+from ..errors import ExecutionError
+from ..resilience.ladder import RetryLadder, interruptible_fetch
+from ..resilience.policy import FaultPolicy
 from ..resilience.stats import ResilienceStats
 from ..schema.catalog import DatabaseSchema, Relation
 from ..sql.ast import RecursiveQuery, SqlQuery, UnionQuery
 from ..sql.dialects import SqliteDialect
 from ..sql.printer import print_recursive, print_sql, print_union
+from .pool import ReaderPool
+from .side_tables import SideTables, row_match
+from .statistics import ExecutionStats, RelationStatistics, StatisticsService
+
+__all__ = ["ExternalDatabase", "ExecutionStats", "RelationStatistics", "Row", "Value"]
 
 Row = tuple
 Value = Union[int, float, str, None]
@@ -67,97 +71,7 @@ Value = Union[int, float, str, None]
 _memory_names = itertools.count(1)
 
 
-@dataclass
-class ExecutionStats(LockedCounters):
-    """Cumulative counters a session exposes for benchmarks.
-
-    Counters are updated under an internal lock (several serving threads
-    share one backend); :meth:`snapshot` returns one consistent copy —
-    callers must not sum fields read at different times.
-    """
-
-    queries_executed: int = 0
-    rows_fetched: int = 0
-    #: how many times a query *tree* was rendered to SQL text — the
-    #: compile-once benchmarks gate that this stays flat while
-    #: ``prepared_executions`` grows.
-    sql_prints: int = 0
-    prepared_executions: int = 0
-    commits: int = 0
-    #: relation-statistics service: recomputations vs generation-fresh hits.
-    stats_refreshes: int = 0
-    stats_hits: int = 0
-    #: ``PRAGMA optimize`` runs on retiring/closing connections.
-    pragma_optimizes: int = 0
-    statements: list[str] = field(default_factory=list)
-    keep_statements: bool = False
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    _snapshot_fields = (
-        "queries_executed",
-        "rows_fetched",
-        "sql_prints",
-        "prepared_executions",
-        "commits",
-        "stats_refreshes",
-        "stats_hits",
-        "pragma_optimizes",
-    )
-
-    def record(self, statement: str, rows: int, prepared: bool = False) -> None:
-        # One lock acquisition covers every counter an execution touches,
-        # so a concurrent snapshot can never observe prepared_executions
-        # ahead of queries_executed (and the warm hot path pays a single
-        # mutex round trip).
-        with self._lock:
-            self.queries_executed += 1
-            self.rows_fetched += rows
-            if prepared:
-                self.prepared_executions += 1
-            if self.keep_statements:
-                self.statements.append(statement)
-
-    def reset(self) -> None:
-        with self._lock:
-            self.queries_executed = 0
-            self.rows_fetched = 0
-            self.sql_prints = 0
-            self.prepared_executions = 0
-            self.commits = 0
-            self.stats_refreshes = 0
-            self.stats_hits = 0
-            self.pragma_optimizes = 0
-            self.statements.clear()
-
-
-@dataclass(frozen=True)
-class RelationStatistics:
-    """Cardinality profile of one base relation (the planner's food).
-
-    ``distinct`` maps each attribute of the relation to its distinct-value
-    count; ``1 / distinct[attr]`` is the classic equality-restriction
-    selectivity estimate, and joint independence across attributes is
-    assumed (the System R simplification).  ``generation`` records the
-    backend data generation the counts were taken at — a stale profile
-    is recomputed lazily on the next request.
-    """
-
-    relation: str
-    row_count: int
-    distinct: dict
-    generation: int
-
-    def selectivity(self, attribute: str) -> float:
-        """Estimated fraction of rows matching ``attribute = const``."""
-        count = self.distinct.get(attribute, 0)
-        if count <= 0:
-            return 1.0
-        return 1.0 / count
-
-
-class ExternalDatabase:
+class ExternalDatabase(SideTables):
     """An SQLite-backed relational store for one catalog.
 
     ``constraints`` (optional) widens the catalog-driven index set with
@@ -172,6 +86,12 @@ class ExternalDatabase:
     ``max_readers`` caps the pooled read connections — threads beyond the
     cap wait up to ``pool_wait_timeout`` seconds for a slot and then get
     a typed :class:`~repro.errors.PoolExhaustedError` instead of a hang.
+
+    Besides the methods below, an instance carries ``deadline``,
+    ``current_deadline``, ``fault_context`` and ``breaker_states`` (bound
+    from its :class:`~repro.resilience.ladder.RetryLadder`) and
+    ``data_generation`` / ``relation_statistics`` (from its
+    :class:`~repro.dbms.statistics.StatisticsService`).
     """
 
     #: Hook consulted before each instrumented backend operation.
@@ -196,14 +116,11 @@ class ExternalDatabase:
         # read pool needs every connection to see the same store, so
         # ':memory:' becomes a uniquely-named shared-cache URI database
         # (alive while the owning write connection stays open).
-        if path == ":memory:":
-            self._target = f"file:repro_mem_{next(_memory_names)}?mode=memory&cache=shared"
-            self._uri = True
-            self._file_backed = False
-        else:
-            self._target = path
-            self._uri = path.startswith("file:")
-            self._file_backed = True
+        self._file_backed = path != ":memory:"
+        if not self._file_backed:
+            path = f"file:repro_mem_{next(_memory_names)}?mode=memory&cache=shared"
+        self._target = path
+        self._uri = path.startswith("file:")
         # cached_statements makes repeated execute() of identical text hit
         # sqlite3's internal prepared-statement cache — the "existing
         # database system" side of the compile-once contract.
@@ -211,243 +128,65 @@ class ExternalDatabase:
         # connection, serialized by ``_write_lock`` (the session's
         # KnowledgeBase write lock already excludes concurrent mutators;
         # this mutex keeps the backend safe under direct use too).
-        self._connection = sqlite3.connect(
+        connect = partial(
+            sqlite3.connect,
             self._target,
             uri=self._uri,
             cached_statements=256,
             check_same_thread=False,
         )
+        self._connection = connect()
         self._write_lock = threading.RLock()
+        self._txn_depth = 0
+        self._txn_thread: Optional[int] = None
         self._pooled_reads = pooled_reads
-        #: Pool ownership is per process: a ``fork()`` child inherits the
-        #: parent's pooled reader *objects* but must never use (or close)
-        #: them — two processes stepping on one SQLite handle corrupts
-        #: both.  Every pool entry point checks this stamp and rebuilds
-        #: the pool empty in a child before handing out a connection.
-        self._pool_pid = os.getpid()
-        self._readers = threading.local()
-        self._reader_connections: list[sqlite3.Connection] = []
-        self._reader_finalizers: list = []
-        self._pool_lock = threading.Lock()
-        self._pool_cond = threading.Condition(self._pool_lock)
-        self._pool_peak = 0
-        self._max_readers = max_readers
-        self._pool_wait_timeout = pool_wait_timeout
         self._closed = False
-        self._policy = policy if policy is not None else FaultPolicy()
+        #: The fault policy governing this backend's retry behaviour.
+        self.policy = policy if policy is not None else FaultPolicy()
         self.resilience = ResilienceStats()
-        # One breaker per connection class: a failing read substrate
-        # stops being hammered while the owning write connection (a
-        # different failure domain) proceeds, and vice versa.
-        self._read_breaker = CircuitBreaker(
-            self._policy.breaker_threshold,
-            self._policy.breaker_cooldown,
+        self.stats = ExecutionStats()
+        self._pool = ReaderPool(
+            connect,
+            max_readers,
+            pool_wait_timeout,
+            self.stats,
             self.resilience,
-            name="read",
         )
-        self._write_breaker = CircuitBreaker(
-            self._policy.breaker_threshold,
-            self._policy.breaker_cooldown,
+        ladder = self._ladder = RetryLadder(
+            self.policy,
             self.resilience,
-            name="write",
+            self.stats,
+            self._pool.retire_current,
+            self._fault_point,
         )
-        self._deadlines = threading.local()
-        #: Per-thread fault-class override (see :meth:`fault_context`).
-        self._fault_classes = threading.local()
+        statistics = self._statistics = StatisticsService(self)
+        # The composed parts serve their share of the backend's public
+        # surface themselves — no delegating frame on the per-ask paths.
+        self.deadline = ladder.deadline
+        self.current_deadline = ladder.current_deadline
+        self.fault_context = ladder.fault_context
+        self.breaker_states = ladder.breaker_states
+        self.data_generation = statistics.data_generation
+        self.relation_statistics = statistics.relation_statistics
         if self._file_backed:
             # WAL lets pooled readers proceed while the owning connection
             # writes; harmless no-op for in-memory targets (skipped).
             self._connection.execute("PRAGMA journal_mode=WAL")
             self._connection.execute("PRAGMA synchronous=NORMAL")
         self._dialect = SqliteDialect()
-        self.stats = ExecutionStats()
         #: Optional execute observer ``(text, rows, seconds) -> None``,
         #: installed by an *enabled* tracer only — when ``None`` (the
         #: default, and the disabled-tracing case) the execute paths do
         #: not even read the clock for it.
         self.observer = None
-        self._constraints = constraints
-        #: Per-relation monotone counters advanced by that relation's
-        #: mutations; the statistics cache keys freshness on them, so a
-        #: churning relation never invalidates a stable one's profile.
-        self._data_generations: dict[str, int] = {}
-        self._stats_cache: dict[str, RelationStatistics] = {}
-        self._stats_lock = threading.Lock()
-        self._intermediates: dict[str, tuple[str, ...]] = {}
-        self._materialized: dict[str, tuple[str, ...]] = {}
-        self._intervals: dict[str, tuple[str, ...]] = {}
-        self._txn_depth = 0
-        self._txn_thread: Optional[int] = None
+        #: name -> columns of every live side table (:class:`SideTables`).
+        self._side_tables: dict[str, tuple[str, ...]] = {}
         self.index_statements: list[str] = []
         self._create_tables()
         if auto_index:
             self._create_indexes(constraints)
 
-    # -- connection routing ------------------------------------------------------
-
-    @property
-    def pool_size(self) -> int:
-        """How many pooled read connections are currently open."""
-        with self._pool_lock:
-            return len(self._reader_connections)
-
-    @property
-    def pool_peak(self) -> int:
-        """The most read connections ever open at once (dead threads'
-        connections are retired, so ``pool_size`` alone understates how
-        far the pool fanned out)."""
-        with self._pool_lock:
-            return self._pool_peak
-
-    def _read_connection(self) -> sqlite3.Connection:
-        """The calling thread's pooled read connection (created lazily).
-
-        Readers are per thread, so concurrent SELECTs never serialize on
-        one cursor; with WAL (file-backed) they also never block behind
-        the writer.  Reads inside an open :meth:`transaction` must come
-        from the *owning* connection instead — only it sees the
-        uncommitted rows — which :meth:`_query_connection` handles.  A
-        finalizer on the owning thread retires the connection when the
-        thread is collected, so thread-per-request deployments do not
-        accumulate open connections without bound.
-        """
-        if self._pool_pid != os.getpid():
-            self._reset_pool_after_fork()
-        connection = getattr(self._readers, "connection", None)
-        if connection is not None:
-            return connection
-        with self._pool_cond:
-            # registration and the closed check share the pool lock,
-            # so close() cannot clear the pool between them
-            if self._max_readers is not None:
-                give_up_at = time.monotonic() + self._pool_wait_timeout
-                while (
-                    not self._closed
-                    and len(self._reader_connections) >= self._max_readers
-                ):
-                    remaining = give_up_at - time.monotonic()
-                    if remaining <= 0:
-                        self.resilience.incr("pool_timeouts")
-                        raise PoolExhaustedError(
-                            f"read pool saturated at {self._max_readers} "
-                            f"connections; no slot freed within "
-                            f"{self._pool_wait_timeout:.3f}s"
-                        )
-                    self._pool_cond.wait(remaining)
-            if self._closed:
-                raise ExecutionError("database is closed")
-            connection = sqlite3.connect(
-                self._target,
-                uri=self._uri,
-                cached_statements=256,
-                check_same_thread=False,
-            )
-            try:
-                connection.execute("PRAGMA busy_timeout=2000")
-            except sqlite3.Error:
-                connection.close()
-                raise
-            self._reader_connections.append(connection)
-            self._pool_peak = max(
-                self._pool_peak, len(self._reader_connections)
-            )
-        self._readers.connection = connection
-        finalizer = weakref.finalize(
-            threading.current_thread(), self._retire_reader, connection
-        )
-        # finalize handles reference this backend through the bound
-        # method; close() detaches them so a closed backend (and its
-        # connections) never stays pinned for the thread's lifetime.
-        with self._pool_lock:
-            self._reader_finalizers.append(finalizer)
-        return connection
-
-    def _reset_pool_after_fork(self) -> None:
-        """Rebuild the read pool empty in a forked/spawned child process.
-
-        The inherited connection objects stay untouched — they wrap the
-        parent's SQLite handles, and closing them here would run the
-        parent's shutdown logic on duplicated file descriptors.  The
-        child simply forgets them (detaching their finalizers so a
-        child-side GC pass cannot reach back either) and lazily opens
-        its own readers against the same file-backed store.  Locks are
-        recreated too: a lock forked mid-acquisition would stay held
-        forever in the child.
-        """
-        for finalizer in self._reader_finalizers:
-            finalizer.detach()
-        self._pool_pid = os.getpid()
-        self._readers = threading.local()
-        self._reader_connections = []
-        self._reader_finalizers = []
-        self._pool_lock = threading.Lock()
-        self._pool_cond = threading.Condition(self._pool_lock)
-        self._pool_peak = 0
-
-    def _retire_reader(self, connection: sqlite3.Connection) -> None:
-        """Close a pooled reader whose owning thread has been collected."""
-        with self._pool_lock:
-            # drop spent finalize handles too, or thread-per-request use
-            # would grow the list (pinning closed connections) unboundedly
-            self._reader_finalizers = [
-                finalizer
-                for finalizer in self._reader_finalizers
-                if finalizer.alive
-            ]
-            try:
-                self._reader_connections.remove(connection)
-            except ValueError:
-                return  # close() already took it
-            self._pool_cond.notify_all()
-        self._optimize_connection(connection)
-        try:
-            connection.close()
-        except sqlite3.Error:
-            pass
-
-    def _retire_current_reader(self) -> None:
-        """Drop the calling thread's pooled reader — poisoned, not recycled.
-
-        Called by the retry loop when a read fails with a
-        connection-level error ("closed database", corruption): the
-        connection leaves the pool (freeing a capacity slot for
-        waiters), and the thread's next read lazily opens a fresh one.
-        """
-        connection = getattr(self._readers, "connection", None)
-        if connection is None:
-            return
-        self._readers.connection = None
-        with self._pool_lock:
-            try:
-                self._reader_connections.remove(connection)
-            except ValueError:
-                pass
-            self._pool_cond.notify_all()
-        try:
-            connection.close()
-        except sqlite3.Error:
-            pass
-        self.resilience.incr("poisoned_retired")
-
-    def _optimize_connection(self, connection: sqlite3.Connection) -> None:
-        """``PRAGMA optimize`` before a connection goes away.
-
-        SQLite's own guidance: run it when closing long-lived connections
-        so index-usage observations flow into ``sqlite_stat1`` instead of
-        dying with the connection.  Counted in ``stats.pragma_optimizes``.
-        """
-        try:
-            connection.execute("PRAGMA optimize")
-        except sqlite3.Error:
-            return  # a connection mid-close loses nothing but the hint
-        self.stats.incr("pragma_optimizes")
-
-    def _query_connection(self) -> sqlite3.Connection:
-        if not self._pooled_reads:
-            return self._connection
-        if self._txn_depth and self._txn_thread == threading.get_ident():
-            return self._connection  # must observe the open transaction
-        return self._read_connection()
+    # -- the three primitives: read, transaction, write -----------------------------
 
     @staticmethod
     def _is_read_statement(text: str) -> bool:
@@ -457,264 +196,118 @@ class ExternalDatabase:
         head = text.lstrip()[:6].upper()
         return head == "SELECT" or head.startswith("WITH")
 
-    def _run_read(
-        self, text: str, parameters: Sequence[Value] = ()
-    ) -> list[Row]:
+    def _query_connection(self) -> sqlite3.Connection:
+        """The calling thread's pooled reader — or the owning connection
+        when reads are unpooled or must observe this thread's open
+        transaction (only it sees the uncommitted rows)."""
+        if not self._pooled_reads:
+            return self._connection
+        if self._txn_depth and self._txn_thread == threading.get_ident():
+            return self._connection
+        return self._pool.connection()
+
+    def read(self, text: str, parameters: Sequence[Value] = ()) -> list[Row]:
         """Execute a SELECT on the routed connection with full fault handling.
 
         The connection is re-routed on every attempt so a poisoned
         reader retired mid-ladder is replaced by a fresh one before the
-        retry, and the deadline guard interrupts long statements from
-        inside the SQLite VM.
+        retry, and an active deadline scope interrupts long statements
+        from inside the SQLite VM.
         """
+        if self._closed:
+            raise ExecutionError("database is closed")
         params = tuple(parameters)
+        ladder = self._ladder
 
         def attempt() -> list[Row]:
             connection = self._query_connection()
-            with self._deadline_guard(connection):
+            scope = ladder.current_deadline()
+            if scope is None:
                 return connection.execute(text, params).fetchall()
+            return interruptible_fetch(connection, scope, text, params)
 
-        return self._with_retries("read", text, attempt)
-
-    # -- fault handling: deadlines, retries, write guard ---------------------------
-
-    @contextmanager
-    def deadline(self, seconds: Optional[float]) -> Iterator[None]:
-        """Bound every backend operation on this thread by a time budget.
-
-        Scopes nest by shrinking: an inner scope can only tighten the
-        budget, never extend it past the enclosing one.  Expiry raises a
-        typed :class:`~repro.errors.DeadlineExceeded` carrying
-        partial-work counters; running statements are interrupted via a
-        progress handler (:meth:`_deadline_guard`).
-        """
-        if seconds is None:
-            yield
-            return
-        outer = getattr(self._deadlines, "current", None)
-        scope = Deadline(seconds)
-        if outer is not None and outer.until < scope.until:
-            scope = outer
-        self._deadlines.current = scope
-        try:
-            yield
-        finally:
-            self._deadlines.current = outer
-
-    def current_deadline(self) -> Optional[Deadline]:
-        return getattr(self._deadlines, "current", None)
+        return ladder.run("read", text, attempt)
 
     @contextmanager
-    def fault_context(self, klass: str) -> Iterator[None]:
-        """Relabel this thread's statements for the fault injector.
+    def transaction(self) -> Iterator[sqlite3.Cursor]:
+        """The write unit: several statements, one commit (nestable).
 
-        Statements executed inside the scope present ``klass`` instead
-        of their connection class (``read``/``write``) to the fault
-        hook, making higher-level operations — CQA detector probes,
-        certain-answer rewritings — independently addressable fault
-        points in a :class:`~repro.resilience.faults.FaultSchedule`.
-        On a healthy backend (``_fault_point is None``) the override is
-        never read on the statement path; the scope costs two attribute
-        writes.
+        Yields a cursor on the owning connection.  Inner units join the
+        enclosing one; the outermost exit commits once, or rolls the
+        whole unit back if the block raised — so no failed statement
+        (an ``executemany`` mid-batch) can leave half its rows staged
+        for whoever commits next.  The whole bracket holds the backend
+        write mutex, so two threads' transactions serialize instead of
+        interleaving statements on the owning connection.
         """
-        local = self._fault_classes
-        outer = getattr(local, "current", None)
-        local.current = klass
-        try:
-            yield
-        finally:
-            local.current = outer
-
-    @contextmanager
-    def _deadline_guard(self, connection: sqlite3.Connection) -> Iterator[None]:
-        """Interrupt ``connection`` from inside the VM once the budget dies.
-
-        SQLite's progress handler runs every N virtual-machine
-        instructions on the querying thread; returning nonzero aborts
-        the statement with SQLITE_INTERRUPT, which the retry loop
-        converts into :class:`~repro.errors.DeadlineExceeded`.  No-op
-        (one attribute read) when no deadline scope is active.
-        """
-        scope = self.current_deadline()
-        if scope is None:
-            yield
-            return
-        connection.set_progress_handler(
-            lambda: 1 if scope.expired else 0, 4000
-        )
-        try:
-            yield
-        finally:
-            try:
-                connection.set_progress_handler(None, 0)
-            except sqlite3.Error:
-                pass  # a poisoned connection has nothing to restore
-
-    def partial_work(self) -> dict:
-        """Work counters for ``DeadlineExceeded.partial`` accounting."""
-        execution = self.stats.snapshot()
-        resilience = self.resilience.snapshot()
-        return {
-            "queries_executed": execution["queries_executed"],
-            "rows_fetched": execution["rows_fetched"],
-            "retries": resilience["retries"],
-            "backoff_seconds": resilience["backoff_seconds"],
-        }
-
-    def _with_retries(self, klass: str, label: str, attempt_once) -> list[Row]:
-        """The statement-level fault ladder shared by reads and writes.
-
-        Classifies each ``sqlite3`` failure (transient / poisoned /
-        permanent), applies jittered exponential backoff within the
-        attempt budget, retires poisoned readers, honours the circuit
-        breaker for this connection class, and converts expiry of the
-        active deadline scope into ``DeadlineExceeded``.  Lock-type
-        errors keep the pre-resilience patience window
-        (``policy.lock_patience``) so shared-cache readers still ride
-        out a slow writer's transaction.
-        """
-        policy = self._policy
-        if not policy.enabled:
-            # pre-resilience behaviour, kept as the overhead baseline:
-            # bounded patience for shared-cache table locks, nothing else.
-            give_up_at = time.monotonic() + policy.lock_patience
-            while True:
-                try:
-                    return attempt_once()
-                except sqlite3.OperationalError as error:
-                    if "locked" not in str(error) or time.monotonic() > give_up_at:
-                        raise
-                    time.sleep(0.002)
-        breaker = self._read_breaker if klass == "read" else self._write_breaker
-        stats = self.resilience
-        scope = self.current_deadline()
-        started = time.monotonic()
-        attempts = 0
-        last_error: Optional[BaseException] = None
-        while True:
-            if scope is not None and scope.expired:
-                stats.incr("deadline_exceeded")
-                raise DeadlineExceeded(
-                    f"deadline expired during {klass} {label[:80]!r}",
-                    self.partial_work(),
-                ) from last_error
-            if not breaker.allow():
-                pause = breaker.retry_after() or policy.backoff(attempts)
-                if scope is not None:
-                    pause = scope.clamp(pause)
-                time.sleep(pause)
-                attempts += 1
-                if attempts >= policy.max_attempts * 2:
-                    raise TransientBackendError(
-                        f"{klass} breaker open; gave up on {label[:80]!r}"
-                    ) from last_error
-                continue
-            fault = self._fault_point
-            try:
-                if fault is not None:
-                    fault(
-                        getattr(self._fault_classes, "current", None) or klass,
-                        label,
-                    )
-                result = attempt_once()
-            except (DeadlineExceeded, PoolExhaustedError):
-                raise  # already typed; budgets are not retryable here
-            except sqlite3.Error as error:
-                category = classify_sqlite_error(error)
-                if category == "permanent":
-                    # the statement's fault, not the substrate's: the
-                    # breaker saw a live backend answer
-                    breaker.success()
-                    raise
-                if scope is not None and scope.expired:
-                    stats.incr("deadline_exceeded")
-                    raise DeadlineExceeded(
-                        f"deadline expired during {klass} {label[:80]!r}",
-                        self.partial_work(),
-                    ) from error
-                breaker.failure()
-                last_error = error
-                attempts += 1
-                if category == "poisoned":
-                    if klass != "read":
-                        raise BackendPoisonedError(
-                            f"owning connection unusable: {error}"
-                        ) from error
-                    self._retire_current_reader()
-                lockish = isinstance(error, sqlite3.OperationalError) and (
-                    "locked" in str(error) or "busy" in str(error)
-                )
-                patient = (
-                    lockish
-                    and time.monotonic() - started < policy.lock_patience
-                )
-                if attempts >= policy.max_attempts and not patient:
-                    raise TransientBackendError(
-                        f"{klass} {label[:80]!r} failed after {attempts} "
-                        f"attempts: {error}"
-                    ) from error
-                pause = policy.backoff(attempts - 1)
-                if scope is not None:
-                    pause = scope.clamp(pause)
-                stats.incr("retries")
-                stats.incr("backoff_seconds", pause)
-                if pause > 0:
-                    time.sleep(pause)
-            else:
-                breaker.success()
-                return result
-
-    @contextmanager
-    def _mutate(self) -> Iterator[None]:
-        """Write guard: no failed statement may leave half its rows staged.
-
-        Outside an explicit :meth:`transaction` bracket, a failing
-        multi-row statement (``executemany`` mid-batch) leaves its
-        partial effect pending on the owning connection — and the *next*
-        commit, whoever issues it, would silently persist it.  This
-        guard rolls back on the spot; inside a bracket the outermost
-        ``transaction`` exit already rolls the whole unit back.
-        """
+        if self._closed:
+            raise ExecutionError("database is closed")
         with self._write_lock:
+            self._txn_depth += 1
+            self._txn_thread = threading.get_ident()
             try:
-                yield
+                if self._txn_depth == 1:
+                    # explicit: sqlite3 opens its implicit transaction only
+                    # before DML, and DDL units must roll back whole too
+                    self._connection.execute("BEGIN")
+                yield self._connection.cursor()
+                if self._txn_depth == 1:
+                    self._connection.commit()
+                    self.stats.incr("commits")
             except BaseException:
-                if self._txn_depth == 0:
-                    try:
+                if self._txn_depth == 1:
+                    # nothing staged, or the connection is gone
+                    with suppress(sqlite3.Error):
                         self._connection.rollback()
-                    except sqlite3.Error:
-                        pass  # nothing staged, or connection gone
                 raise
+            finally:
+                self._txn_depth -= 1
+                if self._txn_depth == 0:
+                    self._txn_thread = None
 
-    def _run_write(self, label: str, attempt_once):
-        """Route one top-level write through the retry ladder.
+    def write(self, label: str, body: Callable[[sqlite3.Cursor], object]):
+        """Run ``body(cursor)`` as one write unit under the retry ladder.
 
         Inside an open transaction the enclosing bracket owns recovery
         (retrying one statement of a multi-statement unit would corrupt
-        it), so the statement runs bare; at top level each attempt is
-        rolled back by :meth:`_mutate` before the ladder retries it.
+        it), so the body just joins it; at top level each failed attempt
+        is rolled back by :meth:`transaction` before the ladder retries.
         """
+        if self._closed:
+            raise ExecutionError("database is closed")
         if self._txn_depth and self._txn_thread == threading.get_ident():
-            return attempt_once()
-        return self._with_retries("write", label, attempt_once)
+            return body(self._connection.cursor())
 
-    # -- DDL -----------------------------------------------------------------
+        def attempt():
+            with self.transaction() as cursor:
+                return body(cursor)
+
+        return self._ladder.run("write", label, attempt)
+
+    @property
+    def pool_size(self) -> int:
+        """How many pooled read connections are currently open."""
+        return self._pool.size
+
+    @property
+    def pool_peak(self) -> int:
+        """The most read connections ever open at once."""
+        return self._pool.peak
+
+    # -- base-relation DDL -------------------------------------------------------------
 
     def _create_tables(self) -> None:
-        with self._write_lock:
-            cursor = self._connection.cursor()
+        with self.transaction() as cursor:
             for relation in self.schema.relations.values():
-                columns = ", ".join(
-                    f"{attribute} {self.schema.attribute(attribute).sql_type}"
-                    for attribute in relation.attributes
+                columns = self._typed_columns(
+                    relation.attributes, relation.attributes
                 )
                 cursor.execute(
                     f"CREATE TABLE IF NOT EXISTS {relation.name} ({columns})"
                 )
-            self._commit()
 
-    def indexed_attributes(self, constraints=None) -> dict[str, set[str]]:
-        """Catalog-driven index candidates per relation.
+    def _create_indexes(self, constraints=None) -> None:
+        """``CREATE INDEX`` on every catalog-driven candidate.
 
         * attributes appearing in more than one relation — by the tableau
           model's construction these are exactly the equijoin columns;
@@ -741,16 +334,8 @@ class ExternalDatabase:
                 candidates.setdefault(refint.to_relation, set()).update(
                     refint.to_attributes
                 )
-        return {
-            name: attrs for name, attrs in candidates.items() if attrs
-        }
-
-    def _create_indexes(self, constraints=None) -> None:
-        with self._write_lock:
-            cursor = self._connection.cursor()
-            for relation_name, attributes in self.indexed_attributes(
-                constraints
-            ).items():
+        with self.transaction() as cursor:
+            for relation_name, attributes in candidates.items():
                 if not self.schema.has_relation(relation_name):
                     continue
                 for attribute in sorted(attributes):
@@ -760,603 +345,63 @@ class ExternalDatabase:
                     )
                     cursor.execute(ddl)
                     self.index_statements.append(ddl)
-            self._commit()
 
-    def create_intermediate(
-        self, name: str, attributes: Sequence[str]
-    ) -> None:
-        """``setrel``: create (or reset) an intermediate relation."""
-        if self.schema.has_relation(name):
-            raise SchemaError(f"{name!r} clashes with a base relation")
-        column_defs = ", ".join(
-            f"{attribute} {self.schema.attribute(attribute).sql_type}"
-            if attribute in self.schema.attribute_names
-            else f"{attribute} TEXT"
-            for attribute in attributes
-        )
-        with self._mutate():
-            cursor = self._connection.cursor()
-            cursor.execute(f"DROP TABLE IF EXISTS {name}")
-            cursor.execute(f"CREATE TABLE {name} ({column_defs})")
-            # The intermediate's column is joined against a base relation on
-            # every level of the setrel loop; index it like any join column.
-            for attribute in attributes:
-                cursor.execute(
-                    f"CREATE INDEX IF NOT EXISTS idx_{name}_{attribute} "
-                    f"ON {name} ({attribute})"
-                )
-            self._commit()
-            self._intermediates[name] = tuple(attributes)
+    # -- base-relation DML -------------------------------------------------------------
 
-    def drop_intermediate(self, name: str) -> None:
-        if name not in self._intermediates:
-            return
-        with self._write_lock:
-            self._connection.execute(f"DROP TABLE IF EXISTS {name}")
-            self._commit()
-            self._intermediates.pop(name, None)
-
-    def set_intermediate_rows(self, name: str, rows: Iterable[Row]) -> int:
-        """Replace the contents of an intermediate relation; returns count.
-
-        The delete and the insert commit together — once per swap, or once
-        per enclosing :meth:`transaction` when the recursion loop brackets
-        a whole frontier level.
-        """
-        if name not in self._intermediates:
-            raise ExecutionError(f"unknown intermediate relation {name!r}")
-        attributes = self._intermediates[name]
-        placeholders = ", ".join("?" * len(attributes))
-        data = [tuple(row) for row in rows]
-
-        def attempt() -> None:
-            with self._mutate():
-                cursor = self._connection.cursor()
-                cursor.execute(f"DELETE FROM {name}")
-                cursor.executemany(
-                    f"INSERT INTO {name} VALUES ({placeholders})", data
-                )
-                self._commit()
-
-        self._run_write(f"setrel {name}", attempt)
-        return len(data)
-
-    # -- materialized view tables ------------------------------------------------
-
-    #: Reserved name prefix so materialized tables can never collide with
-    #: base relations or setrel intermediates.
-    MATERIALIZED_PREFIX = "mv_"
-
-    #: One row per materialized table: the maintenance generation last
-    #: committed to it.  Written in the *same transaction* as the delta
-    #: it stamps, so a stamp that disagrees with the view's in-memory
-    #: generation is proof of torn maintenance.
-    GENERATION_TABLE = "mv__generation_stamps"
-
-    _GENERATION_UPSERT = (
-        "INSERT INTO {table} (view_table, generation) VALUES (?, ?) "
-        "ON CONFLICT(view_table) DO UPDATE SET generation = excluded.generation"
-    )
-
-    def create_materialized(self, name: str, attributes: Sequence[str]) -> None:
-        """Create (or reset) a materialized count table for one view.
-
-        Columns follow the view's SELECT list (typed from the catalog when
-        the attribute is known, TEXT otherwise) plus a ``support`` count —
-        the number of derivations of the row, maintained by the counting
-        algorithm so deletions know when a row loses its last derivation.
-        """
-        if not name.startswith(self.MATERIALIZED_PREFIX):
-            raise SchemaError(
-                f"materialized table {name!r} must use the "
-                f"{self.MATERIALIZED_PREFIX!r} prefix"
-            )
-        if self.schema.has_relation(name):
-            raise SchemaError(f"{name!r} clashes with a base relation")
-        labels = [f"c{i}_{attribute}" for i, attribute in enumerate(attributes)]
-        column_defs = ", ".join(
-            f"{label} {self.schema.attribute(attribute).sql_type}"
-            if attribute in self.schema.attribute_names
-            else f"{label} TEXT"
-            for label, attribute in zip(labels, attributes)
-        )
-        with self._mutate():
-            cursor = self._connection.cursor()
-            cursor.execute(f"DROP TABLE IF EXISTS {name}")
-            cursor.execute(
-                f"CREATE TABLE {name} ({column_defs}, support INTEGER NOT NULL)"
-            )
-            cursor.execute(
-                f"CREATE UNIQUE INDEX idx_{name}_row ON {name} "
-                f"({', '.join(labels)})"
-            )
-            cursor.execute(
-                f"CREATE TABLE IF NOT EXISTS {self.GENERATION_TABLE} "
-                "(view_table TEXT PRIMARY KEY, generation INTEGER NOT NULL)"
-            )
-            cursor.execute(
-                self._GENERATION_UPSERT.format(table=self.GENERATION_TABLE),
-                (name, 0),
-            )
-            self._commit()
-            self._materialized[name] = tuple(labels)
-
-    def drop_materialized(self, name: str) -> None:
-        if name not in self._materialized:
-            return
-        with self._mutate():
-            self._connection.execute(f"DROP TABLE IF EXISTS {name}")
-            self._connection.execute(
-                f"DELETE FROM {self.GENERATION_TABLE} WHERE view_table = ?",
-                (name,),
-            )
-            self._commit()
-            self._materialized.pop(name, None)
-
-    def set_materialized_rows(
-        self,
-        name: str,
-        counted_rows: Iterable[tuple[Row, int]],
-        generation: Optional[int] = None,
-    ) -> int:
-        """Replace a materialized table's contents with (row, support) pairs.
-
-        ``generation`` (when given) stamps the maintenance generation in
-        the same commit as the rewrite, so a torn refresh is detectable.
-        """
-        labels = self._materialized_labels(name)
-        placeholders = ", ".join("?" * (len(labels) + 1))
-        data = [tuple(row) + (support,) for row, support in counted_rows]
-
-        def attempt() -> None:
-            with self._mutate():
-                cursor = self._connection.cursor()
-                cursor.execute(f"DELETE FROM {name}")
-                cursor.executemany(
-                    f"INSERT INTO {name} VALUES ({placeholders})", data
-                )
-                if generation is not None:
-                    cursor.execute(
-                        self._GENERATION_UPSERT.format(
-                            table=self.GENERATION_TABLE
-                        ),
-                        (name, generation),
-                    )
-                self._commit()
-
-        self._run_write(f"materialize {name}", attempt)
-        return len(data)
-
-    def apply_materialized_delta(
-        self,
-        name: str,
-        changes: Iterable[tuple[Row, int]],
-        generation: Optional[int] = None,
-    ) -> int:
-        """Apply per-row support deltas in one transaction.
-
-        Each ``(row, delta)`` adjusts the row's support count: missing
-        rows are inserted, rows whose support reaches zero are deleted.
-        The whole batch commits once (or rolls back together), together
-        with the ``generation`` stamp when one is given.  Returns the
-        number of rows touched.
-        """
-        labels = self._materialized_labels(name)
-        match = " AND ".join(f"{label} = ?" for label in labels)
-        placeholders = ", ".join("?" * (len(labels) + 1))
-        touched = 0
-        fault = self._fault_point
-        with self.transaction():
-            for row, delta in changes:
-                if fault is not None:
-                    # mid-transaction fault injection: a failure here
-                    # must roll the whole delta back (counts never torn)
-                    fault("delta", name)
-                if delta == 0:
-                    continue
-                values = tuple(row)
-                cursor = self._connection.execute(
-                    f"UPDATE {name} SET support = support + ? WHERE {match}",
-                    (delta,) + values,
-                )
-                if cursor.rowcount == 0:
-                    if delta < 0:
-                        raise ExecutionError(
-                            f"materialized {name}: negative support for {row!r}"
-                        )
-                    self._connection.execute(
-                        f"INSERT INTO {name} VALUES ({placeholders})",
-                        values + (delta,),
-                    )
-                else:
-                    self._connection.execute(
-                        f"DELETE FROM {name} WHERE support <= 0 AND {match}",
-                        values,
-                    )
-                touched += 1
-            if generation is not None:
-                self._connection.execute(
-                    self._GENERATION_UPSERT.format(table=self.GENERATION_TABLE),
-                    (name, generation),
-                )
-        return touched
-
-    def materialized_generation(self, name: str) -> Optional[int]:
-        """The maintenance generation last committed for ``name`` (or None)."""
-        try:
-            rows = self._run_read(
-                f"SELECT generation FROM {self.GENERATION_TABLE} "
-                "WHERE view_table = ?",
-                (name,),
-            )
-        except (sqlite3.Error, ExecutionError):
-            return None  # stamp table absent: nothing stamped yet
-        return rows[0][0] if rows else None
-
-    def fetch_materialized(self, name: str) -> list[Row]:
-        """The distinct rows of a materialized view (support > 0)."""
-        labels = self._materialized_labels(name)
-        return self.execute(
-            f"SELECT {', '.join(labels)} FROM {name} WHERE support > 0"
-        )
-
-    def materialized_select(
-        self, name: str, bound_columns: Sequence[int]
-    ) -> str:
-        """Prepared text selecting rows matching ``?`` at the bound columns."""
-        labels = self._materialized_labels(name)
-        text = f"SELECT {', '.join(labels)} FROM {name} WHERE support > 0"
-        for column in bound_columns:
-            text += f" AND {labels[column]} = ?"
-        return text
-
-    def _materialized_labels(self, name: str) -> tuple[str, ...]:
-        labels = self._materialized.get(name)
-        if labels is None:
-            raise ExecutionError(f"unknown materialized table {name!r}")
-        return labels
-
-    # -- interval-index tables (nested-set hierarchy labelings) --------------------
-
-    #: Reserved name prefix for interval (pre/post nested-set) labelings,
-    #: disjoint from base relations, setrel intermediates, and ``mv_``
-    #: materialized tables.
-    INTERVAL_PREFIX = "ivl_"
-
-    def create_interval_index(self, name: str) -> None:
-        """Create (or reset) an interval-labeling table for one hierarchy.
-
-        One row per node: ``(node, pre, post, cyc)``.  The ``node``
-        column deliberately has *no* declared type — BLOB affinity stores
-        integer and text endpoint values exactly as bound, so probe
-        results demultiplex by Python equality.  The composite
-        ``(pre, post, node)`` index is the accelerator: a descendant
-        probe is one range scan over it, *covering* — the trailing
-        ``node`` column means the probe never touches the table.  ``cyc``
-        marks nodes carrying a self-loop edge (the org generator's
-        self-managed top department), which the tree labels cannot
-        express.
-        """
-        if not name.startswith(self.INTERVAL_PREFIX):
-            raise SchemaError(
-                f"interval table {name!r} must use the "
-                f"{self.INTERVAL_PREFIX!r} prefix"
-            )
-        if self.schema.has_relation(name):
-            raise SchemaError(f"{name!r} clashes with a base relation")
-        with self._mutate():
-            cursor = self._connection.cursor()
-            cursor.execute(f"DROP TABLE IF EXISTS {name}")
-            cursor.execute(
-                f"CREATE TABLE {name} (node PRIMARY KEY, "
-                "pre INTEGER NOT NULL, post INTEGER NOT NULL, "
-                "cyc INTEGER NOT NULL DEFAULT 0)"
-            )
-            cursor.execute(
-                f"CREATE INDEX idx_{name}_pre_post ON {name} (pre, post, node)"
-            )
-            cursor.execute(
-                f"CREATE TABLE IF NOT EXISTS {self.GENERATION_TABLE} "
-                "(view_table TEXT PRIMARY KEY, generation INTEGER NOT NULL)"
-            )
-            cursor.execute(
-                self._GENERATION_UPSERT.format(table=self.GENERATION_TABLE),
-                (name, 0),
-            )
-            self._commit()
-            self._intervals[name] = ("node", "pre", "post", "cyc")
-
-    def drop_interval_index(self, name: str) -> None:
-        if name not in self._intervals:
-            return
-        with self._mutate():
-            self._connection.execute(f"DROP TABLE IF EXISTS {name}")
-            self._connection.execute(
-                f"DELETE FROM {self.GENERATION_TABLE} WHERE view_table = ?",
-                (name,),
-            )
-            self._commit()
-            self._intervals.pop(name, None)
-
-    def _interval_check(self, name: str) -> None:
-        if name not in self._intervals:
-            raise ExecutionError(f"unknown interval table {name!r}")
-
-    def set_interval_rows(
-        self,
-        name: str,
-        rows: Iterable[Row],
-        generation: Optional[int] = None,
-    ) -> int:
-        """Replace a labeling with ``(node, pre, post, cyc)`` rows.
-
-        The Python-fallback relabel path: labels computed client-side
-        cross the wire once, and the rewrite plus the ``generation``
-        stamp commit together (a torn relabel is detectable).
-        """
-        self._interval_check(name)
-        data = [tuple(row) for row in rows]
-
-        def attempt() -> None:
-            with self._mutate():
-                cursor = self._connection.cursor()
-                cursor.execute(f"DELETE FROM {name}")
-                cursor.executemany(
-                    f"INSERT INTO {name} (node, pre, post, cyc) "
-                    "VALUES (?, ?, ?, ?)",
-                    data,
-                )
-                if generation is not None:
-                    cursor.execute(
-                        self._GENERATION_UPSERT.format(
-                            table=self.GENERATION_TABLE
-                        ),
-                        (name, generation),
-                    )
-                self._commit()
-
-        self._run_write(f"interval relabel {name}", attempt)
-        return len(data)
-
-    def relabel_interval(
-        self,
-        name: str,
-        select_text: str,
-        generation: Optional[int] = None,
-    ) -> int:
-        """In-backend bulk relabel: ``DELETE`` + ``INSERT … SELECT`` once.
-
-        ``select_text`` is a (possibly ``WITH RECURSIVE``-prefixed)
-        SELECT producing ``(node, pre, post, cyc)`` rows — the
-        window-function labeling statement — so the labels never cross
-        the wire.  Returns the number of rows inserted; the caller
-        compares it against the expected node count to detect an
-        incomplete walk.
-        """
-        self._interval_check(name)
-        statement = f"INSERT INTO {name} (node, pre, post, cyc) {select_text}"
-
-        def attempt() -> int:
-            with self._mutate():
-                cursor = self._connection.cursor()
-                cursor.execute(f"DELETE FROM {name}")
-                cursor.execute(statement)
-                count = cursor.rowcount
-                if generation is not None:
-                    cursor.execute(
-                        self._GENERATION_UPSERT.format(
-                            table=self.GENERATION_TABLE
-                        ),
-                        (name, generation),
-                    )
-                self._commit()
-                return count
-
-        return self._run_write(f"interval relabel {name}", attempt)
-
-    def apply_interval_delta(
-        self,
-        name: str,
-        upserts: Iterable[Row] = (),
-        deletes: Iterable[Value] = (),
-        generation: Optional[int] = None,
-    ) -> int:
-        """Local label maintenance: upsert placed nodes, tombstone removed ones.
-
-        Gap-based labels absorb a leaf attach as one ``(node, pre, post,
-        cyc)`` upsert inside the parent's gap; a leaf delete just drops
-        the row (its interval becomes reusable gap).  The whole delta and
-        the ``generation`` stamp commit together.
-        """
-        self._interval_check(name)
-        placed = [tuple(row) for row in upserts]
-        removed = [(node,) for node in deletes]
-
-        def attempt() -> None:
-            with self._mutate():
-                cursor = self._connection.cursor()
-                if removed:
-                    cursor.executemany(
-                        f"DELETE FROM {name} WHERE node = ?", removed
-                    )
-                if placed:
-                    cursor.executemany(
-                        f"INSERT INTO {name} (node, pre, post, cyc) "
-                        "VALUES (?, ?, ?, ?) ON CONFLICT(node) DO UPDATE SET "
-                        "pre = excluded.pre, post = excluded.post, "
-                        "cyc = excluded.cyc",
-                        placed,
-                    )
-                if generation is not None:
-                    cursor.execute(
-                        self._GENERATION_UPSERT.format(
-                            table=self.GENERATION_TABLE
-                        ),
-                        (name, generation),
-                    )
-                self._commit()
-
-        self._run_write(f"interval delta {name}", attempt)
-        return len(placed) + len(removed)
-
-    def interval_generation(self, name: str) -> Optional[int]:
-        """The labeling generation last committed for ``name`` (or None)."""
-        return self.materialized_generation(name)
-
-    # -- row-level DML (maintenance deltas) ---------------------------------------
-
-    def delete_row(self, relation_name: str, row: Sequence[Value]) -> int:
-        """Delete tuples equal to ``row`` from a base relation; returns count."""
+    def _checked_relation(self, relation_name: str, rows: Iterable) -> Relation:
+        """The catalog entry, after checking every row has its arity."""
         relation = self.schema.relation(relation_name)
-        if len(row) != relation.arity:
-            raise ExecutionError(
-                f"{relation_name}: expected {relation.arity} values, got {len(row)}"
-            )
-        match = " AND ".join(
-            f"{attribute} = ?" for attribute in relation.attributes
-        )
-
-        def attempt() -> int:
-            with self._mutate():
-                cursor = self._connection.execute(
-                    f"DELETE FROM {relation_name} WHERE {match}", tuple(row)
-                )
-                self._commit()
-                return cursor.rowcount
-
-        count = self._run_write(f"delete {relation_name}", attempt)
-        self._note_mutation(relation_name)
-        return count
-
-    # -- transactions -----------------------------------------------------------
-
-    @contextmanager
-    def transaction(self) -> Iterator[None]:
-        """Group several statements into one commit (nestable).
-
-        Inner commits are suppressed; the outermost exit commits once, or
-        rolls back if the block raised.  The whole bracket holds the
-        backend write mutex, so two threads' transactions serialize
-        instead of interleaving statements on the owning connection.
-        """
-        with self._write_lock:
-            self._txn_depth += 1
-            self._txn_thread = threading.get_ident()
-            try:
-                yield
-            except BaseException:
-                self._txn_depth -= 1
-                if self._txn_depth == 0:
-                    self._txn_thread = None
-                    self._connection.rollback()
-                raise
-            else:
-                self._txn_depth -= 1
-                if self._txn_depth == 0:
-                    self._txn_thread = None
-                self._commit()
-
-    def _commit(self) -> None:
-        if self._txn_depth == 0:
-            self._connection.commit()
-            self.stats.incr("commits")
-
-    # -- loading ---------------------------------------------------------------
-
-    def insert_rows(self, relation_name: str, rows: Iterable[Sequence[Value]]) -> int:
-        """Bulk-load tuples into a base relation; returns the count."""
-        relation = self.schema.relation(relation_name)
-        placeholders = ", ".join("?" * relation.arity)
-        data = [tuple(row) for row in rows]
-        for row in data:
+        for row in rows:
             if len(row) != relation.arity:
                 raise ExecutionError(
                     f"{relation_name}: expected {relation.arity} values, got {len(row)}"
                 )
-        def attempt() -> None:
-            with self._mutate():
-                cursor = self._connection.cursor()
-                cursor.executemany(
-                    f"INSERT INTO {relation_name} VALUES ({placeholders})", data
-                )
-                self._commit()
+        return relation
 
-        self._run_write(f"insert {relation_name}", attempt)
-        self._note_mutation(relation_name)
+    def insert_rows(self, relation_name: str, rows: Iterable[Sequence[Value]]) -> int:
+        """Bulk-load tuples into a base relation; returns the count."""
+        data = [tuple(row) for row in rows]
+        relation = self._checked_relation(relation_name, data)
+        statement = (
+            f"INSERT INTO {relation_name} "
+            f"VALUES ({', '.join('?' * relation.arity)})"
+        )
+        self.write(
+            f"insert {relation_name}",
+            lambda cursor: cursor.executemany(statement, data),
+        )
+        self._statistics.note_mutation(relation_name)
         return len(data)
+
+    def delete_row(self, relation_name: str, row: Sequence[Value]) -> int:
+        """Delete tuples equal to ``row`` from a base relation; returns count."""
+        relation = self._checked_relation(relation_name, [row])
+        statement = (
+            f"DELETE FROM {relation_name} WHERE {row_match(relation.attributes)}"
+        )
+        count = self.write(
+            f"delete {relation_name}",
+            lambda cursor: cursor.execute(statement, tuple(row)).rowcount,
+        )
+        self._statistics.note_mutation(relation_name)
+        return count
 
     def clear_relation(self, relation_name: str) -> None:
         self.schema.relation(relation_name)  # validates
-
-        def attempt() -> None:
-            with self._mutate():
-                self._connection.execute(f"DELETE FROM {relation_name}")
-                self._commit()
-
-        self._run_write(f"clear {relation_name}", attempt)
-        self._note_mutation(relation_name)
+        self.write(
+            f"clear {relation_name}",
+            lambda cursor: cursor.execute(f"DELETE FROM {relation_name}"),
+        )
+        self._statistics.note_mutation(relation_name)
 
     def row_count(self, relation_name: str) -> int:
-        rows = self._run_read(f"SELECT COUNT(*) FROM {relation_name}")
-        return rows[0][0]
+        return self.read(f"SELECT COUNT(*) FROM {relation_name}")[0][0]
 
-    # -- relation statistics (the planner's cardinality service) -------------------
-
-    def _note_mutation(self, relation_name: str) -> None:
-        """Advance one relation's data generation (its statistics go stale)."""
-        with self._stats_lock:
-            self._data_generations[relation_name] = (
-                self._data_generations.get(relation_name, 0) + 1
-            )
-
-    def data_generation(self, relation_name: str) -> int:
-        """The relation's mutation counter (statistics-freshness key)."""
-        with self._stats_lock:
-            return self._data_generations.get(relation_name, 0)
-
-    def relation_statistics(self, relation_name: str) -> RelationStatistics:
-        """Row and distinct-value counts for one base relation, cached.
-
-        The profile is recomputed only when *this relation's* data
-        generation moved since it was taken — a steady ask stream pays
-        one dictionary lookup, not a COUNT scan, per planning decision,
-        and churn on one relation never invalidates another's profile.
-        Each refresh also runs ``ANALYZE <relation>`` so the substrate's
-        own planner (``sqlite_stat1``) sees the same freshness the
-        coupling planner does.  Refreshes and generation-fresh hits are
-        counted in ``stats.stats_refreshes`` / ``stats.stats_hits``.
-        """
-        relation = self.schema.relation(relation_name)  # validates
-        with self._stats_lock:
-            generation = self._data_generations.get(relation_name, 0)
-            cached = self._stats_cache.get(relation_name)
-        if cached is not None and cached.generation == generation:
-            self.stats.incr("stats_hits")
-            return cached
-        selects = ", ".join(
-            ["COUNT(*)"]
-            + [f"COUNT(DISTINCT {a})" for a in relation.attributes]
-        )
-        row = self._run_read(f"SELECT {selects} FROM {relation_name}")[0]
-        profile = RelationStatistics(
-            relation=relation_name,
-            row_count=row[0],
-            distinct={
-                attribute: row[i + 1]
-                for i, attribute in enumerate(relation.attributes)
-            },
-            generation=generation,
-        )
-        with self._write_lock:
-            try:
-                self._connection.execute(f"ANALYZE {relation_name}")
-            except sqlite3.Error:
-                pass  # statistics stay usable even if ANALYZE is refused
-            self._commit()
-        with self._stats_lock:
-            self._stats_cache[relation_name] = profile
-        self.stats.incr("stats_refreshes")
-        return profile
+    def fetch_relation(self, relation_name: str) -> list[Row]:
+        """All tuples of a base relation (used by the merge procedure)."""
+        relation = self.schema.relation(relation_name)
+        columns = ", ".join(relation.attributes)
+        return self.execute(f"SELECT {columns} FROM {relation_name}")
 
     # -- query execution -----------------------------------------------------------
 
@@ -1382,78 +427,49 @@ class ExternalDatabase:
             raise ExecutionError("cannot prepare a provably-empty query")
         return self.render(query)
 
+    def execute(
+        self, query: Union[SqlQuery, UnionQuery, RecursiveQuery, str]
+    ) -> list[Row]:
+        """Run a generated query and fetch all result tuples."""
+        if isinstance(query, SqlQuery) and query.is_empty:
+            return []  # proven empty: never hits the DBMS
+        if isinstance(query, UnionQuery) and not query.live_branches:
+            return []
+        return self._execute(self.prepare(query), (), False)
+
     def execute_prepared(
         self, text: str, parameters: Sequence[Value] = ()
     ) -> list[Row]:
-        """Execute prepared SQL text with positional bind parameters.
+        """Execute prepared SQL text with positional bind parameters."""
+        return self._execute(text, parameters, True)
 
-        SELECTs run on the calling thread's pooled read connection (the
-        owning connection inside an open transaction); anything else goes
-        through the owning write connection under the write mutex.
+    def _execute(
+        self, text: str, parameters: Sequence[Value], prepared: bool
+    ) -> list[Row]:
+        """The one routed-and-observed statement execution.
+
+        SELECTs go to :meth:`read` (the calling thread's pooled reader,
+        or the owning connection inside an open transaction); anything
+        else is one :meth:`write` unit on the owning connection.
         """
         observer = self.observer
         started = time.perf_counter() if observer is not None else 0.0
         try:
             if self._is_read_statement(text):
-                rows = self._run_read(text, parameters)
+                rows = self.read(text, parameters)
             else:
-                rows = self._run_write(
-                    text, lambda: self._owning_fetch(text, tuple(parameters))
+                params = tuple(parameters)
+                rows = self.write(
+                    text, lambda cursor: cursor.execute(text, params).fetchall()
                 )
         except sqlite3.Error as error:
             raise ExecutionError(
-                f"SQLite rejected prepared {text!r}: {error}"
+                f"SQLite rejected {'prepared ' if prepared else ''}{text!r}: {error}"
             ) from error
-        self.stats.record(text, len(rows), prepared=True)
+        self.stats.record(len(rows), prepared)
         if observer is not None:
             observer(text, len(rows), time.perf_counter() - started)
         return rows
-
-    def _owning_fetch(self, text: str, parameters: tuple) -> list[Row]:
-        """One guarded statement on the owning write connection."""
-        with self._mutate():
-            with self._deadline_guard(self._connection):
-                return self._connection.execute(text, parameters).fetchall()
-
-    def execute(self, query: Union[SqlQuery, UnionQuery, str]) -> list[Row]:
-        """Run a generated query and fetch all result tuples."""
-        if isinstance(query, SqlQuery):
-            if query.is_empty:
-                return []  # proven empty: never hits the DBMS
-            text = self.render(query)
-        elif isinstance(query, UnionQuery):
-            if not query.live_branches:
-                return []
-            text = self.render(query)
-        elif isinstance(query, RecursiveQuery):
-            text = self.render(query)
-        else:
-            text = query
-        observer = self.observer
-        started = time.perf_counter() if observer is not None else 0.0
-        try:
-            if self._is_read_statement(text):
-                rows = self._run_read(text)
-            else:
-                rows = self._run_write(
-                    text, lambda: self._owning_fetch(text, ())
-                )
-        except sqlite3.Error as error:
-            raise ExecutionError(f"SQLite rejected {text!r}: {error}") from error
-        self.stats.record(text, len(rows))
-        if observer is not None:
-            observer(text, len(rows), time.perf_counter() - started)
-        return rows
-
-    def execute_scalar(self, sql_text: str) -> Value:
-        rows = self.execute(sql_text)
-        return rows[0][0] if rows else None
-
-    def fetch_relation(self, relation_name: str) -> list[Row]:
-        """All tuples of a base relation (used by the merge procedure)."""
-        relation = self.schema.relation(relation_name)
-        columns = ", ".join(relation.attributes)
-        return self.execute(f"SELECT {columns} FROM {relation_name}")
 
     def query_plan(
         self, text: str, parameters: Sequence[Value] = ()
@@ -1488,33 +504,13 @@ class ExternalDatabase:
             ) from error
         return [str(row[-1]) for row in rows]
 
-    @property
-    def policy(self) -> FaultPolicy:
-        """The fault policy governing this backend's retry behaviour."""
-        return self._policy
-
-    def breaker_states(self) -> dict:
-        """Current circuit-breaker states (``session.stats()`` surfaces this)."""
-        return {
-            "read": self._read_breaker.state,
-            "write": self._write_breaker.state,
-        }
-
     def close(self) -> None:
-        with self._pool_lock:
-            self._closed = True
-            self._pool_cond.notify_all()  # waiters wake and see closed
-            for finalizer in self._reader_finalizers:
-                finalizer.detach()
-            self._reader_finalizers.clear()
-            for connection in self._reader_connections:
-                self._optimize_connection(connection)
-                try:
-                    connection.close()
-                except sqlite3.Error:
-                    pass  # a reader mid-close loses the race harmlessly
-            self._reader_connections.clear()
-        self._optimize_connection(self._connection)
+        """Close every connection; idempotent."""
+        if self._closed:
+            return
+        self._closed = True
+        self._pool.close()
+        self._pool.optimize(self._connection)
         self._connection.close()
 
     def __enter__(self) -> "ExternalDatabase":

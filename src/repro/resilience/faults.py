@@ -23,6 +23,7 @@ import random
 import sqlite3
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 
 from ..dbms.sqlite_backend import ExternalDatabase
@@ -197,33 +198,23 @@ class FaultInjectingBackend(ExternalDatabase):
         event = self.schedule.draw(klass)
         if event is None:
             return
-        resilience = getattr(self, "resilience", None)
-        if resilience is not None:
-            resilience.incr("faults_injected")
+        self.resilience.incr("faults_injected")
         if event.kind == "latency":
             time.sleep(self.schedule.latency)
             return
         if event.kind == "poison":
-            self._poison_current_reader()
+            # Close the calling thread's pooled reader in place.  It
+            # stays registered in the pool — the *next* use fails with
+            # "Cannot operate on a closed database", which is the
+            # classification the retirement path keys on.  No-op when
+            # the thread has no reader yet (nothing to poison).
+            connection = self._pool.current()
+            if connection is not None:
+                with suppress(sqlite3.Error):
+                    connection.close()
             return
         if event.kind in ("locked", "write_locked"):
             raise sqlite3.OperationalError("database is locked")
         # io_error / delta_fail / cqa_probe / cqa_rewrite: a transient
         # device hiccup on that statement class
         raise sqlite3.OperationalError("disk I/O error")
-
-    def _poison_current_reader(self) -> None:
-        """Close the calling thread's pooled reader in place.
-
-        The connection stays registered in the pool — the *next* use
-        fails with "Cannot operate on a closed database", which is the
-        classification the retirement path keys on.  No-op when the
-        thread has no reader yet (nothing to poison).
-        """
-        connection = getattr(self._readers, "connection", None)
-        if connection is None:
-            return
-        try:
-            connection.close()
-        except sqlite3.Error:
-            pass

@@ -184,12 +184,11 @@ class TestSessionAsk:
         assert {a["X"] for a in answers} == {subordinate}
 
     def test_empty_result_via_contradiction(self, session):
+        sent = session.database.stats.queries_executed
         answers = session.ask("empl(E, N, S, D), less(S, 2000)")
         assert answers == []
         # The contradiction was detected locally: no query was sent.
-        assert all(
-            "2000" not in s for s in session.database.stats.statements
-        )
+        assert session.database.stats.queries_executed == sent
 
     def test_same_manager_roundtrip(self, session, org):
         employee = org.employees[0].nam

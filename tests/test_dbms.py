@@ -107,7 +107,7 @@ class TestExternalDatabase:
         rows = database.execute("SELECT nam FROM intermediate")
         assert rows == [("smiley",)]
         database.set_intermediate_rows("intermediate", [("a",), ("b",)])
-        assert database.execute_scalar("SELECT COUNT(*) FROM intermediate") == 2
+        assert database.execute("SELECT COUNT(*) FROM intermediate")[0][0] == 2
         database.drop_intermediate("intermediate")
         with pytest.raises(ExecutionError):
             database.execute("SELECT * FROM intermediate")

@@ -169,10 +169,10 @@ class TestChurn:
 
     def test_generation_stamp_moves_with_the_labeling(self, session, org):
         index = warm_index(session, org)
-        before = session.database.interval_generation(index.table)
+        before = session.database.materialized_generation(index.table)
         hire(session, 41003, "ivlhire3", org.departments[1].dno)
         session.ask("works_for(ivlhire3, Y)")
-        assert session.database.interval_generation(index.table) > before
+        assert session.database.materialized_generation(index.table) > before
 
 
 # -- demotion --------------------------------------------------------------------------

@@ -428,15 +428,15 @@ class TestWriteExceptionSafety:
     def test_failed_statement_stages_nothing(self):
         with make_backend() as database:
 
-            def attempt():
-                with database._mutate():
-                    database._connection.execute(
-                        "INSERT INTO empl VALUES (7, 'ghost', 1, 1)"
-                    )
-                    raise sqlite3.OperationalError("no such table: synthetic")
+            def body(cursor):
+                cursor.execute("INSERT INTO empl VALUES (7, 'ghost', 1, 1)")
+                raise sqlite3.OperationalError("no such table: synthetic")
 
             with pytest.raises(sqlite3.OperationalError):
-                database._run_write("hammer", attempt)
+                database.write("hammer", body)
+            with pytest.raises(sqlite3.OperationalError):
+                with database.transaction() as cursor:
+                    body(cursor)
             # The staged row was rolled back on the spot: a later commit
             # by an unrelated write must not resurrect it.
             database.insert_rows("dept", [(50, "d50", 1)])
@@ -707,18 +707,15 @@ class TestQuarantineAndHealing:
             database = session.database
             # Simulate a torn maintenance round: the backend stamp moved
             # without the in-memory generation following.
-
-            def bump_stamp():
-                with database._mutate():
-                    database._connection.execute(
-                        f"UPDATE {ExternalDatabase.GENERATION_TABLE} "
-                        f"SET generation = generation + 7 "
-                        f"WHERE view_table = ?",
-                        (view.backend_table,),
-                    )
-                    database._commit()
-
-            database._run_write("bump stamp", bump_stamp)
+            database.write(
+                "bump stamp",
+                lambda cursor: cursor.execute(
+                    f"UPDATE {ExternalDatabase.GENERATION_TABLE} "
+                    f"SET generation = generation + 7 "
+                    f"WHERE view_table = ?",
+                    (view.backend_table,),
+                ),
+            )
             assert not view.verify_generation()
 
             def failing_delta(delta):
