@@ -149,7 +149,7 @@ def _run_workload(session, org):
     names = [e.nam for e in org.employees]
     root = names[0]
     out = []
-    session.materialize.view("works_dir_for(X, Y)", storage="backend")
+    session.materialize.view("works_dir_for(X, Y)")
     out.append(answer_set(session.ask("works_dir_for(X, Y)")))
     out.append(answer_set(session.ask(f"works_dir_for(X, {root})")))
     session.assert_fact("empl", 9001, "emp99001", 20000, 1)

@@ -29,7 +29,7 @@ from .coupling import (
 from .dbcl import DbclPredicate, TableauBuilder, format_dbcl, parse_dbcl
 from .dbms import ExternalDatabase, OrgHierarchy, generate_org, load_org
 from .errors import ReproError
-from .materialize import MaterializeManager, MaterializedView, StoragePolicy
+from .materialize import MaterializeManager, MaterializedView
 from .metaevaluate import Metaevaluator, metaevaluate
 from .optimize import SimplificationResult, SimplifyOptions, simplify
 from .prolog import Engine, KnowledgeBase
@@ -62,7 +62,6 @@ __all__ = [
     "ReproError",
     "MaterializeManager",
     "MaterializedView",
-    "StoragePolicy",
     "Metaevaluator",
     "metaevaluate",
     "SimplificationResult",

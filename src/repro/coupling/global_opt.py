@@ -904,10 +904,5 @@ class ResultCache:
         """Drop every entry whose predicate reads ``relation``."""
         self.invalidate((relation,))
 
-    def relations_of(self, predicate: DbclPredicate) -> frozenset[str]:
-        """The base relations a stored entry for ``predicate`` depends on."""
-        with self._index_lock:
-            return self._relations_of.get(predicate.canonical_key(), frozenset())
-
     def __len__(self) -> int:
         return len(self._entries)

@@ -63,10 +63,6 @@ class BatchReport:
     statements_reused: int = 0
 
     @property
-    def baseline_queries(self) -> int:
-        return self.batch_size
-
-    @property
     def queries_saved(self) -> int:
         return self.batch_size - self.queries_issued
 

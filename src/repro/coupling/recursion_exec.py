@@ -145,10 +145,6 @@ class RecursionStats:
     def total_intermediate_tuples(self) -> int:
         return sum(self.frontier_sizes)
 
-    @property
-    def max_intermediate_size(self) -> int:
-        return max(self.frontier_sizes, default=0)
-
 
 @dataclass
 class RecursionRun:
@@ -965,10 +961,6 @@ class IncrementalClosure:
     def pairs(self) -> set[tuple[str, str]]:
         """The current closure (a live reference; treat as read-only)."""
         return self._pairs
-
-    @property
-    def edge_count(self) -> int:
-        return len(self._edges)
 
     def __len__(self) -> int:
         return len(self._pairs)

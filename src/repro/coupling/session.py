@@ -110,7 +110,6 @@ class PrologDbSession:
         optimize: bool = True,
         cache_policy: Optional[CachePolicy] = None,
         plan_cache: bool = True,
-        storage_policy=None,
         tracing: bool = True,
         trace_ring: int = 1024,
         slow_query_seconds: float = 0.25,
@@ -177,8 +176,6 @@ class PrologDbSession:
             metaevaluator=self.metaevaluator,
             merger=self.merger,
             plans=self.plans if plan_cache else None,
-            result_cache=self.cache,
-            policy=storage_policy,
             optimize=optimize,
         )
         # The one ask pipeline (stage diagram: :mod:`.driver`).

@@ -315,10 +315,6 @@ class DbclPredicate:
             symbols.update(comparison.symbols())
         return symbols
 
-    def variable_symbols(self) -> list[JoinableSymbol]:
-        """All distinct ``t_``/``v_`` symbols, in first-occurrence order."""
-        return [s for s in self.occurrences() if is_variable_symbol(s)]
-
     def var_symbols(self) -> list[VarSymbol]:
         """All distinct ``v_`` symbols, in first-occurrence order."""
         return [s for s in self.occurrences() if isinstance(s, VarSymbol)]
@@ -414,14 +410,6 @@ class DbclPredicate:
         dropped = set(indices)
         remaining = [row for i, row in enumerate(self.rows) if i not in dropped]
         return self.replace(rows=remaining, validate=validate)
-
-    def drop_comparisons(self, indices: Iterable[int]) -> "DbclPredicate":
-        """A copy without the comparisons at ``indices``."""
-        dropped = set(indices)
-        remaining = [
-            c for i, c in enumerate(self.comparisons) if i not in dropped
-        ]
-        return self.replace(comparisons=remaining)
 
     def dedupe_rows(self) -> "DbclPredicate":
         """Remove exactly-identical rows (the ``A AND A <=> A`` rule)."""

@@ -182,17 +182,6 @@ def is_constant_symbol(symbol: Symbol) -> bool:
     return isinstance(symbol, ConstSymbol)
 
 
-def symbol_sort_key(symbol: Symbol) -> tuple[int, str]:
-    """A deterministic ordering over symbols (for canonical output)."""
-    if isinstance(symbol, Star):
-        return (0, "")
-    if isinstance(symbol, ConstSymbol):
-        return (1, str(symbol.value))
-    if isinstance(symbol, TargetSymbol):
-        return (2, symbol.name)
-    return (3, str(symbol))
-
-
 def compare_values(left: Value, right: Value) -> int:
     """Total order over constants matching SQLite's comparison semantics.
 

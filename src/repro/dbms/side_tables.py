@@ -1,11 +1,12 @@
-"""The three reserved-name table families kept beside the base relations:
+"""The two reserved-name table families kept beside the base relations:
 the *intermediate relations* the recursion strategies create with
-``setrel`` (paper section 7), the ``mv_`` materialized count tables (the
-physical half of the paper's "store query results for future reference"
-storage decision) and the ``ivl_`` interval labelings.
+``setrel`` (paper section 7) and the ``ivl_`` interval labelings — each
+the one home of its derived relation (the setrel frontier; the pre/post
+labels).  Maintained-view support counts are not here: they live in the
+session's memory (:mod:`repro.materialize.views`).
 
-Every family is created, replaced, delta-maintained and dropped the same
-way, so :class:`SideTables` does each of those once.  It is a mixin of
+Both families are created and replaced the same way, so
+:class:`SideTables` does each of those once.  It is a mixin of
 :class:`~repro.dbms.sqlite_backend.ExternalDatabase` written against the
 core's ``read`` / ``write`` / ``transaction`` primitives only: it never
 touches a connection, a lock or a commit.
@@ -31,24 +32,19 @@ def row_match(columns: Sequence[str]) -> str:
 
 
 class SideTables:
-    """Intermediate, materialized and interval tables of one backend."""
-
-    #: Reserved name prefix so materialized tables can never collide with
-    #: base relations or setrel intermediates.
-    MATERIALIZED_PREFIX = "mv_"
+    """Intermediate and interval tables of one backend."""
 
     #: Reserved name prefix for interval (pre/post nested-set) labelings,
-    #: disjoint from base relations, setrel intermediates, and ``mv_``
-    #: materialized tables.
+    #: disjoint from base relations and setrel intermediates.
     INTERVAL_PREFIX = "ivl_"
 
-    #: One row per materialized or interval table: the maintenance
-    #: generation last committed to it.  Written in the *same
-    #: transaction* as the delta it stamps, so a stamp that disagrees
-    #: with the view's in-memory generation is proof of torn maintenance.
+    #: One row per interval table: the maintenance generation last
+    #: committed to it.  Written in the *same transaction* as the
+    #: relabel or delta it stamps, so a stamp that disagrees with the
+    #: index's in-memory generation is proof of torn maintenance.
     GENERATION_TABLE = "mv__generation_stamps"
 
-    # -- the shared shape: create, stamp, replace, drop ---------------------------
+    # -- the shared shape: create, stamp, replace ---------------------------------
 
     def _typed_columns(
         self, labels: Sequence[str], attributes: Sequence[str]
@@ -71,7 +67,7 @@ class SideTables:
     ) -> None:
         """Create (or reset) one side table and register its columns.
 
-        The prefixed families are generation-stamped: their creation also
+        The prefixed family is generation-stamped: its creation also
         ensures the stamp table and stamps generation 0, in the same unit.
         """
         if prefix is not None and not name.startswith(prefix):
@@ -130,18 +126,6 @@ class SideTables:
         self.write(label, body)
         return len(data)
 
-    def _drop_side_table(self, name: str, stamped: bool) -> None:
-        if name not in self._side_tables:
-            return
-        with self.transaction() as cursor:
-            cursor.execute(f"DROP TABLE IF EXISTS {name}")
-            if stamped:
-                cursor.execute(
-                    f"DELETE FROM {self.GENERATION_TABLE} WHERE view_table = ?",
-                    (name,),
-                )
-        self._side_tables.pop(name, None)
-
     # -- setrel intermediates ------------------------------------------------------
 
     def create_intermediate(self, name: str, attributes: Sequence[str]) -> None:
@@ -161,7 +145,11 @@ class SideTables:
         )
 
     def drop_intermediate(self, name: str) -> None:
-        self._drop_side_table(name, stamped=False)
+        if name not in self._side_tables:
+            return
+        with self.transaction() as cursor:
+            cursor.execute(f"DROP TABLE IF EXISTS {name}")
+        self._side_tables.pop(name, None)
 
     def set_intermediate_rows(self, name: str, rows: Iterable[tuple]) -> int:
         """Replace the contents of an intermediate relation; returns count.
@@ -171,100 +159,7 @@ class SideTables:
         """
         return self._replace_rows(f"setrel {name}", name, rows)
 
-    # -- materialized view tables --------------------------------------------------
-
-    def create_materialized(self, name: str, attributes: Sequence[str]) -> None:
-        """Create (or reset) a materialized count table for one view.
-
-        Columns follow the view's SELECT list (typed from the catalog when
-        the attribute is known, TEXT otherwise) plus a ``support`` count —
-        the number of derivations of the row, maintained by the counting
-        algorithm so deletions know when a row loses its last derivation.
-        """
-        labels = [f"c{i}_{attribute}" for i, attribute in enumerate(attributes)]
-        self._create_side_table(
-            name,
-            labels + ["support"],
-            [
-                f"CREATE TABLE {name} ({self._typed_columns(labels, attributes)}, "
-                "support INTEGER NOT NULL)",
-                f"CREATE UNIQUE INDEX idx_{name}_row ON {name} "
-                f"({', '.join(labels)})",
-            ],
-            prefix=self.MATERIALIZED_PREFIX,
-        )
-
-    def drop_materialized(self, name: str) -> None:
-        self._drop_side_table(name, stamped=True)
-
-    def set_materialized_rows(
-        self,
-        name: str,
-        counted_rows: Iterable[tuple[tuple, int]],
-        generation: Optional[int] = None,
-    ) -> int:
-        """Replace a materialized table's contents with (row, support) pairs.
-
-        ``generation`` (when given) stamps the maintenance generation in
-        the same commit as the rewrite, so a torn refresh is detectable.
-        """
-        return self._replace_rows(
-            f"materialize {name}",
-            name,
-            (tuple(row) + (support,) for row, support in counted_rows),
-            generation,
-        )
-
-    def apply_materialized_delta(
-        self,
-        name: str,
-        changes: Iterable[tuple[tuple, int]],
-        generation: Optional[int] = None,
-    ) -> int:
-        """Apply per-row support deltas in one transaction.
-
-        Each ``(row, delta)`` adjusts the row's support count: missing
-        rows are inserted, rows whose support reaches zero are deleted.
-        The whole batch commits once (or rolls back together), together
-        with the ``generation`` stamp when one is given.  Returns the
-        number of rows touched.  Runs bare (no retry ladder): the view
-        layer above quarantines and heals a failed delta itself.
-        """
-        columns = self._side_columns(name)
-        match = row_match(columns[:-1])  # every column but ``support``
-        placeholders = ", ".join("?" * len(columns))
-        touched = 0
-        fault = self._fault_point
-        with self.transaction() as cursor:
-            for row, delta in changes:
-                if fault is not None:
-                    # mid-transaction fault injection: a failure here
-                    # must roll the whole delta back (counts never torn)
-                    fault("delta", name)
-                if delta == 0:
-                    continue
-                values = tuple(row)
-                cursor.execute(
-                    f"UPDATE {name} SET support = support + ? WHERE {match}",
-                    (delta,) + values,
-                )
-                if cursor.rowcount == 0:
-                    if delta < 0:
-                        raise ExecutionError(
-                            f"materialized {name}: negative support for {row!r}"
-                        )
-                    cursor.execute(
-                        f"INSERT INTO {name} VALUES ({placeholders})",
-                        values + (delta,),
-                    )
-                else:
-                    cursor.execute(
-                        f"DELETE FROM {name} WHERE support <= 0 AND {match}",
-                        values,
-                    )
-                touched += 1
-            self._stamp(cursor, name, generation)
-        return touched
+    # -- interval-index tables (nested-set hierarchy labelings) --------------------
 
     def materialized_generation(self, name: str) -> Optional[int]:
         """The generation last committed for a stamped table (or None)."""
@@ -277,15 +172,6 @@ class SideTables:
         except (sqlite3.Error, ExecutionError):
             return None  # stamp table absent: nothing stamped yet
         return rows[0][0] if rows else None
-
-    def fetch_materialized(self, name: str) -> list[tuple]:
-        """The distinct rows of a materialized view (support > 0)."""
-        labels = self._side_columns(name)[:-1]
-        return self.execute(
-            f"SELECT {', '.join(labels)} FROM {name} WHERE support > 0"
-        )
-
-    # -- interval-index tables (nested-set hierarchy labelings) --------------------
 
     def create_interval_index(self, name: str) -> None:
         """Create (or reset) an interval-labeling table for one hierarchy.
@@ -321,39 +207,13 @@ class SideTables:
     ) -> int:
         """Replace a labeling with ``(node, pre, post, cyc)`` rows.
 
-        The Python-fallback relabel path: labels computed client-side
-        cross the wire once, and the rewrite plus the ``generation``
-        stamp commit together (a torn relabel is detectable).
+        The bulk relabel: labels computed by the index's DFS cross the
+        wire once, and the rewrite plus the ``generation`` stamp commit
+        together (a torn relabel is detectable).
         """
         return self._replace_rows(
             f"interval relabel {name}", name, rows, generation
         )
-
-    def relabel_interval(
-        self,
-        name: str,
-        select_text: str,
-        generation: Optional[int] = None,
-    ) -> int:
-        """In-backend bulk relabel: ``DELETE`` + ``INSERT … SELECT`` once.
-
-        ``select_text`` is a (possibly ``WITH RECURSIVE``-prefixed)
-        SELECT producing ``(node, pre, post, cyc)`` rows — the
-        window-function labeling statement — so the labels never cross
-        the wire.  Returns the number of rows inserted; the caller
-        compares it against the expected node count to detect an
-        incomplete walk.
-        """
-        columns = ", ".join(self._side_columns(name))
-        statement = f"INSERT INTO {name} ({columns}) {select_text}"
-
-        def body(cursor) -> int:
-            cursor.execute(f"DELETE FROM {name}")
-            count = cursor.execute(statement).rowcount
-            self._stamp(cursor, name, generation)
-            return count
-
-        return self.write(f"interval relabel {name}", body)
 
     def apply_interval_delta(
         self,

@@ -13,15 +13,15 @@ write recipes —
 
 * :meth:`~ExternalDatabase.transaction` — the write unit: write mutex,
   rollback on error, and the **only** ``commit()`` in the package, at
-  the outermost exit.  Used bare for DDL and for view deltas, whose
-  callers own recovery;
+  the outermost exit.  Used bare for DDL, whose callers own
+  recovery;
 * :meth:`~ExternalDatabase.write` — the retry ladder around one
   ``transaction()`` running ``body(cursor)``.  Used for DML: each retry
   re-runs the whole rolled-back unit.
 
 Every mutating method, here and in the :class:`~repro.dbms.side_tables.
-SideTables` mixin (setrel intermediates of paper section 7, materialized
-count tables, interval labelings), is a body handed to one of the two.
+SideTables` mixin (setrel intermediates of paper section 7, interval
+labelings), is a body handed to one of the two.
 The stateful machinery is composed: :class:`~repro.dbms.pool.ReaderPool`,
 :class:`~repro.resilience.ladder.RetryLadder` and
 :class:`~repro.dbms.statistics.StatisticsService`.

@@ -35,10 +35,6 @@ class PrologSyntaxError(PrologError):
         return base
 
 
-class UnificationError(PrologError):
-    """Raised when a caller requires unification to succeed and it cannot."""
-
-
 class ExistenceError(PrologError):
     """Raised when a goal refers to an unknown procedure."""
 
@@ -87,20 +83,6 @@ class UnsupportedFeatureError(MetaevaluationError):
 
 class OptimizationError(ReproError):
     """Raised when an optimizer stage detects an internal inconsistency."""
-
-
-class ContradictionDetected(ReproError):
-    """Raised internally when simplification proves the result empty.
-
-    Algorithm 2 (paper section 6.4) stops with an empty query result when
-    value bounds or the chase derive a contradiction.  The pipeline converts
-    this signal into an explicit empty-result marker instead of letting it
-    escape to callers.
-    """
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
 
 class TranslationError(ReproError):

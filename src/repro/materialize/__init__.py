@@ -21,23 +21,24 @@ change**:
   :class:`~repro.coupling.recursion_exec.IncrementalClosure` — semi-naive
   delta propagation for inserts, DRed-style delete/re-derive for
   retracts;
-* :class:`~repro.materialize.policy.StoragePolicy` is the paper's storage
-  decision made cost-based: fed by plan-cache and result-cache hit
-  statistics, it chooses which views get promoted to backend materialized
-  tables (DDL plus transactional delta DML in the SQLite backend) versus
-  staying invalidate-only;
 * :class:`~repro.materialize.intervals.IntervalIndex` is a third
   materialized-view kind: a gap-scaled pre/post (nested-set) labeling of
   a recursive view's edge forest, stored as an indexed ``ivl_*`` backend
   table so a reachability probe is one indexed range predicate — with
-  local absorption of leaf churn, window-function bulk relabels, and
-  demotion back to the CTE strategies on non-tree data.
+  local absorption of leaf churn, bulk relabels by one DFS, and demotion
+  back to the CTE strategies on non-tree data.
+
+Each derived relation has one home and one writer: a view's support
+counts (and a recursive view's closure) live in this process's memory,
+interval labels in their ``ivl_*`` table, the ``setrel`` frontier in its
+``intermediate`` relation — nothing is mirrored.  The paper's "should a
+result be stored" decision is the explicit :meth:`MaterializeManager.view`
+registration (and ``CachePolicy`` for plain answers).
 """
 
 from .delta import Delta, MaintenanceStats
 from .intervals import IntervalIndex, IntervalStats
 from .manager import MaterializeManager
-from .policy import StoragePolicy
 from .recursive import RecursiveMaterializedView
 from .views import DeltaRule, MaterializedView
 
@@ -50,5 +51,4 @@ __all__ = [
     "MaterializeManager",
     "MaterializedView",
     "RecursiveMaterializedView",
-    "StoragePolicy",
 ]

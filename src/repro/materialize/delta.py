@@ -83,10 +83,8 @@ class MaintenanceStats(LockedCounters):
     maintained_asks: int = 0
     refreshes: int = 0
     fallbacks: int = 0  # maintenance errors answered by quarantine
-    promotions: int = 0  # memory views promoted to backend tables
     quarantines: int = 0  # views pulled from serving after a failed delta
     heals: int = 0  # quarantined views rebuilt back to serving condition
-    torn_detected: int = 0  # generation-stamp mismatches (torn maintenance)
     per_view: dict = field(default_factory=dict)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -98,10 +96,8 @@ class MaintenanceStats(LockedCounters):
         "maintained_asks",
         "refreshes",
         "fallbacks",
-        "promotions",
         "quarantines",
         "heals",
-        "torn_detected",
     )
 
     def snapshot(self) -> dict:

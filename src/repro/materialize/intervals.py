@@ -21,9 +21,9 @@ Labels are *gap-scaled* event numbers (entry/exit of a DFS, times
 * a deleted leaf tombstones (its row is dropped; the interval becomes
   reusable gap);
 * anything else — internal deletes, subtree moves, exhausted gaps —
-  triggers a **bulk relabel**: in-backend via one window-function
-  ``INSERT … SELECT`` (labels never cross the wire) when the substrate
-  and the node domain allow it, else computed client-side;
+  triggers a **bulk relabel**: one DFS over the edges already fetched
+  for the forest check, written as one stamped swap of the ``ivl_*``
+  table (the labels' only home);
 * non-tree data (a multi-parent node, a cycle longer than a self-loop)
   **demotes** the index: :meth:`IntervalIndex.ensure_fresh` raises
   :class:`~repro.errors.IntervalUnavailable` and the recursion planner
@@ -42,18 +42,13 @@ comparison, not an edge diff, per ask.
 
 from __future__ import annotations
 
-import sqlite3
 import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..concurrency import LockedCounters
 from ..errors import IntervalUnavailable
-from ..sql.translate import interval_labeling, interval_probe
-
-#: Window functions (ROW_NUMBER) arrived in SQLite 3.25; older substrates
-#: use the client-side labeling path.
-_WINDOW_FUNCTIONS_SINCE = (3, 25, 0)
+from ..sql.translate import interval_probe
 
 
 @dataclass
@@ -61,8 +56,6 @@ class IntervalStats(LockedCounters):
     """Maintenance counters for one interval index (benchmarks read these)."""
 
     builds: int = 0
-    backend_relabels: int = 0
-    python_relabels: int = 0
     local_absorbs: int = 0
     tombstones: int = 0
     gap_exhaustions: int = 0
@@ -73,8 +66,6 @@ class IntervalStats(LockedCounters):
 
     _snapshot_fields = (
         "builds",
-        "backend_relabels",
-        "python_relabels",
         "local_absorbs",
         "tombstones",
         "gap_exhaustions",
@@ -237,25 +228,11 @@ class IntervalIndex:
             self.database.create_interval_index(self.table)
             self._created = True
         self._stamp += 1
-        written = False
-        if self._backend_labeling_ok(nodes):
-            count = self.database.relabel_interval(
-                self.table,
-                interval_labeling(self.edge_text, self.GAP),
-                generation=self._stamp,
-            )
-            if count == len(nodes):
-                self.stats.incr("backend_relabels")
-                written = True
-            # an incomplete walk (count mismatch) falls through to the
-            # client-side labeling rather than serving torn labels
-        if not written:
-            self.database.set_interval_rows(
-                self.table,
-                self._python_labels(roots, children, selfloops),
-                generation=self._stamp,
-            )
-            self.stats.incr("python_relabels")
+        self.database.set_interval_rows(
+            self.table,
+            self._python_labels(roots, children, selfloops),
+            generation=self._stamp,
+        )
         self.stats.incr("builds")
 
         self._edges = set(edges)
@@ -270,23 +247,10 @@ class IntervalIndex:
             (len(c) for c in children.values()), default=0
         )
 
-    def _backend_labeling_ok(self, nodes: set) -> bool:
-        """Whether the window-function labeling statement is sound here.
-
-        Needs window functions in the substrate, and slash-free text
-        node values (the path-string ordering would conflate anything
-        else); everything outside that envelope labels client-side.
-        """
-        if sqlite3.sqlite_version_info < _WINDOW_FUNCTIONS_SINCE:
-            return False
-        return all(
-            isinstance(node, str) and "/" not in node for node in nodes
-        )
-
     def _python_labels(
         self, roots: list, children: dict, selfloops: set
     ) -> list[tuple]:
-        """The client-side labeling: gap-scaled DFS entry/exit events."""
+        """The labeling: gap-scaled DFS entry/exit events."""
         counter = 0
         events: dict = {}  # node -> [entry, exit]
         for root in roots:

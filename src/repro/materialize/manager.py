@@ -25,7 +25,6 @@ the invalidate-and-recompute behaviour this subsystem replaces.
 
 from __future__ import annotations
 
-import re
 from typing import Optional, Sequence, Union
 
 from ..errors import CouplingError
@@ -34,7 +33,6 @@ from ..optimize.pipeline import SimplifyOptions, simplify
 from ..prolog.reader import parse_goal
 from ..prolog.terms import Struct, Term, Variable, conjoin, conjuncts
 from .delta import DELETE, INSERT, Delta, MaintenanceStats, fact_row
-from .policy import BACKEND, INVALIDATE, MEMORY, StoragePolicy
 from .recursive import RecursiveMaterializedView
 from .views import MaterializedView
 
@@ -53,8 +51,6 @@ class MaterializeManager:
         metaevaluator,
         merger,
         plans=None,
-        result_cache=None,
-        policy: Optional[StoragePolicy] = None,
         optimize: bool = True,
     ):
         self.kb = kb
@@ -64,15 +60,12 @@ class MaterializeManager:
         self.metaevaluator = metaevaluator
         self.merger = merger
         self.plans = plans
-        self.result_cache = result_cache
-        self.policy = policy if policy is not None else StoragePolicy()
         self.optimize = optimize
         self.stats = MaintenanceStats()
-        #: Shared resilience ledger (lives on the backend) — quarantine,
-        #: heal, and torn-maintenance events report to both stats objects.
+        #: Shared resilience ledger (lives on the backend) — quarantine
+        #: and heal events report to both stats objects.
         self.resilience = getattr(database, "resilience", None)
         self._views: dict[tuple[str, int], MaintainedView] = {}
-        self._storage_request: dict[tuple[str, int], str] = {}
         self._by_relation: dict[str, list[MaintainedView]] = {}
         self._union: dict[str, set[tuple]] = {}
         kb.add_listener(self._on_kb_event)
@@ -80,20 +73,15 @@ class MaterializeManager:
     # -- registration -------------------------------------------------------
 
     def view(
-        self,
-        goal: Union[str, Term],
-        storage: str = "auto",
-        name: Optional[str] = None,
+        self, goal: Union[str, Term], name: Optional[str] = None
     ) -> MaintainedView:
         """Register a view goal for incremental maintenance.
 
         ``goal`` must be a single view call whose arguments are distinct
         variables (the "materialize the whole view" shape; constants in
-        later *asks* restrict the maintained rows).  ``storage`` is
-        ``auto`` (ask the :class:`StoragePolicy`), ``memory``,
-        ``backend``, or ``invalidate``.
+        later *asks* restrict the maintained rows).  The view's support
+        counts live in this process's memory and nowhere else.
         """
-        StoragePolicy.validate(storage)
         if isinstance(goal, str):
             goal = parse_goal(goal)
         call = self._registrable_call(goal)
@@ -102,8 +90,7 @@ class MaterializeManager:
         args = list(call.args)
 
         # Re-registration replaces the old view wholesale: unsubscribe it
-        # so writes are not maintained twice (and its backend table, keyed
-        # by the view name, is not double-updated).
+        # so writes are not maintained twice.
         self._unregister(indicator)
 
         recursive = indicator in self._recursive_indicators()
@@ -112,18 +99,7 @@ class MaterializeManager:
         else:
             view = self._build_flat(view_name, call, args)
 
-        chosen = storage
-        if storage == "auto":
-            chosen = self.policy.choose(view.row_count, self._observed_demand())
-        if chosen == BACKEND and not view.recursive:
-            view.promote_to_backend(self._table_name(view_name))
-        elif chosen == INVALIDATE:
-            view.storage = INVALIDATE
-        # recursive views maintain their closure in memory; a BACKEND
-        # request degrades gracefully to memory counts + closure.
-
         self._views[indicator] = view
-        self._storage_request[indicator] = storage
         for relation in view.relations:
             self._by_relation.setdefault(relation, []).append(view)
             if relation not in self._union:
@@ -138,10 +114,7 @@ class MaterializeManager:
         old = self._views.pop(indicator, None)
         if old is None:
             return
-        self._storage_request.pop(indicator, None)
         self.stats.per_view.pop(old.name, None)
-        if getattr(old, "backend_table", None):
-            self.database.drop_materialized(old.backend_table)
         for relation in old.relations:
             dependents = self._by_relation.get(relation)
             if dependents is None:
@@ -229,21 +202,6 @@ class MaterializeManager:
             return self.plans.recursive_indicators(self.kb, self.schema)
         return recursive_indicators(self.kb, self.schema)
 
-    def _observed_demand(self) -> int:
-        demand = 0
-        if self.plans is not None:
-            demand += self.plans.stats.hits
-        if self.result_cache is not None:
-            demand += self.result_cache.stats.hits
-        return demand
-
-    @staticmethod
-    def _table_name(view_name: str) -> str:
-        from ..dbms.sqlite_backend import ExternalDatabase
-
-        safe = re.sub(r"[^A-Za-z0-9_]", "_", view_name)
-        return f"{ExternalDatabase.MATERIALIZED_PREFIX}{safe}"
-
     # -- delta capture ------------------------------------------------------
 
     def _on_kb_event(self, kind: str, indicator, clauses) -> None:
@@ -306,11 +264,8 @@ class MaterializeManager:
 
     def _dispatch(self, delta: Delta) -> None:
         for view in self._by_relation.get(delta.relation, ()):
-            if view.quarantined:
-                continue  # rebuilt wholesale by the heal pass, not patched
-            if view.storage == INVALIDATE or view.stale:
-                view.stale = True
-                continue
+            if view.quarantined or view.stale:
+                continue  # rebuilt wholesale (heal pass, next ask), not patched
             try:
                 view.apply_delta(delta)
                 self.stats.incr("deltas_applied")
@@ -326,20 +281,9 @@ class MaterializeManager:
     def _quarantine(self, view: MaintainedView) -> None:
         """A maintenance delta failed: stop trusting the view's counts.
 
-        The backend half of the delta is transactional (rolled back with
-        its generation stamp), so normally both stores still agree at
-        the old generation — a stamp mismatch here is *torn* maintenance
-        and is counted separately.  Either way the view leaves serving:
-        asks fall through to cold recompute until the next write-side
-        opportunity rebuilds it.
+        The view leaves serving: asks fall through to cold recompute
+        until the next write-side opportunity rebuilds it.
         """
-        try:
-            torn = not view.verify_generation()
-        except Exception:
-            torn = False  # verification needs the backend too; stay humble
-        if torn:
-            self.stats.incr("torn_detected")
-            self._resilience_incr("torn_detected")
         view.quarantined = True
         view.stale = True
         self.stats.incr("quarantines")
@@ -391,26 +335,17 @@ class MaterializeManager:
             return answers
         if status != "stale":
             return None
-        # A stale view (or a due promotion) needs mutating work; callers
-        # on the concurrent read path never reach here — the session
-        # restarts them on the write side first.
-        parts = conjuncts(goal)
-        view = self._views.get(parts[0].indicator)
+        # A stale view needs mutating work; callers on the concurrent
+        # read path never reach here — the session restarts them on the
+        # write side first.
+        view = self._views[conjuncts(goal)[0].indicator]
         if view.quarantined:
             if not self._try_heal(view):
                 return None  # degraded: cold recompute serves this ask
-        elif view.stale:
+        else:
             view.refresh()
             self.stats.incr("refreshes")
-        answers = view.answers(parts[0])
-        if answers is None:
-            return None
-        self.stats.incr("maintained_asks")
-        if not view.recursive:
-            self._maybe_promote(view)
-            if max_solutions is not None:
-                return answers[:max_solutions]
-        return answers
+        return self.try_answer(goal, max_solutions)[1]
 
     def try_answer(
         self, goal: Term, max_solutions: Optional[int] = None
@@ -419,9 +354,9 @@ class MaterializeManager:
 
         Returns ``("hit", answers)`` when a fresh maintained view served
         the goal, ``("stale", None)`` when answering needs mutating work
-        (a stale view must refresh, or a backend promotion is due) so the
-        caller must retry holding the write lock, and ``("miss", None)``
-        when no maintained view covers the goal.
+        (a stale view must refresh) so the caller must retry holding the
+        write lock, and ``("miss", None)`` when no maintained view covers
+        the goal.
         """
         parts = conjuncts(goal)
         if len(parts) != 1 or not isinstance(parts[0], Struct):
@@ -432,15 +367,6 @@ class MaterializeManager:
             return "miss", None
         if view.quarantined or view.stale:
             return "stale", None  # healing/refreshing mutates: write side
-        if (
-            not view.recursive
-            and view.backend_table is None
-            and self._storage_request.get(view.goal.indicator) in ("auto", None)
-            and self.policy.promotion_due(
-                view.storage, view.row_count, view.stats.maintained_asks
-            )
-        ):
-            return "stale", None  # promotion mutates: defer to the write side
         answers = view.answers(call)
         if answers is None:
             return "miss", None
@@ -449,17 +375,6 @@ class MaterializeManager:
             return "hit", answers[:max_solutions]
         # The batch recursive path ignores max_solutions; mirror it.
         return "hit", answers
-
-    def _maybe_promote(self, view: MaterializedView) -> None:
-        if view.backend_table is not None:
-            return
-        if self._storage_request.get(view.goal.indicator) not in ("auto", None):
-            return
-        if self.policy.promotion_due(
-            view.storage, view.row_count, view.stats.maintained_asks
-        ):
-            view.promote_to_backend(self._table_name(view.name))
-            self.stats.incr("promotions")
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -494,20 +409,13 @@ class MaterializeManager:
             return
         if not self._views:
             return
-        registered = [
-            (view.goal, self._storage_request[indicator], view.name)
-            for indicator, view in self._views.items()
-        ]
+        registered = [(view.goal, view.name) for view in self._views.values()]
         self._teardown()
-        for goal, storage, view_name in registered:
-            self.view(goal, storage=storage, name=view_name)
+        for goal, view_name in registered:
+            self.view(goal, name=view_name)
 
     def _teardown(self) -> None:
-        for view in self._views.values():
-            if getattr(view, "backend_table", None):
-                self.database.drop_materialized(view.backend_table)
         self._views.clear()
-        self._storage_request.clear()
         self._by_relation.clear()
         self._union.clear()
         self.stats.views = 0

@@ -46,33 +46,20 @@ class RecursiveMaterializedView:
         self.args = tuple(args)
         self.edge_view = edge_view
         self.closure = IncrementalClosure(edge_view.distinct_rows())
-        self.storage = "memory"
-        self.backend_table = None
         self.stale = False
         self.quarantined = False
-        self.applied_generation = 0
         self.stats = ViewStats()
 
     @property
     def relations(self) -> frozenset:
         return self.edge_view.relations
 
-    @property
-    def row_count(self) -> int:
-        return len(self.closure)
-
     def refresh(self) -> None:
         self.edge_view.refresh()
         self.closure = IncrementalClosure(self.edge_view.distinct_rows())
-        self.applied_generation += 1
         self.stale = False
         self.quarantined = False
         self.stats.refreshes += 1
-
-    def verify_generation(self) -> bool:
-        """The closure itself is memory-only; tearing can only come from
-        the edge view's backend half."""
-        return self.edge_view.verify_generation()
 
     def apply_delta(self, delta: Delta) -> tuple[set, set]:
         """Fold a base-relation delta through the edge view into the closure."""
@@ -83,7 +70,6 @@ class RecursiveMaterializedView:
             added |= self.closure.insert_edge(low, high)
         for low, high in disappeared:
             removed |= self.closure.delete_edge(low, high)
-        self.applied_generation += 1
         self.stats.deltas_applied += 1
         self.stats.delta_executions = self.edge_view.stats.delta_executions
         self.stats.rows_added += len(added)

@@ -102,17 +102,13 @@ class MaterializedView:
         self.original = original
         self.database = database
         self.constraints = constraints
-        self.storage = "memory"
-        self.backend_table: Optional[str] = None
         self.stale = False
         #: Quarantined: a maintenance delta failed, so the counts are no
         #: longer trusted; the manager serves this view by recompute and
         #: rebuilds it at the next write-side opportunity.
         self.quarantined = False
         #: Maintenance generation: advanced once per successfully applied
-        #: delta or refresh, and stamped into the backend count table in
-        #: the same transaction as the backend delta — a stamp mismatch
-        #: is proof of torn maintenance.
+        #: delta or refresh, never by a failed one.
         self.applied_generation = 0
         self.stats = ViewStats()
 
@@ -236,59 +232,20 @@ class MaterializedView:
     def refresh(self) -> None:
         """Recompute the counts from scratch (registration, staleness, heal).
 
-        Backend first, memory second: a failure while rewriting the
-        backend table leaves the in-memory state untouched and the view
-        still stale/quarantined — never half-refreshed.
+        The load query is the only step that can fail, and it runs
+        first: a failed refresh leaves the in-memory state untouched and
+        the view still stale/quarantined — never half-refreshed.
         """
         rows = self.database.execute_prepared(self._load_sql)
-        counts = Counter(rows)
-        next_generation = self.applied_generation + 1
-        if self.backend_table is not None:
-            self.database.set_materialized_rows(
-                self.backend_table, counts.items(), generation=next_generation
-            )
-        self.counts = counts
+        self.counts = Counter(rows)
         self._indexes.clear()
-        self.applied_generation = next_generation
+        self.applied_generation += 1
         self.stale = False
         self.quarantined = False
         self.stats.refreshes += 1
 
-    @property
-    def row_count(self) -> int:
-        return len(self.counts)
-
     def distinct_rows(self) -> list[tuple]:
         return list(self.counts)
-
-    # -- storage promotion --------------------------------------------------
-
-    def promote_to_backend(self, table_name: str) -> None:
-        """Create and fill this view's backend count table."""
-        attributes = [
-            self.column_cells.get(column, (("", self.select_names[column]),))[0][1]
-            for column in range(len(self.select_names))
-        ]
-        self.database.create_materialized(table_name, attributes)
-        self.database.set_materialized_rows(
-            table_name, self.counts.items(), generation=self.applied_generation
-        )
-        self.backend_table = table_name
-        self.storage = "backend"
-
-    def verify_generation(self) -> bool:
-        """Do backend and memory agree on the maintenance generation?
-
-        Memory-only views cannot tear across stores (the memory mutation
-        is applied after all failure-prone work) and always verify; for
-        backend-stored views a stamp mismatch means one store holds a
-        delta the other missed — torn maintenance, grounds for
-        quarantine.
-        """
-        if self.backend_table is None:
-            return True
-        stored = self.database.materialized_generation(self.backend_table)
-        return stored is None or stored == self.applied_generation
 
     # -- maintenance --------------------------------------------------------
 
@@ -302,10 +259,10 @@ class MaterializedView:
         Application is two-phase so a failure can never tear the view:
         phase one runs the (read-only) delta-rule queries and validates
         the support arithmetic without touching any state; phase two
-        applies the backend delta transactionally — stamped with the new
-        maintenance generation inside the same transaction — and only
-        then mutates the in-memory counts.  An exception anywhere leaves
-        both stores at the old generation together.
+        mutates the in-memory counts and cannot fail.  The ``delta``
+        fault probe sits between the two, so an injected failure — like
+        a real one in a rule query — leaves counts, indexes and
+        generation untouched.
         """
         changes: Counter = Counter()
         outer_sign = 1 if delta.kind == INSERT else -1
@@ -325,13 +282,9 @@ class MaterializedView:
                 raise CouplingError(
                     f"view {self.name}: negative support for {row!r}"
                 )
-        next_generation = self.applied_generation + 1
-        if self.backend_table is not None and effective:
-            self.database.apply_materialized_delta(
-                self.backend_table,
-                list(effective.items()),
-                generation=next_generation,
-            )
+        fault = self.database._fault_point
+        if fault is not None:
+            fault("delta", self.name)
         appeared: list[tuple] = []
         disappeared: list[tuple] = []
         for row, change in effective.items():
@@ -344,7 +297,7 @@ class MaterializedView:
                 self.counts[row] = after
                 if before == 0:
                     appeared.append(row)
-        self.applied_generation = next_generation
+        self.applied_generation += 1
         self.stats.deltas_applied += 1
         self.stats.rows_added += len(appeared)
         self.stats.rows_removed += len(disappeared)

@@ -104,10 +104,6 @@ class SimplificationResult:
     def rows_removed(self) -> int:
         return self.rows_before - self.rows_after if not self.is_empty else 0
 
-    @property
-    def joins_avoided(self) -> int:
-        return self.joins_before - self.joins_after if not self.is_empty else 0
-
     def describe(self) -> str:
         if self.is_empty:
             return f"empty result: {self.reason}"

@@ -89,9 +89,6 @@ class Engine:
         """Install (or override) a builtin procedure."""
         self._builtins[(functor, arity)] = fn
 
-    def has_builtin(self, indicator: tuple[str, int]) -> bool:
-        return indicator in self._builtins
-
     # -- public query API ------------------------------------------------------
 
     def solve(

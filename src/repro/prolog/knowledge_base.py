@@ -349,9 +349,6 @@ class KnowledgeBase:
         """
         self._listeners.append(listener)
 
-    def remove_listener(self, listener) -> None:
-        self._listeners.remove(listener)
-
     @contextmanager
     def suspend_deltas(self) -> Iterator[None]:
         """Hide mutations from listeners (generation still advances).

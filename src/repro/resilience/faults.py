@@ -4,17 +4,17 @@ Every failure mode the resilience machinery claims to survive must be
 reproducible on demand, or the claim is untestable.  A
 :class:`FaultSchedule` is a finite, seeded list of :class:`FaultEvent`
 firings — locked-database bursts, I/O errors, latency spikes, poisoned
-pooled connections, mid-transaction maintenance failures — addressed by
+pooled connections, mid-delta maintenance failures — addressed by
 *operation ordinal within a fault class* (the Nth read, the Nth delta),
 so the same seed produces the same fault at the same point of the same
 workload, run after run.
 
 :class:`FaultInjectingBackend` is an :class:`ExternalDatabase` whose
-fault point (consulted by the retry loop and the maintenance-delta
-transaction) draws from the schedule.  Because the schedule is finite,
-every injected run *eventually heals*: once drained, the backend is
-indistinguishable from a healthy one — which is exactly the property the
-differential benchmark gates on.
+fault point (consulted by the retry loop and by each maintained view's
+delta application) draws from the schedule.  Because the schedule is
+finite, every injected run *eventually heals*: once drained, the backend
+is indistinguishable from a healthy one — which is exactly the property
+the differential benchmark gates on.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from ..dbms.sqlite_backend import ExternalDatabase
 
 #: Injectable fault kinds, mapped to the fault class whose operation
 #: counter schedules them.  ``read`` covers the pooled-read retry loop,
-#: ``write`` the owning-connection DML retry loop, ``delta`` the
-#: mid-transaction body of ``apply_materialized_delta``.
+#: ``write`` the owning-connection DML retry loop, ``delta`` one draw per
+#: ``MaterializedView.apply_delta`` (after its reads, before its counts).
 KIND_CLASSES = {
     "locked": "read",
     "io_error": "read",

@@ -60,8 +60,6 @@ class ResilienceStats(LockedCounters):
     quarantines: int = 0
     #: quarantined views rebuilt back to serving condition.
     heals: int = 0
-    #: torn maintenance detected by generation-stamp verification.
-    torn_detected: int = 0
     #: whole-ask retries performed by the session after a transient error.
     ask_retries: int = 0
     #: faults actually delivered by a :class:`FaultInjectingBackend`.
@@ -112,7 +110,6 @@ class ResilienceStats(LockedCounters):
         "pool_timeouts",
         "quarantines",
         "heals",
-        "torn_detected",
         "ask_retries",
         "faults_injected",
     )

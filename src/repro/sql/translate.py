@@ -485,57 +485,6 @@ def interval_probe(
     )
 
 
-def interval_labeling(edge_text: str, gap: int) -> str:
-    """The in-backend (window-function) labeling statement for a forest.
-
-    Produces one ``(node, pre, post, cyc)`` row per node of the edge
-    view's forest, never shipping labels across the wire: the caller
-    wraps this SELECT in ``INSERT INTO ivl_… (…)``.  The walk orders
-    nodes by a materialized root-to-node path string — every subtree is
-    a contiguous lexicographic block, so ``ROW_NUMBER() OVER (ORDER BY
-    path)`` is a preorder index — then converts (preorder index, depth,
-    subtree size) into entry/exit event numbers scaled by ``gap`` so
-    later leaf attaches can be absorbed locally::
-
-        pre  = gap * (2*(idx-1) - depth + 1)
-        post = pre + gap * (2*size - 1)
-
-    Self-loop edges are excluded from the tree and surface as ``cyc=1``
-    on the node's row.  The caller must have verified the tree shape
-    (single parent per node, no long cycles) **before** running this —
-    a multi-parent node would make the recursive walk explode — and
-    should compare the inserted row count against the expected node
-    count afterwards.  Only sound when node values are slash-free text
-    (the path encoding); other domains use the Python labeling path.
-    """
-    if gap < 1:
-        raise TranslationError("interval labeling gap must be positive")
-    return (
-        "WITH RECURSIVE "
-        f"ivl_edges(lo, hi) AS ({edge_text}), "
-        "ivl_tree(node, parent) AS "
-        "(SELECT lo, hi FROM ivl_edges WHERE lo IS NOT hi), "
-        "ivl_walk(node, path, depth) AS ("
-        "SELECT node, '/' || node || '/', 0 FROM "
-        "(SELECT lo AS node FROM ivl_edges "
-        "UNION SELECT hi FROM ivl_edges) "
-        "WHERE node NOT IN (SELECT node FROM ivl_tree) "
-        "UNION ALL "
-        "SELECT t.node, w.path || t.node || '/', w.depth + 1 "
-        "FROM ivl_tree t JOIN ivl_walk w ON t.parent = w.node), "
-        "ivl_ordered AS (SELECT node, path, depth, "
-        "ROW_NUMBER() OVER (ORDER BY path) AS idx FROM ivl_walk) "
-        "SELECT o.node, "
-        f"{gap} * (2 * (o.idx - 1) - o.depth + 1), "
-        f"{gap} * (2 * (o.idx - 1) - o.depth + 2 * "
-        "(SELECT COUNT(*) FROM ivl_ordered d "
-        "WHERE substr(d.path, 1, length(o.path)) = o.path)), "
-        "EXISTS(SELECT 1 FROM ivl_edges e "
-        "WHERE e.lo = o.node AND e.hi = o.node) "
-        "FROM ivl_ordered o"
-    )
-
-
 # -- certain-answer rewriting (consistent query answering, ROADMAP E19) --------------
 
 

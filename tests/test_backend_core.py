@@ -13,6 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.dbms.side_tables import row_match
 from repro.dbms.sqlite_backend import ExternalDatabase
 from repro.errors import ExecutionError
 from repro.schema.empdep import empdep_schema
@@ -32,28 +33,16 @@ MUTATORS = {
     "set_intermediate_rows": lambda db: db.set_intermediate_rows(
         "frontier", [("a",), ("b",)]
     ),
-    "create_materialized": lambda db: db.create_materialized(
-        "mv_pairs", ["eno", "nam"]
-    ),
-    "set_materialized_rows": lambda db: db.set_materialized_rows(
-        "mv_pairs", [((7, "x"), 2)], generation=5
-    ),
-    "apply_materialized_delta": lambda db: db.apply_materialized_delta(
-        "mv_pairs", [((1, "smiley"), 1), ((8, "y"), 1)], generation=5
-    ),
     "create_interval_index": lambda db: db.create_interval_index("ivl_tree"),
     "set_interval_rows": lambda db: db.set_interval_rows(
         "ivl_tree", [(5, 0, 9, 0)], generation=5
-    ),
-    "relabel_interval": lambda db: db.relabel_interval(
-        "ivl_tree", "SELECT eno, eno * 10, eno * 10 + 5, 0 FROM empl", generation=5
     ),
     "apply_interval_delta": lambda db: db.apply_interval_delta(
         "ivl_tree", upserts=[(6, 3, 4, 0)], deletes=[1], generation=5
     ),
 }
 
-TABLES = ("empl", "frontier", "mv_pairs", "ivl_tree", ExternalDatabase.GENERATION_TABLE)
+TABLES = ("empl", "frontier", "ivl_tree", ExternalDatabase.GENERATION_TABLE)
 
 
 class _FailsAfterFirstStatement:
@@ -90,8 +79,6 @@ def database():
     db.insert_rows("empl", EMPL_ROWS)
     db.create_intermediate("frontier", ["nam"])
     db.set_intermediate_rows("frontier", [("seed",)])
-    db.create_materialized("mv_pairs", ["eno", "nam"])
-    db.set_materialized_rows("mv_pairs", [((1, "smiley"), 1)], generation=3)
     db.create_interval_index("ivl_tree")
     db.set_interval_rows("ivl_tree", [(1, 0, 9, 0), (2, 3, 4, 0)], generation=3)
     yield db
@@ -139,19 +126,10 @@ class TestNullSafeRowMatch:
         assert database.delete_row("empl", (0, 1, None, 3)) == 1
         assert database.row_count("empl") == len(EMPL_ROWS)
 
-    def test_materialized_delta_maintains_null_bearing_row(self, database):
-        table = "mv_pairs"
-        database.apply_materialized_delta(table, [((1, None), 1)])
-        database.apply_materialized_delta(table, [((1, None), 1)])
-        rows = database.execute(f"SELECT * FROM {table} WHERE c1_nam IS NULL")
-        assert rows == [(1, None, 2)]  # one row, support 2 — not two rows
-        database.apply_materialized_delta(table, [((1, None), -2)])
-        assert (1, None) not in database.fetch_materialized(table)
-
     def test_null_safe_match_still_uses_the_index(self, database):
+        attributes = database.schema.relation("empl").attributes
         plan = database.query_plan(
-            "DELETE FROM mv_pairs WHERE support <= 0 "
-            "AND c0_eno IS ? AND c1_nam IS ?"
+            f"DELETE FROM empl WHERE {row_match(attributes)}"  # delete_row's text
         )
         assert any("USING INDEX" in line for line in plan)
 

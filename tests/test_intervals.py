@@ -2,10 +2,10 @@
 
 Covers the PR 7 engine end to end:
 
-* the ``interval_probe`` / ``interval_labeling`` SQL builders;
-* the ``IntervalIndex`` labeling — backend window-function path and the
-  Python fallback produce the same labels, probes are answer-identical
-  to every CTE/frontier strategy (self-loop boss included);
+* the ``interval_probe`` SQL builder;
+* the ``IntervalIndex`` labeling — one labeler for every node domain
+  (text, integer, slash-bearing names), probes answer-identical to every
+  CTE/frontier strategy (self-loop boss included);
 * incremental maintenance under churn: local gap absorption for leaf
   hires, tombstones for leaf departures, bulk relabel on gap
   exhaustion — with the counters that prove which path ran;
@@ -23,7 +23,7 @@ from repro.coupling import PrologDbSession
 from repro.dbms import generate_org
 from repro.errors import IntervalUnavailable, TranslationError
 from repro.schema import ALL_VIEWS_SOURCE
-from repro.sql.translate import interval_labeling, interval_probe
+from repro.sql.translate import interval_probe
 
 
 @pytest.fixture(scope="module")
@@ -73,11 +73,6 @@ class TestProbeBuilders:
         with pytest.raises(TranslationError):
             interval_probe("ivl_x", "sideways")
 
-    def test_labeling_select_mentions_the_gap(self):
-        text = interval_labeling("SELECT lo, hi FROM edges", 1024)
-        assert "ROW_NUMBER() OVER" in text
-        assert "1024" in text
-
 
 # -- equivalence -----------------------------------------------------------------------
 
@@ -115,19 +110,28 @@ class TestProbeEquivalence:
             (l, h) for (l, h) in org.works_for_pairs() if h == boss
         }
 
-    def test_python_fallback_labels_identically(self, session, org):
-        index = warm_index(session, org)
-        backend_rows = set(
-            session.database.execute(f"SELECT node, pre, post, cyc FROM {index.table}")
+    def test_integer_nodes_label_and_probe_like_the_cte(self, session, org):
+        # Employee numbers as nodes: eno -> the eno managing its department.
+        session.consult(
+            """
+            reports_dir(E, M) :- empl(E, _, _, D), dept(D, _, M).
+            reports(E, M) :- reports_dir(E, M).
+            reports(E, M) :- reports_dir(E, X), reports(X, M).
+            """
         )
-        index._backend_labeling_ok = lambda nodes: False
-        index._generations = None  # force a relabel on next freshen
-        index.ensure_fresh()
-        assert index.stats.snapshot()["python_relabels"] == 1
-        python_rows = set(
-            session.database.execute(f"SELECT node, pre, post, cyc FROM {index.table}")
-        )
-        assert python_rows == backend_rows
+        managers = sorted({d.mgr for d in org.departments})
+        for mgr in managers:
+            cte = session.solve_recursive("reports", high=mgr, strategy="cte")
+            ivl = session.solve_recursive("reports", high=mgr, strategy="interval")
+            assert cte.pairs and set(cte.pairs) == set(ivl.pairs), mgr
+        for eno in sorted(e.eno for e in org.employees)[::7]:
+            cte = session.solve_recursive("reports", low=eno, strategy="cte")
+            ivl = session.solve_recursive("reports", low=eno, strategy="interval")
+            assert set(cte.pairs) == set(ivl.pairs), eno
+        index = session.closure_for("reports").interval_index()
+        assert index.stats.snapshot()["builds"] == 1
+        labeled = session.database.execute(f"SELECT node FROM {index.table}")
+        assert {type(node) for (node,) in labeled} == {int}
 
 
 # -- churn maintenance -----------------------------------------------------------------
@@ -166,6 +170,29 @@ class TestChurn:
         cte = session.solve_recursive("works_for", high=boss, strategy="cte")
         ivl = session.solve_recursive("works_for", high=boss, strategy="interval")
         assert set(cte.pairs) == set(ivl.pairs)
+
+    def test_slash_bearing_names_survive_absorb_and_relabel(self, session, org):
+        # Names a path-string encoding would conflate ("a/b" under "a")
+        # go through the same labeler: first build, local absorbs, and
+        # the bulk relabel a gap exhaustion forces.
+        dept = org.departments[-1].dno
+        session.database.insert_rows("empl", [(43000, "ivl/seed", 20000, dept)])
+        index = warm_index(session, org)
+        for i in range(30):
+            hire(session, 43001 + i, f"ivl/wave/{i}", dept)
+            session.ask(f"works_for('ivl/wave/{i}', Y)")
+        snapshot = index.stats.snapshot()
+        assert snapshot["gap_exhaustions"] >= 1
+        assert snapshot["builds"] >= 2
+        boss = org.root_manager_name()
+        cte = session.solve_recursive("works_for", high=boss, strategy="cte")
+        ivl = session.solve_recursive("works_for", high=boss, strategy="interval")
+        assert set(cte.pairs) == set(ivl.pairs)
+        assert {"ivl/seed", "ivl/wave/0", "ivl/wave/29"} <= {l for l, _ in ivl.pairs}
+        for name in ("ivl/seed", "ivl/wave/29"):
+            cte = session.solve_recursive("works_for", low=name, strategy="cte")
+            ivl = session.solve_recursive("works_for", low=name, strategy="interval")
+            assert cte.pairs and set(cte.pairs) == set(ivl.pairs), name
 
     def test_generation_stamp_moves_with_the_labeling(self, session, org):
         index = warm_index(session, org)

@@ -2,10 +2,10 @@
 
 Covers the counting delta rules (self-joins, inserts, deletes), the
 recursive closure maintenance (semi-naive inserts, DRed deletes), the
-storage policy and backend count tables, the knowledge-base change
-capture (bulk updates, suspended relocations), the transitive
-result-cache invalidation, and cache behaviour across copy-on-write
-snapshots.
+session-level write contract (one commit per maintained write), the
+knowledge-base change capture (bulk updates, suspended relocations), the
+transitive result-cache invalidation, and cache behaviour across
+copy-on-write snapshots.
 """
 
 import pytest
@@ -14,7 +14,6 @@ from repro.coupling import PrologDbSession
 from repro.coupling.global_opt import ResultCache
 from repro.coupling.recursion_exec import IncrementalClosure
 from repro.dbms import generate_org
-from repro.materialize import StoragePolicy
 from repro.prolog.knowledge_base import KnowledgeBase
 from repro.prolog.reader import parse_program
 from repro.schema import ALL_VIEWS_SOURCE
@@ -180,6 +179,62 @@ class TestRecursiveMaintenance:
         assert {(a["X"], a["Y"]) for a in answers} == view.closure.pairs
         session.close()
 
+    def test_every_goal_pattern_equals_the_cte_under_churn(self, org3):
+        """Bound sides read the closure's adjacency, the open goal walks
+        the pairs: each pattern must render what the CTE strategy finds."""
+        session = PrologDbSession()
+        session.load_org(org3)
+        session.consult(ALL_VIEWS_SOURCE)
+        view = session.materialize.view("works_for(X, Y)")
+        leaf = org3.leaf_employee_name()
+        middle = org3.employee_by_name(
+            org3.manager_name_of(org3.employee_by_name(leaf))
+        )
+        boss = org3.root_manager_name()
+        deep_dept = max(org3.dept_depth, key=org3.dept_depth.get)
+
+        def check():
+            names = sorted(row[1] for row in session.database.fetch_relation("empl"))
+            pairs = sorted(
+                pair
+                for name in names
+                for pair in session.solve_recursive(
+                    "works_for", high=name, strategy="cte"
+                ).pairs
+            )
+            expected = {
+                "works_for(X, Y)": [{"X": l, "Y": h} for l, h in pairs],
+                "works_for(X, X)": [{"X": l} for l, h in pairs if l == h],
+                "works_for(_, _)": [{}] if pairs else [],
+            }
+            for name in (leaf, middle.nam, boss, "emp00902", "nobody"):
+                above = [h for l, h in pairs if l == name]
+                below = [l for l, h in pairs if h == name]
+                expected[f"works_for('{name}', Y)"] = [{"Y": h} for h in above]
+                expected[f"works_for(X, '{name}')"] = [{"X": l} for l in below]
+                expected[f"works_for('{name}', _)"] = [{}] if above else []
+                expected[f"works_for(_, '{name}')"] = [{}] if below else []
+                for other in (boss, leaf):
+                    expected[f"works_for('{name}', '{other}')"] = (
+                        [{}] if (name, other) in pairs else []
+                    )
+            asked = view.stats.maintained_asks
+            for goal, answers in expected.items():
+                assert session.ask(goal) == answers, goal  # order included
+            assert view.stats.maintained_asks == asked + len(expected)
+
+        check()
+        session.assert_fact("empl", 902, "emp00902", 25000, deep_dept)
+        check()
+        assert session.retract_fact(
+            "empl", middle.eno, middle.nam, middle.sal, middle.dno
+        )
+        check()
+        assert session.retract_fact("empl", 902, "emp00902", 25000, deep_dept)
+        check()
+        assert view.stats.refreshes == 0  # maintained throughout, never rebuilt
+        session.close()
+
 
 class TestIncrementalClosure:
     def test_chain_insert_and_delete(self):
@@ -212,59 +267,26 @@ class TestIncrementalClosure:
         assert ("a", "c") in closure.pairs and ("a", "d") in closure.pairs
 
 
-# -- storage policy and backend tables -----------------------------------------
+# -- session-level write contract -----------------------------------------------
 
 
-class TestStoragePolicy:
-    def test_choice_thresholds(self):
-        policy = StoragePolicy(backend_min_rows=100, maintain_max_rows=1000)
-        assert policy.choose(10) == "memory"
-        assert policy.choose(100) == "backend"
-        assert policy.choose(5000) == "invalidate"
+class TestWriteContract:
+    def test_one_commit_per_write_over_three_views(self, session):
+        """Support counts live in memory only: a maintained write is the
+        base row's one commit, however many views it feeds."""
+        for goal in ("works_dir_for(X, Y)", "same_manager(X, Y)", "works_for(X, Y)"):
+            session.materialize.view(goal)
 
-    def test_backend_table_stays_in_sync(self, session):
-        view = session.materialize.view("works_dir_for(X, Y)", storage="backend")
-        assert view.backend_table == "mv_works_dir_for"
-        table = set(session.database.fetch_materialized(view.backend_table))
-        assert table == set(view.counts)
+        def commits():
+            return session.stats()["database"]["commits"]
+
+        before = commits()
         session.assert_fact("empl", 903, "emp00903", 21000, 1)
-        table = set(session.database.fetch_materialized(view.backend_table))
-        assert table == set(view.counts)
-        session.retract_fact("empl", 903, "emp00903", 21000, 1)
-        table = set(session.database.fetch_materialized(view.backend_table))
-        assert table == set(view.counts)
-
-    def test_backend_answers_match_memory(self, session):
-        memory = session.ask("works_dir_for(X, 'emp00004')")
-        session.materialize.view("works_dir_for(X, Y)", storage="backend")
-        backend = session.ask("works_dir_for(X, 'emp00004')")
-        assert answer_set(memory) == answer_set(backend)
-
-    def test_auto_promotion_after_hot_asks(self, session):
-        view = session.materialize.view("works_dir_for(X, Y)", storage="auto")
-        assert view.storage == "memory"  # small view: below backend_min_rows
-        # Lower the thresholds so the view now qualifies, then make it hot.
-        session.materialize.policy = StoragePolicy(
-            backend_min_rows=view.row_count, promote_after_asks=3
-        )
-        for _ in range(4):
-            session.ask("works_dir_for(X, Y)")
-        assert view.storage == "backend"
-        assert view.backend_table is not None
-        assert session.materialize.stats.promotions == 1
-        table = set(session.database.fetch_materialized(view.backend_table))
-        assert table == set(view.counts)
-
-    def test_invalidate_storage_recomputes_on_ask(self, session):
-        view = session.materialize.view(
-            "works_dir_for(X, Y)", storage="invalidate"
-        )
-        session.ask("works_dir_for(X, Y)")
-        session.assert_fact("empl", 904, "emp00904", 22000, 1)
-        assert view.stale
-        answers = session.ask("works_dir_for(X, Y)")
-        assert "emp00904" in {a["X"] for a in answers}
-        assert view.stats.refreshes >= 2  # registration + post-write ask
+        assert commits() == before + 1
+        assert session.retract_fact("empl", 903, "emp00903", 21000, 1)
+        assert commits() == before + 2
+        assert session.materialize.stats.deltas_applied == 6  # 2 writes x 3 views
+        assert session.materialize.stats.refreshes == 0
 
 
 # -- change capture at the knowledge base --------------------------------------
@@ -331,6 +353,23 @@ class TestChangeCapture:
         # Pre-fix both branches would reach the same counter value while
         # holding different content; stamps are now globally unique.
         assert kb.generation != snap.generation
+
+    def test_stale_view_recomputes_on_the_next_ask(self, session, org3):
+        """A wholesale load cannot be patched: the view goes stale and the
+        next ask — not the load — pays one recompute."""
+        view = session.materialize.view("works_dir_for(X, Y)")
+        session.ask("works_dir_for(X, Y)")
+        session.load_org(org3)
+        assert view.stale
+        assert view.stats.refreshes == 1  # registration only, so far
+        answers = session.ask("works_dir_for(X, Y)")
+        assert not view.stale
+        assert view.stats.refreshes == 2
+        expected = fresh_copy(session).ask("works_dir_for(X, Y)")
+        assert answer_set(answers) == answer_set(expected)
+        session.assert_fact("empl", 904, "emp00904", 22000, 1)
+        assert view.stats.refreshes == 2  # fresh again: maintained by delta
+        assert "emp00904" in {a["X"] for a in session.ask("works_dir_for(X, Y)")}
 
 
 # -- transitive result-cache invalidation (satellite regression) ---------------
@@ -475,14 +514,12 @@ class TestSessionStats:
 
     def test_reregistration_replaces_the_old_view(self, session):
         first = session.materialize.view("works_dir_for(X, Y)")
-        second = session.materialize.view("works_dir_for(X, Y)", storage="backend")
+        second = session.materialize.view("works_dir_for(X, Y)")
         assert session.materialize.views() == [second]
         session.assert_fact("empl", 910, "emp00910", 28000, 1)
         # Only the live registration is maintained — no double application.
         assert first.stats.deltas_applied == 0
         assert second.stats.deltas_applied == 1
-        table = set(session.database.fetch_materialized(second.backend_table))
-        assert table == set(second.counts)
 
     def test_retract_fact_without_maintenance(self, session):
         row = session.database.fetch_relation("empl")[-1]
