@@ -5,10 +5,13 @@ Claims regression-gated here (recorded in ``BENCH_materialize.json`` by
 
 * on an **interleaved update/ask workload** (single-fact asserts and
   retracts between repeated view asks over rotating constants),
-  incremental maintenance sustains **>= 5x** the ask throughput of
-  invalidate-and-recompute — the PR 2 baseline, where every write bumps
-  the KB generation (dropping compiled plans) and invalidates cached
-  rows, so every subsequent ask recompiles and re-executes;
+  incremental maintenance sustains **>= 1.4x** the ask throughput of
+  invalidate-and-re-execute — a plain session, where every write
+  invalidates the cached rows that read the relation, so every
+  subsequent ask re-executes its (still warm) prepared statement.  The
+  gate was >= 5x while a base-relation write also advanced the KB
+  generation and every ask after it recompiled; since PR 22 it does
+  not, and the baseline is ~7x faster (full mode: 645 -> 4,500 asks/s);
 * the maintained path is genuinely incremental: **zero** full refreshes
   and zero maintenance fallbacks during the measured workload — every
   update is absorbed by counting delta rules (flat views) or semi-naive /
@@ -33,8 +36,8 @@ from repro.dbms import generate_org
 from repro.schema import ALL_VIEWS_SOURCE
 
 #: (org depth, branching, staff, update/ask cycles, asks per cycle, min speedup)
-FULL_SIZES = (3, 3, 6, 80, 4, 5.0)
-QUICK_SIZES = (3, 2, 4, 30, 4, 2.5)
+FULL_SIZES = (3, 3, 6, 80, 4, 1.4)
+QUICK_SIZES = (3, 2, 4, 30, 4, 1.3)
 
 #: (ops in the random trace, ops per differential checkpoint)
 FULL_DIFF = (60, 10)
@@ -112,7 +115,7 @@ def bench_interleaved(org, cycles: int, asks_per_cycle: int) -> dict:
     maintained = make_session(org, maintain=True)
     baseline = make_session(org, maintain=False)
     # Warm both sessions once so first-compilation costs are off-clock on
-    # both sides (the baseline recompiles after every write regardless).
+    # both sides.
     maintained.ask("works_dir_for(X, Y)")
     baseline.ask("works_dir_for(X, Y)")
 

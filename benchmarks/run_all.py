@@ -262,8 +262,8 @@ def run_materialize_benchmarks(
         "benchmark": "E13 incremental view maintenance (maintain, don't recompute)",
         "mode": "quick" if quick else "full",
         "seed": seed,
-        "baseline": "invalidate-and-recompute: every write drops plans and "
-        "cached rows; every ask recompiles and re-executes",
+        "baseline": "invalidate-and-re-execute: every write drops the cached "
+        "rows that read the relation; every ask re-executes its warm plan",
         "org": {"depth": depth, "branching": branching, "staff_per_dept": staff},
         "workloads": {
             "interleaved_update_ask": interleaved,

@@ -32,7 +32,12 @@ from ..concurrency import LockedCounters
 from ..dbcl.grammar import format_dbcl
 from ..dbcl.predicate import DbclPredicate
 from ..dbcl.symbols import watch_marker_consultation
-from ..errors import CouplingError, CqaError, TranslationError
+from ..errors import (
+    CouplingError,
+    CqaError,
+    DatabaseNegationError,
+    TranslationError,
+)
 from ..metaevaluate.recursion import view_call_graph
 from ..optimize.costs import order_rows
 from ..optimize.pipeline import SimplificationResult, SimplifyOptions, simplify
@@ -438,6 +443,8 @@ class Compiler:
         self.phases.incr("cold_compilations")
         try:
             split = plan_goal(session.kb, session.schema, goal, graph=graph)
+        except DatabaseNegationError:
+            raise  # the engine is never the right evaluator for this one
         except CouplingError as error:
             if consistent:
                 raise CqaError(
@@ -650,9 +657,9 @@ class Compiler:
         does not retry on every ask.
         """
         # retain, not sync: executing the cold compilation may have
-        # advanced the generation (a segment merge, a fetch's answer
-        # facts), but this shape's own cache slot (and its lazy
-        # `attempted` progress) stays valid across its own side effects.
+        # advanced the program clock (a fetch's answer facts), but this
+        # shape's own cache slot (and its lazy `attempted` progress)
+        # stays valid across its own side effects.
         plans = self.session.plans
         plans.retain(shape, self.session.kb)
         try:

@@ -146,10 +146,10 @@ class Executor:
             if kind == "fetch":
                 assert_answers(session.kb, goal, bound, goal_vars, rows)
             if exclusive and shape is not None:
-                # A segment merge or a fetch's answer facts advanced the
-                # KB generation; keep this shape's plan alive across its
-                # own side effects (answer facts only add fact branches,
-                # which the fetch front filters out by design).
+                # A fetch's answer facts advanced the program clock;
+                # keep this shape's plan alive across its own side
+                # effects (answer facts only add fact branches, which
+                # the fetch front filters out by design).
                 session.plans.retain(shape, session.kb)
         if kind == "fetch":
             if bound is not None:

@@ -40,7 +40,7 @@ import networkx as nx
 from ..concurrency import LockedCounters, StripedLock
 from ..dbcl.predicate import DbclPredicate
 from ..dbcl.symbols import ConstSymbol, ParamMarker, is_param_marker
-from ..errors import CouplingError
+from ..errors import CouplingError, DatabaseNegationError
 from ..metaevaluate.recursion import (
     recursive_indicators as _recursive_indicators,
     view_call_graph,
@@ -105,6 +105,9 @@ def classify_conjuncts(
     * ``mixed`` — reaches both kinds of leaves; the caller must restructure
       (the paper's stepwise-evaluation extension handles these).
 
+    ``not/1`` over internal predicates is ``internal``; over anything that
+    reaches a database relation it raises ``DatabaseNegationError``.
+
     ``graph`` lets callers reuse a memoized view call graph (see
     :meth:`PlanCache.graph`) instead of rebuilding it per classification.
     """
@@ -122,6 +125,16 @@ def classify_conjuncts(
             continue
         if is_database_indicator(schema, indicator):
             classified.append((subgoal, "external"))
+            continue
+        if indicator == ("not", 1) and not isinstance(subgoal.args[0], Variable):
+            # (the reader spells ``\\+ G`` as ``not(G)`` too)
+            negated = classify_conjuncts(kb, schema, subgoal.args[0], graph)
+            if any(kind in ("external", "mixed") for _, kind in negated):
+                raise DatabaseNegationError(
+                    f"goal {subgoal} negates over the database; "
+                    "use PrologDbSession.ask_with_negation"
+                )
+            classified.append((subgoal, "internal"))
             continue
         called = reachable(graph, (indicator,))
         db_leaves = {i for i in called if is_database_indicator(schema, i)}
@@ -217,11 +230,8 @@ def plan_goal(
 
     goal_vars = [v for v in variables_of(goal) if not v.is_anonymous]
     internal_vars = {v for g in internal for v in variables_of(g)}
-    interface = [
-        v
-        for v in goal_vars
-        if v in external_vars and (v in internal_vars or not internal)
-    ]
+    # every answer variable the external block binds, used internally or not
+    interface = [v for v in goal_vars if v in external_vars]
     # Variables shared between blocks but not in the answer still must
     # cross the interface.
     for variable in sorted(external_vars & internal_vars, key=str):
@@ -590,13 +600,13 @@ UNCACHEABLE = object()
 
 
 class PlanCache:
-    """Compiled plans per goal shape, pinned to a KB generation.
+    """Compiled plans per goal shape, pinned to the program clock.
 
     Also memoizes the view call graph and the recursive-indicator set —
     the per-ask graph rebuilds classification used to pay for.  Any
-    structural change to the knowledge base (``consult``, ``assert_fact``,
-    ``retract``) advances ``KnowledgeBase.generation`` and empties the
-    cache on the next :meth:`sync`.
+    *program* change (``consult``, a rule or a non-schema fact asserted
+    or retracted) advances ``KnowledgeBase.generation`` and empties the
+    cache on the next :meth:`sync`; a base-relation tuple never does.
     """
 
     def __init__(self, max_shapes: int = 512, max_variants: int = 64):

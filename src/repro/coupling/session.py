@@ -57,7 +57,7 @@ from typing import Iterable, Optional, Union
 
 from ..cqa import CertainAnswers
 from ..dbcl.grammar import format_dbcl
-from ..dbms.internal_db import term_to_value
+from ..dbms.internal_db import fact_row
 from ..dbms.merge import SegmentMerger
 from ..dbms.sqlite_backend import ExternalDatabase
 from ..dbms.workload import OrgHierarchy, load_org
@@ -82,7 +82,6 @@ from .global_opt import (
     PlanCache,
     ResultCache,
     goal_shape,
-    is_database_indicator,
 )
 from .multi_query import BatchExecutor
 from .recursion_exec import RecursionRun, TransitiveClosure
@@ -129,6 +128,10 @@ class PrologDbSession:
         )
         self.optimize = optimize
         self.kb = KnowledgeBase()
+        self.kb.data_indicators = frozenset(
+            (relation.name, relation.arity)
+            for relation in self.schema.relations.values()
+        )
         self.engine = Engine(self.kb)
         self.metaevaluator = Metaevaluator(self.schema, self.kb)
         self.merger = SegmentMerger(self.kb, self.database)
@@ -186,7 +189,7 @@ class PrologDbSession:
         self._executor = Executor(self)
 
     def _on_base_relation_change(self, kind, indicator, clauses) -> None:
-        if is_database_indicator(self.schema, indicator):
+        if indicator in self.kb.data_indicators:
             self.cache.invalidate_relation(indicator[0])
 
     # -- program loading ---------------------------------------------------------
@@ -212,11 +215,8 @@ class PrologDbSession:
 
     def load_org(self, org: OrgHierarchy) -> None:
         """Load a generated organisation into the external database."""
-        # One generation bump for the whole load, however the loader (or
-        # a change listener) touches the knowledge base.
         with self.kb.lock.write():
-            with self.kb.bulk_update():
-                relations = load_org(self.database, org)
+            relations = load_org(self.database, org)
             self.cache.invalidate(relations)
             self.materialize.on_load(relations)
 
@@ -244,31 +244,39 @@ class PrologDbSession:
 
         The payload a scale-out owner ships to read-only workers: every
         rule and non-base fact, rendered back to Prolog source, stamped
-        with the knowledge base generation it serializes.  Base-relation
-        facts are deliberately excluded — the external store already
-        holds them (the serving tier merges internal segments before
-        publishing), and shipping them would turn read-only workers
-        into writers when their merge procedure fired.
+        with the program clock it serializes.  Base-relation facts are
+        deliberately excluded — a base write is a store write, so the
+        external store already holds them, and shipping the hypothetical
+        ones would turn read-only workers into writers when their merge
+        procedure fired.
         """
         with self.kb.lock.read():
             clauses = []
             for indicator in list(self.kb.indicators()):
-                if not is_database_indicator(self.schema, indicator):
+                if indicator not in self.kb.data_indicators:
                     clauses.extend(self.kb.all_clauses(indicator))
             return self.kb.generation, program_to_string(clauses)
 
     def assert_fact(self, functor: str, *values) -> None:
-        """Add an internal fact (expert-system knowledge).
+        """Add a fact: a store write for a base relation, else internal.
 
-        Facts asserted under a *base relation* name form an internal
-        database segment; the merge procedure (paper section 2) pushes
-        them to the external DBMS before the next query over that
-        relation.  The change listeners registered on the knowledge base
-        invalidate affected cached results and — when materialized views
-        depend on the relation — apply maintenance deltas instead of
-        recomputing.
+        A tuple of a *base relation* is inserted into the external DBMS
+        unless it is already there (merge semantics), with materialized
+        views maintained through insert deltas and affected cached
+        results invalidated; nothing enters the knowledge base.  Any
+        other fact is expert-system knowledge, asserted internally.
         """
-        self.kb.assert_fact(functor, *values)
+        clause = KnowledgeBase.fact_clause(functor, values)
+        if clause.indicator not in self.kb.data_indicators:
+            self.kb.assertz(clause)
+            return
+        row = fact_row(clause)
+        with self.kb.lock.write():
+            if self.materialize.is_maintained(functor):
+                self.materialize.insert(functor, row)
+            else:
+                self.database.insert_absent(functor, [row])
+            self.cache.invalidate_relation(functor)
 
     def retract_fact(self, functor: str, *values) -> bool:
         """Remove a fact from the session's visible union of segments.
@@ -279,17 +287,16 @@ class PrologDbSession:
         recursive views).  Returns True when something was removed.
         """
         clause = KnowledgeBase.fact_clause(functor, values)
-        args = clause.head.args
         # One write bracket for the internal retract *and* the external
         # delete: concurrent readers see the tuple everywhere or nowhere.
         with self.kb.lock.write():
             found = self.kb.retract(clause)
-            if not is_database_indicator(self.schema, (functor, len(args))):
+            if clause.indicator not in self.kb.data_indicators:
                 return found
-            row = tuple(term_to_value(argument) for argument in args)
+            row = fact_row(clause)
             if self.materialize.is_maintained(functor):
                 if not found:
-                    found = bool(self.materialize.external_delete(functor, row))
+                    found = self.materialize.delete(functor, row)
             else:
                 removed = self.database.delete_row(functor, row)
                 found = found or removed > 0
@@ -632,6 +639,14 @@ class PrologDbSession:
 
     # -- extensions (paper section 7) ------------------------------------------------------
 
+    def _execute_merged(self, predicates, query) -> list[tuple]:
+        """Merge the predicates' pending segments, then run ``query``."""
+        self._executor.merge_pending(
+            row.tag for predicate in predicates for row in predicate.rows
+        )
+        with self.kb.lock.read():
+            return self.database.execute(query)
+
     def ask_disjunctive(self, goal: Union[str, Term]) -> list[dict[str, Value]]:
         """Answer a goal over a disjunctive view via per-conjunct UNION."""
         from ..extensions.disjunction import translate_disjunctive
@@ -644,7 +659,7 @@ class PrologDbSession:
                 self.metaevaluator, goal, self.constraints, targets=targets,
                 options=self._compiler.options(),
             )
-            rows = self.database.execute(translation.union)
+        rows = self._execute_merged(translation.branches, translation.union)
         live = [p for p in translation.simplified if p is not None]
         if not live:
             return []
@@ -662,7 +677,9 @@ class PrologDbSession:
                 self.metaevaluator, goal, self.constraints, targets=targets,
                 options=self._compiler.options(),
             )
-            rows = self.database.execute(translation.query)
+        rows = self._execute_merged(
+            (translation.positive, translation.negated), translation.query
+        )
         # Targets were projected in goal-variable order by the translator.
         wanted = {v.name for v in targets}
         target_names = [

@@ -58,6 +58,20 @@ def term_to_value(term: Term) -> Value:
     raise CouplingError(f"cannot convert term {term} to a database value")
 
 
+def fact_row(clause: Clause) -> Optional[tuple]:
+    """The value tuple of a ground relational fact, or None.
+
+    Non-ground facts and structured arguments cannot be database tuples:
+    the merge procedure and view maintenance both skip them.
+    """
+    if not clause.is_fact or not isinstance(clause.head, Struct):
+        return None
+    try:
+        return tuple(term_to_value(argument) for argument in clause.head.args)
+    except CouplingError:
+        return None
+
+
 def answer_substitutions(
     predicate: DbclPredicate,
     target_vars: Sequence[Variable],

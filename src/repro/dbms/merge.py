@@ -4,12 +4,18 @@ The paper names two support components: an internal database for query
 answers (with garbage collection if results grow stale) and "a merge
 procedure ... to combine internal and external database segments".  A
 relation may have tuples in the external DBMS *and* facts asserted
-internally (e.g. hypothetical data an expert system adds); the merge view
-is their union.
+internally (hypothetical data an expert system adds while reasoning:
+``assertz(empl(...))`` from inside a program, consulted base facts); the
+merge view is their union.  That internal segment is the exception, not
+the rule — ``PrologDbSession.assert_fact`` on a base relation writes the
+store directly — and it is program-clock neutral: asserting it, and
+relocating it here, drops no compiled plan.
 
-:class:`SegmentMerger` implements that union with duplicate elimination,
-plus the garbage-collection hook: results asserted under a view name can
-be retracted wholesale when the coupling layer decides they are not worth
+:class:`SegmentMerger` implements the union with duplicate elimination
+by moving exactly the pending rows (each inserted unless the relation
+already holds it — the statement every base-relation write uses), plus
+the garbage-collection hook: results asserted under a view name can be
+retracted wholesale when the coupling layer decides they are not worth
 keeping (large and unlikely to be reused).
 """
 
@@ -18,10 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..errors import CouplingError
 from ..prolog.knowledge_base import KnowledgeBase
-from ..prolog.terms import Clause, Struct
-from .internal_db import term_to_value, value_to_term
+from .internal_db import fact_row
 from .sqlite_backend import ExternalDatabase
 
 
@@ -30,13 +34,13 @@ class MergeReport:
     """What one merge did."""
 
     relation: str
-    external_rows: int
+    external_rows: int  # in the store before the merge
     internal_facts: int
-    merged_rows: int
+    rows_added: int
 
     @property
     def duplicates_removed(self) -> int:
-        return self.external_rows + self.internal_facts - self.merged_rows
+        return self.internal_facts - self.rows_added
 
 
 class SegmentMerger:
@@ -49,33 +53,8 @@ class SegmentMerger:
     def internal_rows(self, relation_name: str) -> list[tuple]:
         """Ground facts for a relation held in the internal database."""
         relation = self.database.schema.relation(relation_name)
-        rows = []
-        for clause in self.kb.all_clauses((relation_name, relation.arity)):
-            if not clause.is_fact or not isinstance(clause.head, Struct):
-                continue
-            try:
-                rows.append(tuple(term_to_value(a) for a in clause.head.args))
-            except CouplingError:
-                continue  # non-ground or structured fact: not a tuple
-        return rows
-
-    def merged_rows(self, relation_name: str) -> tuple[list[tuple], MergeReport]:
-        """Union of both segments with duplicates removed."""
-        external = self.database.fetch_relation(relation_name)
-        internal = self.internal_rows(relation_name)
-        seen: set[tuple] = set()
-        merged: list[tuple] = []
-        for row in external + internal:
-            if row not in seen:
-                seen.add(row)
-                merged.append(row)
-        report = MergeReport(
-            relation=relation_name,
-            external_rows=len(external),
-            internal_facts=len(internal),
-            merged_rows=len(merged),
-        )
-        return merged, report
+        clauses = self.kb.all_clauses((relation_name, relation.arity))
+        return [row for row in map(fact_row, clauses) if row is not None]
 
     def pending(self, relations: Iterable[str]) -> list[str]:
         """The base relations among ``relations`` with unmerged internal facts."""
@@ -92,41 +71,20 @@ class SegmentMerger:
 
         The paper's "alternative strategy": store results in the external
         system "to keep a clean separation between database and logic
-        program data".  Internal facts not yet present externally are
-        inserted; the internal copies are retracted.
+        program data".  Only the pending rows move: each is inserted
+        unless the relation already holds it, and the internal copies are
+        retracted.
         """
-        merged, report = self.merged_rows(relation_name)
-        external = set(self.database.fetch_relation(relation_name))
-        new_rows = [row for row in merged if row not in external]
-        if new_rows:
-            self.database.insert_rows(relation_name, new_rows)
+        internal = self.internal_rows(relation_name)
+        external = self.database.row_count(relation_name)
+        added = self.database.insert_absent(relation_name, internal)
         relation = self.database.schema.relation(relation_name)
         # Relocation, not deletion: the retracted internal copies live on
         # externally, so change listeners (incremental view maintenance)
         # must not observe this as a data change.
         with self.kb.suspend_deltas():
             self.kb.retract_all((relation_name, relation.arity))
-        return report
-
-    def pull_external(self, relation_name: str) -> MergeReport:
-        """Assert every external tuple as an internal fact (small relations).
-
-        Used when the global optimizer decides a relation is cheaper to
-        evaluate tuple-at-a-time in Prolog than to ship queries out.
-        """
-        merged, report = self.merged_rows(relation_name)
-        relation = self.database.schema.relation(relation_name)
-        # Also a relocation (external tuples re-homed as internal facts);
-        # suppress change listeners and coalesce the generation bumps.
-        with self.kb.suspend_deltas(), self.kb.bulk_update():
-            self.kb.retract_all((relation_name, relation.arity))
-            for row in merged:
-                self.kb.assertz(
-                    Clause(
-                        Struct(relation_name, tuple(value_to_term(v) for v in row))
-                    )
-                )
-        return report
+        return MergeReport(relation_name, external, len(internal), added)
 
     def collect_garbage(self, indicator: tuple[str, int]) -> int:
         """Drop all facts stored under a view name; returns the count."""

@@ -373,6 +373,29 @@ class ExternalDatabase(SideTables):
         self._statistics.note_mutation(relation_name)
         return len(data)
 
+    def insert_absent(self, relation_name: str, rows: Iterable[Sequence[Value]]) -> int:
+        """Insert each tuple the relation does not already hold; returns
+        how many were added.  Merge (set) semantics for the session's
+        base-relation writes and the merge procedure's segment push: one
+        null-safe, index-matched statement per tuple."""
+        data = [tuple(row) for row in rows]
+        relation = self._checked_relation(relation_name, data)
+        statement = (
+            f"INSERT INTO {relation_name} "
+            f"SELECT {', '.join('?' * relation.arity)} WHERE NOT EXISTS "
+            f"(SELECT 1 FROM {relation_name} "
+            f"WHERE {row_match(relation.attributes)})"
+        )
+        added = self.write(
+            f"insert absent {relation_name}",
+            lambda cursor: cursor.executemany(
+                statement, [row + row for row in data]
+            ).rowcount,
+        )
+        if added:
+            self._statistics.note_mutation(relation_name)
+        return added
+
     def delete_row(self, relation_name: str, row: Sequence[Value]) -> int:
         """Delete tuples equal to ``row`` from a base relation; returns count."""
         relation = self._checked_relation(relation_name, [row])

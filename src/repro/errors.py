@@ -215,6 +215,15 @@ class IntervalUnavailable(CouplingError):
     """
 
 
+class DatabaseNegationError(CouplingError):
+    """``not/1`` over a database relation reached the plain ask pipeline.
+
+    Typed because the compiler's "mixed goal: let the engine resolve it"
+    fallback must not catch it: negation as failure there would succeed
+    for every binding (the knowledge base holds none of the tuples).
+    """
+
+
 class CqaError(CouplingError):
     """Base class for consistent-query-answering failures.
 

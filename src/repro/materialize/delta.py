@@ -10,12 +10,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..concurrency import LockedCounters
-from ..dbms.internal_db import term_to_value
-from ..errors import CouplingError
-from ..prolog.terms import Clause, Struct
 
 INSERT = "insert"
 DELETE = "delete"
@@ -28,22 +24,6 @@ class Delta:
     relation: str
     kind: str  # INSERT or DELETE
     row: tuple
-
-
-def fact_row(clause: Clause) -> Optional[tuple]:
-    """The value tuple of a ground relational fact, or None.
-
-    Non-ground facts and structured arguments cannot be database tuples;
-    the segment merger skips them identically
-    (:meth:`repro.dbms.merge.SegmentMerger.internal_rows`), so ignoring
-    them here keeps maintenance aligned with merge semantics.
-    """
-    if not clause.is_fact or not isinstance(clause.head, Struct):
-        return None
-    try:
-        return tuple(term_to_value(argument) for argument in clause.head.args)
-    except CouplingError:
-        return None
 
 
 @dataclass

@@ -3,11 +3,14 @@
 The manager owns every registered materialized view, subscribes to
 knowledge-base mutation events, and keeps three invariants:
 
-1. **Eager externalization** — base relations that back at least one
-   registered view are kept physically current in the external DBMS: an
-   asserted fact is pushed out immediately (instead of waiting for the
-   next query's segment merge), a retracted one is deleted.  Delta
-   queries therefore always see the visible union.
+1. **One write path** — a write to a base relation that backs at least
+   one registered view is a store write made *here*: the session's
+   ``assert_fact`` / ``retract_fact`` call :meth:`insert` /
+   :meth:`delete` directly, and a fact that reaches the knowledge base
+   some other way (engine-level ``assertz`` / ``retract``, a consult)
+   arrives through the listener and takes the same two methods, without
+   waiting for the next query's segment merge.  Delta queries therefore
+   always see the visible union.
 2. **Set semantics of the union** — merge semantics deduplicate internal
    against external segments, so the manager tracks the visible rows per
    relation as a set; re-asserting an existing tuple or retracting a
@@ -32,7 +35,8 @@ from ..metaevaluate.recursion import recursive_indicators
 from ..optimize.pipeline import SimplifyOptions, simplify
 from ..prolog.reader import parse_goal
 from ..prolog.terms import Struct, Term, Variable, conjoin, conjuncts
-from .delta import DELETE, INSERT, Delta, MaintenanceStats, fact_row
+from ..dbms.internal_db import fact_row
+from .delta import DELETE, INSERT, Delta, MaintenanceStats
 from .recursive import RecursiveMaterializedView
 from .views import MaterializedView
 
@@ -205,13 +209,9 @@ class MaterializeManager:
     # -- delta capture ------------------------------------------------------
 
     def _on_kb_event(self, kind: str, indicator, clauses) -> None:
-        name, arity = indicator
+        name = indicator[0]
         dependents = self._by_relation.get(name)
-        if not dependents:
-            return
-        if not self.schema.has_relation(name):
-            return
-        if self.schema.relation(name).arity != arity:
+        if not dependents or indicator not in self.kb.data_indicators:
             return
         if kind == "clear":
             # A retract_all sweep mixes removals with rows that survive
@@ -224,11 +224,12 @@ class MaterializeManager:
             if row is None:
                 continue  # non-tuple fact: invisible to the merged union
             if kind == "insert":
-                self._apply_insert(name, row)
+                self.insert(name, row)
             elif kind == "delete":
-                self._apply_delete(name, row)
+                self.delete(name, row)
 
-    def _apply_insert(self, relation: str, row: tuple) -> None:
+    def insert(self, relation: str, row: tuple) -> None:
+        """Add a tuple to a maintained relation unless it is already visible."""
         union = self._union[relation]
         if row in union:
             return  # merge semantics: duplicate of a visible tuple
@@ -237,29 +238,16 @@ class MaterializeManager:
         self._dispatch(Delta(relation, INSERT, row))
         self._heal_pass(relation)
 
-    def _apply_delete(self, relation: str, row: tuple) -> None:
+    def delete(self, relation: str, row: tuple) -> bool:
+        """Remove a tuple from a maintained relation; False when not visible."""
         union = self._union[relation]
         if row not in union:
-            return
+            return False
         # Delete deltas evaluate against the pre-delete state.
         self._dispatch(Delta(relation, DELETE, row))
         self.database.delete_row(relation, row)
         union.discard(row)
         self._heal_pass(relation)
-
-    def external_delete(self, relation: str, row: tuple) -> bool:
-        """Remove a tuple that exists only externally (no internal fact).
-
-        The session's ``retract_fact`` calls this when ``kb.retract``
-        found nothing to remove; returns True only when a tuple was
-        actually removed (a maintained relation knows its visible union,
-        so an absent row is a definite no-op).
-        """
-        if relation not in self._by_relation:
-            return False
-        if row not in self._union[relation]:
-            return False
-        self._apply_delete(relation, row)
         return True
 
     def _dispatch(self, delta: Delta) -> None:
@@ -398,14 +386,7 @@ class MaterializeManager:
         need no rebuild; anything else (view rules, rules for a base
         relation) conservatively re-registers every view.
         """
-        def is_base_fact(indicator: tuple) -> bool:
-            name, arity = indicator
-            return (
-                self.schema.has_relation(name)
-                and self.schema.relation(name).arity == arity
-            )
-
-        if all(is_base_fact(indicator) for indicator in indicators):
+        if self.kb.data_indicators.issuperset(indicators):
             return
         if not self._views:
             return

@@ -58,6 +58,13 @@ relation-level deltas.  Bookkeeping moves that do not change the visible
 union of data (the segment merger relocating facts between the internal
 and external store) run under :meth:`KnowledgeBase.suspend_deltas` so
 listeners never mistake them for updates.
+
+Listeners fire for every mutation; ``generation`` is a *program* clock
+and advances only for indicators outside ``data_indicators`` (the
+session puts its schema's base relations there): a tuple of a base
+relation can change an answer, never how a goal compiles, so the
+internal segment of a base relation — and its relocation by the merge
+procedure — leaves compiled plans and the memoized call graph alone.
 """
 
 from __future__ import annotations
@@ -306,11 +313,12 @@ _generation_source = count(1)
 class KnowledgeBase:
     """A mutable store of Prolog clauses with assert/retract semantics.
 
-    ``generation`` identifies the current structural state
-    (assert/retract history); compiled artifacts such as the coupling
-    layer's plan cache key themselves on it and drop everything when it
-    moves.  Stamps are drawn from a process-wide monotone counter, so
-    equal generations imply identical clause content even across
+    ``generation`` identifies the current state of the *program* (the
+    assert/retract history outside ``data_indicators``); compiled
+    artifacts such as the coupling layer's plan cache key themselves on
+    it and drop everything when it moves.  Stamps are drawn from a
+    process-wide monotone counter, so equal generations imply identical
+    program content even across
     :meth:`snapshot` copies that were mutated independently.  Mutations
     that provably do not change what a compiled plan would look like (the
     session's derived-answer bookkeeping) can be wrapped in
@@ -322,6 +330,8 @@ class KnowledgeBase:
     def __init__(self):
         self._procedures: dict[tuple[str, int], Procedure] = {}
         self.generation = 0
+        #: Indicators whose clauses are data, not program.
+        self.data_indicators: frozenset = frozenset()
         self._listeners: list = []
         self._bulk_depth = 0
         self._bulk_dirty = False
@@ -351,7 +361,7 @@ class KnowledgeBase:
 
     @contextmanager
     def suspend_deltas(self) -> Iterator[None]:
-        """Hide mutations from listeners (generation still advances).
+        """Hide mutations from listeners.
 
         For bookkeeping that relocates data without changing the visible
         union — the segment merger pushing internal facts to the external
@@ -374,7 +384,9 @@ class KnowledgeBase:
 
     # -- generation bookkeeping ---------------------------------------------
 
-    def _bump(self) -> None:
+    def _bump(self, indicator: tuple[str, int]) -> None:
+        if indicator in self.data_indicators:
+            return
         if self._bulk_depth:
             self._bulk_dirty = True
         else:
@@ -437,14 +449,14 @@ class KnowledgeBase:
         """Add a clause at the end of its procedure."""
         with self.lock.write():
             self._procedure(clause.indicator).add(clause)
-            self._bump()
+            self._bump(clause.indicator)
             self._notify("insert", clause.indicator, (clause,))
 
     def asserta(self, clause: Clause) -> None:
         """Add a clause at the front of its procedure."""
         with self.lock.write():
             self._procedure(clause.indicator).add(clause, front=True)
-            self._bump()
+            self._bump(clause.indicator)
             self._notify("insert", clause.indicator, (clause,))
 
     @staticmethod
@@ -486,7 +498,7 @@ class KnowledgeBase:
                 removed_clause = owner._ground_heads[pattern.head][0]
                 removed = owner.remove_ground_fact(pattern.head)
                 if removed:
-                    self._bump()
+                    self._bump(pattern.indicator)
                     self._notify("delete", pattern.indicator, (removed_clause,))
                 return removed
             for clause in list(procedure.iter_clauses()):
@@ -496,7 +508,7 @@ class KnowledgeBase:
                 if unify(clause.body, pattern.body, subst) is None:
                     continue
                 self._procedure(pattern.indicator).remove(clause)
-                self._bump()
+                self._bump(pattern.indicator)
                 self._notify("delete", pattern.indicator, (clause,))
                 return True
             return False
@@ -507,7 +519,7 @@ class KnowledgeBase:
             procedure = self._procedures.pop(indicator, None)
             if procedure is None:
                 return 0
-            self._bump()
+            self._bump(indicator)
             if self._listeners and not self._suspend_depth:
                 self._notify("clear", indicator, tuple(procedure.iter_clauses()))
             return len(procedure)
@@ -577,6 +589,7 @@ class KnowledgeBase:
                 procedure.shared = True
             copy._procedures = dict(self._procedures)
             copy.generation = self.generation
+            copy.data_indicators = self.data_indicators
             return copy
 
     def __len__(self) -> int:

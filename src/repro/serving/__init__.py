@@ -8,8 +8,8 @@ processing literature the ROADMAP cites — applied to the paper's
 tightly-coupled front-end:
 
 * an **owner process** holds the writable :class:`~repro.coupling.
-  PrologDbSession`; every write funnels through it, gets its internal
-  segment merged to the external store, and publishes a new
+  PrologDbSession`; every write funnels through it — a base-relation
+  write lands in the external store — and publishes a new
   **generation**;
 * N **worker processes** each hold a read-only program snapshot (shipped
   as ``(generation, source text)`` payloads from

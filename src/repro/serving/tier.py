@@ -5,13 +5,15 @@ worker processes (fork where available, the platform default otherwise),
 ships each a ``(generation, program)`` snapshot plus the warm-goal list,
 and then load-balances ``ask``/``ask_many`` across them round-robin.
 
-**Generation coherence.**  Every write goes through the tier, which
-merges the owner's internal segment to the external store *first* (so
-the shared WAL file holds the full union), then publishes the new
-generation — a cheap ``("generation", g)`` advance for base-relation
-writes (the WAL file itself carries the rows), a full ``("refresh", g,
-program)`` payload when the program changed: consults, and writes to
-non-base predicates, whose facts exist only in the snapshot.  Publishing and request
+**Generation coherence.**  Every write goes through the tier to the
+owner session, whose base-relation writes are store writes (the shared
+WAL file holds the row before the call returns), and is then published
+under the next *generation* — the tier's own publish sequence.  A
+publish is a cheap ``("generation", g)`` advance unless the owner's
+program clock (``KnowledgeBase.generation``) moved since the last
+program the fleet was sent, in which case it is a full ``("refresh", g,
+program)`` payload: consults, and writes to non-base predicates, whose
+facts exist only in the snapshot.  Publishing and request
 dispatch share one lock, and each worker's queue is FIFO, so a request
 stamped with generation floor *g* can only be processed after the
 worker has seen the advance to *g*: no answer is ever served from a
@@ -211,9 +213,9 @@ class ServingTier:
             "replayed_requests": 0,
             "failed_requests": 0,
         }
-        generation, program = session.program_snapshot()
-        self._generation = generation
-        self._program = program
+        #: publish sequence; owner program clock of the snapshot last shipped
+        self._generation = 0
+        self._shipped, self._program = session.program_snapshot()
         self._workers = [_WorkerHandle(i) for i in range(workers)]
         for handle in self._workers:
             self._start_worker(handle)
@@ -505,60 +507,38 @@ class ServingTier:
     def consult(self, source: str) -> None:
         """Program change: consult on the owner, refresh every worker."""
         self._owner.consult(source)
-        self._publish(refresh=True)
+        self._publish()
 
     def assert_fact(self, functor: str, *values) -> None:
         """Write one fact through the owner and make it fleet-visible."""
         self._owner.assert_fact(functor, *values)
-        external = self._externalize(functor, len(values))
-        self._publish(refresh=not external)
+        self._publish()
 
     def retract_fact(self, functor: str, *values) -> bool:
         found = self._owner.retract_fact(functor, *values)
-        external = self._externalize(functor, len(values))
-        self._publish(refresh=not external)
+        self._publish()
         return found
 
-    def _externalize(self, functor: str, arity: int) -> bool:
-        """Merge the owner's internal segment so the WAL file has the union.
+    def _publish(self) -> None:
+        """Advance the fleet one generation past a completed owner write.
 
-        Workers read the shared file, not the owner's memory: a fact
-        sitting in the owner's internal segment would be invisible to
-        the whole fleet until some owner-side ask merged it.  The tier
-        merges eagerly at write time instead — the same merge procedure
-        the ask pipeline runs, just moved before the generation
-        publish.
-
-        Returns True when the functor is an externalizable schema
-        relation, i.e. the shared file carries the write and a cheap
-        generation advance suffices.  A non-base fact exists only in
-        the program snapshot (``program_snapshot`` excludes base
-        relations, nothing else), so the caller must publish a full
-        refresh or live workers would stamp answers with a generation
-        whose data they never received.
+        A base-relation write is in the shared file already; whatever
+        moved the owner's program clock exists only in the program
+        snapshot, so it ships as a full refresh — or live workers would
+        stamp answers with a generation whose data they never received.
         """
-        schema = self._owner.schema
-        if not (
-            schema.has_relation(functor)
-            and schema.relation(functor).arity == arity
-        ):
-            return False
-        if self._owner.kb.fact_count((functor, arity)):
-            self._owner.merger.materialise_internal(functor)
-        return True
-
-    def _publish(self, refresh: bool) -> None:
-        generation, program = self._owner.program_snapshot()
+        clock, program = self._owner.program_snapshot()
         with self._lock:
-            self._generation = generation
+            self._generation += 1
             self._counters["generations_published"] += 1
-            if refresh:
-                self._program = program
+            # Clock stamps are monotone, so a snapshot older than the one
+            # shipped (a concurrent writer published first) is not sent.
+            if clock > self._shipped:
+                self._shipped, self._program = clock, program
                 self._counters["refreshes_published"] += 1
-                message = ("refresh", generation, program)
+                message = ("refresh", self._generation, program)
             else:
-                self._program = program
-                message = ("generation", generation)
+                message = ("generation", self._generation)
             for handle in self._workers:
                 if handle.process is not None:
                     handle.requests.put(message)

@@ -27,6 +27,7 @@ EMPL_ROWS = [
 # Every public mutating method, each against the fixture below.
 MUTATORS = {
     "insert_rows": lambda db: db.insert_rows("empl", [(9, "new", 1, 1)]),
+    "insert_absent": lambda db: db.insert_absent("empl", [(9, "new", 1, 1)]),
     "delete_row": lambda db: db.delete_row("empl", EMPL_ROWS[0]),
     "clear_relation": lambda db: db.clear_relation("empl"),
     "create_intermediate": lambda db: db.create_intermediate("frontier", ["nam"]),
@@ -125,6 +126,17 @@ class TestNullSafeRowMatch:
         database.insert_rows("empl", [(0, 1, None, 3)])
         assert database.delete_row("empl", (0, 1, None, 3)) == 1
         assert database.row_count("empl") == len(EMPL_ROWS)
+
+    def test_insert_absent_matches_null_and_duplicates(self, database):
+        rows = [(0, 1, None, 3), EMPL_ROWS[0], (0, 1, None, 3), (7, "x", 1, 1)]
+        generation = database.data_generation("empl")
+        assert database.insert_absent("empl", rows) == 2
+        assert database.row_count("empl") == len(EMPL_ROWS) + 2
+        assert database.data_generation("empl") > generation
+        # nothing added: not a mutation of the relation
+        generation = database.data_generation("empl")
+        assert database.insert_absent("empl", rows) == 0
+        assert database.data_generation("empl") == generation
 
     def test_null_safe_match_still_uses_the_index(self, database):
         attributes = database.schema.relation("empl").attributes

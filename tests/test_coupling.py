@@ -182,6 +182,42 @@ class TestSessionAsk:
             f"works_dir_for(X, {boss}), specialist(X, driving)"
         )
         assert {a["X"] for a in answers} == {subordinate}
+        # Answer variables only the external block binds are kept too.
+        vips = org.employees[:3]
+        for employee in vips:
+            session.assert_fact("vip", employee.nam)
+        answers = session.ask("empl(E, N, S, D), vip(N)")
+        assert sorted(answers, key=lambda a: a["E"]) == [
+            {"E": e.eno, "N": e.nam, "S": e.sal, "D": e.dno} for e in vips
+        ]
+
+    def test_negation_over_database_rejected(self, session, org):
+        """``not/1`` over a view must not run as negation-as-failure
+        against a knowledge base that holds none of the tuples."""
+        boss = org.root_manager_name()
+        for goal in (
+            f"empl(E, N, S, D), not(works_dir_for(N, {boss}))",
+            f"empl(E, N, S, D), \\+ works_dir_for(N, {boss})",
+        ):
+            with pytest.raises(CouplingError, match="ask_with_negation"):
+                session.ask(goal)
+        under_boss = {l for l, h in org.works_dir_for_pairs() if h == boss}
+        answers = session.ask_with_negation(
+            f"empl(E, N, S, D), not(works_dir_for(N, {boss}))"
+        )
+        assert {a["N"] for a in answers} == (
+            {e.nam for e in org.employees} - under_boss
+        )
+
+    def test_negation_over_internal_facts_resolves_in_engine(self, session, org):
+        named = org.employees[0].nam
+        session.assert_fact("specialist", named, "guns")
+        assert session.ask(f"not(specialist({named}, knives))") == [{}]
+        assert session.ask(f"not(specialist({named}, guns))") == []
+        answers = session.ask("empl(E, N, S, D), not(specialist(N, guns))")
+        assert {a["N"] for a in answers} == (
+            {e.nam for e in org.employees} - {named}
+        )
 
     def test_empty_result_via_contradiction(self, session):
         sent = session.database.stats.queries_executed

@@ -244,36 +244,20 @@ class TestAssertAnswers:
 
 
 class TestSegmentMerger:
-    def test_merge_union_dedupe(self, schema, database):
+    def test_materialise_internal(self, schema, database):
         kb = KnowledgeBase()
         # One duplicate of an external tuple, one genuinely new fact.
         kb.assert_fact("empl", 1, "smiley", 80000, 1)
         kb.assert_fact("empl", 99, "newhire", 30000, 1)
         merger = SegmentMerger(kb, database)
-        merged, report = merger.merged_rows("empl")
+        report = merger.materialise_internal("empl")
         assert report.external_rows == 4
         assert report.internal_facts == 2
-        assert report.merged_rows == 5
+        assert report.rows_added == 1
         assert report.duplicates_removed == 1
-        assert (99, "newhire", 30000, 1) in merged
-
-    def test_materialise_internal(self, schema, database):
-        kb = KnowledgeBase()
-        kb.assert_fact("empl", 99, "newhire", 30000, 1)
-        merger = SegmentMerger(kb, database)
-        merger.materialise_internal("empl")
         assert database.row_count("empl") == 5
+        assert (99, "newhire", 30000, 1) in database.fetch_relation("empl")
         assert kb.fact_count(("empl", 4)) == 0
-
-    def test_pull_external(self, schema, database):
-        kb = KnowledgeBase()
-        merger = SegmentMerger(kb, database)
-        merger.pull_external("dept")
-        assert kb.fact_count(("dept", 3)) == 2
-        from repro.prolog import Engine
-
-        engine = Engine(kb)
-        assert engine.succeeds("dept(1, research, 1)")
 
     def test_garbage_collection(self, schema, database):
         kb = KnowledgeBase()

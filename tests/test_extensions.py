@@ -155,6 +155,43 @@ class TestNegation:
         assert {a["N"] for a in answers} == {e.nam for e in org.employees}
 
 
+class TestPendingSegments:
+    """The section-7 entry points read the union of both segments."""
+
+    def test_negation_sees_pending_base_fact(self, session, org):
+        boss = org.root_manager_name()
+        elsewhere = next(
+            d.dno
+            for d in org.departments
+            if next(e.nam for e in org.employees if e.eno == d.mgr) != boss
+        )
+        # Pending in the internal segment (the lazy path), both sides.
+        session.kb.assert_fact("empl", 9901, "ghost", 30000, elsewhere)
+        answers = session.ask_with_negation(
+            f"empl(E, N, S, D), not(works_dir_for(N, {boss}))"
+        )
+        assert "ghost" in {a["N"] for a in answers}
+        assert session.kb.fact_count(("empl", 4)) == 0
+        boss_dept = next(e.dno for e in org.employees if e.nam == boss)
+        session.kb.assert_fact("empl", 9902, "minion", 30000, boss_dept)
+        answers = session.ask_with_negation(
+            f"empl(E, N, S, D), not(works_dir_for(N, {boss}))"
+        )
+        assert "minion" not in {a["N"] for a in answers}
+
+    def test_disjunction_sees_pending_base_fact(self, session, org):
+        session.consult(
+            """
+            notable(X) :- empl(_, X, S, _), geq(S, 70000).
+            notable(X) :- dept(_, _, M), empl(M, X, _, _).
+            """
+        )
+        session.kb.assert_fact("empl", 9903, "magnate", 90000, 1)
+        answers = session.ask_disjunctive("notable(X)")
+        assert "magnate" in {a["X"] for a in answers}
+        assert session.kb.fact_count(("empl", 4)) == 0
+
+
 class TestStepwise:
     def test_matches_direct_evaluation(self, session, org):
         boss = org.root_manager_name()

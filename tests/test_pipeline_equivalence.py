@@ -61,7 +61,8 @@ def make_org():
 
 
 def goal_classes(org):
-    """Three asks per class; ``fetch`` marks single-view goals."""
+    """Three asks per class (``mixed``: four); ``fetch`` marks single-view
+    goals, ``oracle`` maps a goal's position to its expected answers."""
     by_eno = {e.eno: e.nam for e in org.employees}
     managers = [by_eno[d.mgr] for d in org.departments if d.mgr in by_eno]
     staff = [e.nam for e in org.employees if e.nam not in managers]
@@ -92,9 +93,18 @@ def goal_classes(org):
             "goals": [
                 f"works_dir_for(X, {m}), specialist(X, driving)"
                 for m in (managers[0], managers[1], managers[0])
-            ],
+            ]
+            # answer variables only the external block binds
+            + ["empl(E, N, S, D), specialist(N, driving)"],
             "fetch": False,
             "nonempty": True,
+            "oracle": {
+                3: answer_set(
+                    {"E": e.eno, "N": e.nam, "S": e.sal, "D": e.dno}
+                    for e in org.employees
+                    if e.nam in staff
+                )
+            },
         },
         "engine": {
             "goals": ["specialist(X, driving)"] * 3,
@@ -188,9 +198,11 @@ def observe(org, staff, spec, plan_cache, optimize, tracing):
         [
             lambda i=i: tuple(
                 answer_set(member)
-                for member in session.ask_many([goals[i], goals[(i + 1) % 3]])
+                for member in session.ask_many(
+                    [goals[i], goals[(i + 1) % len(goals)]]
+                )
             )
-            for i in range(3)
+            for i in range(len(goals))
         ],
     )
     session = fresh()
@@ -382,33 +394,40 @@ PINNED = {('empty_bind', False, False): {'ask': [(0, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                         'many': [(0, 2, 2, 1, 0, 2, 0, 2, 2, 0), (0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
                                  (0, 0, 0, 0, 0, 1, 0, 0, 0, 0)]},
  ('mixed', False, False): {'ask': [(0, 0, 0, 0, 0, 1, 0, 1, 1, 0), (0, 0, 0, 0, 0, 1, 0, 1, 1, 0),
-                                   (0, 0, 0, 0, 0, 0, 1, 0, 0, 0)],
+                                   (0, 0, 0, 0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1, 0, 1, 1, 0)],
                            'consistent': [(0, 0, 0, 0, 0, 3, 0, 1, 1, 0),
                                           (0, 0, 0, 0, 0, 1, 0, 1, 1, 0),
-                                          (0, 0, 0, 0, 0, 0, 1, 0, 0, 0)],
+                                          (0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+                                          (0, 0, 0, 0, 0, 1, 0, 1, 1, 0)],
                            'many': [(0, 0, 0, 0, 0, 2, 0, 2, 2, 0), (0, 0, 0, 0, 0, 0, 2, 0, 0, 0),
+                                    (0, 0, 0, 0, 0, 1, 1, 1, 1, 0),
                                     (0, 0, 0, 0, 0, 0, 2, 0, 0, 0)]},
  ('mixed', False, True): {'ask': [(0, 0, 0, 0, 0, 1, 0, 1, 1, 0), (0, 0, 0, 0, 0, 1, 0, 1, 1, 0),
-                                  (0, 0, 0, 0, 0, 0, 1, 0, 0, 0)],
+                                  (0, 0, 0, 0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1, 0, 1, 1, 0)],
                           'consistent': [(0, 0, 0, 0, 0, 3, 0, 1, 1, 0),
                                          (0, 0, 0, 0, 0, 1, 0, 1, 1, 0),
-                                         (0, 0, 0, 0, 0, 0, 1, 0, 0, 0)],
+                                         (0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+                                         (0, 0, 0, 0, 0, 1, 0, 1, 1, 0)],
                           'many': [(0, 0, 0, 0, 0, 2, 0, 2, 2, 0), (0, 0, 0, 0, 0, 0, 2, 0, 0, 0),
+                                   (0, 0, 0, 0, 0, 1, 1, 1, 1, 0),
                                    (0, 0, 0, 0, 0, 0, 2, 0, 0, 0)]},
  ('mixed', True, False): {'ask': [(0, 1, 1, 1, 0, 1, 0, 1, 1, 0), (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
-                                  (1, 0, 0, 0, 0, 0, 1, 0, 0, 0)],
+                                  (1, 0, 0, 0, 0, 0, 1, 0, 0, 0), (0, 1, 1, 0, 0, 1, 0, 1, 1, 0)],
                           'consistent': [(0, 1, 1, 1, 0, 3, 0, 1, 1, 0),
                                          (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
-                                         (1, 0, 0, 0, 0, 0, 1, 0, 0, 0)],
+                                         (1, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+                                         (0, 1, 1, 0, 0, 1, 0, 1, 1, 0)],
                           'many': [(0, 2, 2, 1, 0, 2, 0, 2, 2, 0), (2, 0, 0, 0, 0, 0, 2, 0, 0, 0),
+                                   (1, 1, 1, 0, 0, 1, 1, 1, 1, 0),
                                    (2, 0, 0, 0, 0, 0, 2, 0, 0, 0)]},
  ('mixed', True, True): {'ask': [(0, 1, 1, 1, 0, 1, 0, 1, 1, 0), (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
-                                 (1, 0, 0, 0, 0, 0, 1, 0, 0, 0)],
+                                 (1, 0, 0, 0, 0, 0, 1, 0, 0, 0), (0, 1, 1, 0, 0, 1, 0, 1, 1, 0)],
                          'consistent': [(0, 1, 1, 1, 0, 3, 0, 1, 1, 0),
                                         (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
-                                        (1, 0, 0, 0, 0, 0, 1, 0, 0, 0)],
+                                        (1, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+                                        (0, 1, 1, 0, 0, 1, 0, 1, 1, 0)],
                          'many': [(0, 2, 2, 1, 0, 2, 0, 2, 2, 0), (2, 0, 0, 0, 0, 0, 2, 0, 0, 0),
-                                  (2, 0, 0, 0, 0, 0, 2, 0, 0, 0)]},
+                                  (1, 1, 1, 0, 0, 1, 1, 1, 1, 0), (2, 0, 0, 0, 0, 0, 2, 0, 0, 0)]},
  ('recursive', False, False): {'ask': [(0, 0, 0, 0, 0, 5, 0, 0, 0, 0),
                                        (0, 0, 0, 0, 0, 4, 0, 0, 0, 0),
                                        (0, 0, 0, 0, 0, 5, 0, 0, 0, 0)],
@@ -521,8 +540,10 @@ def test_entry_points_agree_and_counters_are_pinned(world, name):
                 assert not asked[2], (name, "expected an empty answer")
         assert asked == reference, (name, config, "ask differs across configs")
         assert answers["consistent"] == asked, (name, config, "ask_consistent")
+        for i, expected in spec.get("oracle", {}).items():
+            assert asked[i] == expected, (name, config, "oracle", i)
         for i, members in enumerate(answers["many"]):
-            assert members == (asked[i], asked[(i + 1) % 3]), (
+            assert members == (asked[i], asked[(i + 1) % len(asked)]), (
                 name, config, "ask_many call", i,
             )
         if spec["fetch"]:

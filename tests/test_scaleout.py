@@ -188,6 +188,29 @@ def test_writes_publish_generations_workers_see_them(fleet):
     assert not any(f"gen{eno}" in str(v) for a in answers for v in a.values())
 
 
+def test_base_write_is_one_cheap_publish(fleet):
+    """A base-relation write ships no program and drops no owner plan."""
+    session, tier, org = fleet
+    manager = org.root_manager_name()
+    session.ask(f"works_dir_for(X, {manager})")
+    row = (max(e.eno for e in org.employees) + 902, "cheap", 30000, 1)
+    serving, plans = tier.stats()["serving"], session.stats()["plan_cache"]
+    clock, commits = session.kb.generation, session.database.stats.commits
+    tier.assert_fact("empl", *row)
+    assert tier.retract_fact("empl", *row)
+    after = tier.stats()["serving"]
+    assert after["generation"] == serving["generation"] + 2 == tier.generation
+    assert after["generations_published"] == serving["generations_published"] + 2
+    assert after["refreshes_published"] == serving["refreshes_published"]
+    assert session.kb.generation == clock
+    assert session.database.stats.commits == commits + 2
+    session.ask(f"works_dir_for(X, {manager})")
+    now = session.stats()["plan_cache"]
+    assert (now["invalidations"], now["compiled"]) == (
+        plans["invalidations"], plans["compiled"],
+    )
+
+
 def test_non_base_fact_is_fleet_visible(fleet):
     session, tier, org = fleet
     # 'approves' is not a schema relation: the WAL file carries nothing

@@ -312,7 +312,7 @@ class TestConcurrentServing:
         db = stats["database"]
         assert db["queries_executed"] >= db["prepared_executions"]
         plan = stats["plan_cache"]
-        assert plan["hits"] > 0 and plan["invalidations"] > 0
+        assert plan["hits"] > 0 and plan["invalidations"] == 0
         result = stats["result_cache"]
         assert result["stored"] <= result["misses"]
         session.close()

@@ -1,0 +1,268 @@
+"""The write-then-ask contract, in exact counters (ROADMAP E35).
+
+A write to a base relation is a store write: it costs one commit, drops
+no compiled plan, and leaves nothing for the read path to do.  The
+internal segment that remains — ``kb.assert_fact`` / engine-level
+``assertz`` under a schema functor, the paper's hypothetical tuples — is
+equivalent to the eager path once merged, moves only its own rows, and
+is data, not program, to the knowledge base's clock.
+"""
+
+import pytest
+
+from repro.coupling import CachePolicy, PrologDbSession
+from repro.dbms import generate_org
+from repro.prolog import Clause, KnowledgeBase, parse_term
+from repro.schema import WORKS_DIR_FOR_SOURCE
+
+
+@pytest.fixture
+def org():
+    return generate_org(depth=3, branching=2, staff_per_dept=4, seed=11)
+
+
+def make_session(org):
+    session = PrologDbSession(cache_policy=CachePolicy(enabled=False))
+    session.load_org(org)
+    session.consult(WORKS_DIR_FOR_SOURCE)
+    return session
+
+
+class Managed:
+    """A manager's name and the department they manage."""
+
+    def __init__(self, nam, dno):
+        self.nam, self.dno = nam, dno
+
+
+def managers_of(org):
+    by_eno = {e.eno: e.nam for e in org.employees}
+    return [Managed(by_eno[d.mgr], d.dno) for d in org.departments]
+
+
+def counters(session):
+    stats = session.stats()
+    return {
+        "invalidations": stats["plan_cache"]["invalidations"],
+        "compiled": stats["plan_cache"]["compiled"],
+        "commits": stats["database"]["commits"],
+        "rows_fetched": stats["database"]["rows_fetched"],
+    }
+
+
+def moved(session, before):
+    after = counters(session)
+    return {name: after[name] - before[name] for name in before}
+
+
+def names(answers, variable="X"):
+    return {answer[variable] for answer in answers}
+
+
+class TestWriteThenAsk:
+    def test_a_base_write_is_one_commit_and_no_cold_read(self, org):
+        session = make_session(org)
+        old, new = managers_of(org)[:3], managers_of(org)[3:5]
+        for manager in old:  # two shapes over empl / dept, parameterized
+            session.ask(f"works_dir_for(X, {manager.nam})")
+            session.ask(f"empl(E, N, S, {manager.dno})")
+        row = (9100, "hired", 30000, new[0].dno)
+
+        before = counters(session)
+        session.assert_fact("empl", *row)
+        delta = moved(session, before)
+        assert (delta["invalidations"], delta["compiled"]) == (0, 0)
+        assert delta["commits"] == 1
+
+        def asks_are_warm(present):
+            before = counters(session)
+            for manager in old + new:
+                session.ask(f"works_dir_for(X, {manager.nam})")
+                session.ask(f"empl(E, N, S, {manager.dno})")
+            seen = "hired" in names(
+                session.ask(f"works_dir_for(X, {new[0].nam})")
+            ) and "hired" in names(
+                session.ask(f"empl(E, N, S, {new[0].dno})"), "N"
+            )
+            delta = moved(session, before)
+            assert seen is present
+            assert (delta["invalidations"], delta["compiled"]) == (0, 0)
+            assert delta["commits"] == 0
+
+        asks_are_warm(present=True)
+
+        before = counters(session)
+        assert session.retract_fact("empl", *row)
+        delta = moved(session, before)
+        assert (delta["invalidations"], delta["compiled"]) == (0, 0)
+        assert delta["commits"] == 1
+        asks_are_warm(present=False)
+        assert session.kb.fact_count(("empl", 4)) == 0
+
+    def test_the_lazy_segment_is_also_plan_neutral(self, org):
+        """Engine-level assertz: one commit (the merge), plans kept."""
+        session = make_session(org)
+        manager = managers_of(org)[1]
+        for other in managers_of(org)[:3]:
+            session.ask(f"works_dir_for(X, {other.nam})")
+        before = counters(session)
+        session.ask(f"assertz(empl(9101, lazy, 30000, {manager.dno}))")
+        assert "lazy" in names(session.ask(f"works_dir_for(X, {manager.nam})"))
+        session.ask(f"works_dir_for(X, {manager.nam})")
+        delta = moved(session, before)
+        assert (delta["invalidations"], delta["compiled"]) == (0, 0)
+        assert delta["commits"] == 1
+
+    def test_a_merge_moves_only_what_is_pending(self, org):
+        session = make_session(org)
+        asked, elsewhere = managers_of(org)[0], managers_of(org)[-1]
+        goal = f"works_dir_for(X, {asked.nam})"
+        session.ask(goal)
+        before = counters(session)
+        session.ask(goal)
+        warm_rows = moved(session, before)["rows_fetched"]
+
+        pending = 5
+        for i in range(pending):
+            session.kb.assert_fact(
+                "empl", 9200 + i, f"pending{i}", 30000, elsewhere.dno
+            )
+        size = session.database.row_count("empl")
+        before = counters(session)
+        session.ask(goal)
+        delta = moved(session, before)
+        # No statement of the merge returns more than the pending rows
+        # (this one returns none): nothing relation-sized is fetched.
+        assert delta["rows_fetched"] - warm_rows <= pending < size
+        assert delta["commits"] == 1
+        assert session.database.row_count("empl") == size + pending
+        assert session.kb.fact_count(("empl", 4)) == 0
+
+
+class TestEagerEqualsLazy:
+    @pytest.mark.parametrize("maintained", [False, True])
+    def test_same_writes_same_state(self, org, maintained):
+        eager, lazy = make_session(org), make_session(org)
+        manager = managers_of(org)[2]
+        goal = f"works_dir_for(X, {manager.nam})"
+        existing = next(e for e in org.employees if e.dno == manager.dno)
+        for session in (eager, lazy):
+            # a NULL-bearing tuple already in the store
+            session.database.insert_rows(
+                "empl", [(9300, "nullsal", None, manager.dno)]
+            )
+            if maintained:
+                session.materialize.view("works_dir_for(X, Y)")
+            session.ask(goal)
+        writes = [
+            (9301, "fresh", 30000, manager.dno),
+            (9301, "fresh", 30000, manager.dno),  # twice in one sequence
+            (existing.eno, existing.nam, existing.sal, existing.dno),
+            (9300, "nullsal", 25000, manager.dno),  # differs in the NULL cell
+        ]
+        deltas = eager.materialize.stats.deltas_applied
+        for row in writes:
+            eager.assert_fact("empl", *row)
+            lazy.kb.assert_fact("empl", *row)
+        expected = {
+            low for low, high in org.works_dir_for_pairs() if high == manager.nam
+        } | {"fresh", "nullsal"}
+        staff = f"empl(E, N, S, {manager.dno})"  # never maintained: reads the store
+        for session in (eager, lazy):
+            assert names(session.ask(goal)) == expected
+            assert names(session.ask(staff), "N") == expected
+            assert session.database.row_count("empl") == org.employee_count + 3
+            assert session.kb.fact_count(("empl", 4)) == 0
+        assert sorted(eager.database.fetch_relation("empl"), key=repr) == sorted(
+            lazy.database.fetch_relation("empl"), key=repr
+        )
+        if maintained:
+            for session in (eager, lazy):
+                stats = session.materialize.stats
+                # two new tuples, one delta each; the duplicates none
+                assert stats.deltas_applied - deltas == 2
+                assert (stats.refreshes, stats.fallbacks) == (0, 0)
+                assert not session.materialize.views()[0].stale
+
+    def test_a_reasserted_tuple_changes_nothing(self, org):
+        session = make_session(org)
+        session.materialize.view("works_dir_for(X, Y)")
+        employee = org.employees[0]
+        row = (employee.eno, employee.nam, employee.sal, employee.dno)
+        before = session.materialize.stats_dict()
+        session.assert_fact("empl", *row)
+        assert session.database.row_count("empl") == org.employee_count
+        assert session.materialize.stats_dict() == before
+
+    def test_a_non_ground_fact_stays_internal(self, org):
+        session = make_session(org)
+        clause = Clause(parse_term("empl(E, anybody, 0, 1)"))
+        session.kb.assertz(clause)
+        assert session.kb.fact_count(("empl", 4)) == 1
+        assert session.database.row_count("empl") == org.employee_count
+
+
+class TestProgramClock:
+    DATA, PROGRAM = ("empl", 4), ("vip", 1)
+
+    @pytest.fixture
+    def kb(self):
+        kb = KnowledgeBase()
+        kb.data_indicators = frozenset({self.DATA})
+        kb.assert_fact("vip", "seed")
+        return kb
+
+    @staticmethod
+    def fact(indicator, key):
+        name, arity = indicator
+        return name, (key,) * arity
+
+    def mutations(self, kb, indicator):
+        name, values = self.fact(indicator, "a")
+        pattern = KnowledgeBase.fact_clause(name, values)
+        yield "assertz", lambda: kb.assert_fact(name, *values)
+        yield "asserta", lambda: kb.asserta(pattern)
+        yield "retract", lambda: kb.retract(pattern)
+        yield "retract_all", lambda: kb.retract_all(indicator)
+
+        def bulk():
+            with kb.bulk_update():
+                kb.assert_fact(name, *values)
+                kb.assert_fact(name, *self.fact(indicator, "b")[1])
+
+        yield "bulk_update", bulk
+
+    def test_data_leaves_the_clock_alone(self, kb):
+        seen = []
+        kb.add_listener(lambda kind, indicator, clauses: seen.append(kind))
+        generation = kb.generation
+        for label, mutate in self.mutations(kb, self.DATA):
+            mutate()
+            assert kb.generation == generation, label
+        # listeners still hear every mutation
+        assert seen == ["insert", "insert", "delete", "clear", "insert", "insert"]
+
+    def test_program_moves_it(self, kb):
+        for label, mutate in self.mutations(kb, self.PROGRAM):
+            generation = kb.generation
+            mutate()
+            assert kb.generation > generation, label
+
+    def test_snapshot_carries_the_line(self, kb):
+        snapshot = kb.snapshot()
+        assert snapshot.data_indicators == kb.data_indicators
+        generation = snapshot.generation
+        name, values = self.fact(self.DATA, "a")
+        snapshot.assert_fact(name, *values)
+        assert snapshot.generation == generation
+
+    def test_the_session_draws_it_from_its_schema(self, org):
+        session = make_session(org)
+        assert session.kb.data_indicators == {("empl", 4), ("dept", 3)}
+        generation = session.stats()["kb"]["generation"]
+        session.assert_fact("empl", 9400, "clocked", 30000, 1)
+        session.kb.assert_fact("empl", 9401, "lazy", 30000, 1)
+        session.retract_fact("empl", 9400, "clocked", 30000, 1)
+        assert session.stats()["kb"]["generation"] == generation
+        session.assert_fact("vip", "clocked")
+        assert session.stats()["kb"]["generation"] > generation
