@@ -78,7 +78,7 @@ def main() -> None:
     print()
     print("=== Incremental maintenance (session.materialize.stats) ===")
     print(f"  answers while the new hire existed: {len(with_hire)}")
-    for key, value in session.materialize.stats.as_dict().items():
+    for key, value in session.materialize.stats.snapshot().items():
         if key != "per_view":
             print(f"  {key}={value}")
     snapshot = session.stats()

@@ -27,6 +27,8 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Iterator
 
 
@@ -62,17 +64,30 @@ class StripedLock:
                 lock.release()
 
 
-class LockedCounters:
-    """Mixin for stats dataclasses with lock-guarded integer counters.
+@lru_cache(maxsize=None)
+def counter_names(cls) -> tuple:
+    return tuple(
+        f.name
+        for f in fields(cls)
+        if not f.name.startswith("_") and f.name not in cls._not_counters
+    )
 
-    Subclasses declare a ``_lock`` field (``threading.Lock``) and name
-    the counters an atomic :meth:`snapshot` copies in the plain class
-    attribute ``_snapshot_fields``.  Shared by the plan-cache, result-
-    cache, backend-execution, and maintenance stats so the locking and
-    snapshot logic exists exactly once.
+
+@dataclass
+class LockedCounters:
+    """Base of the stats dataclasses: a lock, ``incr`` and ``snapshot``.
+
+    A subclass declares its counters as dataclass fields and nothing
+    else: the lock lives here, and an atomic :meth:`snapshot` copies
+    every public field in declaration order.  A class with a public
+    field that is not a counter names it once, in ``_not_counters``.
     """
 
-    _snapshot_fields: tuple = ()
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    _not_counters = ()
 
     def incr(self, counter: str, amount: int = 1) -> None:
         """Atomically bump one counter by name."""
@@ -80,10 +95,10 @@ class LockedCounters:
             setattr(self, counter, getattr(self, counter) + amount)
 
     def snapshot(self) -> dict:
-        """One atomic copy of every counter in ``_snapshot_fields``."""
+        """One atomic copy of every counter, in declaration order."""
         with self._lock:
             return {
-                name: getattr(self, name) for name in self._snapshot_fields
+                name: getattr(self, name) for name in counter_names(type(self))
             }
 
 

@@ -13,19 +13,19 @@ entry point of the session (``ask``, ``ask_consistent``, the
 * the *finish* applied to the simplified predicate (translate + prepare
   / the same plus a certainty suffix, or repair enumeration).
 
-The plan cache is filled lazily (:meth:`store`): a shape's first miss
-stores the cold compilation as an exact-constant plan, its second miss
-pays the marker analysis (:meth:`_parameterize`) that abstracts the
-constants into bind parameters, and a shape whose compilation consults
-a concrete constant keeps exact-constant variants.
+One compile per shape, in every mode: the first time a shape is seen,
+:meth:`Compiler.compile` runs the marker analysis (:meth:`_parameterize`)
+that abstracts its constants into bind parameters, and that ask — like
+every later one — executes the parameterized plan with its constants
+bound.  A shape whose compilation consults a concrete constant keeps
+exact-constant variants, compiled for exactly the goal's constants.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..concurrency import LockedCounters
@@ -38,7 +38,6 @@ from ..errors import (
     DatabaseNegationError,
     TranslationError,
 )
-from ..metaevaluate.recursion import view_call_graph
 from ..optimize.costs import order_rows
 from ..optimize.pipeline import SimplificationResult, SimplifyOptions, simplify
 from ..prolog.terms import (
@@ -110,18 +109,6 @@ class CompilePhaseStats(LockedCounters):
     optimize_seconds: float = 0.0
     translate_seconds: float = 0.0
     print_seconds: float = 0.0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    _snapshot_fields = (
-        "cold_compilations",
-        "classify_seconds",
-        "metaevaluate_seconds",
-        "optimize_seconds",
-        "translate_seconds",
-        "print_seconds",
-    )
 
 
 @dataclass
@@ -199,7 +186,7 @@ def params_in_conjuncts(
 
 
 class Compiler:
-    """Plan lookup, cold compilation and lazy parameterization."""
+    """Plan lookup, first-sight parameterization and exact compilation."""
 
     def __init__(self, session):
         self.session = session
@@ -218,9 +205,7 @@ class Compiler:
 
     def call_graph(self):
         session = self.session
-        if session._plan_caching:
-            return session.plans.graph(session.kb, session.schema)
-        return view_call_graph(session.kb, session.schema)
+        return session.plans.graph(session.kb, session.schema)
 
     @staticmethod
     def _indicators(terms: Iterable[Term]) -> list[tuple[str, int]]:
@@ -348,32 +333,46 @@ class Compiler:
             span.phases[phase] = span.phases.get(phase, 0.0) + elapsed
         return now
 
-    def compile(self, goal: Term, mode: Mode, shape: Optional[GoalShape] = None):
-        """Classify and compile ``goal`` for exactly its constants.
+    def compile(
+        self, goal: Term, mode: Mode, shape: Optional[GoalShape] = None
+    ) -> Optional[CompiledPlan]:
+        """Classify ``goal`` and compile the plan its shape will reuse.
 
-        Returns ``(plan, front)``; :meth:`store` recompiles the shape with
-        markers through ``front``, which is None for the ``recursive`` /
-        ``engine`` stubs (they compile nothing).  The plan is None only
-        for a fetch whose view unfolds to fact branches alone: its
-        answers are already in the internal database.
+        A goal with a shape and constants in its external block is
+        parameterized here, at first sight, whatever the mode; it is
+        compiled for exactly its constants only when it has no shape,
+        the shape is known exact (:meth:`_strategy`), or the marker
+        analysis finds it constant-sensitive or fails — an analysis
+        that raises never fails the ask, and the exact plan's material
+        records that the shape is not to be analysed again.  The plan
+        is None only for a fetch whose view unfolds to fact branches
+        alone: its answers are already in the internal database.
         """
         front = self._front(goal, mode)
         if isinstance(front, CompiledPlan):
-            return front, None
-        if front.kind == "cqa" and shape is not None:
-            # Rewritings are expected to repeat: parameterize on the first
-            # miss (one round); exact constants only when that fails.
-            relevant = params_in_conjuncts(conjuncts(goal), front.external_indices)
-            if relevant and self._strategy(shape, relevant) != "exact":
-                _, plan = self._parameterize(shape, goal, front, relevant, frozenset())
+            return front  # a 'recursive' / 'engine' stub compiles nothing
+        conjunct_list = conjuncts(goal)
+        # Constants inside internal conjuncts never reach the external
+        # compilation, and the executor re-reads internal conjuncts from
+        # the live goal — so they are neither parameterized nor part of
+        # the variant key, and rotating them reuses one plan.
+        relevant: frozenset = frozenset()
+        if shape is not None:
+            relevant = params_in_conjuncts(conjunct_list, front.external_indices)
+            seed = self._strategy(shape, relevant)
+            if relevant and seed != "exact":
+                try:
+                    plan = self._parameterize(shape, goal, front, relevant, seed)
+                except Exception:  # noqa: BLE001 - the exact compile decides
+                    plan = None
                 if plan is not None:
-                    return plan, front
+                    return plan
         mark = _pc()
-        predicate = front.predicate(conjuncts(goal))
+        predicate = front.predicate(conjunct_list)
         if predicate is None:
-            return None, None
+            return None
         self._phase("metaevaluate", mark)
-        return self._plan(front, self._lower(predicate, front)), front
+        return self._plan(front, self._lower(predicate, front), relevant)
 
     def explain(self, goal: Term) -> TranslationTrace:
         """The whole goal through the chain, in the paper's row order."""
@@ -597,13 +596,19 @@ class Compiler:
         self,
         front: Front,
         lowered,
+        relevant: frozenset,
         open_params: frozenset = frozenset(),
         param_cells: Optional[dict] = None,
     ) -> CompiledPlan:
-        """Prepare the lowered predicate's statement and wrap it as a plan."""
+        """Prepare the lowered predicate's statement and wrap it as a plan.
+
+        ``relevant`` are the constant positions of the external block;
+        those not left open are the plan's material.
+        """
         result, final, sql, certainty, parameter_map = lowered
         kind = front.kind
         parameters = dict(
+            material=tuple(sorted(relevant - open_params)),
             open_params=tuple(sorted(open_params)),
             param_columns={
                 index: (param_cells or {}).get(index, ()) for index in open_params
@@ -647,66 +652,30 @@ class Compiler:
 
     # -- filling the plan cache --------------------------------------------------------
 
-    def store(
-        self, shape: GoalShape, goal: Term, plan: CompiledPlan, front: Optional[Front]
-    ) -> None:
-        """Cache a reusable plan for the goal's shape.
-
-        Never raises: a shape the machinery cannot compile (disjunctive
-        views, unexpected structure) is marked uncacheable so the session
-        does not retry on every ask.
-        """
-        # retain, not sync: executing the cold compilation may have
-        # advanced the program clock (a fetch's answer facts), but this
-        # shape's own cache slot (and its lazy `attempted` progress)
-        # stays valid across its own side effects.
+    def store(self, shape: GoalShape, plan: CompiledPlan) -> None:
+        """File ``plan`` under its shape, keyed by its own material."""
+        # retain, not sync: executing the plan may have advanced the
+        # program clock (a fetch's answer facts), but this shape's own
+        # cache slot stays valid across its own side effects.
         plans = self.session.plans
         plans.retain(shape, self.session.kb)
-        try:
-            if front is None or plan.open_params:
-                # A stub, or a plan compile() already parameterized.
-                plans.store(shape, (), plan)
-                return
-            # Constants inside internal conjuncts never reach the external
-            # compilation, and the warm path re-reads internal conjuncts
-            # from the live goal — so they are neither parameterized nor
-            # part of the variant key, and rotating them reuses one plan.
-            relevant = params_in_conjuncts(conjuncts(goal), front.external_indices)
-            # (A consistent-mode shape that reaches here failed its
-            # marker analysis in compile(): exact variants only.)
-            strategy = (
-                "exact" if front.kind == "cqa" else self._strategy(shape, relevant)
-            )
-            if relevant and strategy not in (None, "exact"):
-                material, compiled = self._parameterize(
-                    shape, goal, front, relevant, strategy
-                )
-                if compiled is not None:
-                    plans.store(shape, material, compiled)
-                    return
-            # The cold compilation itself, keyed by its exact constants.
-            plans.store(shape, relevant, plan, attempted=strategy is not None)
-        except Exception:
-            plans.mark_uncacheable(shape)
+        plans.store(shape, plan.material, plan)
 
     def _strategy(
         self, shape: GoalShape, relevant: frozenset
-    ) -> Union[None, str, frozenset]:
-        """How to build this shape's plan, given its cache history.
+    ) -> Union[str, frozenset]:
+        """How to compile a missed shape, given its cache history.
 
-        * ``None`` — first encounter: store the cold compilation as a
-          cheap exact-constant plan; defer the marker analysis until the
-          shape proves it repeats (one-off goals never pay for it);
-        * ``"exact"`` — parameterization already failed for this shape:
-          add another exact variant without re-running the analysis;
+        * ``"exact"`` — every relevant constant is already known to be
+          material (the analysis found the shape constant-sensitive, or
+          failed): compile another exact variant without re-running it;
         * a frozenset — run the marker analysis, seeded with the material
-          set discovered previously (skips the discovery iterations when
-          a partial-material shape compiles a new variant).
+          set discovered previously (empty at first sight; a partially
+          material shape compiling a new variant skips the discovery
+          iterations).
         """
         entry = self.session.plans.entry_for(shape)
         if entry is None or entry.uncacheable:
-            return None
-        if not entry.attempted:
             return frozenset()
         if entry.material == tuple(sorted(relevant)):
             return "exact"
@@ -719,7 +688,7 @@ class Compiler:
         front: Front,
         relevant: frozenset,
         initial_material: frozenset,
-    ) -> tuple[frozenset, Optional[CompiledPlan]]:
+    ) -> Optional[CompiledPlan]:
         """Find the maximal parameterization of a shape, compile it.
 
         Starts with every relevant constant abstracted to a marker and
@@ -728,18 +697,18 @@ class Compiler:
         constant-insensitive (see :meth:`_lower`).  Consistent-mode
         shapes get one round: any sensitivity sends them to exact plans.
 
-        Returns ``(material, plan)``; ``plan`` is None when every position
-        is material — the caller falls back to exact-constant caching.
-        Shapes whose reachable clauses pattern-match on constants in their
-        heads cannot be parameterized at all (a marker would fail a head
-        unification a concrete constant might pass).
+        Returns None when every position is material — the caller falls
+        back to an exact-constant compile.  Shapes whose reachable clauses
+        pattern-match on constants in their heads cannot be parameterized
+        at all (a marker would fail a head unification a concrete constant
+        might pass).
         """
         conjunct_list = conjuncts(goal)
         if self._constant_discriminating(
             [conjunct_list[i] for i in front.external_indices],
             ignore_facts=front.kind == "fetch",
         ):
-            return relevant, None
+            return None
         irrelevant = frozenset(range(shape.parameter_count)) - relevant
         material = frozenset(initial_material) & relevant
         for _attempt in range(1 if front.kind == "cqa" else 4):
@@ -748,9 +717,11 @@ class Compiler:
             # Irrelevant (internal-conjunct) constants keep their concrete
             # values: they never reach the compiled predicate anyway.
             marker_goal = goal_with_markers(goal, material | irrelevant)
+            mark = _pc()
             predicate = front.predicate(conjuncts(marker_goal))
             if predicate is None:
                 raise CouplingError("view shape is not a single rule branch")
+            self._phase("metaevaluate", mark)
             open_params = relevant - material
             try:
                 lowered = self._lower(predicate, front, open_params)
@@ -759,7 +730,7 @@ class Compiler:
                     break
                 material |= sensitive.params
                 continue
-            return material, self._plan(
-                front, lowered, open_params, marker_columns(predicate)
+            return self._plan(
+                front, lowered, relevant, open_params, marker_columns(predicate)
             )
-        return relevant, None
+        return None

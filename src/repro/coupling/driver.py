@@ -180,7 +180,7 @@ def answer(
                 span.plan_cache = "miss"
     elif not exclusive:
         return NEEDS_WRITE
-    plan, front = session._compiler.compile(goal, mode, shape)
+    plan = session._compiler.compile(goal, mode, shape)
     if plan is None:
         return None, []  # a fetch already answered internally
     if span is not None:
@@ -189,5 +189,5 @@ def answer(
         plan, shape, goal, max_solutions, span, True, dirty
     )
     if shape is not None:
-        session._compiler.store(shape, goal, plan, front)
+        session._compiler.store(shape, plan)
     return answers

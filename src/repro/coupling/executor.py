@@ -6,7 +6,7 @@ result cache → prepared statement → rows → answers.  The plan's *kind*
 selects only the answer assembly (rows → answer dicts / staged under an
 interface predicate and combined with internal knowledge / asserted as
 facts for a ``metaevaluate/4`` fetch / certain rows) — the cold path is
-the warm path run on an exact-constant plan.
+the warm path run on the plan the compiler just built.
 
 The set-oriented batch path (:meth:`Executor.execute_batch`) shares the
 row decoder: one ``IN (VALUES …)`` execution per same-shape group,
@@ -357,15 +357,14 @@ class Executor:
     def batchable_plan(self, shape: GoalShape) -> Optional[CompiledPlan]:
         """The shared fully-parameterized plan for a shape, if it has one.
 
-        ``None`` means "not yet": the caller keeps warming the shape
-        serially while ``attempted`` is false, and falls back to the
-        serial path once the shape is known constant-sensitive,
+        ``None`` means the group answers serially: the shape is cold
+        (its first ask compiles the shared plan), constant-sensitive,
         uncacheable, or anything but pure-external.
         """
         plans = self.session.plans
         plans.sync(self.session.kb)
         entry = plans.entry_for(shape)
-        if entry is None or entry.uncacheable or not entry.attempted:
+        if entry is None or entry.uncacheable:
             return None
         if entry.material:
             return None  # constant-sensitive: exact variants only

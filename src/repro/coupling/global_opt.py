@@ -433,9 +433,12 @@ class CompiledPlan:
     ``template`` carries marker constants at ``open_params`` positions;
     :meth:`bind` substitutes concrete values and re-runs the cheap
     valuebound checks a fresh compile would have applied to them.
+    ``material`` are the positions compiled concretely — the plan is
+    filed under their values (see :class:`ShapeEntry`).
     """
 
     kind: str
+    material: tuple[int, ...] = ()
     template: Optional[DbclPredicate] = None
     sql_text: Optional[str] = None
     #: the parameterized syntax tree behind ``sql_text`` — the batch path
@@ -546,19 +549,15 @@ class ShapeEntry:
     ``material`` are parameter positions whose concrete value the
     compilation consulted (they select among ``variants``); an empty
     material set means one fully parameterized plan serves every constant
-    choice.  ``uncacheable`` shapes always recompile (disjunctive views,
-    compile errors).  ``attempted`` records whether parameterization has
-    been tried: a shape's first miss stores a cheap exact-constant plan
-    (no second compilation for goals never asked again); the *second*
-    miss pays the marker compilation, and once ``attempted`` a
-    constant-sensitive shape adds further exact variants without ever
-    re-running the marker analysis.
+    choice.  ``uncacheable`` shapes always recompile.  The slot is filled
+    the first time the shape is seen, by the plan every later ask of it
+    will use; a shape whose every relevant constant is material adds
+    further exact variants without re-running the marker analysis.
     """
 
     material: tuple[int, ...] = ()
     variants: dict[tuple, CompiledPlan] = field(default_factory=dict)
     uncacheable: bool = False
-    attempted: bool = False
 
     def variant_key(self, constants: Sequence[Value]) -> tuple:
         return tuple(constants[index] for index in self.material)
@@ -576,23 +575,12 @@ class PlanCacheStats(LockedCounters):
     batched_asks: int = 0  # goals answered through a set-oriented batch
     batch_executions: int = 0  # IN (VALUES …) statements executed
     recursive_batches: int = 0  # batch-seeded WITH RECURSIVE executions
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
-    _snapshot_fields = (
-        "hits",
-        "misses",
-        "compiled",
-        "specialised",
-        "uncacheable",
-        "invalidations",
-        "bind_empties",
-        "batched_asks",
-        "batch_executions",
-        "recursive_batches",
-    )
 
+#: Bounds of the plan cache: shapes held, and exact-constant variants
+#: held per shape; the oldest entry makes room for a new one.
+_MAX_SHAPES = 512
+_MAX_VARIANTS = 64
 
 #: Sentinel :meth:`PlanCache.lookup` returns for shapes marked uncacheable,
 #: so callers skip both plan execution *and* recompilation attempts.
@@ -609,9 +597,7 @@ class PlanCache:
     cache on the next :meth:`sync`; a base-relation tuple never does.
     """
 
-    def __init__(self, max_shapes: int = 512, max_variants: int = 64):
-        self.max_shapes = max_shapes
-        self.max_variants = max_variants
+    def __init__(self):
         self.stats = PlanCacheStats()
         self._entries: dict[tuple, ShapeEntry] = {}
         self._generation: Optional[int] = None
@@ -710,11 +696,7 @@ class PlanCache:
         return self._entries.get(shape.key)
 
     def store(
-        self,
-        shape: GoalShape,
-        material: Iterable[int],
-        plan: CompiledPlan,
-        attempted: bool = True,
+        self, shape: GoalShape, material: Iterable[int], plan: CompiledPlan
     ) -> None:
         material_key = tuple(sorted(material))
         with self._stripes.for_key(shape.key):
@@ -732,8 +714,7 @@ class PlanCache:
                         # unrelated shape's plan.
                         self._evict_shapes()
                     self._entries[shape.key] = entry
-            entry.attempted = entry.attempted or attempted
-            if len(entry.variants) >= self.max_variants:
+            if len(entry.variants) >= _MAX_VARIANTS:
                 entry.variants.pop(next(iter(entry.variants)))
             entry.variants[entry.variant_key(shape.constants)] = plan
         self.stats.incr("compiled")
@@ -785,7 +766,7 @@ class PlanCache:
                     self._entries[shape.key] = entry
 
     def _evict_shapes(self) -> None:
-        while len(self._entries) >= self.max_shapes:
+        while len(self._entries) >= _MAX_SHAPES:
             self._entries.pop(next(iter(self._entries)))
 
 
@@ -809,11 +790,6 @@ class CacheStats(LockedCounters):
     misses: int = 0
     stored: int = 0
     rejected: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    _snapshot_fields = ("hits", "misses", "stored", "rejected")
 
 
 class ResultCache:

@@ -12,14 +12,14 @@ batch-seeded statement.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..concurrency import LockedCounters
 from ..errors import CouplingError, DeadlineExceeded
-from ..metaevaluate.recursion import is_recursive_goal, recursive_indicators
-from ..prolog.terms import Atom, Struct, Term, Variable, conjuncts
-from .global_opt import CompiledPlan, GoalShape
+from ..metaevaluate.recursion import is_recursive_goal
+from ..prolog.terms import Struct, Term, Variable, conjuncts
+from .global_opt import CompiledPlan, GoalShape, _constant_value
 from .recursion_exec import RecursionRun, TransitiveClosure
 
 
@@ -42,20 +42,6 @@ class RecursionPlanStats(LockedCounters):
     other: int = 0
     last_strategy: str = ""
     last_reason: str = ""
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    _snapshot_fields = (
-        "planned_asks",
-        "interval",
-        "cte",
-        "topdown",
-        "bottomup",
-        "other",
-        "last_strategy",
-        "last_reason",
-    )
 
     def note(self, plan) -> None:
         """Record one :class:`~repro.coupling.recursion_exec.RecursionPlan`."""
@@ -84,12 +70,10 @@ class RecursionRouter:
         with self._closures_lock:
             self._closures.clear()
 
-    def indicators(self, graph=None) -> set[tuple[str, int]]:
-        """Predicates on a call-graph cycle (memoized per KB generation)."""
+    def indicators(self) -> set[tuple[str, int]]:
+        """Predicates on a call-graph cycle (memoized on the program clock)."""
         session = self.session
-        if session._plan_caching:
-            return session.plans.recursive_indicators(session.kb, session.schema)
-        return recursive_indicators(session.kb, session.schema, graph)
+        return session.plans.recursive_indicators(session.kb, session.schema)
 
     def is_recursive(self, goal: Term, graph) -> bool:
         """Does ``goal`` reach a recursive predicate of the call graph?"""
@@ -98,7 +82,7 @@ class RecursionRouter:
             self.session.schema,
             goal,
             graph=graph,
-            recursive=self.indicators(graph),
+            recursive=self.indicators(),
         )
 
     def closure_for(self, view_name: str) -> TransitiveClosure:
@@ -119,8 +103,13 @@ class RecursionRouter:
                 self._closures[indicator] = executor
             return executor
 
-    def ask(self, goal: Term) -> list[dict]:
-        """Answer one recursive goal through the planned strategy."""
+    def _closure_call(self, goal: Term) -> tuple:
+        """``(call, low, high)``: the goal's single binary recursive-view
+        call and the constant on each side (None for an unbound one).
+
+        Raises :class:`CouplingError` for any goal the closure executors
+        cannot answer.
+        """
         goals = conjuncts(goal)
         if len(goals) != 1 or not isinstance(goals[0], Struct):
             raise CouplingError(
@@ -140,8 +129,13 @@ class RecursionRouter:
                 "recursion strategies support binary views only"
             )
         low_arg, high_arg = call.args
-        low = low_arg.name if isinstance(low_arg, Atom) else None
-        high = high_arg.name if isinstance(high_arg, Atom) else None
+        return call, _constant_value(low_arg), _constant_value(high_arg)
+
+    def ask(self, goal: Term) -> list[dict]:
+        """Answer one recursive goal through the planned strategy."""
+        call, low, high = self._closure_call(goal)
+        indicator = call.indicator
+        low_arg, high_arg = call.args
         # Cost-based strategy choice: CTE pushdown for non-trivial edge
         # views, the prepared frontier loop below the statistics
         # threshold.  (Maintained views answered earlier, from their
@@ -220,28 +214,24 @@ class RecursionRouter:
         """
         if shape is None or len(shape.constants) != 1:
             return None
-        goals = conjuncts(goal)
-        if len(goals) != 1 or not isinstance(goals[0], Struct):
-            return None
-        call = goals[0]
-        if len(call.args) != 2:
-            return None
-        low_arg, high_arg = call.args
-        if isinstance(low_arg, Atom) and isinstance(high_arg, Variable):
-            bound, variable = "low", high_arg
-        elif isinstance(high_arg, Atom) and isinstance(low_arg, Variable):
-            bound, variable = "high", low_arg
-        else:
-            return None
         session = self.session
         session.plans.sync(session.kb)
         plan = session.plans.peek(shape)
         if not isinstance(plan, CompiledPlan) or plan.kind != "recursive":
             return None
+        try:
+            call, low, high = self._closure_call(goal)
+        except CouplingError:
+            return None
+        low_arg, high_arg = call.args
+        if low is not None and isinstance(high_arg, Variable):
+            bound, variable = "low", high_arg
+        elif high is not None and isinstance(low_arg, Variable):
+            bound, variable = "high", low_arg
+        else:
+            return None
         indicator = call.indicator
         if session.materialize.has_view(indicator):
-            return None
-        if indicator not in self.indicators():
             return None
         try:
             closure = self.closure_for(indicator[0])

@@ -178,7 +178,7 @@ class PrologDbSession:
             constraints=self.constraints,
             metaevaluator=self.metaevaluator,
             merger=self.merger,
-            plans=self.plans if plan_cache else None,
+            plans=self.plans,
             optimize=optimize,
         )
         # The one ask pipeline (stage diagram: :mod:`.driver`).
@@ -442,11 +442,11 @@ class PrologDbSession:
         matched — demultiplex back into per-goal answer lists (paper §7:
         "process multiple database queries simultaneously").
 
-        Cold shapes warm up through at most two serial asks (the lazy
-        compiler parameterizes a shape on its second miss) and the
-        remainder batches; constant-sensitive, mixed, recursive,
-        engine-resolved, and unshapeable goals fall back to the serial
-        path.  Per-goal answer lists come back in input order, each
+        A cold shape's first member answers serially — that ask compiles
+        the plan the shape keeps — and the remainder batches;
+        constant-sensitive, mixed, engine-resolved, and unshapeable goals
+        fall back to the serial path.  Per-goal answer lists come back in
+        input order, each
         containing exactly the answers ``self.ask(goal)`` would return —
         the *set* is guaranteed identical (gated by the E14
         differentials); the order *within* one goal's answers follows
@@ -533,6 +533,13 @@ class PrologDbSession:
             kb=self.kb,
         )
 
+    def _batch_form(self, shape: GoalShape, goal: Term) -> tuple:
+        """``(flat plan, recursive closure)`` a warm shape batches through."""
+        plan = self._executor.batchable_plan(shape)
+        if plan is not None:
+            return plan, None
+        return None, self._recursion.batch_closure(shape, goal)
+
     def _ask_group(
         self,
         parsed: list[Term],
@@ -551,19 +558,18 @@ class PrologDbSession:
         """
         pending = list(members)
         plan = recursive = None
-        while pending:
-            if len(pending) > 1:
-                plan = self._executor.batchable_plan(shapes[pending[0]])
-                if plan is not None:
-                    break
-                recursive = self._recursion.batch_closure(
-                    shapes[pending[0]], parsed[pending[0]]
-                )
-                if recursive is not None:
-                    break
-            position = pending.pop(0)
-            answers[position] = self.ask(parsed[position], max_solutions)
-        if not pending:
+        if len(pending) > 1:
+            lead = pending[0]
+            plan, recursive = self._batch_form(shapes[lead], parsed[lead])
+            if plan is None and recursive is None:
+                # Cold, or never batchable: the lead's serial ask compiles
+                # the plan every later member of the group shares.
+                answers[pending.pop(0)] = self.ask(parsed[lead], max_solutions)
+                if len(pending) > 1:
+                    plan, recursive = self._batch_form(shapes[lead], parsed[lead])
+        if plan is None and recursive is None:
+            for position in pending:
+                answers[position] = self.ask(parsed[position], max_solutions)
             return
         group_shapes = [shapes[position] for position in pending]
         group_goals = [parsed[position] for position in pending]

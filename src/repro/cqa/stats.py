@@ -12,8 +12,7 @@ an ask stream and how often the store was actually dirty.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..concurrency import LockedCounters
 
@@ -38,19 +37,3 @@ class CqaStats(LockedCounters):
     #: enumeration fallback internals.
     memo_hits: int = 0
     repairs_enumerated: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    _snapshot_fields = (
-        "probes",
-        "probe_cache_hits",
-        "clean_fast_paths",
-        "rewritten_asks",
-        "fallback_asks",
-        "rewrite_compiles",
-        "rewrite_cache_hits",
-        "degraded",
-        "memo_hits",
-        "repairs_enumerated",
-    )

@@ -14,7 +14,6 @@ touches a connection, a lock or a commit.
 
 from __future__ import annotations
 
-import sqlite3
 from typing import Iterable, Optional, Sequence
 
 from ..errors import ExecutionError, SchemaError
@@ -38,13 +37,7 @@ class SideTables:
     #: disjoint from base relations and setrel intermediates.
     INTERVAL_PREFIX = "ivl_"
 
-    #: One row per interval table: the maintenance generation last
-    #: committed to it.  Written in the *same transaction* as the
-    #: relabel or delta it stamps, so a stamp that disagrees with the
-    #: index's in-memory generation is proof of torn maintenance.
-    GENERATION_TABLE = "mv__generation_stamps"
-
-    # -- the shared shape: create, stamp, replace ---------------------------------
+    # -- the shared shape: create, replace -----------------------------------------
 
     def _typed_columns(
         self, labels: Sequence[str], attributes: Sequence[str]
@@ -65,11 +58,7 @@ class SideTables:
         ddl: Sequence[str],
         prefix: Optional[str] = None,
     ) -> None:
-        """Create (or reset) one side table and register its columns.
-
-        The prefixed family is generation-stamped: its creation also
-        ensures the stamp table and stamps generation 0, in the same unit.
-        """
+        """Create (or reset) one side table and register its columns."""
         if prefix is not None and not name.startswith(prefix):
             raise SchemaError(
                 f"side table {name!r} must use the {prefix!r} prefix"
@@ -80,23 +69,7 @@ class SideTables:
             cursor.execute(f"DROP TABLE IF EXISTS {name}")
             for statement in ddl:
                 cursor.execute(statement)
-            if prefix is not None:
-                cursor.execute(
-                    f"CREATE TABLE IF NOT EXISTS {self.GENERATION_TABLE} "
-                    "(view_table TEXT PRIMARY KEY, generation INTEGER NOT NULL)"
-                )
-                self._stamp(cursor, name, 0)
         self._side_tables[name] = tuple(columns)
-
-    def _stamp(self, cursor, name: str, generation: Optional[int]) -> None:
-        """Record ``generation`` for ``name`` inside the caller's unit."""
-        if generation is not None:
-            cursor.execute(
-                f"INSERT INTO {self.GENERATION_TABLE} (view_table, generation) "
-                "VALUES (?, ?) ON CONFLICT(view_table) DO UPDATE SET "
-                "generation = excluded.generation",
-                (name, generation),
-            )
 
     def _side_columns(self, name: str) -> tuple[str, ...]:
         columns = self._side_tables.get(name)
@@ -104,14 +77,11 @@ class SideTables:
             raise ExecutionError(f"unknown side table {name!r}")
         return columns
 
-    def _replace_rows(
-        self, label: str, name: str, rows: Iterable, generation: Optional[int] = None
-    ) -> int:
+    def _replace_rows(self, label: str, name: str, rows: Iterable) -> int:
         """Swap ``name``'s contents for ``rows`` (whole rows, in column order).
 
-        The delete, the insert and the ``generation`` stamp commit
-        together — once per swap, or once per enclosing
-        :meth:`transaction` — so a torn rewrite is detectable.
+        The delete and the insert commit together — once per swap, or
+        once per enclosing :meth:`transaction`.
         """
         placeholders = ", ".join("?" * len(self._side_columns(name)))
         data = [tuple(row) for row in rows]
@@ -121,7 +91,6 @@ class SideTables:
             cursor.executemany(
                 f"INSERT INTO {name} VALUES ({placeholders})", data
             )
-            self._stamp(cursor, name, generation)
 
         self.write(label, body)
         return len(data)
@@ -161,18 +130,6 @@ class SideTables:
 
     # -- interval-index tables (nested-set hierarchy labelings) --------------------
 
-    def materialized_generation(self, name: str) -> Optional[int]:
-        """The generation last committed for a stamped table (or None)."""
-        try:
-            rows = self.read(
-                f"SELECT generation FROM {self.GENERATION_TABLE} "
-                "WHERE view_table = ?",
-                (name,),
-            )
-        except (sqlite3.Error, ExecutionError):
-            return None  # stamp table absent: nothing stamped yet
-        return rows[0][0] if rows else None
-
     def create_interval_index(self, name: str) -> None:
         """Create (or reset) an interval-labeling table for one hierarchy.
 
@@ -199,35 +156,26 @@ class SideTables:
             prefix=self.INTERVAL_PREFIX,
         )
 
-    def set_interval_rows(
-        self,
-        name: str,
-        rows: Iterable[tuple],
-        generation: Optional[int] = None,
-    ) -> int:
+    def set_interval_rows(self, name: str, rows: Iterable[tuple]) -> int:
         """Replace a labeling with ``(node, pre, post, cyc)`` rows.
 
         The bulk relabel: labels computed by the index's DFS cross the
-        wire once, and the rewrite plus the ``generation`` stamp commit
-        together (a torn relabel is detectable).
+        wire once, and the whole rewrite commits as one unit.
         """
-        return self._replace_rows(
-            f"interval relabel {name}", name, rows, generation
-        )
+        return self._replace_rows(f"interval relabel {name}", name, rows)
 
     def apply_interval_delta(
         self,
         name: str,
         upserts: Iterable[tuple] = (),
         deletes: Iterable = (),
-        generation: Optional[int] = None,
     ) -> int:
         """Local label maintenance: upsert placed nodes, tombstone removed ones.
 
         Gap-based labels absorb a leaf attach as one ``(node, pre, post,
         cyc)`` upsert inside the parent's gap; a leaf delete just drops
-        the row (its interval becomes reusable gap).  The whole delta and
-        the ``generation`` stamp commit together.
+        the row (its interval becomes reusable gap).  The whole delta
+        commits as one unit.
         """
         self._side_columns(name)
         placed = [tuple(row) for row in upserts]
@@ -244,7 +192,6 @@ class SideTables:
                     "cyc = excluded.cyc",
                     placed,
                 )
-            self._stamp(cursor, name, generation)
 
         self.write(f"interval delta {name}", body)
         return len(placed) + len(removed)

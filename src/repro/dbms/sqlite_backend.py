@@ -77,8 +77,7 @@ class ExternalDatabase(SideTables):
     ``constraints`` (optional) widens the catalog-driven index set with
     functional-dependency determinants and referential-integrity
     endpoints; without it only attributes shared between relations (the
-    tableau model's join columns) are indexed.  ``auto_index=False``
-    restores the bare 1984 heap-table behaviour.
+    tableau model's join columns) are indexed.
 
     ``policy`` configures the fault-handling layer (retry/backoff,
     circuit breakers, whole-ask retry bounds); ``FaultPolicy.disabled()``
@@ -105,8 +104,6 @@ class ExternalDatabase(SideTables):
         schema: DatabaseSchema,
         path: str = ":memory:",
         constraints=None,
-        auto_index: bool = True,
-        pooled_reads: bool = True,
         policy: Optional[FaultPolicy] = None,
         max_readers: Optional[int] = None,
         pool_wait_timeout: float = 5.0,
@@ -139,7 +136,6 @@ class ExternalDatabase(SideTables):
         self._write_lock = threading.RLock()
         self._txn_depth = 0
         self._txn_thread: Optional[int] = None
-        self._pooled_reads = pooled_reads
         self._closed = False
         #: The fault policy governing this backend's retry behaviour.
         self.policy = policy if policy is not None else FaultPolicy()
@@ -183,8 +179,7 @@ class ExternalDatabase(SideTables):
         self._side_tables: dict[str, tuple[str, ...]] = {}
         self.index_statements: list[str] = []
         self._create_tables()
-        if auto_index:
-            self._create_indexes(constraints)
+        self._create_indexes(constraints)
 
     # -- the three primitives: read, transaction, write -----------------------------
 
@@ -198,10 +193,8 @@ class ExternalDatabase(SideTables):
 
     def _query_connection(self) -> sqlite3.Connection:
         """The calling thread's pooled reader — or the owning connection
-        when reads are unpooled or must observe this thread's open
-        transaction (only it sees the uncommitted rows)."""
-        if not self._pooled_reads:
-            return self._connection
+        when the read must observe this thread's open transaction (only
+        it sees the uncommitted rows)."""
         if self._txn_depth and self._txn_thread == threading.get_ident():
             return self._connection
         return self._pool.connection()

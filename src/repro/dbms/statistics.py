@@ -13,7 +13,7 @@ import sqlite3
 import threading
 from dataclasses import dataclass, field
 
-from ..concurrency import LockedCounters
+from ..concurrency import LockedCounters, counter_names
 
 
 @dataclass
@@ -38,20 +38,6 @@ class ExecutionStats(LockedCounters):
     stats_hits: int = 0
     #: ``PRAGMA optimize`` runs on retiring/closing connections.
     pragma_optimizes: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    _snapshot_fields = (
-        "queries_executed",
-        "rows_fetched",
-        "sql_prints",
-        "prepared_executions",
-        "commits",
-        "stats_refreshes",
-        "stats_hits",
-        "pragma_optimizes",
-    )
 
     def record(self, rows: int, prepared: bool = False) -> None:
         # One lock acquisition covers every counter an execution touches,
@@ -66,7 +52,7 @@ class ExecutionStats(LockedCounters):
 
     def reset(self) -> None:
         with self._lock:
-            for name in self._snapshot_fields:
+            for name in counter_names(type(self)):
                 setattr(self, name, 0)
 
 

@@ -8,8 +8,7 @@ views consume them.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..concurrency import LockedCounters
 
@@ -37,16 +36,6 @@ class ViewStats:
     rows_removed: int = 0
     refreshes: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "maintained_asks": self.maintained_asks,
-            "deltas_applied": self.deltas_applied,
-            "delta_executions": self.delta_executions,
-            "rows_added": self.rows_added,
-            "rows_removed": self.rows_removed,
-            "refreshes": self.refreshes,
-        }
-
 
 @dataclass
 class MaintenanceStats(LockedCounters):
@@ -66,19 +55,7 @@ class MaintenanceStats(LockedCounters):
     quarantines: int = 0  # views pulled from serving after a failed delta
     heals: int = 0  # quarantined views rebuilt back to serving condition
     per_view: dict = field(default_factory=dict)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    _snapshot_fields = (
-        "views",
-        "deltas_applied",
-        "maintained_asks",
-        "refreshes",
-        "fallbacks",
-        "quarantines",
-        "heals",
-    )
+    _not_counters = ("per_view",)
 
     def snapshot(self) -> dict:
         # aggregate fields come from the locked snapshot so a concurrent
@@ -87,10 +64,6 @@ class MaintenanceStats(LockedCounters):
         # every other stats section.
         data = super().snapshot()
         data["per_view"] = {
-            name: stats.as_dict() if isinstance(stats, ViewStats) else stats
-            for name, stats in self.per_view.items()
+            name: asdict(stats) for name, stats in self.per_view.items()
         }
         return data
-
-    def as_dict(self) -> dict:
-        return self.snapshot()

@@ -22,7 +22,7 @@ Labels are *gap-scaled* event numbers (entry/exit of a DFS, times
   reusable gap);
 * anything else — internal deletes, subtree moves, exhausted gaps —
   triggers a **bulk relabel**: one DFS over the edges already fetched
-  for the forest check, written as one stamped swap of the ``ivl_*``
+  for the forest check, written as one swap of the ``ivl_*``
   table (the labels' only home);
 * non-tree data (a multi-parent node, a cycle longer than a self-loop)
   **demotes** the index: :meth:`IntervalIndex.ensure_fresh` raises
@@ -43,7 +43,7 @@ comparison, not an edge diff, per ask.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..concurrency import LockedCounters
@@ -60,21 +60,10 @@ class IntervalStats(LockedCounters):
     tombstones: int = 0
     gap_exhaustions: int = 0
     demotions: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    _snapshot_fields = (
-        "builds",
-        "local_absorbs",
-        "tombstones",
-        "gap_exhaustions",
-        "demotions",
-    )
 
 
 class IntervalIndex:
-    """A generation-stamped pre/post labeling of one recursive view's edges.
+    """A pre/post labeling of one recursive view's edges.
 
     Owned by the view's :class:`~repro.coupling.recursion_exec.
     TransitiveClosure`; the planner calls :meth:`ensure_fresh` before
@@ -110,7 +99,6 @@ class IntervalIndex:
         self._generations: Optional[dict[str, int]] = None
         self._demoted: Optional[str] = None
         self._created = False
-        self._stamp = 0
         # In-memory mirror of the edge structure (not the labels — those
         # live in the backend): the churn diff and absorb planner run on
         # these.
@@ -227,11 +215,8 @@ class IntervalIndex:
         if not self._created:
             self.database.create_interval_index(self.table)
             self._created = True
-        self._stamp += 1
         self.database.set_interval_rows(
-            self.table,
-            self._python_labels(roots, children, selfloops),
-            generation=self._stamp,
+            self.table, self._python_labels(roots, children, selfloops)
         )
         self.stats.incr("builds")
 
@@ -354,12 +339,10 @@ class IntervalIndex:
             placed_child_max[hi] = post
             upserts.append((lo, pre, post, 0))
 
-        self._stamp += 1
         self.database.apply_interval_delta(
             self.table,
             upserts=upserts,
             deletes=sorted(removed_nodes, key=str),
-            generation=self._stamp,
         )
         # commit the structural mirror only after the backend committed
         for lo, hi in deleted:

@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from ..errors import CouplingError
-from ..metaevaluate.recursion import recursive_indicators
 from ..optimize.pipeline import SimplifyOptions, simplify
 from ..prolog.reader import parse_goal
 from ..prolog.terms import Struct, Term, Variable, conjoin, conjuncts
@@ -54,7 +53,7 @@ class MaterializeManager:
         constraints,
         metaevaluator,
         merger,
-        plans=None,
+        plans,
         optimize: bool = True,
     ):
         self.kb = kb
@@ -97,8 +96,7 @@ class MaterializeManager:
         # so writes are not maintained twice.
         self._unregister(indicator)
 
-        recursive = indicator in self._recursive_indicators()
-        if recursive:
+        if indicator in self.plans.recursive_indicators(self.kb, self.schema):
             view: MaintainedView = self._build_recursive(view_name, call, args)
         else:
             view = self._build_flat(view_name, call, args)
@@ -200,11 +198,6 @@ class MaterializeManager:
         """Push pending internal facts external before the initial load."""
         for relation_name in self.merger.pending(relations):
             self.merger.materialise_internal(relation_name)
-
-    def _recursive_indicators(self) -> set:
-        if self.plans is not None:
-            return self.plans.recursive_indicators(self.kb, self.schema)
-        return recursive_indicators(self.kb, self.schema)
 
     # -- delta capture ------------------------------------------------------
 

@@ -66,13 +66,11 @@ class ResilienceStats(LockedCounters):
     faults_injected: int = 0
     #: monotonically increasing id of the last journalled event.
     event_seq: int = 0
+    _not_counters = ("event_seq",)
     _events: deque = field(
         default_factory=lambda: deque(maxlen=_EVENT_JOURNAL_SIZE),
         repr=False,
         compare=False,
-    )
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
     )
 
     def incr(self, counter: str, amount: int = 1) -> None:
@@ -96,20 +94,3 @@ class ResilienceStats(LockedCounters):
         for _seq, _thread, counter, amount in events:
             consumed[counter] = consumed.get(counter, 0) + amount
         return consumed
-
-    _snapshot_fields = (
-        "retries",
-        "backoff_seconds",
-        "breaker_opens",
-        "breaker_half_opens",
-        "breaker_closes",
-        "degraded_answers",
-        "plan_invalidations",
-        "deadline_exceeded",
-        "poisoned_retired",
-        "pool_timeouts",
-        "quarantines",
-        "heals",
-        "ask_retries",
-        "faults_injected",
-    )

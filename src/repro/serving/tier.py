@@ -57,6 +57,10 @@ from .worker import worker_main
 #: before killing it outright.
 _STOP_GRACE_SECONDS = 5.0
 
+#: Seconds between the monitor's liveness passes, and the collector's
+#: wait on the workers' response pipes.
+_MONITOR_INTERVAL_SECONDS = 0.05
+
 
 class PendingRequest:
     """One dispatched request: a thread-safe future the collector resolves."""
@@ -156,7 +160,6 @@ class ServingTier:
         workers: int = 2,
         warm_goals=(),
         restart_limit: int = 5,
-        monitor_interval: float = 0.05,
         slow_query_seconds: float = 0.25,
     ):
         database = session.database
@@ -201,7 +204,6 @@ class ServingTier:
         self._round_robin = itertools.count(0)
         self._warm_goals = [str(goal) for goal in warm_goals]
         self._restart_limit = restart_limit
-        self._monitor_interval = monitor_interval
         self._closed = False
         self._counters = {
             "requests": 0,
@@ -297,7 +299,7 @@ class ServingTier:
 
     def _monitor_loop(self) -> None:
         while not self._closed:
-            time.sleep(self._monitor_interval)
+            time.sleep(_MONITOR_INTERVAL_SECONDS)
             if self._closed:
                 return
             for handle in list(self._workers):
@@ -481,11 +483,11 @@ class ServingTier:
             with self._lock:
                 readers = list(self._response_readers)
             if not readers:
-                time.sleep(self._monitor_interval)
+                time.sleep(_MONITOR_INTERVAL_SECONDS)
                 continue
             try:
                 ready = mp_connection.wait(
-                    readers, timeout=self._monitor_interval
+                    readers, timeout=_MONITOR_INTERVAL_SECONDS
                 )
             except (OSError, ValueError):
                 continue  # a reader was retired mid-wait; rebuild the set

@@ -4,8 +4,8 @@ and one answer from a closed backend.
 Every public mutating method of :class:`ExternalDatabase` is a body
 handed to ``write`` or ``transaction``; the parametrized contract below
 holds each of them to the same three promises — one commit at top level,
-none of its own inside an enclosing ``transaction()``, and nothing (rows
-*or* generation stamp) left behind by a body that fails mid-way.
+none of its own inside an enclosing ``transaction()``, and no row left
+behind by a body that fails mid-way.
 """
 
 import sqlite3
@@ -36,14 +36,14 @@ MUTATORS = {
     ),
     "create_interval_index": lambda db: db.create_interval_index("ivl_tree"),
     "set_interval_rows": lambda db: db.set_interval_rows(
-        "ivl_tree", [(5, 0, 9, 0)], generation=5
+        "ivl_tree", [(5, 0, 9, 0)]
     ),
     "apply_interval_delta": lambda db: db.apply_interval_delta(
-        "ivl_tree", upserts=[(6, 3, 4, 0)], deletes=[1], generation=5
+        "ivl_tree", upserts=[(6, 3, 4, 0)], deletes=[1]
     ),
 }
 
-TABLES = ("empl", "frontier", "ivl_tree", ExternalDatabase.GENERATION_TABLE)
+TABLES = ("empl", "frontier", "ivl_tree")
 
 
 class _FailsAfterFirstStatement:
@@ -81,13 +81,13 @@ def database():
     db.create_intermediate("frontier", ["nam"])
     db.set_intermediate_rows("frontier", [("seed",)])
     db.create_interval_index("ivl_tree")
-    db.set_interval_rows("ivl_tree", [(1, 0, 9, 0), (2, 3, 4, 0)], generation=3)
+    db.set_interval_rows("ivl_tree", [(1, 0, 9, 0), (2, 3, 4, 0)])
     yield db
     db.close()
 
 
 def stored(db):
-    """Every table's rows, stamps included, straight from the store."""
+    """Every table's rows, straight from the store."""
     return {
         table: sorted(db.execute(f"SELECT * FROM {table}"), key=repr)
         for table in TABLES
@@ -109,6 +109,7 @@ class TestWriteUnitContract:
         assert database.stats.commits == before + 1
 
     def test_failure_mid_body_leaves_rows_and_stamp(self, database, name):
+        # (the name predates the deletion of the label stamps: rows only)
         before, commits = stored(database), database.stats.commits
         database.tripped = True
         with pytest.raises(sqlite3.IntegrityError):

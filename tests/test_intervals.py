@@ -194,13 +194,6 @@ class TestChurn:
             ivl = session.solve_recursive("works_for", low=name, strategy="interval")
             assert cte.pairs and set(cte.pairs) == set(ivl.pairs), name
 
-    def test_generation_stamp_moves_with_the_labeling(self, session, org):
-        index = warm_index(session, org)
-        before = session.database.materialized_generation(index.table)
-        hire(session, 41003, "ivlhire3", org.departments[1].dno)
-        session.ask("works_for(ivlhire3, Y)")
-        assert session.database.materialized_generation(index.table) > before
-
 
 # -- demotion --------------------------------------------------------------------------
 

@@ -253,28 +253,28 @@ PINNED = {('empty_bind', False, False): {'ask': [(0, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                'many': [(0, 0, 0, 0, 0, 2, 0, 2, 2, 0),
                                         (0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
                                         (0, 0, 0, 0, 0, 0, 1, 0, 0, 0)]},
- ('empty_bind', True, False): {'ask': [(0, 1, 1, 1, 0, 1, 0, 1, 1, 0),
-                                       (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+ ('empty_bind', True, False): {'ask': [(0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+                                       (1, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                        (1, 0, 0, 0, 1, 0, 0, 0, 0, 0)],
-                               'consistent': [(0, 1, 1, 1, 0, 2, 0, 1, 1, 0),
-                                              (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+                               'consistent': [(0, 1, 1, 0, 0, 2, 0, 1, 1, 0),
+                                              (1, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                               (1, 0, 0, 0, 1, 0, 0, 0, 0, 0)],
-                               'fetch': [(0, 1, 1, 1, None, 1, 0, 1, 1, 0),
-                                         (0, 1, 1, 0, None, 1, 0, 1, 1, 0),
+                               'fetch': [(0, 1, 1, 0, None, 1, 0, 1, 1, 0),
+                                         (1, 0, 0, 0, None, 1, 0, 1, 1, 0),
                                          (1, 0, 0, 0, None, 0, 0, 0, 0, 0)],
-                               'many': [(0, 2, 2, 1, 0, 2, 0, 2, 2, 0),
+                               'many': [(1, 1, 1, 0, 0, 2, 0, 2, 2, 0),
                                         (2, 0, 0, 0, 2, 0, 1, 0, 0, 0),
                                         (2, 0, 0, 0, 2, 0, 1, 0, 0, 0)]},
- ('empty_bind', True, True): {'ask': [(0, 1, 1, 1, 0, 1, 0, 1, 1, 0),
-                                      (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+ ('empty_bind', True, True): {'ask': [(0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+                                      (1, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                       (1, 0, 0, 0, 1, 0, 0, 0, 0, 0)],
-                              'consistent': [(0, 1, 1, 1, 0, 2, 0, 1, 1, 0),
-                                             (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+                              'consistent': [(0, 1, 1, 0, 0, 2, 0, 1, 1, 0),
+                                             (1, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                              (1, 0, 0, 0, 1, 0, 0, 0, 0, 0)],
-                              'fetch': [(0, 1, 1, 1, None, 1, 0, 1, 1, 0),
-                                        (0, 1, 1, 0, None, 1, 0, 1, 1, 0),
+                              'fetch': [(0, 1, 1, 0, None, 1, 0, 1, 1, 0),
+                                        (1, 0, 0, 0, None, 1, 0, 1, 1, 0),
                                         (1, 0, 0, 0, None, 0, 0, 0, 0, 0)],
-                              'many': [(0, 2, 2, 1, 0, 2, 0, 2, 2, 0),
+                              'many': [(1, 1, 1, 0, 0, 2, 0, 2, 2, 0),
                                        (2, 0, 0, 0, 2, 0, 1, 0, 0, 0),
                                        (2, 0, 0, 0, 2, 0, 1, 0, 0, 0)]},
  ('empty_constraint', False, False): {'ask': [(0, 0, 0, 0, 0, 1, 0, 1, 1, 0),
@@ -301,16 +301,16 @@ PINNED = {('empty_bind', False, False): {'ask': [(0, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                      'many': [(0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
                                               (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
                                               (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)]},
- ('empty_constraint', True, False): {'ask': [(0, 1, 1, 1, 0, 1, 0, 1, 1, 0),
-                                             (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+ ('empty_constraint', True, False): {'ask': [(0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+                                             (1, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                              (1, 0, 0, 0, 0, 0, 1, 0, 0, 0)],
-                                     'consistent': [(0, 1, 1, 1, 0, 2, 0, 1, 1, 0),
-                                                    (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+                                     'consistent': [(0, 1, 1, 0, 0, 2, 0, 1, 1, 0),
+                                                    (1, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                                     (1, 0, 0, 0, 0, 0, 1, 0, 0, 0)],
-                                     'fetch': [(0, 1, 1, 1, None, 1, 0, 1, 1, 0),
-                                               (0, 1, 1, 0, None, 1, 0, 1, 1, 0),
+                                     'fetch': [(0, 1, 1, 0, None, 1, 0, 1, 1, 0),
+                                               (1, 0, 0, 0, None, 1, 0, 1, 1, 0),
                                                (1, 0, 0, 0, None, 0, 1, 0, 0, 0)],
-                                     'many': [(0, 2, 2, 1, 0, 2, 0, 2, 2, 0),
+                                     'many': [(1, 1, 1, 0, 0, 2, 0, 2, 2, 0),
                                               (2, 0, 0, 0, 0, 0, 2, 0, 0, 0),
                                               (2, 0, 0, 0, 0, 0, 2, 0, 0, 0)]},
  ('empty_constraint', True, True): {'ask': [(0, 1, 1, 1, 0, 0, 0, 0, 0, 0),
@@ -373,25 +373,25 @@ PINNED = {('empty_bind', False, False): {'ask': [(0, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                    (0, 0, 0, 0, None, 1, 0, 1, 1, 0)],
                          'many': [(0, 0, 0, 0, 0, 2, 0, 2, 2, 0), (0, 0, 0, 0, 0, 1, 1, 1, 1, 0),
                                   (0, 0, 0, 0, 0, 0, 2, 0, 0, 0)]},
- ('flat', True, False): {'ask': [(0, 1, 1, 1, 0, 1, 0, 1, 1, 0), (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+ ('flat', True, False): {'ask': [(0, 1, 1, 0, 0, 1, 0, 1, 1, 0), (1, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                  (1, 0, 0, 0, 0, 1, 0, 1, 1, 0)],
-                         'consistent': [(0, 1, 1, 1, 0, 3, 0, 1, 1, 0),
-                                        (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+                         'consistent': [(0, 1, 1, 0, 0, 3, 0, 1, 1, 0),
+                                        (1, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                         (1, 0, 0, 0, 0, 1, 0, 1, 1, 0)],
-                         'fetch': [(0, 1, 1, 1, None, 1, 0, 1, 1, 0),
-                                   (0, 1, 1, 0, None, 1, 0, 1, 1, 0),
+                         'fetch': [(0, 1, 1, 0, None, 1, 0, 1, 1, 0),
+                                   (1, 0, 0, 0, None, 1, 0, 1, 1, 0),
                                    (1, 0, 0, 0, None, 1, 0, 1, 1, 0)],
-                         'many': [(0, 2, 2, 1, 0, 2, 0, 2, 2, 0), (0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
+                         'many': [(1, 1, 1, 0, 0, 2, 0, 2, 2, 0), (0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
                                   (0, 0, 0, 0, 0, 1, 0, 0, 0, 0)]},
- ('flat', True, True): {'ask': [(0, 1, 1, 1, 0, 1, 0, 1, 1, 0), (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+ ('flat', True, True): {'ask': [(0, 1, 1, 0, 0, 1, 0, 1, 1, 0), (1, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                 (1, 0, 0, 0, 0, 1, 0, 1, 1, 0)],
-                        'consistent': [(0, 1, 1, 1, 0, 3, 0, 1, 1, 0),
-                                       (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+                        'consistent': [(0, 1, 1, 0, 0, 3, 0, 1, 1, 0),
+                                       (1, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                        (1, 0, 0, 0, 0, 1, 0, 1, 1, 0)],
-                        'fetch': [(0, 1, 1, 1, None, 1, 0, 1, 1, 0),
-                                  (0, 1, 1, 0, None, 1, 0, 1, 1, 0),
+                        'fetch': [(0, 1, 1, 0, None, 1, 0, 1, 1, 0),
+                                  (1, 0, 0, 0, None, 1, 0, 1, 1, 0),
                                   (1, 0, 0, 0, None, 1, 0, 1, 1, 0)],
-                        'many': [(0, 2, 2, 1, 0, 2, 0, 2, 2, 0), (0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
+                        'many': [(1, 1, 1, 0, 0, 2, 0, 2, 2, 0), (0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
                                  (0, 0, 0, 0, 0, 1, 0, 0, 0, 0)]},
  ('mixed', False, False): {'ask': [(0, 0, 0, 0, 0, 1, 0, 1, 1, 0), (0, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                    (0, 0, 0, 0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1, 0, 1, 1, 0)],
@@ -411,22 +411,22 @@ PINNED = {('empty_bind', False, False): {'ask': [(0, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                           'many': [(0, 0, 0, 0, 0, 2, 0, 2, 2, 0), (0, 0, 0, 0, 0, 0, 2, 0, 0, 0),
                                    (0, 0, 0, 0, 0, 1, 1, 1, 1, 0),
                                    (0, 0, 0, 0, 0, 0, 2, 0, 0, 0)]},
- ('mixed', True, False): {'ask': [(0, 1, 1, 1, 0, 1, 0, 1, 1, 0), (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+ ('mixed', True, False): {'ask': [(0, 1, 1, 0, 0, 1, 0, 1, 1, 0), (1, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                   (1, 0, 0, 0, 0, 0, 1, 0, 0, 0), (0, 1, 1, 0, 0, 1, 0, 1, 1, 0)],
-                          'consistent': [(0, 1, 1, 1, 0, 3, 0, 1, 1, 0),
-                                         (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+                          'consistent': [(0, 1, 1, 0, 0, 3, 0, 1, 1, 0),
+                                         (1, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                          (1, 0, 0, 0, 0, 0, 1, 0, 0, 0),
                                          (0, 1, 1, 0, 0, 1, 0, 1, 1, 0)],
-                          'many': [(0, 2, 2, 1, 0, 2, 0, 2, 2, 0), (2, 0, 0, 0, 0, 0, 2, 0, 0, 0),
+                          'many': [(1, 1, 1, 0, 0, 2, 0, 2, 2, 0), (2, 0, 0, 0, 0, 0, 2, 0, 0, 0),
                                    (1, 1, 1, 0, 0, 1, 1, 1, 1, 0),
                                    (2, 0, 0, 0, 0, 0, 2, 0, 0, 0)]},
- ('mixed', True, True): {'ask': [(0, 1, 1, 1, 0, 1, 0, 1, 1, 0), (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+ ('mixed', True, True): {'ask': [(0, 1, 1, 0, 0, 1, 0, 1, 1, 0), (1, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                  (1, 0, 0, 0, 0, 0, 1, 0, 0, 0), (0, 1, 1, 0, 0, 1, 0, 1, 1, 0)],
-                         'consistent': [(0, 1, 1, 1, 0, 3, 0, 1, 1, 0),
-                                        (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+                         'consistent': [(0, 1, 1, 0, 0, 3, 0, 1, 1, 0),
+                                        (1, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                         (1, 0, 0, 0, 0, 0, 1, 0, 0, 0),
                                         (0, 1, 1, 0, 0, 1, 0, 1, 1, 0)],
-                         'many': [(0, 2, 2, 1, 0, 2, 0, 2, 2, 0), (2, 0, 0, 0, 0, 0, 2, 0, 0, 0),
+                         'many': [(1, 1, 1, 0, 0, 2, 0, 2, 2, 0), (2, 0, 0, 0, 0, 0, 2, 0, 0, 0),
                                   (1, 1, 1, 0, 0, 1, 1, 1, 1, 0), (2, 0, 0, 0, 0, 0, 2, 0, 0, 0)]},
  ('recursive', False, False): {'ask': [(0, 0, 0, 0, 0, 5, 0, 0, 0, 0),
                                        (0, 0, 0, 0, 0, 4, 0, 0, 0, 0),
@@ -487,16 +487,16 @@ PINNED = {('empty_bind', False, False): {'ask': [(0, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                               'many': [(0, 0, 0, 0, 0, 2, 0, 2, 2, 0),
                                        (0, 0, 0, 0, 0, 1, 1, 1, 1, 0),
                                        (0, 0, 0, 0, 0, 0, 2, 0, 0, 0)]},
- ('sensitive', True, False): {'ask': [(0, 1, 1, 1, 0, 1, 0, 1, 1, 0),
-                                      (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+ ('sensitive', True, False): {'ask': [(0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+                                      (1, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                       (1, 0, 0, 0, 0, 1, 0, 1, 1, 0)],
-                              'consistent': [(0, 1, 1, 1, 0, 2, 0, 1, 1, 0),
-                                             (0, 1, 1, 0, 0, 1, 0, 1, 1, 0),
+                              'consistent': [(0, 1, 1, 0, 0, 2, 0, 1, 1, 0),
+                                             (1, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                              (1, 0, 0, 0, 0, 1, 0, 1, 1, 0)],
-                              'fetch': [(0, 1, 1, 1, None, 1, 0, 1, 1, 0),
-                                        (0, 1, 1, 0, None, 1, 0, 1, 1, 0),
+                              'fetch': [(0, 1, 1, 0, None, 1, 0, 1, 1, 0),
+                                        (1, 0, 0, 0, None, 1, 0, 1, 1, 0),
                                         (1, 0, 0, 0, None, 1, 0, 1, 1, 0)],
-                              'many': [(0, 2, 2, 1, 0, 2, 0, 2, 2, 0),
+                              'many': [(1, 1, 1, 0, 0, 2, 0, 2, 2, 0),
                                        (2, 0, 0, 0, 0, 1, 1, 1, 1, 0),
                                        (2, 0, 0, 0, 0, 0, 2, 0, 0, 0)]},
  ('sensitive', True, True): {'ask': [(0, 1, 1, 1, 0, 1, 0, 1, 1, 0), (0, 1, 1, 1, 0, 1, 0, 1, 1, 0),

@@ -79,45 +79,48 @@ class TestPlanReuse:
         names = [e.nam for e in org.employees[:6]]
         for name in names:
             session.ask(f"works_dir_for(X, {name})")
-        # Lazy compilation: the first miss stores the cold result as an
-        # exact plan, the second parameterizes the shape, everything after
-        # is a hit.
-        assert session.plans.stats.compiled == 2
-        assert session.plans.stats.hits >= len(names) - 2
+        # The first sight of the shape compiles the one plan it keeps;
+        # everything after is a hit.
+        assert session.plans.stats.compiled == 1
+        assert session.plans.stats.misses == 1
+        assert session.plans.stats.hits == len(names) - 1
 
     def test_parameterized_sql_has_placeholder(self, session, org):
-        names = [e.nam for e in org.employees[:2]]
-        for name in names:  # second ask of the shape parameterizes it
-            session.ask(f"works_dir_for(X, {name})")
+        session.ask(f"works_dir_for(X, {org.employees[0].nam})")
         entry = next(iter(session.plans._entries.values()))
         plan = next(iter(entry.variants.values()))
         assert entry.material == ()
         assert "?" in plan.sql_text
         assert plan.bind_order and plan.open_params == (0,)
 
-    def test_first_miss_does_not_pay_marker_compile(self, session, org):
-        """One-off shapes store the cold artifact, nothing more."""
+    def test_first_sight_parameterizes(self, session, org):
+        """First sight parameterizes: the first ask runs the plan it stores."""
         boss = org.root_manager_name()
-        session.ask(f"works_dir_for(X, {boss})")
+        cold = fresh_session(org).ask(f"works_dir_for(X, {boss})")
+        assert answer_set(session.ask(f"works_dir_for(X, {boss})")) == answer_set(cold)
         entry = next(iter(session.plans._entries.values()))
-        assert not entry.attempted  # marker analysis deferred
         plan = next(iter(entry.variants.values()))
-        assert plan.open_params == ()  # exact-constant replay of the cold run
-        # The exact plan still answers repeats of the same constants.
+        assert entry.material == plan.material == ()
+        assert plan.open_params == (0,)  # the constant is a bind parameter
+        # one chain run: printed once, executed prepared with the constant
+        assert session.database.stats.sql_prints == 1
+        assert session.database.stats.prepared_executions == 1
+        # Repeats of the same constants and new constants alike are hits.
         before = session.plans.stats.hits
         session.ask(f"works_dir_for(X, {boss})")
-        assert session.plans.stats.hits == before + 1
+        session.ask(f"works_dir_for(X, {org.employees[3].nam})")
+        assert session.plans.stats.hits == before + 2
+        assert session.plans.stats.compiled == 1
 
     def test_warm_uses_prepared_statements(self, session, org):
         names = [e.nam for e in org.employees[:5]]
-        for name in names[:2]:  # prime: exact store, then parameterize
-            session.ask(f"works_dir_for(X, {name})")
+        session.ask(f"works_dir_for(X, {names[0]})")  # prime the shape
         session.database.stats.reset()
-        for name in names[2:]:
+        for name in names[1:]:
             session.ask(f"works_dir_for(X, {name})")
         # Warm asks never re-print SQL; they execute the prepared text.
         assert session.database.stats.sql_prints == 0
-        assert session.database.stats.prepared_executions == len(names) - 2
+        assert session.database.stats.prepared_executions == len(names) - 1
 
     def test_comparison_constants_fall_back_to_variants(self, session, org):
         """Constants consulted by Algorithm 2 pin exact-constant plans."""
@@ -475,11 +478,136 @@ class TestFetchViewPlans:
         names = [e.nam for e in org.employees[:5]]
         for name in names:
             session._fetch_view(pg(f"same_manager(X, {name})"))
-        # Call one stored the exact plan, call two parameterized the
-        # shape; the remaining three were plan-cache hits even though
-        # every call asserted fresh answer facts.
-        assert session.plans.stats.compiled == 2
-        assert session.plans.stats.hits == len(names) - 2
+        # Call one compiled the shape's plan; the remaining four were
+        # plan-cache hits even though every call asserted fresh answer
+        # facts.
+        assert session.plans.stats.compiled == 1
+        assert session.plans.stats.hits == len(names) - 1
+
+
+class TestCompileOnce:
+    """One compile per shape, in every mode — pinned in exact counters.
+
+    Three asks of one constant-insensitive shape with three constants:
+    the first compiles (and prints) the parameterized plan and runs it,
+    the other two are hits; every compile phase is paid on the first ask
+    only.
+    """
+
+    PHASES = ("classify", "metaevaluate", "optimize", "translate", "print")
+
+    @staticmethod
+    def counters(session):
+        stats = session.stats()
+        return (
+            stats["plan_cache"]["misses"],
+            stats["plan_cache"]["hits"],
+            stats["plan_cache"]["compiled"],
+            stats["database"]["sql_prints"],
+        )
+
+    def three_asks(self, session, ask, goals, phases=PHASES):
+        start = self.counters(session)
+        seconds = []
+        for goal in goals:
+            ask(goal)
+            seconds.append(session.stats()["compile_phases"])
+        moved = tuple(b - a for a, b in zip(start, self.counters(session)))
+        assert moved == (1, 2, 1, 1)
+        for phase in phases:
+            key = f"{phase}_seconds"
+            assert seconds[0][key] > 0, phase
+            assert seconds[0][key] == seconds[1][key] == seconds[2][key], phase
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "works_dir_for(X, {})",
+            "same_manager(X, {})",
+            "works_dir_for({}, Y)",
+            "empl(E, {}, S, D)",
+            "works_dir_for(X, {}), specialist(X, driving)",
+        ],
+    )
+    def test_three_constants_one_compile(self, session, org, template):
+        session.assert_fact("specialist", org.employees[0].nam, "driving")
+        names = [e.nam for e in org.employees[3:6]]
+        self.three_asks(session, session.ask, [template.format(n) for n in names])
+        cold = fresh_session(org)
+        cold.assert_fact("specialist", org.employees[0].nam, "driving")
+        for name in names:
+            goal = template.format(name)
+            assert answer_set(session.ask(goal)) == answer_set(cold.ask(goal))
+
+    def test_fetch_three_constants_one_compile(self, session, org):
+        names = [e.nam for e in org.employees[3:6]]
+        goals = [parse_goal(f"same_manager(X, {name})") for name in names]
+        # (a fetch classifies nothing: its goal is one view by contract)
+        self.three_asks(session, session._fetch_view, goals, self.PHASES[1:])
+
+    def test_consistent_mode_three_constants_one_compile(self, session, org):
+        session.database.insert_rows("empl", [(org.employees[0].eno, "dup", 1, 1)])
+        names = [e.nam for e in org.employees[3:6]]
+        goals = [f"empl(E, {name}, S, D)" for name in names]
+        self.three_asks(session, session.ask_consistent, goals)
+        assert session.stats()["cqa"]["rewritten_asks"] == 3
+
+    def test_constant_sensitive_shape_keeps_exact_variants(self, session, org):
+        goals = [
+            f"empl(E, N, S, D), less(S, {high}), greater(S, {low})"
+            for high, low in ((40000, 20000), (50000, 30000), (60000, 10000))
+        ]
+        start = self.counters(session)
+        answers = [session.ask(goal) for goal in goals]
+        moved = tuple(b - a for a, b in zip(start, self.counters(session)))
+        assert moved[:3] == (3, 0, 3)
+        cold = fresh_session(org)
+        for goal, warm in zip(goals, answers):
+            assert answer_set(warm) == answer_set(cold.ask(goal))
+            assert answer_set(session.ask(goal)) == answer_set(warm)  # a hit
+        assert session.plans.stats.hits == 3
+
+    def test_failed_marker_analysis_never_fails_the_ask(
+        self, session, org, monkeypatch
+    ):
+        compiler = session._compiler
+        original = compiler._parameterize
+        analyses = []
+
+        def failing(*args):
+            analyses.append(args)
+            if len(analyses) == 1:
+                raise RuntimeError("marker analysis broke")
+            return original(*args)
+
+        monkeypatch.setattr(compiler, "_parameterize", failing)
+        names = [e.nam for e in org.employees[3:6]]
+        cold = fresh_session(org)
+        for name in names:
+            goal = f"works_dir_for(X, {name})"
+            assert answer_set(session.ask(goal)) == answer_set(cold.ask(goal))
+        # The shape is remembered as exact: one variant per constant, and
+        # the analysis that failed at first sight is never run again.
+        assert len(analyses) == 1
+        entry = next(iter(session.plans._entries.values()))
+        assert entry.material == (0,) and not entry.uncacheable
+        assert len(entry.variants) == 3
+        assert all(plan.open_params == () for plan in entry.variants.values())
+        assert session.plans.stats.compiled == 3
+        assert session.plans.stats.uncacheable == 0
+
+    def test_warm_makes_a_new_constant_a_hit(self, session, org):
+        names = [e.nam for e in org.employees[3:6]]
+        shapes = ["works_dir_for(X, {})", "same_manager(X, {})", "works_dir_for({}, Y)"]
+        assert session.warm(t.format(names[0]) for t in shapes) == len(shapes)
+        assert session.plans.stats.compiled == len(shapes)
+        before = session.plans.stats.snapshot()
+        for template in shapes:
+            session.ask(template.format(names[1]))
+        after = session.plans.stats.snapshot()
+        assert after["hits"] == before["hits"] + len(shapes)
+        assert after["misses"] == before["misses"]
+        assert after["compiled"] == before["compiled"]
 
 
 class TestRecursionPreparedPath:
@@ -527,8 +655,7 @@ class TestDisabledResultCache:
         session.load_org(org)
         session.consult(WORKS_DIR_FOR_SOURCE)
         names = [e.nam for e in org.employees[:4]]
-        for name in names[:2]:  # exact plan, then the parameterized one
-            session.ask(f"works_dir_for(X, {name})")
+        session.ask(f"works_dir_for(X, {names[0]})")  # compile the shape
         calls = []
         original = DbclPredicate.canonical_key
         monkeypatch.setattr(

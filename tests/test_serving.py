@@ -158,9 +158,10 @@ class TestAskMany:
         batched = session.ask_many(goals)
         for goal, answers in zip(goals, batched):
             assert answer_set(answers) == answer_set(session.ask(goal))
-        # two serial warm-ups, the rest in one batch
+        # the first member compiles the shape's plan, the rest is one batch
         assert session.plans.stats.batch_executions == 1
-        assert session.plans.stats.batched_asks == len(goals) - 2
+        assert session.plans.stats.batched_asks == len(goals) - 1
+        assert session.plans.stats.compiled == 1
         session.close()
 
     def test_mixed_bag_falls_back_correctly(self, session, org):
