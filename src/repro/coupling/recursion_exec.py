@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import AbstractSet, Iterable, Optional, Sequence, Union
 
 from ..dbcl.predicate import DbclPredicate
 from ..errors import CouplingError, IntervalUnavailable, RecursionLimitExceeded
@@ -921,6 +921,9 @@ class TransitiveClosure:
 # -- incremental closure maintenance (the materialize subsystem) --------------------
 
 
+_NOTHING: frozenset = frozenset()
+
+
 class IncrementalClosure:
     """A transitive closure maintained under edge inserts and deletes.
 
@@ -941,80 +944,63 @@ class IncrementalClosure:
     (a count table, a subscriber view) can be maintained without diffing
     the full closure.  Cycles are handled: a pair ``(x, x)`` exists iff
     ``x`` lies on a cycle, matching the batch executors' semantics.
+
+    The closure is held once, as adjacency: ``_reach[x]`` is the set of
+    nodes ``x`` reaches and ``_reached_by`` its exact inverse, so a
+    bound probe (:meth:`above` / :meth:`below`) and a cone are one
+    lookup; ``_successors`` holds the edges.  :attr:`pairs` is derived.
     """
 
-    def __init__(self, edges: Optional[Sequence[tuple[str, str]]] = None):
+    def __init__(self, edges: Iterable[tuple[str, str]] = ()):
         self._successors: dict[str, set[str]] = {}
-        self._predecessors: dict[str, set[str]] = {}
-        self._edges: set[tuple[str, str]] = set()
-        self._pairs: set[tuple[str, str]] = set()
-        #: Closure adjacency (node -> reachable / reaching nodes), kept in
-        #: lockstep with ``_pairs`` so cone probes never scan the pair set.
         self._reach: dict[str, set[str]] = {}
         self._reached_by: dict[str, set[str]] = {}
-        for low, high in edges or ():
+        for low, high in edges:
             self.insert_edge(low, high)
 
     # -- inspection ---------------------------------------------------------
 
     @property
     def pairs(self) -> set[tuple[str, str]]:
-        """The current closure (a live reference; treat as read-only)."""
-        return self._pairs
+        """A snapshot of the closure as ``(low, high)`` pairs."""
+        return {(x, y) for x, reach in self._reach.items() for y in reach}
+
+    def above(self, node: str) -> AbstractSet[str]:
+        """Every y with (node, y) in the closure (live; treat as read-only)."""
+        return self._reach.get(node, _NOTHING)
+
+    def below(self, node: str) -> AbstractSet[str]:
+        """Every x with (x, node) in the closure (live; treat as read-only)."""
+        return self._reached_by.get(node, _NOTHING)
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return sum(map(len, self._reach.values()))
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
-        return pair in self._pairs
-
-    # -- helpers ------------------------------------------------------------
-
-    def _sources_into(self, node: str) -> set[str]:
-        """``node`` plus every x with (x, node) in the closure."""
-        return {node} | self._reached_by.get(node, set())
-
-    def _targets_from(self, node: str) -> set[str]:
-        """``node`` plus every y with (node, y) in the closure."""
-        return {node} | self._reach.get(node, set())
+        return pair[1] in self._reach.get(pair[0], _NOTHING)
 
     def _add_pair(self, pair: tuple[str, str]) -> None:
-        self._pairs.add(pair)
         x, y = pair
         self._reach.setdefault(x, set()).add(y)
         self._reached_by.setdefault(y, set()).add(x)
 
     def _remove_pair(self, pair: tuple[str, str]) -> None:
-        self._pairs.discard(pair)
         x, y = pair
-        bucket = self._reach.get(x)
-        if bucket is not None:
-            bucket.discard(y)
-            if not bucket:
-                del self._reach[x]
-        bucket = self._reached_by.get(y)
-        if bucket is not None:
-            bucket.discard(x)
-            if not bucket:
-                del self._reached_by[y]
+        for index, node, other in ((self._reach, x, y), (self._reached_by, y, x)):
+            index[node].discard(other)
+            if not index[node]:
+                del index[node]
 
     # -- maintenance --------------------------------------------------------
 
     def insert_edge(self, low: str, high: str) -> set[tuple[str, str]]:
         """Add edge ``low -> high``; returns the newly derivable pairs."""
-        if (low, high) in self._edges:
+        successors = self._successors.setdefault(low, set())
+        if high in successors:
             return set()
-        self._edges.add((low, high))
-        self._successors.setdefault(low, set()).add(high)
-        self._predecessors.setdefault(high, set()).add(low)
-        sources = self._sources_into(low)
-        targets = self._targets_from(high)
-        added = {
-            (x, y)
-            for x in sources
-            for y in targets
-            if (x, y) not in self._pairs
-        }
+        successors.add(high)
+        sources, targets = {low} | self.below(low), {high} | self.above(high)
+        added = {(x, y) for x in sources for y in targets - self.above(x)}
         for pair in added:
             self._add_pair(pair)
         return added
@@ -1028,22 +1014,16 @@ class IncrementalClosure:
         Iterates to fixpoint because one re-derivation can support
         another (paths sharing suffixes).
         """
-        if (low, high) not in self._edges:
+        successors = self._successors.get(low, _NOTHING)
+        if high not in successors:
             return set()
         # Cone computed on the OLD closure (before anything is removed).
-        sources = self._sources_into(low)
-        targets = self._targets_from(high)
-        self._edges.discard((low, high))
-        self._successors[low].discard(high)
-        if not self._successors[low]:
+        sources, targets = {low} | self.below(low), {high} | self.above(high)
+        successors.discard(high)
+        if not successors:
             del self._successors[low]
-        self._predecessors[high].discard(low)
-        if not self._predecessors[high]:
-            del self._predecessors[high]
 
-        suspect = {
-            (x, y) for x in sources for y in targets if (x, y) in self._pairs
-        }
+        suspect = {(x, y) for x in sources for y in targets & self.above(x)}
         for pair in suspect:
             self._remove_pair(pair)
 
@@ -1053,7 +1033,7 @@ class IncrementalClosure:
             for pair in list(suspect):
                 x, y = pair
                 for z in self._successors.get(x, ()):
-                    if z == y or (z, y) in self._pairs:
+                    if z == y or y in self.above(z):
                         self._add_pair(pair)
                         suspect.discard(pair)
                         changed = True

@@ -261,15 +261,20 @@ class ExternalDatabase(SideTables):
     def write(self, label: str, body: Callable[[sqlite3.Cursor], object]):
         """Run ``body(cursor)`` as one write unit under the retry ladder.
 
-        Inside an open transaction the enclosing bracket owns recovery
-        (retrying one statement of a multi-statement unit would corrupt
-        it), so the body just joins it; at top level each failed attempt
-        is rolled back by :meth:`transaction` before the ladder retries.
+        Inside an open transaction the body joins the enclosing bracket,
+        which owns recovery; only a lock refusal is waited out, in place
+        (every body writes one table, so a lock can refuse only its
+        first statement).  At top level each failed attempt is rolled
+        back by :meth:`transaction` before the ladder retries.
         """
         if self._closed:
             raise ExecutionError("database is closed")
         if self._txn_depth and self._txn_thread == threading.get_ident():
-            return body(self._connection.cursor())
+            cursor = self._connection.cursor()
+            try:
+                return body(cursor)
+            except sqlite3.OperationalError as error:
+                return self._ladder.outwait_lock(error, lambda: body(cursor))
 
         def attempt():
             with self.transaction() as cursor:

@@ -14,9 +14,11 @@ transitive closure of its base clause's *edge view*:
   probed), deletes run DRed-style over-delete/re-derive.
 
 Where the batch executors re-run the whole setrel frontier loop per ask,
-the maintained closure answers ``view(low, High)`` / ``view(Low, high)``
-by filtering live pairs — and, beyond what the batch path supports, can
-answer the fully open ``view(Low, High)`` as well.
+the maintained closure answers a bound ask with an index probe:
+``view(low, High)`` reads the nodes above ``low``, ``view(Low, high)``
+the nodes below ``high``, ``view(low, high)`` is one membership test —
+and, beyond what the batch path supports, the fully open
+``view(Low, High)`` walks every pair.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class RecursiveMaterializedView:
         self.goal = goal
         self.args = tuple(args)
         self.edge_view = edge_view
-        self.closure = IncrementalClosure(edge_view.distinct_rows())
+        self.closure = IncrementalClosure(edge_view.counts)
         self.stale = False
         self.quarantined = False
         self.stats = ViewStats()
@@ -56,7 +58,7 @@ class RecursiveMaterializedView:
 
     def refresh(self) -> None:
         self.edge_view.refresh()
-        self.closure = IncrementalClosure(self.edge_view.distinct_rows())
+        self.closure = IncrementalClosure(self.edge_view.counts)
         self.stale = False
         self.quarantined = False
         self.stats.refreshes += 1
@@ -77,12 +79,12 @@ class RecursiveMaterializedView:
         return added, removed
 
     def answers(self, goal: Struct) -> Optional[list[dict]]:
-        """Closure pairs filtered by the goal's bound sides.
+        """The matching closure pairs as answers: sorted, deduplicated,
+        one dict entry per named variable argument.
 
-        Mirrors the session's ``_ask_recursive`` rendering (sorted pairs,
-        one dict entry per variable argument); additionally serves the
-        fully open and fully bound argument patterns the batch executor
-        rejects.
+        A bound side is a probe of the closure's adjacency (both bound:
+        one membership test); only a goal with no bound side walks every
+        pair, a pattern the batch executor rejects.
         """
         from ..coupling.global_opt import _constant_value
 
@@ -93,21 +95,20 @@ class RecursiveMaterializedView:
             high is None and not isinstance(high_arg, Variable)
         ):
             return None  # structured argument: not a closure probe
-        same_variable = (
-            isinstance(low_arg, Variable)
-            and isinstance(high_arg, Variable)
-            and not low_arg.is_anonymous
-            and low_arg.name == high_arg.name
-        )
         answers: list[dict] = []
         seen: set[tuple] = set()
-        for pair_low, pair_high in sorted(self.closure.pairs):
-            if low is not None and pair_low != low:
-                continue
-            if high is not None and pair_high != high:
-                continue
-            if same_variable and pair_low != pair_high:
-                continue
+        closure = self.closure
+        if low is not None and high is not None:
+            candidates = [(low, high)] if (low, high) in closure else []
+        elif low is not None:
+            candidates = [(low, y) for y in sorted(closure.above(low))]
+        elif high is not None:
+            candidates = [(x, high) for x in sorted(closure.below(high))]
+        else:
+            candidates = sorted(closure.pairs)
+            if not low_arg.is_anonymous and low_arg.name == high_arg.name:
+                candidates = [(x, y) for x, y in candidates if x == y]
+        for pair_low, pair_high in candidates:
             answer: dict = {}
             if isinstance(low_arg, Variable) and not low_arg.is_anonymous:
                 answer[low_arg.name] = pair_low

@@ -33,6 +33,7 @@ invalidate-and-recompute pays a full query for.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -52,6 +53,11 @@ from .delta import DELETE, INSERT, Delta, ViewStats
 #: Self-join fan-out guard: a relation referenced more than this many
 #: times in one view would need 2^k - 1 delta rules per update.
 MAX_OCCURRENCES = 4
+
+
+def _interned(row: tuple) -> tuple:
+    """``row`` with its text cells interned: one object per distinct value."""
+    return tuple(sys.intern(c) if type(c) is str else c for c in row)
 
 
 @dataclass(frozen=True)
@@ -237,15 +243,12 @@ class MaterializedView:
         the view still stale/quarantined — never half-refreshed.
         """
         rows = self.database.execute_prepared(self._load_sql)
-        self.counts = Counter(rows)
+        self.counts = Counter(map(_interned, rows))
         self._indexes.clear()
         self.applied_generation += 1
         self.stale = False
         self.quarantined = False
         self.stats.refreshes += 1
-
-    def distinct_rows(self) -> list[tuple]:
-        return list(self.counts)
 
     # -- maintenance --------------------------------------------------------
 
@@ -275,7 +278,7 @@ class MaterializedView:
             self.stats.delta_executions += 1
             sign = rule.sign * outer_sign
             for produced_row in produced:
-                changes[produced_row] += sign
+                changes[_interned(produced_row)] += sign
         effective = {row: change for row, change in changes.items() if change}
         for row, change in effective.items():
             if self.counts[row] + change < 0:
@@ -354,18 +357,10 @@ class MaterializedView:
         answers: list[dict] = []
         seen: set[tuple] = set()
         for row in self._candidate_rows(filters):
-            ok = True
-            for column, condition in filters:
-                kind, operand = condition
-                if kind == "const":
-                    if row[column] != operand:
-                        ok = False
-                        break
-                else:
-                    if row[column] != row[operand]:
-                        ok = False
-                        break
-            if not ok:
+            if any(
+                row[column] != (operand if kind == "const" else row[operand])
+                for column, (kind, operand) in filters
+            ):
                 continue
             answer = {name: row[column] for column, name in outputs}
             key = tuple(sorted(answer.items()))

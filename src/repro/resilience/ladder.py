@@ -247,3 +247,19 @@ class RetryLadder:
             else:
                 breaker.success()
                 return result
+
+    def outwait_lock(self, error: sqlite3.OperationalError, again: Callable):
+        """Re-run a statement a lock refused inside an open write unit
+        (where :meth:`run` would replay the unit) until it runs or
+        ``policy.lock_patience`` is spent.  SQLite refuses a statement
+        whole, so running it again is safe; other errors propagate."""
+        give_up_at = time.monotonic() + self.policy.lock_patience
+        while "locked" in str(error) or "busy" in str(error):
+            if time.monotonic() >= give_up_at:
+                break
+            time.sleep(0.002)
+            try:
+                return again()
+            except sqlite3.OperationalError as refused:
+                error = refused
+        raise error

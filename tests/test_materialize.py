@@ -8,6 +8,9 @@ transitive result-cache invalidation, and cache behaviour across
 copy-on-write snapshots.
 """
 
+import random
+import sys
+
 import pytest
 
 from repro.coupling import PrologDbSession
@@ -235,6 +238,61 @@ class TestRecursiveMaintenance:
         assert view.stats.refreshes == 0  # maintained throughout, never rebuilt
         session.close()
 
+    def test_bound_asks_never_materialize_the_pairs(self, org3, monkeypatch):
+        session = PrologDbSession()
+        session.load_org(org3)
+        session.consult(ALL_VIEWS_SOURCE)
+        view = session.materialize.view("works_for(X, Y)")
+        leaf = org3.leaf_employee_name()
+        boss = org3.root_manager_name()
+        pairs = org3.works_for_pairs()
+
+        def no_pairs(closure):
+            raise AssertionError("a bound ask materialized the pair set")
+
+        monkeypatch.setattr(IncrementalClosure, "pairs", property(no_pairs))
+        above = sorted(h for l, h in pairs if l == leaf)
+        expected = {
+            f"works_for('{leaf}', Y)": [{"Y": h} for h in above],
+            f"works_for(X, '{boss}')": [
+                {"X": l} for l in sorted(l for l, h in pairs if h == boss)
+            ],
+            f"works_for('{leaf}', '{boss}')": [{}] if (leaf, boss) in pairs else [],
+            f"works_for('{leaf}', _)": [{}] if above else [],
+        }
+        asked = view.stats.maintained_asks
+        for goal, answers in expected.items():
+            assert session.ask(goal) == answers, goal
+        assert view.stats.maintained_asks == asked + len(expected)
+        with pytest.raises(AssertionError):
+            view.answers(view.goal)  # only the open pattern walks the pairs
+        session.close()
+
+    def test_view_rows_share_one_object_per_value(self, org3):
+        session = PrologDbSession()
+        session.load_org(org3)
+        session.consult(ALL_VIEWS_SOURCE)
+        views = [
+            session.materialize.view(goal)
+            for goal in ("works_dir_for(X, Y)", "same_manager(X, Y)", "works_for(X, Y)")
+        ]
+        middle = org3.employee_by_name(
+            org3.manager_name_of(org3.employee_by_name(org3.leaf_employee_name()))
+        )
+        deep_dept = max(org3.dept_depth, key=org3.dept_depth.get)
+        session.assert_fact("empl", 902, "emp00902", 25000, deep_dept)
+        assert session.retract_fact(
+            "empl", middle.eno, middle.nam, middle.sal, middle.dno
+        )
+        session.assert_fact("empl", middle.eno, middle.nam, middle.sal, middle.dno)
+        for view in views:
+            flat = view.edge_view if view.recursive else view
+            cells = [c for row in flat.counts for c in row if type(c) is str]
+            assert cells and all(c is sys.intern(c) for c in cells), view.name
+            assert len({id(c) for c in cells}) == len(set(cells)), view.name
+        assert views[0].stats.refreshes == 1  # churn went through deltas
+        session.close()
+
 
 class TestIncrementalClosure:
     def test_chain_insert_and_delete(self):
@@ -265,6 +323,49 @@ class TestIncrementalClosure:
         # a still reaches c and d through x; only b's pairs die.
         assert removed == {("b", "c"), ("b", "d")}
         assert ("a", "c") in closure.pairs and ("a", "d") in closure.pairs
+
+    @staticmethod
+    def assert_one_exact_copy(closure):
+        """The adjacency is the whole state, inverse-consistent and equal
+        to a BFS closure of the edges."""
+        assert set(vars(closure)) == {"_successors", "_reach", "_reached_by"}
+        inverse: dict = {}
+        for x, reach in closure._reach.items():
+            for y in reach:
+                inverse.setdefault(y, set()).add(x)
+        assert inverse == closure._reached_by
+        expected: dict = {}
+        for start, successors in closure._successors.items():
+            assert successors  # no empty buckets left behind
+            seen: set = set()
+            frontier = list(successors)
+            while frontier:
+                node = frontier.pop()
+                if node not in seen:
+                    seen.add(node)
+                    frontier.extend(closure._successors.get(node, ()))
+            expected[start] = seen
+        assert closure._reach == expected
+        assert len(closure) == len(closure.pairs)
+
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    def test_random_churn_keeps_one_exact_adjacency(self, seed):
+        rng = random.Random(seed)
+        nodes = [f"n{i}" for i in range(8)]
+        closure = IncrementalClosure()
+        for _ in range(300):
+            low, high = rng.choice(nodes), rng.choice(nodes)  # cycles too
+            before = closure.pairs
+            if rng.random() < 0.6:
+                assert closure.insert_edge(low, high) == closure.pairs - before
+            else:
+                assert closure.delete_edge(low, high) == before - closure.pairs
+            self.assert_one_exact_copy(closure)
+            assert all(
+                closure.above(x) == {y for l, y in closure.pairs if l == x}
+                and closure.below(x) == {l for l, y in closure.pairs if y == x}
+                for x in nodes
+            )
 
 
 # -- session-level write contract -----------------------------------------------

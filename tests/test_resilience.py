@@ -483,6 +483,46 @@ class TestWriteExceptionSafety:
             database.insert_rows("empl", [(9999, "after", 1, 1)])
             assert database.row_count("empl") == 4 * 8 + 1
 
+    @staticmethod
+    def _insert_in_unit_while_read(database):
+        """Hold this thread's pooled reader mid-``SELECT`` on ``empl`` and
+        start a write unit inserting into ``empl`` on another thread."""
+        database.insert_rows("empl", EMPL_ROWS)
+        reader = database._query_connection().execute("SELECT * FROM empl")
+        assert reader.fetchone() is not None  # unfinished: empl read-locked
+        outcome = []
+
+        def unit():
+            try:
+                with database.transaction():
+                    database.insert_rows("empl", [(77, "emp00077", 1, 1)])
+                outcome.append("committed")
+            except sqlite3.OperationalError as error:
+                outcome.append(error)
+
+        thread = threading.Thread(target=unit)
+        thread.start()
+        return reader, thread, outcome
+
+    def test_statement_in_a_unit_waits_out_a_reader_lock(self):
+        with make_backend() as database:
+            reader, thread, outcome = self._insert_in_unit_while_read(database)
+            time.sleep(0.2)
+            assert thread.is_alive() and outcome == []  # waiting, not failed
+            reader.fetchall()  # drained: the read lock goes
+            thread.join(timeout=5.0)
+            assert outcome == ["committed"]
+            assert database.row_count("empl") == len(EMPL_ROWS) + 1
+
+    def test_no_lock_patience_surfaces_the_lock_inside_a_unit(self):
+        policy = FaultPolicy(lock_patience=0.0)
+        with make_backend(policy=policy) as database:
+            reader, thread, outcome = self._insert_in_unit_while_read(database)
+            thread.join(timeout=5.0)
+            reader.fetchall()
+            assert len(outcome) == 1 and "locked" in str(outcome[0])
+            assert database.row_count("empl") == len(EMPL_ROWS)
+
 
 # -- session degradation ladder ------------------------------------------------
 
@@ -669,7 +709,7 @@ class TestQuarantineAndHealing:
                 )
             closure = views[2].closure
             assert closure.pairs == IncrementalClosure(
-                views[2].edge_view.distinct_rows()
+                views[2].edge_view.counts
             ).pairs
             answers = session.ask("works_dir_for(X, Y)")
             assert {"emp00901"} <= {a["X"] for a in answers}
