@@ -1,8 +1,8 @@
 """The execute half of the ask pipeline: plan × constants → answers.
 
 Every compiled plan — warm from the plan cache or fresh from a cold
-compile — runs through :meth:`Executor.execute`: is-empty → bind →
-result cache → prepared statement → rows → answers.  The plan's *kind*
+compile — runs through :meth:`Executor.execute`: is-empty → bind values
+→ result cache → prepared statement → rows → answers.  The plan's *kind*
 selects only the answer assembly (rows → answer dicts / staged under an
 interface predicate and combined with internal knowledge / asserted as
 facts for a ``metaevaluate/4`` fetch / certain rows) — the cold path is
@@ -131,19 +131,20 @@ class Executor:
         if kind == "engine":
             return self.answers_from_engine(goal, goal_vars, max_solutions)
         constants = shape.constants if shape is not None else ()
-        if plan.is_empty:
-            bound = None
-        else:
-            bound = plan.bind(constants, session.constraints)
-            if bound is None:
-                session.plans.stats.incr("bind_empties")
+        # Execution reads only the bind values; the bound predicate is
+        # built below only where something reads it.
+        empty = plan.is_empty
+        if not empty and plan.bind_is_empty(constants, session.constraints):
+            session.plans.stats.incr("bind_empties")
+            empty = True
         if kind == "cqa" or kind == "cqa_enum":
-            rows = self._certain_rows(plan, constants, bound, dirty, span)
-        elif bound is not None:
-            rows = self._rows(plan, constants, bound, goal, exclusive)
+            rows = self._certain_rows(plan, constants, empty, dirty, span)
+        elif not empty:
+            rows = self._rows(plan, constants, goal, exclusive)
             if rows is NEEDS_WRITE:
                 return NEEDS_WRITE
             if kind == "fetch":
+                bound = plan.bind(constants, session.constraints)
                 assert_answers(session.kb, goal, bound, goal_vars, rows)
             if exclusive and shape is not None:
                 # A fetch's answer facts advanced the program clock;
@@ -152,12 +153,12 @@ class Executor:
                 # the fetch front filters out by design).
                 session.plans.retain(shape, session.kb)
         if kind == "fetch":
-            if bound is not None:
+            if not empty:
                 return bound, rows
             # Proved empty: an exact plan stored the pre-simplification
             # predicate as its trace; a bind-time proof has none.
             return (plan.template if plan.is_empty else None), []
-        if bound is None:
+        if empty:
             return []
         if kind == "mixed":
             # The stored fetch targets carry compile-time ordinals;
@@ -167,7 +168,7 @@ class Executor:
             by_name = {v.name: v for v in variables_of(goal)}
             conjunct_list = conjuncts(goal)
             return self.combine_with_internal(
-                bound,
+                plan.bind(constants, session.constraints),
                 [by_name[t.name] for t in plan.fetch_targets],
                 rows,
                 [conjunct_list[i] for i in plan.internal_indices],
@@ -175,38 +176,37 @@ class Executor:
                 max_solutions,
             )
         mark = _pc() if span is not None else 0.0
-        answers = decode_rows(answer_columns(bound, goal_vars), rows)
+        # Binding renames constants only: targets (the answer columns)
+        # are the template's.
+        answers = decode_rows(answer_columns(plan.template, goal_vars), rows)
         if span is not None:
             span.phases["demux"] = _pc() - mark
         if max_solutions is not None:
             return answers[:max_solutions]
         return answers
 
-    def _rows(
-        self,
-        plan: CompiledPlan,
-        constants: tuple,
-        bound: DbclPredicate,
-        goal: Term,
-        exclusive: bool,
-    ):
-        """Result rows for a bound plan: result cache, else prepared SQL.
+    def _rows(self, plan: CompiledPlan, constants: tuple, goal: Term, exclusive: bool):
+        """Result rows for a live plan: result cache, else prepared SQL.
 
         The one place that touches the result cache.  With the cache
         policy disabled nothing could ever be stored, so neither the
-        predicate's canonical key (see :meth:`ResultCache.lookup`) nor
-        its dependency set is computed; the miss/rejected counters tick
+        bound predicate (the cache's key, see :meth:`ResultCache.lookup`)
+        nor its dependency set is built; the miss/rejected counters tick
         as for any probe and refused store.
         """
         session = self.session
         merger = session.merger
         # The paper's merge procedure: a base relation with internally
         # asserted tuples is materialised externally before SQL reads it,
-        # so the statement sees the union of both segments.
-        pending = merger.pending({row.tag for row in bound.rows})
+        # so the statement sees the union of both segments.  Binding
+        # leaves row tags alone, so the template's are the bound ones.
+        pending = merger.pending({row.tag for row in plan.template.rows})
         if pending and not exclusive:
             return NEEDS_WRITE  # merging segments mutates both stores
         cache = session.cache
+        bound = None
+        if cache.policy.enabled:
+            bound = plan.bind(constants, session.constraints)
         rows = cache.lookup(bound)
         if rows is not None:
             return rows
@@ -218,7 +218,7 @@ class Executor:
         cache.store(
             bound,
             rows,
-            self.result_dependencies(bound, goal) if cache.policy.enabled else None,
+            None if bound is None else self.result_dependencies(bound, goal),
         )
         return rows
 
@@ -226,7 +226,7 @@ class Executor:
         self,
         plan: CompiledPlan,
         constants: tuple,
-        bound: Optional[DbclPredicate],
+        empty: bool,
         dirty,
         span,
     ) -> list[tuple]:
@@ -249,12 +249,12 @@ class Executor:
         }
         if span is not None:
             span.cqa = info
-        if bound is None:
+        if empty:
             if plan.is_empty:
                 cqa.stats.incr("rewritten_asks")
             return []
         if not rewriting:
-            return cqa.enumerate(bound, dirty)
+            return cqa.enumerate(plan.bind(constants, session.constraints), dirty)
         try:
             with session.database.fault_context("cqa_rewrite"):
                 rows = session.database.execute_prepared(
@@ -270,7 +270,7 @@ class Executor:
             cqa.stats.incr("degraded")
             info["mode"] = "enumerated"
             info["degraded"] = True
-            return cqa.enumerate(bound, dirty)
+            return cqa.enumerate(plan.bind(constants, session.constraints), dirty)
         cqa.stats.incr("rewritten_asks")
         return rows
 

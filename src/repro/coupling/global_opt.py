@@ -430,9 +430,11 @@ class CompiledPlan:
     * ``external`` / ``mixed`` — the external block compiled to SQL; a
       mixed plan additionally records which conjuncts stay internal.
 
-    ``template`` carries marker constants at ``open_params`` positions;
-    :meth:`bind` substitutes concrete values and re-runs the cheap
-    valuebound checks a fresh compile would have applied to them.
+    ``template`` carries marker constants at ``open_params`` positions.
+    Execution needs only :meth:`bind_is_empty` (the valuebound checks a
+    fresh compile would have applied) and :meth:`bind_values`;
+    :meth:`bind` substitutes the values into the template for the
+    readers of a bound predicate (cache key, fetch, mixed plan, repairs).
     ``material`` are the positions compiled concretely — the plan is
     filed under their values (see :class:`ShapeEntry`).
     """
@@ -824,7 +826,8 @@ class ResultCache:
         self._stripes = StripedLock()
         self._index_lock = threading.RLock()
 
-    def lookup(self, predicate: DbclPredicate) -> Optional[list[tuple]]:
+    def lookup(self, predicate: Optional[DbclPredicate]) -> Optional[list[tuple]]:
+        """Cached rows; ``predicate`` is None while the policy is disabled."""
         if not self.policy.enabled:
             # Nothing is ever stored: a miss, without the canonical key.
             self.stats.incr("misses")
@@ -840,7 +843,7 @@ class ResultCache:
 
     def store(
         self,
-        predicate: DbclPredicate,
+        predicate: Optional[DbclPredicate],
         rows: Sequence[tuple],
         relations: Optional[Iterable[str]] = None,
     ) -> bool:
@@ -849,6 +852,7 @@ class ResultCache:
         ``relations`` overrides the default row-tag dependency set; pass
         the transitive closure over the view call graph so indirect base
         relations and intermediate view names invalidate this entry too.
+        ``predicate`` is None only while the policy is disabled.
         """
         if not self.policy.should_store(len(rows)):
             self.stats.incr("rejected")

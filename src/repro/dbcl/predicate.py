@@ -380,10 +380,16 @@ class DbclPredicate:
         The targetlist is *not* renamed: target symbols name output columns
         and must be preserved (renaming a target symbol would change the
         query's interface).  Mapping a target symbol raises.
+
+        A constants-for-constants mapping (a plan binding its markers)
+        skips re-validation: every check there is invariant under it.
         """
-        for source in mapping:
+        constants_only = True
+        for source, image in mapping.items():
             if isinstance(source, TargetSymbol):
                 raise DbclError(f"cannot rename target symbol {source}")
+            if not (isinstance(source, ConstSymbol) and isinstance(image, ConstSymbol)):
+                constants_only = False
 
         def rewrite(symbol: Symbol) -> Symbol:
             if is_star(symbol):
@@ -398,7 +404,9 @@ class DbclPredicate:
             Comparison(c.op, rewrite(c.left), rewrite(c.right))  # type: ignore[arg-type]
             for c in self.comparisons
         ]
-        return self.replace(rows=new_rows, comparisons=new_comparisons)
+        return self.replace(
+            rows=new_rows, comparisons=new_comparisons, validate=not constants_only
+        )
 
     def drop_rows(self, indices: Iterable[int], validate: bool = True) -> "DbclPredicate":
         """A copy without the rows at ``indices``.

@@ -8,16 +8,16 @@ normalised to the named predicates of
 :data:`repro.prolog.terms.COMPARISON_PREDICATES` (``less/2`` etc.) so that
 later pipeline stages only ever see one spelling.
 
-This is a classical recursive-descent parser over a hand-written tokenizer;
-full operator-precedence parsing (user-defined ops) is not needed for the
-paper's programs and is deliberately left out.
+This is a classical recursive-descent parser over a tokenizer that is one
+compiled regular expression; full operator-precedence parsing
+(user-defined ops) is not needed for the paper's programs and is
+deliberately left out.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional
+import re
+from typing import NamedTuple, Optional
 
 from ..errors import PrologSyntaxError
 from .terms import (
@@ -43,12 +43,8 @@ _SYMBOLIC = {
     "\\+", "+", "-", "*", "/", ".",
 }
 
-# Longest-match-first ordering for symbolic tokens.
-_SYMBOLIC_SORTED = sorted(_SYMBOLIC, key=len, reverse=True)
 
-
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     """A lexical token with source position for error reporting."""
 
     kind: str  # 'atom' | 'var' | 'number' | 'string' | 'punct' | 'end'
@@ -57,153 +53,134 @@ class Token:
     column: int
 
 
+# Blanks, ``%`` line comments and ``/* block comments */``.  Possessive, so
+# a token that fails after layout never re-reads the layout as tokens.
+_LAYOUT = r"(?:[ \t\r\n]+|%[^\n]*|/\*.*?\*/)*+"
+
+# One match = optional layout + exactly one token.  Alternatives are tried
+# in order: ASCII names get their kind from the group; ``name`` catches a
+# non-ASCII start, which Python classifies; symbolic tokens come
+# longest-first, and a '/' opening a block comment is never one.  Number
+# digits are ``\d`` (decimal: what ``int`` accepts), names are ``\w``
+# (exactly ``str.isalnum()`` or '_').
+_TOKEN = re.compile(
+    _LAYOUT
+    + r"""(?:
+        (?P<number>\d+(?:\.\d+)?)
+      | (?P<var>[A-Z_]\w*)
+      | (?P<atom>[a-z]\w*)
+      | (?P<name>[^\W\d]\w*)
+      | (?P<quoted>'(?:[^'\\]+|''|\\.)*+')
+      | (?P<string>"(?:[^"\\]+|""|\\.)*+")
+      | (?P<punct>"""
+    + "|".join(
+        "/(?!\\*)" if symbol == "/" else re.escape(symbol)
+        for symbol in sorted(_SYMBOLIC, key=len, reverse=True)
+    )
+    + r""")
+      | (?P<end>\Z)
+    )""",
+    re.DOTALL | re.VERBOSE,
+)
+_LAYOUT_ONLY = re.compile(_LAYOUT, re.DOTALL)
+#: Per quote character: a backslash escape, or the quote doubled.
+_ESCAPES = {
+    quote: re.compile(r"\\(.)|" + quote * 2, re.DOTALL) for quote in "'\""
+}
+_ESCAPED = {"n": "\n", "t": "\t"}
+#: Groups whose name is the token's kind and whose text is the token's.
+_PLAIN = frozenset(("atom", "var", "punct", "number"))
+
+
+def _unescape(match: re.Match) -> str:
+    escaped = match.group(1)
+    if escaped is None:
+        return match.group()[0]  # a doubled quote stands for itself
+    return _ESCAPED.get(escaped, escaped)
+
+
+def _no_token(text: str, pos: int) -> PrologSyntaxError:
+    """The error for text at ``pos`` that starts no token."""
+    offset = _LAYOUT_ONLY.match(text, pos).end()
+    if text.startswith("/*", offset):
+        message, offset = "unterminated block comment", len(text)
+    elif text[offset] in "'\"":
+        message, offset = "unterminated quoted token", len(text)
+    else:
+        message = f"unexpected character {text[offset]!r}"
+    line = text.count("\n", 0, offset) + 1
+    return PrologSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
+
+
 class Tokenizer:
     """Converts Prolog source text into a token stream."""
 
     def __init__(self, text: str):
         self._text = text
-        self._pos = 0
-        self._line = 1
-        self._column = 1
 
-    def tokens(self) -> Iterator[Token]:
-        """Yield all tokens, ending with a single ``end`` token."""
+    def tokens(self) -> list[Token]:
+        """All tokens, ending with a single ``end`` token."""
+        text = self._text
+        match = _TOKEN.match
+        new = tuple.__new__
+        tokens: list[Token] = []
+        append = tokens.append
+        pos = 0
+        line = 1
+        line_start = 0  # offset of the current line's first character
         while True:
-            self._skip_layout()
-            if self._pos >= len(self._text):
-                yield Token("end", "", self._line, self._column)
-                return
-            yield self._next_token()
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._text):
-            return self._text[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> str:
-        chunk = self._text[self._pos : self._pos + count]
-        for char in chunk:
-            if char == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-        self._pos += count
-        return chunk
-
-    def _skip_layout(self) -> None:
-        while self._pos < len(self._text):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "%":
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self._pos < len(self._text) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self._pos >= len(self._text):
+            found = match(text, pos)
+            if found is None:
+                raise _no_token(text, pos)
+            kind = found.lastgroup
+            start, end = found.span(kind)
+            if start != pos:  # layout: only it and quoted tokens span lines
+                breaks = text.count("\n", pos, start)
+                if breaks:
+                    line += breaks
+                    line_start = text.rindex("\n", pos, start) + 1
+            column = start - line_start + 1
+            if kind in _PLAIN:
+                append(new(Token, (kind, text[start:end], line, column)))
+            elif kind == "end":
+                append(new(Token, ("end", "", line, column)))
+                return tokens
+            elif kind == "name":
+                first = text[start]
+                if not first.isalpha():  # '²', 'Ⅻ': numeric, not a letter
                     raise PrologSyntaxError(
-                        "unterminated block comment", self._line, self._column
+                        f"unexpected character {first!r}", line, column
                     )
-                self._advance(2)
+                kind = "var" if first.isupper() else "atom"
+                append(new(Token, (kind, text[start:end], line, column)))
             else:
-                return
-
-    def _next_token(self) -> Token:
-        line, column = self._line, self._column
-        char = self._peek()
-
-        if char.isdigit():
-            return self._read_number(line, column)
-        if char == "_" or char.isalpha():
-            return self._read_name(line, column)
-        if char == "'":
-            return self._read_quoted_atom(line, column)
-        if char == '"':
-            return self._read_string(line, column)
-
-        # End-of-clause dot: a '.' followed by layout or EOF.
-        if char == "." and (self._peek(1) in "" or self._peek(1) in " \t\r\n%" or self._peek(1) == ""):
-            self._advance()
-            return Token("punct", ".", line, column)
-
-        for symbol in _SYMBOLIC_SORTED:
-            if self._text.startswith(symbol, self._pos):
-                self._advance(len(symbol))
-                return Token("punct", symbol, line, column)
-
-        raise PrologSyntaxError(f"unexpected character {char!r}", line, column)
-
-    def _read_number(self, line: int, column: int) -> Token:
-        start = self._pos
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1).isdigit():
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        return Token("number", self._text[start : self._pos], line, column)
-
-    def _read_name(self, line: int, column: int) -> Token:
-        start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self._text[start : self._pos]
-        first = text[0]
-        if first == "_" or first.isupper():
-            return Token("var", text, line, column)
-        return Token("atom", text, line, column)
-
-    def _read_quoted_atom(self, line: int, column: int) -> Token:
-        return Token("atom", self._read_quoted("'"), line, column)
-
-    def _read_string(self, line: int, column: int) -> Token:
-        return Token("string", self._read_quoted('"'), line, column)
-
-    def _read_quoted(self, quote: str) -> str:
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            if self._pos >= len(self._text):
-                raise PrologSyntaxError(
-                    "unterminated quoted token", self._line, self._column
-                )
-            char = self._peek()
-            if char == quote:
-                if self._peek(1) == quote:  # doubled quote escapes itself
-                    chars.append(quote)
-                    self._advance(2)
-                    continue
-                self._advance()
-                return "".join(chars)
-            if char == "\\":
-                self._advance()
-                escape = self._advance()
-                chars.append({"n": "\n", "t": "\t", "\\": "\\", quote: quote}.get(escape, escape))
-                continue
-            chars.append(self._advance())
+                quote = text[start]
+                body = text[start + 1 : end - 1]
+                if "\\" in body or quote in body:
+                    body = _ESCAPES[quote].sub(_unescape, body)
+                kind = "atom" if kind == "quoted" else "string"
+                append(new(Token, (kind, body, line, column)))
+                breaks = text.count("\n", start, end)
+                if breaks:
+                    line += breaks
+                    line_start = text.rindex("\n", start, end) + 1
+            pos = end
 
 
 class Parser:
     """Recursive-descent parser producing :class:`Clause` and :class:`Term`."""
 
-    _anon_counter = itertools.count(1)
-
     def __init__(self, text: str):
-        self._tokens = list(Tokenizer(text).tokens())
+        self._tokens = Tokenizer(text).tokens()
         self._index = 0
+        self._anonymous = 0  # each bare '_' of this text: _Anon1, _Anon2, …
 
     # -- token helpers ----------------------------------------------------
 
     def _current(self) -> Token:
         return self._tokens[self._index]
 
-    def _advance(self) -> Token:
+    def _consume(self) -> Token:
         token = self._tokens[self._index]
         if token.kind != "end":
             self._index += 1
@@ -218,7 +195,7 @@ class Parser:
                 token.line,
                 token.column,
             )
-        return self._advance()
+        return self._consume()
 
     def _at(self, kind: str, text: Optional[str] = None) -> bool:
         token = self._current()
@@ -236,13 +213,13 @@ class Parser:
     def parse_clause(self) -> Clause:
         """Parse one clause (fact, rule, or directive body after ``?-``)."""
         if self._at("punct", ":-") or self._at("punct", "?-"):
-            self._advance()
+            self._consume()
             body = self._parse_term(1200)
             self._expect("punct", ".")
             return Clause(Atom("?-"), body)
         head = self._parse_term(999)
         if self._at("punct", ":-"):
-            self._advance()
+            self._consume()
             body = self._parse_term(1200)
             self._expect("punct", ".")
             return Clause(head, body)
@@ -253,7 +230,7 @@ class Parser:
         """Parse a single goal term (no trailing dot required)."""
         goal = self._parse_term(1200)
         if self._at("punct", "."):
-            self._advance()
+            self._consume()
         if not self._at("end"):
             token = self._current()
             raise PrologSyntaxError(
@@ -292,7 +269,7 @@ class Parser:
             priority = self._BINARY.get(token.text)
             if priority is None or priority > max_priority:
                 return left
-            self._advance()
+            self._consume()
             if token.text in self._NON_ASSOC:
                 right = self._parse_term(priority - 1)
             else:
@@ -310,44 +287,47 @@ class Parser:
         token = self._current()
 
         if token.kind == "number":
-            self._advance()
+            self._consume()
             text = token.text
             return Number(float(text) if "." in text else int(text))
 
         if token.kind == "string":
-            self._advance()
+            self._consume()
             return PString(token.text)
 
         if token.kind == "var":
-            self._advance()
+            self._consume()
             if token.text == "_":
-                # Each bare underscore is a distinct variable.
-                return Variable(f"_Anon{next(self._anon_counter)}")
+                # Each bare underscore is a distinct variable; numbering
+                # restarts per text, so one goal text has one shape.
+                self._anonymous += 1
+                return Variable(f"_Anon{self._anonymous}")
             return Variable(token.text)
 
         if token.kind == "atom":
-            self._advance()
-            if self._at("punct", "(") and self._no_space_before():
+            self._consume()
+            # Layout is discarded, so `foo (X)` is a call too.
+            if self._at("punct", "("):
                 return self._parse_compound(token.text)
             return Atom(token.text)
 
         if token.kind == "punct":
             if token.text == "(":
-                self._advance()
+                self._consume()
                 inner = self._parse_term(1200)
                 self._expect("punct", ")")
                 return inner
             if token.text == "[":
                 return self._parse_list()
             if token.text == "!":
-                self._advance()
+                self._consume()
                 return CUT
             if token.text == "\\+":
-                self._advance()
+                self._consume()
                 argument = self._parse_term(900)
                 return Struct("not", (argument,))
             if token.text == "-":
-                self._advance()
+                self._consume()
                 operand = self._parse_primary()
                 if isinstance(operand, Number):
                     return Number(-operand.value)
@@ -355,7 +335,7 @@ class Parser:
             if token.text == "*":
                 # DBCL writes '*' for non-applicable tableau cells; in a
                 # primary position it is the atom '*', never multiplication.
-                self._advance()
+                self._consume()
                 return Atom("*")
 
         raise PrologSyntaxError(
@@ -364,16 +344,11 @@ class Parser:
             token.column,
         )
 
-    def _no_space_before(self) -> bool:
-        # The tokenizer discards layout, so a '(' directly following an atom
-        # is treated as a call; `foo (X)` is rare enough not to matter here.
-        return True
-
     def _parse_compound(self, functor: str) -> Term:
         self._expect("punct", "(")
         args = [self._parse_term(999)]
         while self._at("punct", ","):
-            self._advance()
+            self._consume()
             args.append(self._parse_term(999))
         self._expect("punct", ")")
         return Struct(functor, tuple(args))
@@ -381,15 +356,15 @@ class Parser:
     def _parse_list(self) -> Term:
         self._expect("punct", "[")
         if self._at("punct", "]"):
-            self._advance()
+            self._consume()
             return EMPTY_LIST
         items = [self._parse_term(999)]
         while self._at("punct", ","):
-            self._advance()
+            self._consume()
             items.append(self._parse_term(999))
         tail: Term = EMPTY_LIST
         if self._at("punct", "|"):
-            self._advance()
+            self._consume()
             tail = self._parse_term(999)
         self._expect("punct", "]")
         return make_list(items, tail)

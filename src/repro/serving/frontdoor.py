@@ -18,7 +18,6 @@ bypass coalescing: one goal's budget must not gate a stranger's batch.
 
 from __future__ import annotations
 
-import asyncio
 from typing import Optional
 
 from ..coupling.global_opt import goal_shape
@@ -54,6 +53,10 @@ class FrontDoor:
         deadline: Optional[float] = None,
     ) -> list:
         """Answer one goal, coalescing it with same-shape contemporaries."""
+        # Imported where a running event loop has loaded it already: a
+        # process that never serves through here skips asyncio and ssl.
+        import asyncio
+
         loop = asyncio.get_running_loop()
         self.stats["goals"] += 1
         term = parse_goal(goal) if isinstance(goal, str) else goal
@@ -81,6 +84,8 @@ class FrontDoor:
         # already flushed this window and a fresh bucket opened under
         # the same key, this stale timer must not cut the new window
         # short — the new bucket's own timer is pending.
+        import asyncio
+
         await asyncio.sleep(self.window_seconds)
         if self._buckets.get(key) is bucket:
             self._flush(key)
@@ -89,6 +94,8 @@ class FrontDoor:
         bucket = self._buckets.pop(key, None)
         if not bucket:
             return  # the max-batch path already flushed this window
+        import asyncio
+
         loop = asyncio.get_running_loop()
         max_solutions = key[1]
         goals = [goal for _, goal in bucket]

@@ -281,6 +281,24 @@ class TestRewrittenCertainAnswers:
             "empl(3, N, S, D)", DIRTY_EMPL
         )
 
+    def test_warm_rewritten_ask_builds_no_bound_predicate(self, monkeypatch):
+        """A rewritten plan runs from its bind values alone."""
+        from repro.coupling.global_opt import CachePolicy
+        from repro.dbcl.predicate import DbclPredicate
+
+        session = make_session(DIRTY_EMPL, cache_policy=CachePolicy(enabled=False))
+        session.ask_consistent("empl(2, N, S, D)")  # compile the rewriting
+        goals = ("empl(1, N, S, D)", "empl(3, N, S, D)")
+        expected = [brute_force_certain(goal, DIRTY_EMPL) for goal in goals]
+
+        def refuse(self, mapping):
+            raise AssertionError("a warm ask built a bound predicate")
+
+        monkeypatch.setattr(DbclPredicate, "rename", refuse)
+        assert [answer_set(session.ask_consistent(g)) for g in goals] == expected
+        assert session.traces()[-1]["cqa"]["mode"] == "rewritten"
+        assert session.stats()["cqa"]["rewrite_cache_hits"] == 2
+
     def test_consistent_and_plain_plans_do_not_collide(self):
         session = make_session(DIRTY_EMPL)
         goal = "empl(2, N, S, D)"

@@ -133,6 +133,18 @@ class TestPlanReuse:
         assert len(entry.variants) == 2  # one per distinct threshold
         assert session.plans.stats.hits >= 1  # the repeated 30000
 
+    def test_anonymous_variables_keep_one_shape(self, session):
+        """Each parse numbers its own '_': one goal text is one shape."""
+        goal = "empl(_, N, S, D), greater(S, 50000)"
+        first = session.ask(goal)
+        before = session.stats()["plan_cache"]
+        second, third = session.ask(goal), session.ask(goal)
+        after = session.stats()["plan_cache"]
+        assert after["hits"] == before["hits"] + 2
+        assert after["misses"] == before["misses"]
+        assert after["entries"] == before["entries"] == 1
+        assert first and answer_set(second) == answer_set(third) == answer_set(first)
+
     def test_marker_never_leaks_into_answers(self, session, org):
         boss = org.root_manager_name()
         session.ask(f"works_dir_for(X, {boss})")
@@ -688,3 +700,27 @@ class TestDisabledResultCache:
         assert delta == {
             "hits": 0, "misses": 2, "stored": 0, "rejected": 2, "entries": 0,
         }
+
+    def test_warm_asks_build_no_bound_predicate(self, org, monkeypatch):
+        """A warm pure-external plan runs from its bind values alone.
+
+        Answer columns and row tags come from the plan's template, so
+        neither ``ask`` nor ``ask_many`` renames it into a bound predicate.
+        """
+        from repro.dbcl.predicate import DbclPredicate
+
+        session = PrologDbSession(cache_policy=CachePolicy(enabled=False))
+        session.load_org(org)
+        session.consult(WORKS_DIR_FOR_SOURCE)
+        goals = [f"works_dir_for(X, {e.nam})" for e in org.employees[:6]]
+        session.ask(goals[0])  # compile the shape
+        expected = [answer_set(fresh_session(org).ask(goal)) for goal in goals]
+
+        def refuse(self, mapping):
+            raise AssertionError("a warm ask built a bound predicate")
+
+        monkeypatch.setattr(DbclPredicate, "rename", refuse)
+        assert [answer_set(session.ask(goal)) for goal in goals] == expected
+        assert [answer_set(a) for a in session.ask_many(goals)] == expected
+        stats = session.stats()["plan_cache"]
+        assert stats["batched_asks"] == len(goals) and stats["batch_executions"] == 1

@@ -197,6 +197,11 @@ class TestAnonymousVariables:
         assert first != third
         assert first.is_anonymous
 
+    def test_numbering_restarts_per_text(self):
+        text = "empl(_, X, _, D)"
+        assert parse_term(text) == parse_term(text)
+        assert parse_term(text).args[2] == Variable("_Anon2")
+
     def test_named_underscore_variables_shared(self):
         goal = parse_goal("p(_X), q(_X)")
         goals = conjuncts(goal)

@@ -437,6 +437,19 @@ def test_front_door_deadline_bypasses_coalescing(fleet):
     )
 
 
+def test_importing_the_package_loads_no_event_loop():
+    """asyncio (and ssl with it) loads only where the front door runs."""
+    import subprocess
+    import sys
+
+    probe = "import sys, repro; print('asyncio' in sys.modules, 'ssl' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.stdout.split() == ["False", "False"]
+
+
 # -- satellite: multi-process coalesced differential under a scripted writer --------
 
 
