@@ -38,7 +38,7 @@ from ..errors import (
     DatabaseNegationError,
     TranslationError,
 )
-from ..optimize.costs import order_rows
+from ..optimize.costs import permuted, tableau_row_order
 from ..optimize.pipeline import SimplificationResult, SimplifyOptions, simplify
 from ..prolog.terms import (
     Struct,
@@ -488,23 +488,25 @@ class Compiler:
             ),
         )
 
-    def _cost_ordered(self, predicate: DbclPredicate) -> DbclPredicate:
-        """Rows reordered by the statistics-driven greedy join order.
+    def _cost_ordered(self, result: SimplificationResult) -> DbclPredicate:
+        """The simplified predicate, rows in the statistics-driven join order.
 
-        Applied between Algorithm 2 and SQL translation: the simplified
+        Applied between Algorithm 2 and SQL translation: the order is
+        computed on Algorithm 2's working tableau, and the simplified
         tableau's rows are permuted so the most selective relation leads
         and each join extends the cheapest prefix (System R estimates
         over the backend's relation statistics).  Answer-preserving by
         construction — see :mod:`repro.optimize.costs` — and skipped
         when the backend has no statistics service.
         """
+        predicate = result.predicate
         if len(predicate.rows) <= 1:
             return predicate
         stats_of = getattr(self.session.database, "relation_statistics", None)
         if stats_of is None:
             return predicate
         try:
-            return order_rows(predicate, stats_of)
+            return permuted(predicate, tableau_row_order(result.tableau, stats_of))
         except Exception:  # noqa: BLE001 - cost ordering is advisory
             return predicate
 
@@ -570,7 +572,7 @@ class Compiler:
         if order and options != SimplifyOptions.none():
             # Cardinality estimates never consult a marker's concrete
             # value, so the order is the one a cold compile applies.
-            final = self._cost_ordered(final)
+            final = self._cost_ordered(result)
         mark = self._phase("optimize", mark)
         parameter_map = {str(marker_for(index)): index for index in open_params}
         certainty = None

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import time
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
 from ..dbcl.predicate import DbclPredicate
@@ -71,14 +73,14 @@ def decode_rows(
     columns: Sequence[tuple[int, str]], rows: Iterable[tuple]
 ) -> list[dict[str, Value]]:
     """Result rows → deduplicated answer dicts, in row order."""
-    answers: list[dict[str, Value]] = []
-    seen: set[tuple] = set()
-    for row in rows:
-        key = tuple(row[column] for column, _ in columns)
-        if key not in seen:
-            seen.add(key)
-            answers.append({name: row[column] for column, name in columns})
-    return answers
+    names = [name for _, name in columns]
+    if not names:
+        return [{} for _ in islice(rows, 1)]  # one empty answer if any row
+    # dict.fromkeys dedupes in order; one column's itemgetter yields values.
+    keys = dict.fromkeys(map(itemgetter(*[column for column, _ in columns]), rows))
+    if len(names) == 1:
+        return [{names[0]: value} for value in keys]
+    return [dict(zip(names, key)) for key in keys]
 
 
 class Executor:

@@ -14,10 +14,10 @@ A DBCL predicate for conjunctive queries has four components::
 * ``Relcomparisons`` — inequality restrictions/joins such as
   ``[less, v_Sal1, 40000]``.
 
-The class is immutable; optimizer stages derive new predicates through
-:meth:`rename`, :meth:`drop_rows`, and :meth:`replace`.  This keeps
-Algorithm 2 a pure pipeline and makes property tests (idempotence,
-answer preservation) straightforward.
+The class is immutable: new predicates derive through :meth:`rename`,
+:meth:`drop_rows` and :meth:`replace`, and Algorithm 2 rewrites a coded
+copy (:mod:`repro.optimize.tableau`) into one new predicate, which keeps
+property tests (idempotence, answer preservation) straightforward.
 """
 
 from __future__ import annotations
@@ -308,13 +308,6 @@ class DbclPredicate:
         """Number of cells containing ``symbol``."""
         return len(self.occurrences().get(symbol, ()))
 
-    def comparison_symbols(self) -> set[JoinableSymbol]:
-        """All symbols mentioned in Relcomparisons."""
-        symbols: set[JoinableSymbol] = set()
-        for comparison in self.comparisons:
-            symbols.update(comparison.symbols())
-        return symbols
-
     def var_symbols(self) -> list[VarSymbol]:
         """All distinct ``v_`` symbols, in first-occurrence order."""
         return [s for s in self.occurrences() if isinstance(s, VarSymbol)]
@@ -420,17 +413,15 @@ class DbclPredicate:
         return self.replace(rows=remaining, validate=validate)
 
     def dedupe_rows(self) -> "DbclPredicate":
-        """Remove exactly-identical rows (the ``A AND A <=> A`` rule)."""
-        seen: set[tuple] = set()
-        keep: list[RelRow] = []
-        for row in self.rows:
-            key = (row.tag, row.entries)
-            if key not in seen:
-                seen.add(key)
-                keep.append(row)
+        """Remove exactly-identical rows (the ``A AND A <=> A`` rule).
+
+        Dropping an exact duplicate keeps every validity invariant, so the
+        copy is not re-validated (nor is :meth:`dedupe_comparisons`').
+        """
+        keep = list(dict.fromkeys(self.rows))
         if len(keep) == len(self.rows):
             return self
-        return self.replace(rows=keep)
+        return self.replace(rows=keep, validate=False)
 
     def dedupe_comparisons(self) -> "DbclPredicate":
         """Remove duplicate comparisons (including mirrored duplicates)."""
@@ -446,7 +437,7 @@ class DbclPredicate:
             keep.append(comparison)
         if len(keep) == len(self.comparisons):
             return self
-        return self.replace(comparisons=keep)
+        return self.replace(comparisons=keep, validate=False)
 
     # -- canonical form ------------------------------------------------------------
 

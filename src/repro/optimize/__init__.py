@@ -1,7 +1,7 @@
 """Local optimization: syntactic and semantic DBCL simplification (paper §6)."""
 
 from .chase import ChaseOutcome, chase
-from .costs import estimate_row_cardinality, greedy_row_order, order_rows
+from .costs import greedy_row_order, order_rows
 from .inequalities import InequalityGraph, InequalityOutcome, analyse_comparisons
 from .minimize import MinimizeOutcome, minimize
 from .pipeline import (
@@ -16,7 +16,6 @@ from .valuebounds import BoundViolation, bound_assumptions, check_constants
 __all__ = [
     "ChaseOutcome",
     "chase",
-    "estimate_row_cardinality",
     "greedy_row_order",
     "order_rows",
     "InequalityGraph",

@@ -1,17 +1,20 @@
 """Functional-dependency chase over DBCL tableaux (paper section 6.2).
 
 DBCL was designed tableau-like precisely so FDs can simplify it "using
-variations of the chase process" (Aho–Sagiv–Ullman 1979).  The engine here
-follows the fast congruence-closure formulation of Downey–Sethi–Tarjan
-1980 that the paper cites, adapted — as the paper notes — from lossless-
-join testing to query simplification:
+variations of the chase process" (Aho–Sagiv–Ullman 1979), adapted — as
+the paper notes — from lossless-join testing to query simplification.
+The engine is a round-based fixpoint over a union-find of symbol codes:
 
-* a union-find structure maintains equivalence classes of tableau symbols;
-* for each FD ``R: X -> Y``, rows tagged ``R`` that agree (up to the
-  current classes) on all ``X`` cells get their ``Y`` cells merged;
-* merging two distinct constants is a **contradiction** (empty result);
-* at the fixpoint, the derived renaming is applied and duplicate rows are
-  *actively removed* (the paper's addition over the plain chase).
+* each round visits the relations (with two rows or more) in first-row
+  order and, per non-trivial FD ``R: X -> Y``, groups the ``R`` rows by
+  the class representatives of their ``X`` cells; each row of a group
+  has its ``Y`` cells merged with the group's first row;
+* constants outrank targets outrank variables as representatives (ties
+  to the smaller ``str``); two targets are never merged (that loses only
+  optimization), two distinct constants are a **contradiction**;
+* rounds repeat until one merges nothing; then the derived renaming is
+  applied and duplicate rows are *actively removed* (the paper's
+  addition over the plain chase).
 
 Cross-column care: symbols may appear in more than one tableau column
 (``mgr`` joined with ``eno``), so classes live on symbols, never columns,
@@ -25,21 +28,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..dbcl.predicate import DbclPredicate
-from ..dbcl.symbols import (
-    ConstSymbol,
-    JoinableSymbol,
-    TargetSymbol,
-    VarSymbol,
-    is_star,
-)
-from ..schema.constraints import ConstraintSet, FuncDep
+from ..dbcl.symbols import JoinableSymbol
+from ..schema.constraints import CompiledConstraints, ConstraintSet
+from .tableau import CONST, TARGET, Tableau
 
 
 @dataclass
 class ChaseOutcome:
     """Result of one chase run."""
 
-    predicate: DbclPredicate
+    predicate: Optional[DbclPredicate] = None
     changed: bool = False
     contradiction: bool = False
     reason: str = ""
@@ -47,55 +45,85 @@ class ChaseOutcome:
     rows_removed: int = 0
 
 
-class _UnionFind:
-    """Union-find over symbols with representative preference.
+def chase_tableau(
+    tableau: Tableau, index: CompiledConstraints, max_rounds: int = 1000
+) -> ChaseOutcome:
+    """Chase ``tableau`` to fixpoint in place (its ``predicate`` left unset)."""
+    symbols, kinds = tableau.symbols, tableau.kinds
+    parent = list(range(len(symbols)))
 
-    Constants outrank targets outrank plain variables, so constant
-    propagation and target preservation fall out of representative choice.
-    Merging two distinct constants sets :attr:`contradiction`; merging two
-    distinct target symbols is recorded separately (targets cannot be
-    renamed — the pipeline keeps them apart and loses only optimization,
-    never soundness).
-    """
-
-    def __init__(self):
-        self._parent: dict[JoinableSymbol, JoinableSymbol] = {}
-        self.contradiction: Optional[str] = None
-        self.blocked_target_merges: list[tuple[TargetSymbol, TargetSymbol]] = []
-
-    def find(self, symbol: JoinableSymbol) -> JoinableSymbol:
-        root = symbol
-        while self._parent.get(root, root) != root:
-            root = self._parent[root]
-        # Path compression.
-        while self._parent.get(symbol, symbol) != root:
-            symbol, self._parent[symbol] = self._parent[symbol], root
+    def find(code: int) -> int:
+        root = code
+        while parent[root] != root:
+            root = parent[root]
+        while parent[code] != root:  # path compression
+            parent[code], code = root, parent[code]
         return root
 
-    @staticmethod
-    def _rank(symbol: JoinableSymbol) -> int:
-        if isinstance(symbol, ConstSymbol):
-            return 2
-        if isinstance(symbol, TargetSymbol):
-            return 1
-        return 0
+    rows_by_tag: dict[str, list[tuple[int, ...]]] = {}
+    for tag, cells in tableau.rows:
+        rows_by_tag.setdefault(tag, []).append(cells)
+    work = [
+        (rows, index.funcdeps[tag])
+        for tag, rows in rows_by_tag.items()
+        if len(rows) > 1 and tag in index.funcdeps
+    ]
 
-    def union(self, a: JoinableSymbol, b: JoinableSymbol) -> bool:
-        """Merge the classes of ``a`` and ``b``; True if anything changed."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        rank_a, rank_b = self._rank(ra), self._rank(rb)
-        if rank_a == 2 and rank_b == 2:
-            self.contradiction = f"chase equates constants {ra} and {rb}"
-            return False
-        if rank_a == 1 and rank_b == 1:
-            self.blocked_target_merges.append((ra, rb))  # type: ignore[arg-type]
-            return False
-        if rank_a < rank_b or (rank_a == rank_b and str(ra) > str(rb)):
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        return True
+    changed_any = False
+    for _round in range(max_rounds if work else 0):
+        changed = False
+        for rows, funcdeps in work:
+            for lhs, rhs in funcdeps:
+                groups: dict[object, list[tuple[int, ...]]] = {}
+                for cells in rows:
+                    key = (
+                        find(cells[lhs[0]]) if len(lhs) == 1
+                        else tuple([find(cells[c]) for c in lhs])
+                    )
+                    groups.setdefault(key, []).append(cells)
+                for group in groups.values():
+                    anchor = group[0]
+                    for other in group[1:]:
+                        for column in rhs:
+                            a, b = find(anchor[column]), find(other[column])
+                            if a == b:
+                                continue
+                            kind_a, kind_b = kinds[a], kinds[b]
+                            if kind_a == CONST and kind_b == CONST:
+                                return ChaseOutcome(
+                                    changed=changed_any,
+                                    contradiction=True,
+                                    reason="chase equates constants "
+                                    f"{symbols[a]} and {symbols[b]}",
+                                )
+                            if kind_a == TARGET and kind_b == TARGET:
+                                continue
+                            if kind_a < kind_b or (
+                                kind_a == kind_b and str(symbols[a]) > str(symbols[b])
+                            ):
+                                a, b = b, a
+                            parent[b] = a
+                            changed = True
+        if not changed:
+            break
+        changed_any = True
+
+    renamings: dict[int, int] = {}
+    # Symbols in row-major first-occurrence order.
+    for code in dict.fromkeys(c for _, cells in tableau.rows for c in cells if c >= 0):
+        representative = find(code)
+        if representative != code and kinds[code] != TARGET:
+            renamings[code] = representative
+    if not renamings:
+        return ChaseOutcome()
+    tableau.substitute(renamings)
+    removed = tableau.unique_rows()
+    tableau.unique_comparisons()
+    return ChaseOutcome(
+        changed=True,
+        renamings={symbols[s]: symbols[r] for s, r in renamings.items()},
+        rows_removed=removed,
+    )
 
 
 def chase(
@@ -104,73 +132,9 @@ def chase(
     max_rounds: int = 1000,
 ) -> ChaseOutcome:
     """Run the FD chase to fixpoint and remove duplicate rows."""
-    uf = _UnionFind()
-    schema = predicate.schema
-
-    funcdeps_by_tag: dict[str, list[FuncDep]] = {}
-    for row in predicate.rows:
-        if row.tag not in funcdeps_by_tag:
-            funcdeps_by_tag[row.tag] = constraints.funcdeps_of(row.tag)
-
-    def cell(row_index: int, attribute: str) -> JoinableSymbol:
-        column = schema.column_of(attribute)
-        entry = predicate.rows[row_index].entries[column]
-        assert not is_star(entry)
-        return uf.find(entry)  # type: ignore[arg-type]
-
-    rows_by_tag: dict[str, list[int]] = {}
-    for index, row in enumerate(predicate.rows):
-        rows_by_tag.setdefault(row.tag, []).append(index)
-
-    changed_any = False
-    for _round in range(max_rounds):
-        changed_this_round = False
-        for tag, row_indices in rows_by_tag.items():
-            for fd in funcdeps_by_tag.get(tag, ()):
-                if fd.is_trivial:
-                    continue
-                # Group rows by their (canonicalised) LHS cells.
-                groups: dict[tuple, list[int]] = {}
-                for row_index in row_indices:
-                    key = tuple(cell(row_index, a) for a in fd.lhs)
-                    groups.setdefault(key, []).append(row_index)
-                for group in groups.values():
-                    if len(group) < 2:
-                        continue
-                    anchor = group[0]
-                    for other in group[1:]:
-                        for attribute in fd.rhs:
-                            merged = uf.union(
-                                cell(anchor, attribute), cell(other, attribute)
-                            )
-                            if uf.contradiction:
-                                return ChaseOutcome(
-                                    predicate,
-                                    changed=changed_any,
-                                    contradiction=True,
-                                    reason=uf.contradiction,
-                                )
-                            changed_this_round = changed_this_round or merged
-        if not changed_this_round:
-            break
-        changed_any = True
-
-    # Build the renaming from the union-find classes.
-    renamings: dict[JoinableSymbol, JoinableSymbol] = {}
-    for symbol in predicate.occurrences():
-        representative = uf.find(symbol)
-        if representative != symbol and not isinstance(symbol, TargetSymbol):
-            renamings[symbol] = representative
-
-    if not renamings:
-        return ChaseOutcome(predicate, changed=False)
-
-    renamed = predicate.rename(renamings)
-    deduped = renamed.dedupe_rows()
-    rows_removed = len(renamed.rows) - len(deduped.rows)
-    return ChaseOutcome(
-        deduped.dedupe_comparisons(),
-        changed=True,
-        renamings=renamings,
-        rows_removed=rows_removed,
+    tableau = Tableau(predicate)
+    outcome = chase_tableau(
+        tableau, constraints.compiled(predicate.schema), max_rounds
     )
+    outcome.predicate = tableau.predicate()
+    return outcome

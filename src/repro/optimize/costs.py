@@ -15,12 +15,14 @@ This module adds the classic System R estimates on top:
   estimated cardinality multiplies in, which is exactly why the greedy
   order defers such rows to the end.
 
-:func:`order_rows` reorders a predicate's rows greedily by these
-estimates.  The reorder is *answer-preserving by construction*: targets,
-constants, and comparisons locate symbols by first occurrence, and every
-occurrence of a symbol is equijoined, so permuting rows permutes FROM
-entries and rewires equality chains without changing the result set (the
-E15 differential gates this).  Statistics come from
+:func:`tableau_row_order` orders Algorithm 2's working tableau greedily
+by these estimates; :func:`order_rows` permutes a predicate's rows.  The
+reorder is *answer-preserving by construction*: targets, constants, and
+comparisons locate symbols by first occurrence, and every occurrence of
+a symbol is equijoined, so permuting rows permutes FROM entries and
+rewires equality chains without changing the result set (the E15
+differential gates this); it keeps every predicate invariant, so is not
+re-validated.  Statistics come from
 :meth:`repro.dbms.sqlite_backend.ExternalDatabase.relation_statistics`;
 any relation the provider cannot profile falls back to a neutral
 estimate, so the order degrades gracefully rather than failing.
@@ -30,8 +32,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from ..dbcl.predicate import DbclPredicate, RelRow
-from ..dbcl.symbols import ConstSymbol, is_star, is_variable_symbol
+from ..dbcl.predicate import DbclPredicate
+from .tableau import CONST, Tableau
 
 #: Fallback row count when a relation has no statistics.
 DEFAULT_ROW_COUNT = 1000
@@ -52,104 +54,88 @@ def _profile(stats_of: Optional[StatsProvider], relation: str):
         return None
 
 
-def estimate_row_cardinality(
-    predicate: DbclPredicate,
-    row: RelRow,
-    stats_of: Optional[StatsProvider],
-) -> float:
-    """Estimated tuples of ``row`` after its own equality restrictions."""
-    profile = _profile(stats_of, row.tag)
-    if profile is None:
-        cardinality = float(DEFAULT_ROW_COUNT)
-        distinct = {}
-    else:
-        cardinality = float(max(profile.row_count, 1))
-        distinct = profile.distinct
-    for column, entry in enumerate(row.entries):
-        if isinstance(entry, ConstSymbol):
-            attribute = predicate.attribute_of_column(column)
-            count = distinct.get(attribute, 0)
-            if count > 0:
-                cardinality /= count
+def _estimates(tableau: Tableau, stats_of: Optional[StatsProvider]):
+    """Per row: restricted cardinality, and (variable code, join selectivity)
+    per variable cell."""
+    names, kinds = tableau.schema.attribute_names, tableau.kinds
+    profiles = {tag: _profile(stats_of, tag) for tag, _ in tableau.rows}
+    base, links = [], []
+    for tag, cells in tableau.rows:
+        profile = profiles[tag]
+        if profile is None:
+            cardinality = float(DEFAULT_ROW_COUNT)
+            distinct = {}
+        else:
+            cardinality = float(max(profile.row_count, 1))
+            distinct = profile.distinct
+        joins = []
+        for column, code in enumerate(cells):
+            if code < 0:
+                continue
+            count = distinct.get(names[column], 0)
+            if kinds[code] == CONST:
+                if count > 0:
+                    cardinality /= count
+                else:
+                    cardinality *= DEFAULT_EQ_SELECTIVITY
             else:
-                cardinality *= DEFAULT_EQ_SELECTIVITY
-    return max(cardinality, 1.0)
+                joins.append((code, 1.0 / count if count > 0 else DEFAULT_EQ_SELECTIVITY))
+        base.append(max(cardinality, 1.0))
+        links.append(joins)
+    return base, links
 
 
-def _join_selectivity(
-    predicate: DbclPredicate,
-    placed_symbols: set,
-    row: RelRow,
-    stats_of: Optional[StatsProvider],
-) -> Optional[float]:
-    """Selectivity of joining ``row`` against the placed prefix.
+def tableau_row_order(
+    tableau: Tableau, stats_of: Optional[StatsProvider]
+) -> list[int]:
+    """Greedy minimum-intermediate-cardinality order of the row indices.
 
-    ``None`` means no shared variable symbol: a cross product.  Otherwise
-    the most selective connecting attribute wins (``1/distinct``), the
-    standard primary-key/foreign-key approximation.
+    Starts from the row with the smallest restricted cardinality, then
+    repeatedly appends the row minimizing the estimated size of the
+    joined prefix (joined through its most selective shared variable; a
+    row sharing none is a cross product).  Ties break on the original
+    index, so the order is deterministic and a no-information run
+    reproduces the input order.
     """
-    best: Optional[float] = None
-    profile = _profile(stats_of, row.tag)
-    distinct = profile.distinct if profile is not None else {}
-    for column, entry in enumerate(row.entries):
-        if is_star(entry) or not is_variable_symbol(entry):
-            continue
-        if entry not in placed_symbols:
-            continue
-        attribute = predicate.attribute_of_column(column)
-        count = distinct.get(attribute, 0)
-        selectivity = 1.0 / count if count > 0 else DEFAULT_EQ_SELECTIVITY
-        if best is None or selectivity < best:
-            best = selectivity
-    return best
+    count = len(tableau.rows)
+    if count <= 1:
+        return list(range(count))
+    base, links = _estimates(tableau, stats_of)
+
+    def joined_size(i: int) -> float:
+        selectivities = [s for code, s in links[i] if code in placed]
+        if not selectivities:
+            return prefix_cardinality * base[i]  # cross product
+        return max(prefix_cardinality * base[i] * min(selectivities), 1.0)
+
+    remaining = list(range(count))
+    first = min(remaining, key=lambda i: (base[i], i))
+    order = [first]
+    remaining.remove(first)
+    placed = {code for code, _ in links[first]}
+    prefix_cardinality = base[first]
+    while remaining:
+        chosen = min(remaining, key=lambda i: (joined_size(i), i))
+        prefix_cardinality = joined_size(chosen)
+        order.append(chosen)
+        remaining.remove(chosen)
+        placed.update(code for code, _ in links[chosen])
+    return order
 
 
 def greedy_row_order(
     predicate: DbclPredicate,
     stats_of: Optional[StatsProvider],
 ) -> list[int]:
-    """Greedy minimum-intermediate-cardinality order of the row indices.
+    """The greedy cost order of ``predicate``'s row indices."""
+    return tableau_row_order(Tableau(predicate), stats_of)
 
-    Starts from the row with the smallest restricted cardinality, then
-    repeatedly appends the row minimizing the estimated size of the
-    joined prefix.  Ties break on the original index, so the order is
-    deterministic and a no-information run reproduces the input order.
-    """
-    rows = predicate.rows
-    if len(rows) <= 1:
-        return list(range(len(rows)))
-    base = [
-        estimate_row_cardinality(predicate, row, stats_of) for row in rows
-    ]
-    remaining = list(range(len(rows)))
-    first = min(remaining, key=lambda i: (base[i], i))
-    order = [first]
-    remaining.remove(first)
-    placed_symbols = {
-        entry
-        for entry in rows[first].entries
-        if not is_star(entry) and is_variable_symbol(entry)
-    }
-    prefix_cardinality = base[first]
-    while remaining:
-        def joined_size(i: int) -> float:
-            selectivity = _join_selectivity(
-                predicate, placed_symbols, rows[i], stats_of
-            )
-            if selectivity is None:
-                return prefix_cardinality * base[i]  # cross product
-            return max(prefix_cardinality * base[i] * selectivity, 1.0)
 
-        chosen = min(remaining, key=lambda i: (joined_size(i), i))
-        prefix_cardinality = joined_size(chosen)
-        order.append(chosen)
-        remaining.remove(chosen)
-        placed_symbols |= {
-            entry
-            for entry in rows[chosen].entries
-            if not is_star(entry) and is_variable_symbol(entry)
-        }
-    return order
+def permuted(predicate: DbclPredicate, order: Sequence[int]) -> DbclPredicate:
+    """``predicate`` with rows in ``order`` (itself when already so)."""
+    if list(order) == list(range(len(predicate.rows))):
+        return predicate
+    return predicate.replace(rows=[predicate.rows[i] for i in order], validate=False)
 
 
 def order_rows(
@@ -161,7 +147,4 @@ def order_rows(
     Returns the input unchanged when it is already ordered (or has at
     most one row), so hot compile paths pay nothing on trivial shapes.
     """
-    order = greedy_row_order(predicate, stats_of)
-    if order == list(range(len(predicate.rows))):
-        return predicate
-    return predicate.replace(rows=[predicate.rows[i] for i in order])
+    return permuted(predicate, greedy_row_order(predicate, stats_of))

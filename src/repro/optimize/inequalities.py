@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
-from ..dbcl.predicate import Comparison
+from ..dbcl.predicate import MIRRORED_OPS, Comparison
 from ..dbcl.symbols import (
     ConstSymbol,
     JoinableSymbol,
@@ -66,25 +66,28 @@ class InequalityGraph:
         # adjacency: node -> {node: strict?}; parallel edges keep max strictness
         self._edges: dict[Node, dict[Node, bool]] = {}
         self._nodes: set[Node] = set()
+        #: constant pairs (node ids) already ordered: no edge to add again
+        self._ordered: set[tuple[int, int]] = set()
 
     def add_node(self, node: Node) -> None:
-        self._nodes.add(node)
-        self._edges.setdefault(node, {})
+        if node not in self._edges:
+            self._nodes.add(node)
+            self._edges[node] = {}
 
     def add_edge(self, low: Node, high: Node, strict: bool) -> None:
         """Record ``low <= high`` (or ``low < high`` when strict)."""
         self.add_node(low)
         self.add_node(high)
-        current = self._edges[low].get(high)
+        successors = self._edges[low]
+        current = successors.get(high)
         if current is None or (strict and not current):
-            self._edges[low][high] = strict
+            successors[high] = strict
 
     def add_comparison(self, comparison: Comparison) -> None:
         """Insert one DBCL comparison (neq is handled by the caller)."""
         op, left, right = comparison.op, comparison.left, comparison.right
         if op in ("greater", "geq"):
-            mirrored = comparison.mirrored()
-            op, left, right = mirrored.op, mirrored.left, mirrored.right
+            op, left, right = MIRRORED_OPS[op], right, left
         if op == "less":
             self.add_edge(left, right, strict=True)
         elif op == "leq":
@@ -98,7 +101,12 @@ class InequalityGraph:
     def add_constant_ordering(self) -> None:
         """Implicit edges between constants, in SQLite's total order."""
         constants = [n for n in self._nodes if isinstance(n, ConstSymbol)]
+        ordered = self._ordered
         for a, b in combinations(constants, 2):
+            pair = (id(a), id(b)) if id(a) < id(b) else (id(b), id(a))
+            if pair in ordered:
+                continue
+            ordered.add(pair)
             ordering = compare_values(a.value, b.value)
             if ordering < 0:
                 self.add_edge(a, b, strict=True)

@@ -10,22 +10,26 @@ the tableau without that row, fixing target symbols, constants, and every
 symbol used in Relcomparisons (the conservative treatment of inequalities;
 see :mod:`repro.dbcl.containment`).  Rows are removed greedily until no
 row is removable; for conjunctive queries this reaches the unique core.
+
+The search runs over symbol codes.  With every comparison symbol fixed, a
+comparison's image is itself, which the reduced tableau still carries:
+only a false ground comparison can fail a row mapping that exists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from ..dbcl.containment import find_homomorphism
-from ..dbcl.predicate import DbclPredicate
-from ..dbcl.symbols import JoinableSymbol, is_variable_symbol
+from ..dbcl.predicate import Comparison, DbclPredicate
+from .tableau import CONST, STAR_CODE, VAR, Tableau
 
 
 @dataclass
 class MinimizeOutcome:
     """Result of the syntactic minimization."""
 
-    predicate: DbclPredicate
+    predicate: Optional[DbclPredicate] = None
     removed_rows: int = 0
 
     @property
@@ -33,37 +37,70 @@ class MinimizeOutcome:
         return self.removed_rows > 0
 
 
-def _row_removable(predicate: DbclPredicate, row_index: int) -> bool:
+def _maps_onto(rows, position, mapping, candidates, fixed) -> bool:
+    """Extend ``mapping`` so rows[position:] land on candidate rows."""
+    if position == len(rows):
+        return True
+    tag, cells = rows[position]
+    for image in candidates.get(tag, ()):
+        extended = dict(mapping)
+        for source, target in zip(cells, image):
+            if source in fixed:
+                if source != target:
+                    break
+            elif extended.setdefault(source, target) != target:
+                break
+        else:
+            if _maps_onto(rows, position + 1, extended, candidates, fixed):
+                return True
+    return False
+
+
+def _row_removable(tableau: Tableau, row_index: int, survive, fixed) -> bool:
     """Can ``row_index`` be dropped without changing the answer?"""
-    reduced = predicate.drop_rows([row_index], validate=False)
-    # Symbols that the reduced predicate must still bind: comparisons refer
-    # to them, so they must survive in some row (and be mapped identically).
-    frozen = {
-        symbol
-        for symbol in predicate.comparison_symbols()
-        if is_variable_symbol(symbol)
-    }
-    if any(not reduced.occurs_in_rows(symbol) for symbol in frozen):
+    rows = tableau.rows
+    reduced = rows[:row_index] + rows[row_index + 1 :]
+    # Comparison symbols and targets must keep an occurrence.
+    if not survive.issubset({code for _, cells in reduced for code in cells}):
         return False
-    # Targets must also keep at least one occurrence.
-    if any(
-        not reduced.occurs_in_rows(target) for target in predicate.target_symbols()
-    ):
+    candidates: dict[str, list[tuple[int, ...]]] = {}
+    for tag, cells in reduced:
+        candidates.setdefault(tag, []).append(cells)
+    # Most-constrained rows first.
+    order = sorted(rows, key=lambda row: len(candidates.get(row[0], ())))
+    if not _maps_onto(order, 0, {}, candidates, fixed):
         return False
-    return find_homomorphism(predicate, reduced, frozen=frozen) is not None
+    symbols, kinds = tableau.symbols, tableau.kinds
+    return all(
+        Comparison(op, symbols[left], symbols[right]).evaluate_ground()
+        for op, left, right in tableau.comparisons
+        if kinds[left] == CONST and kinds[right] == CONST
+    )
+
+
+def minimize_tableau(tableau: Tableau) -> MinimizeOutcome:
+    """Remove redundant rows in place (``predicate`` left unset)."""
+    removed = tableau.unique_rows()
+    frozen = tableau.comparison_variables()
+    survive = frozen.union(tableau.target_codes)
+    # Constants, targets, '*' and comparison symbols map to themselves.
+    kinds = enumerate(tableau.kinds)
+    fixed = frozen.union([STAR_CODE], (code for code, kind in kinds if kind != VAR))
+    rows = tableau.rows
+    while len(rows) > 1:
+        for row_index in range(len(rows)):
+            if _row_removable(tableau, row_index, survive, fixed):
+                del rows[row_index]
+                removed += 1
+                break
+        else:
+            break
+    return MinimizeOutcome(removed_rows=removed)
 
 
 def minimize(predicate: DbclPredicate) -> MinimizeOutcome:
     """Remove redundant rows until none is removable."""
-    current = predicate.dedupe_rows()
-    removed = len(predicate.rows) - len(current.rows)
-    progress = True
-    while progress and len(current.rows) > 1:
-        progress = False
-        for row_index in range(len(current.rows)):
-            if _row_removable(current, row_index):
-                current = current.drop_rows([row_index])
-                removed += 1
-                progress = True
-                break
-    return MinimizeOutcome(current, removed)
+    tableau = Tableau(predicate)
+    outcome = minimize_tableau(tableau)
+    outcome.predicate = tableau.predicate()
+    return outcome

@@ -12,8 +12,11 @@ The stages run in the paper's order:
 5. recursive removal of deletable dangling rows (section 6.3);
 6. syntactic tableau minimization (section 6.0).
 
-Every stage can be disabled through :class:`SimplifyOptions` — the E9
-ablation benchmark measures each stage's contribution — and the
+Every stage reads and rewrites one integer-coded working
+:class:`~repro.optimize.tableau.Tableau`; the simplified predicate is
+built from it, and validated, once, at the end.  Every stage can be
+disabled through :class:`SimplifyOptions` — the E9 ablation
+benchmark measures each stage's contribution — and the
 :class:`SimplificationResult` carries the statistics the benchmarks and
 EXPERIMENTS.md report (row/join counts before and after, stage log).
 """
@@ -26,11 +29,12 @@ from typing import Optional
 from ..dbcl.predicate import Comparison, DbclPredicate
 from ..errors import OptimizationError
 from ..schema.constraints import ConstraintSet
-from .chase import chase
+from .chase import chase_tableau
 from .inequalities import analyse_comparisons
-from .minimize import minimize
-from .refint import remove_dangling_rows
-from .valuebounds import bound_assumptions, check_constants
+from .minimize import minimize_tableau
+from .refint import remove_dangling
+from .tableau import Tableau
+from .valuebounds import tableau_assumptions, tableau_violation
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,8 @@ class SimplificationResult:
     reason: str = ""
     iterations: int = 0
     stage_log: list[str] = field(default_factory=list)
+    #: the working tableau ``predicate`` was built from (None when empty)
+    tableau: Optional[Tableau] = None
 
     # -- statistics ---------------------------------------------------------
 
@@ -121,18 +127,19 @@ def simplify(
 ) -> SimplificationResult:
     """Run Algorithm 2 on ``predicate`` under ``constraints``."""
     result = SimplificationResult(original=predicate, predicate=predicate)
-    current = predicate
+    tableau = Tableau(predicate)
+    index = constraints.compiled(predicate.schema)
 
     # -- step 1: value bounds ---------------------------------------------------
     assumptions: list[Comparison] = []
     if options.use_valuebounds:
-        violation = check_constants(current, constraints)
+        violation = tableau_violation(tableau, index)
         if violation is not None:
             result.is_empty = True
             result.reason = violation.describe()
             result.stage_log.append(f"valuebounds: {result.reason}")
             return result
-        assumptions = bound_assumptions(current, constraints)
+        assumptions = tableau_assumptions(tableau, index)
         if assumptions:
             result.stage_log.append(
                 f"valuebounds: {len(assumptions)} assumption(s) added"
@@ -141,6 +148,8 @@ def simplify(
     # -- steps 2-4: inequality/chase fixpoint ------------------------------------
     repeat = True
     first_time = True
+    #: the inputs of the last inequality analysis, if it changed nothing
+    settled = None
     while repeat:
         result.iterations += 1
         if result.iterations > options.max_iterations:
@@ -149,45 +158,53 @@ def simplify(
             )
 
         renamed_in_step_3 = False
-        if options.use_inequalities:
-            outcome = analyse_comparisons(list(current.comparisons), assumptions)
+        # The analysis is a pure function of its inputs: an empty comparison
+        # set with no assumptions, or inputs that already analysed to no
+        # change, analyse to nothing again.
+        inputs = (tableau.comparisons, assumptions)
+        if options.use_inequalities and any(inputs) and inputs != settled:
+            outcome = analyse_comparisons(tableau.comparison_list(), assumptions)
+            settled = None if outcome.changed else inputs
             if outcome.contradiction:
                 result.is_empty = True
                 result.reason = outcome.reason
                 result.stage_log.append(f"inequalities: {outcome.reason}")
                 return result
+            code = tableau.code
             if outcome.renamings:
-                current = current.rename(outcome.renamings)
+                tableau.substitute(
+                    {code(s): code(r) for s, r in outcome.renamings.items()}
+                )
                 renamed_in_step_3 = True
             if outcome.changed:
-                current = current.replace(
-                    comparisons=outcome.comparisons
-                ).dedupe_rows()
+                tableau.comparisons = [
+                    (c.op, code(c.left), code(c.right)) for c in outcome.comparisons
+                ]
+                tableau.unique_rows()
                 result.stage_log.append(
                     "inequalities: simplified to "
-                    f"{len(current.comparisons)} comparison(s)"
+                    f"{len(tableau.comparisons)} comparison(s)"
                 )
             if renamed_in_step_3 and options.use_valuebounds:
-                assumptions = bound_assumptions(current, constraints)
+                assumptions = tableau_assumptions(tableau, index)
 
         repeat = renamed_in_step_3 or first_time
         first_time = False
 
         if repeat and options.use_chase:
-            chase_outcome = chase(current, constraints)
+            chase_outcome = chase_tableau(tableau, index)
             if chase_outcome.contradiction:
                 result.is_empty = True
                 result.reason = chase_outcome.reason
                 result.stage_log.append(f"chase: {chase_outcome.reason}")
                 return result
-            current = chase_outcome.predicate
             if chase_outcome.changed:
                 result.stage_log.append(
                     f"chase: {len(chase_outcome.renamings)} renaming(s), "
                     f"{chase_outcome.rows_removed} duplicate row(s) removed"
                 )
                 if options.use_valuebounds:
-                    assumptions = bound_assumptions(current, constraints)
+                    assumptions = tableau_assumptions(tableau, index)
             if not chase_outcome.renamings:
                 repeat = False
         elif repeat and not options.use_chase:
@@ -195,8 +212,7 @@ def simplify(
 
     # -- step 5: referential integrity --------------------------------------------
     if options.use_refint:
-        refint_outcome = remove_dangling_rows(current, constraints)
-        current = refint_outcome.predicate
+        refint_outcome = remove_dangling(tableau, index)
         if refint_outcome.changed:
             result.stage_log.append(
                 f"refint: {refint_outcome.removed_rows} dangling row(s) removed "
@@ -205,12 +221,12 @@ def simplify(
 
     # -- step 6: syntactic minimization --------------------------------------------
     if options.use_minimize:
-        minimize_outcome = minimize(current)
-        current = minimize_outcome.predicate
+        minimize_outcome = minimize_tableau(tableau)
         if minimize_outcome.changed:
             result.stage_log.append(
                 f"minimize: {minimize_outcome.removed_rows} redundant row(s) removed"
             )
 
-    result.predicate = current
+    result.predicate = tableau.predicate()
+    result.tableau = tableau
     return result

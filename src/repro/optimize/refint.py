@@ -11,8 +11,9 @@ A row *r* with tag R **dangles** when its non-``*`` cells split into
 A dangling row is **deletable** when a referential constraint
 ``refint(R', [RP'...], R, [RP...])`` is derivable from the stored rules —
 derivable directly or through the paper's Algorithm 1 (see
-:func:`repro.schema.inference.derive_refint`): every r' value is then
-guaranteed to appear in R, so joining r adds no restriction.
+:func:`repro.schema.inference.derive_refint`; the constraint index keeps
+each hypothesis's verdict): every r' value is then guaranteed to appear
+in R, so joining r adds no restriction.
 
 Deleting a row can make further rows dangle (Example 6-2 deletes the
 ``dept`` row only after the manager ``empl`` row is gone), so the removal
@@ -21,26 +22,20 @@ is a fixpoint loop.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..dbcl.predicate import DbclPredicate, RelRow
-from ..dbcl.symbols import (
-    ConstSymbol,
-    JoinableSymbol,
-    TargetSymbol,
-    VarSymbol,
-    is_star,
-)
-from ..schema.constraints import ConstraintSet
-from ..schema.inference import RefIntHypothesis, derive_refint
+from ..dbcl.predicate import DbclPredicate
+from ..schema.constraints import CompiledConstraints, ConstraintSet
+from .tableau import VAR, Tableau
 
 
 @dataclass
 class RefintOutcome:
     """Result of the dangling-row removal."""
 
-    predicate: DbclPredicate
+    predicate: Optional[DbclPredicate] = None
     removed_rows: int = 0
     #: (row tag, partner tag) per deletion, in order — for explain traces.
     deletions: list[tuple[str, str]] = field(default_factory=list)
@@ -50,117 +45,77 @@ class RefintOutcome:
         return self.removed_rows > 0
 
 
-def _symbol_use_counts(predicate: DbclPredicate) -> dict[JoinableSymbol, int]:
-    """Total number of appearances of each symbol anywhere in the predicate."""
-    counts: dict[JoinableSymbol, int] = {}
-    for row in predicate.rows:
-        for entry in row.entries:
-            if not is_star(entry):
-                counts[entry] = counts.get(entry, 0) + 1  # type: ignore[index]
-    for comparison in predicate.comparisons:
-        for side in comparison.symbols():
-            counts[side] = counts.get(side, 0) + 1
-    for entry in predicate.targets:
-        counts[entry] = counts.get(entry, 0) + 1
-    return counts
-
-
 def _find_deletable_row(
-    predicate: DbclPredicate, constraints: ConstraintSet
+    tableau: Tableau, index: CompiledConstraints
 ) -> Optional[tuple[int, int]]:
     """First (dangling row, witness row) pair whose refint is derivable."""
-    schema = predicate.schema
-    counts = _symbol_use_counts(predicate)
+    schema, kinds, rows = tableau.schema, tableau.kinds, tableau.rows
+    # Appearances of each symbol anywhere: cells, comparisons, targets.
+    counts = Counter(code for _, cells in rows for code in cells)
+    counts.update(code for _, left, right in tableau.comparisons for code in (left, right))
+    counts.update(tableau.target_codes)
 
-    for row_index, row in enumerate(predicate.rows):
-        relation = schema.relation(row.tag)
+    places = {
+        tag: list(zip(schema.relations[tag].attributes, schema.columns_of_relation(tag)))
+        for tag, _ in rows
+    }
+    # Per row: symbol → the first attribute holding it.
+    attribute_of = [
+        {cells[column]: attribute for attribute, column in reversed(places[tag])}
+        for tag, cells in rows
+    ]
+    for row_index, (tag, cells) in enumerate(rows):
+        own = [cells[column] for _, column in places[tag]]
         # A symbol repeated *within* the row is an intra-row restriction
         # (e.g. eno = dno on the same tuple) that no referential constraint
         # implies; such rows never qualify.
-        own_cells = [e for e in row.entries if not is_star(e)]
-        if len(own_cells) != len(set(own_cells)):
+        if len(own) != len(set(own)):
             continue
-        shared_attributes: list[str] = []
-        for attribute in relation.attributes:
-            entry = row.entries[schema.column_of(attribute)]
-            if isinstance(entry, VarSymbol) and counts[entry] == 1:
-                continue  # an RN cell: private singleton variable
-            if isinstance(entry, (ConstSymbol, TargetSymbol)):
-                # Constants restrict; targets produce output. Either way the
-                # cell must be matched by the witness row, which only shared
-                # variables can guarantee under a refint — so treat any
-                # constant/target as disqualifying unless matched below.
-                shared_attributes.append(attribute)
-                continue
-            shared_attributes.append(attribute)
-        if not shared_attributes:
+        # RN cells (private singleton variables) drop out; constants and
+        # targets restrict or produce output, so like shared variables
+        # they must be matched by the witness row.
+        shared = [
+            (attribute, cells[column])
+            for attribute, column in places[tag]
+            if kinds[cells[column]] != VAR or counts[cells[column]] != 1
+        ]
+        if not shared:
             continue  # a row of only-private cells never dangles usefully
-        # Condition (b): one single row r' matches every shared cell.
-        for witness_index, witness in enumerate(predicate.rows):
+        shared_attributes = tuple(attribute for attribute, _ in shared)
+        # Condition (b): one single row r' matches every shared cell, each
+        # at the first witness attribute holding the same symbol.
+        for witness_index, (witness_tag, _) in enumerate(rows):
             if witness_index == row_index:
                 continue
-            witness_attributes = _match_against(
-                predicate, row, shared_attributes, witness
-            )
-            if witness_attributes is None:
-                continue
-            hypothesis = RefIntHypothesis(
-                witness.tag,
-                tuple(witness_attributes),
-                row.tag,
-                tuple(shared_attributes),
-            )
-            derivation = derive_refint(schema, hypothesis, constraints.refints)
-            if derivation.success:
+            found = attribute_of[witness_index]
+            matched = tuple([found.get(code) for _, code in shared])
+            if None not in matched and index.refint_holds(
+                (witness_tag, matched, tag, shared_attributes)
+            ):
                 return (row_index, witness_index)
     return None
 
 
-def _match_against(
-    predicate: DbclPredicate,
-    row: RelRow,
-    shared_attributes: Sequence[str],
-    witness: RelRow,
-) -> Optional[list[str]]:
-    """Witness attributes matching each shared cell of ``row``, if all match.
-
-    For each shared attribute of ``row`` there must be an attribute of the
-    witness row holding the *same symbol*; constants and targets in shared
-    position must also be matched cell-for-cell.
-    """
-    schema = predicate.schema
-    witness_relation = schema.relation(witness.tag)
-    matched: list[str] = []
-    for attribute in shared_attributes:
-        symbol = row.entries[schema.column_of(attribute)]
-        found: Optional[str] = None
-        for witness_attribute in witness_relation.attributes:
-            witness_symbol = witness.entries[schema.column_of(witness_attribute)]
-            if witness_symbol == symbol:
-                found = witness_attribute
-                break
+def remove_dangling(tableau: Tableau, index: CompiledConstraints) -> RefintOutcome:
+    """Delete deletable dangling rows in place (``predicate`` left unset)."""
+    outcome = RefintOutcome()
+    rows = tableau.rows
+    while len(rows) > 1:
+        found = _find_deletable_row(tableau, index)
         if found is None:
-            return None
-        matched.append(found)
-    return matched
+            break
+        row_index, witness_index = found
+        outcome.deletions.append((rows[row_index][0], rows[witness_index][0]))
+        del rows[row_index]
+        outcome.removed_rows += 1
+    return outcome
 
 
 def remove_dangling_rows(
     predicate: DbclPredicate, constraints: ConstraintSet
 ) -> RefintOutcome:
     """Delete deletable dangling rows until none remain (recursive process)."""
-    outcome = RefintOutcome(predicate)
-    while len(outcome.predicate.rows) > 1:
-        found = _find_deletable_row(outcome.predicate, constraints)
-        if found is None:
-            break
-        row_index, witness_index = found
-        outcome.deletions.append(
-            (
-                outcome.predicate.rows[row_index].tag,
-                outcome.predicate.rows[witness_index].tag,
-            )
-        )
-        outcome.predicate = outcome.predicate.drop_rows([row_index])
-        outcome.removed_rows += 1
+    tableau = Tableau(predicate)
+    outcome = remove_dangling(tableau, constraints.compiled(predicate.schema))
+    outcome.predicate = tableau.predicate()
     return outcome

@@ -16,16 +16,12 @@ Two services:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..dbcl.predicate import Comparison, DbclPredicate
-from ..dbcl.symbols import (
-    ConstSymbol,
-    JoinableSymbol,
-    is_constant_symbol,
-    is_param_marker,
-)
-from ..schema.constraints import ConstraintSet, ValueBound
+from ..dbcl.symbols import ConstSymbol, is_param_marker
+from ..schema.constraints import CompiledConstraints, ConstraintSet, ValueBound
+from .tableau import CONST, Tableau
 
 
 @dataclass(frozen=True)
@@ -45,65 +41,66 @@ class BoundViolation:
         )
 
 
-def check_constants(
-    predicate: DbclPredicate, constraints: ConstraintSet
+def tableau_violation(
+    tableau: Tableau, index: CompiledConstraints
 ) -> Optional[BoundViolation]:
-    """First violation of a declared domain by a Relreferences constant."""
-    schema = predicate.schema
-    for row_index, row in enumerate(predicate.rows):
-        relation = schema.relation(row.tag)
-        for attribute in relation.attributes:
-            column = schema.column_of(attribute)
-            entry = row.entries[column]
-            if not isinstance(entry, ConstSymbol):
+    """First Relreferences constant outside its column's declared domain."""
+    symbols, kinds = tableau.symbols, tableau.kinds
+    for row_index, (tag, cells) in enumerate(tableau.rows):
+        for column, attribute, bound in index.bounds.get(tag, ()):
+            code = cells[column]
+            if kinds[code] != CONST:
                 continue
-            if is_param_marker(entry.value):
-                # Plan-cache placeholder: the concrete value is unknown at
-                # compile time; the plan re-checks it at bind time against
-                # the bounds of every column the marker occupied.
-                continue
-            bound = constraints.bound_for(row.tag, attribute)
-            if bound is not None and not bound.contains(entry.value):
-                return BoundViolation(
-                    row_index, row.tag, attribute, entry.value, bound
-                )
+            value = symbols[code].value  # type: ignore[union-attr]
+            # A plan-cache placeholder's value is unknown at compile time;
+            # the plan re-checks it at bind time against the bounds of
+            # every column the marker occupied.
+            if not is_param_marker(value) and not bound.contains(value):
+                return BoundViolation(row_index, tag, attribute, value, bound)
     return None
 
 
-def bound_assumptions(
-    predicate: DbclPredicate, constraints: ConstraintSet
+def tableau_assumptions(
+    tableau: Tableau, index: CompiledConstraints
 ) -> list[Comparison]:
     """Assumption comparisons for comparison variables (Algorithm 2 step 1).
 
     The paper adds value bounds "to Relcomparisons for attribute variables
     appearing there": for each symbol used in a comparison, every cell it
-    occupies contributes the bound of that cell's column, if declared.
+    occupies contributes the bound of that cell's column, if declared —
+    symbols in first-occurrence order, cells row-major.
     """
-    schema = predicate.schema
-    assumptions: list[Comparison] = []
-    seen: set[tuple[JoinableSymbol, str, str]] = set()
-    comparison_symbols = {
-        s for s in predicate.comparison_symbols() if not is_constant_symbol(s)
-    }
-    if not comparison_symbols:
+    wanted = tableau.comparison_variables()
+    if not wanted:
         return []
-    for symbol, occurrences in predicate.occurrences().items():
-        if symbol not in comparison_symbols:
-            continue
-        for occurrence in occurrences:
-            row = predicate.rows[occurrence.row]
-            attribute = schema.attribute_names[occurrence.column]
-            bound = constraints.bound_for(row.tag, attribute)
-            if bound is None:
-                continue
-            key = (symbol, row.tag, attribute)
-            if key in seen:
-                continue
-            seen.add(key)
-            assumptions.append(
-                Comparison("geq", symbol, ConstSymbol(bound.low))
-            )
-            assumptions.append(
-                Comparison("leq", symbol, ConstSymbol(bound.high))
-            )
+    cells_of: dict[int, list[tuple[str, int]]] = {}
+    for tag, cells in tableau.rows:
+        for column, code in enumerate(cells):
+            if code in wanted:
+                cells_of.setdefault(code, []).append((tag, column))
+    assumptions: list[Comparison] = []
+    seen: set[tuple[int, str, str]] = set()
+    for code, places in cells_of.items():
+        symbol = tableau.symbols[code]
+        for tag, column in places:
+            for bounded, attribute, bound in index.bounds.get(tag, ()):
+                if bounded != column or (code, tag, attribute) in seen:
+                    continue
+                seen.add((code, tag, attribute))
+                assumptions.append(Comparison("geq", symbol, ConstSymbol(bound.low)))
+                assumptions.append(Comparison("leq", symbol, ConstSymbol(bound.high)))
     return assumptions
+
+
+def check_constants(
+    predicate: DbclPredicate, constraints: ConstraintSet
+) -> Optional[BoundViolation]:
+    """First violation of a declared domain by a Relreferences constant."""
+    return tableau_violation(Tableau(predicate), constraints.compiled(predicate.schema))
+
+
+def bound_assumptions(
+    predicate: DbclPredicate, constraints: ConstraintSet
+) -> list[Comparison]:
+    """The value-bound assumptions of ``predicate``'s comparison variables."""
+    return tableau_assumptions(Tableau(predicate), constraints.compiled(predicate.schema))

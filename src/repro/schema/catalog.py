@@ -130,12 +130,14 @@ class DatabaseSchema:
         self._attribute_index: dict[str, int] = {
             attribute.name: index for index, attribute in enumerate(self.attributes)
         }
+        # Never mutated after construction: per-cell lookups computed once.
+        self.attribute_names: tuple[str, ...] = tuple(ordered)
+        self._relation_columns: dict[str, list[int]] = {
+            relation.name: [self._attribute_index[a] for a in relation.attributes]
+            for relation in relations
+        }
 
     # -- lookups -------------------------------------------------------------
-
-    @property
-    def attribute_names(self) -> tuple[str, ...]:
-        return tuple(attribute.name for attribute in self.attributes)
 
     @property
     def width(self) -> int:
@@ -173,9 +175,11 @@ class DatabaseSchema:
         return self.column_of(attribute) + 1
 
     def columns_of_relation(self, relation_name: str) -> list[int]:
-        """Global column indexes covered by a relation, in relation order."""
-        relation = self.relation(relation_name)
-        return [self.column_of(attribute) for attribute in relation.attributes]
+        """Global column indexes of a relation, in relation order (shared)."""
+        columns = self._relation_columns.get(relation_name)
+        if columns is None:
+            self.relation(relation_name)  # raises SchemaError
+        return columns
 
     def relations_with_attribute(self, attribute: str) -> list[Relation]:
         """All relations having the given global attribute."""

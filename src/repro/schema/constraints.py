@@ -151,6 +151,7 @@ class ConstraintSet:
             self._refints_by_source.setdefault(ri.from_relation, []).append(ri)
         # Validation last: key checks need the FD index in place.
         self._validate(validate_refint_keys)
+        self._compiled: Optional[CompiledConstraints] = None
 
     # -- validation -----------------------------------------------------------
 
@@ -221,6 +222,14 @@ class ConstraintSet:
                 return ri
         return None
 
+    def compiled(self, schema: DatabaseSchema) -> "CompiledConstraints":
+        """This set resolved to ``schema``'s columns, built once and cached
+        on the set (which is never mutated after construction)."""
+        index = self._compiled
+        if index is None or index.schema is not schema:
+            index = self._compiled = CompiledConstraints(self, schema)
+        return index
+
     # -- key reasoning (delegated closure lives in inference.py) ---------------
 
     def closure(self, relation: str, attributes: Sequence[str]) -> frozenset[str]:
@@ -265,6 +274,47 @@ class ConstraintSet:
         lines += [fd.to_prolog() for fd in self.funcdeps]
         lines += [ri.to_prolog() for ri in self.refints]
         return "\n".join(lines)
+
+
+class CompiledConstraints:
+    """What Algorithm 2 reads of a :class:`ConstraintSet`, per relation:
+    ``funcdeps`` — the non-trivial FDs as (LHS columns, RHS columns);
+    ``bounds`` — ``(column, attribute, bound)`` per bounded attribute, in
+    relation order; and :meth:`refint_holds`, Algorithm 1's verdicts."""
+
+    def __init__(self, constraints: ConstraintSet, schema: DatabaseSchema):
+        self.schema = schema
+        self._refints = constraints.refints
+        self._verdicts: dict[tuple, bool] = {}
+        column = schema.column_of
+        self.funcdeps: dict[str, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+        for fd in constraints.funcdeps:
+            if not fd.is_trivial and schema.has_relation(fd.relation):
+                self.funcdeps.setdefault(fd.relation, []).append(
+                    (tuple(map(column, fd.lhs)), tuple(map(column, fd.rhs)))
+                )
+        self.bounds: dict[str, list[tuple[int, str, ValueBound]]] = {}
+        for name, relation in schema.relations.items():
+            for attribute in relation.attributes:
+                bound = constraints.bound_for(name, attribute)
+                if bound is not None:
+                    self.bounds.setdefault(name, []).append(
+                        (column(attribute), attribute, bound)
+                    )
+
+    def refint_holds(self, hypothesis: tuple) -> bool:
+        """Is the refint ``(from relation, from attributes, to relation, to
+        attributes)`` derivable?  Derived at first use: the verdict is a pure
+        function of schema, hypothesis and stored refints."""
+        verdict = self._verdicts.get(hypothesis)
+        if verdict is None:
+            from .inference import RefIntHypothesis, derive_refint
+
+            derivation = derive_refint(
+                self.schema, RefIntHypothesis(*hypothesis), self._refints
+            )
+            verdict = self._verdicts[hypothesis] = derivation.success
+        return verdict
 
 
 def _render_value(value: BoundValue) -> str:

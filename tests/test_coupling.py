@@ -484,3 +484,45 @@ class TestBatchExecutor:
         unshared_answers, _ = unshared_executor.execute(predicates)
         for a, b in zip(shared_answers, unshared_answers):
             assert set(a) == set(b)
+
+
+class TestDecodeRows:
+    """Rows → answer dicts against the per-row loop the decoder replaced."""
+
+    @staticmethod
+    def row_loop(columns, rows):
+        answers, seen = [], set()
+        for row in rows:
+            key = tuple(row[column] for column, _ in columns)
+            if key not in seen:
+                seen.add(key)
+                answers.append({name: row[column] for column, name in columns})
+        return answers
+
+    def test_matches_the_row_loop_in_order(self):
+        import random
+
+        from repro.coupling.executor import decode_rows
+
+        rng = random.Random(7)
+        values = [1, 2, 1.0, "a", "b", None, 30000]
+        for _ in range(500):
+            width = rng.randint(1, 4)
+            rows = [
+                tuple(rng.choice(values) for _ in range(width))
+                for _ in range(rng.randint(0, 12))
+            ]
+            picked = rng.sample(range(width), rng.randint(0, width))
+            columns = [(c, f"V{i}") for i, c in enumerate(picked)]
+            decoded = decode_rows(columns, iter(rows))
+            expected = self.row_loop(columns, rows)
+            assert decoded == expected
+            assert [list(map(type, a.values())) for a in decoded] == [
+                list(map(type, a.values())) for a in expected
+            ]
+
+    def test_zero_columns_is_one_empty_answer_when_any_row(self):
+        from repro.coupling.executor import decode_rows
+
+        assert decode_rows([], [(1,), (2,)]) == [{}]
+        assert decode_rows([], []) == []
