@@ -59,11 +59,15 @@ def main() -> None:
           f"query 2 -> {auto2.stats.strategy}")
 
     # Beyond the paper: push the whole fixpoint into the DBMS as one
-    # prepared WITH RECURSIVE statement, chosen by the cost-based planner.
+    # prepared WITH RECURSIVE statement.  The planner chooses per bound
+    # side (on a hierarchy above its statistics threshold: the CTE for a
+    # bound subordinate, the interval probe for a bound boss).
     cte = session.solve_recursive("works_for", high=boss, strategy="cte")
     show("cte", cte)
-    plan = session.closure_for("works_for").plan(low=None, high=boss)
-    print(f"\nplanner: {plan.strategy} -- {plan.reason}")
+    for low, high in ((leaf, None), (None, boss)):
+        plan = session.closure_for("works_for").plan(low=low, high=high)
+        print(f"\nplanner, {'low' if low else 'high'} side bound: "
+              f"{plan.strategy} -- {plan.reason}")
 
     session.close()
 

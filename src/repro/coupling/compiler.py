@@ -437,7 +437,7 @@ class Compiler:
                     "neither the rewriting nor the repair enumeration covers "
                     "them (ROADMAP E19 scope)"
                 )
-            return CompiledPlan(kind="recursive")
+            return session._recursion.compile(goal)
         mark = _pc()
         self.phases.incr("cold_compilations")
         try:

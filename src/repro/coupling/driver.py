@@ -21,6 +21,11 @@ from ..prolog.terms import Term
 from .compiler import CQA, PLAIN, Mode
 from .executor import NEEDS_WRITE
 
+#: Plan kinds a warm ask may execute under the read lock (an ``external``
+#: plan with no internal conjuncts; a ``recursive`` plan whose router
+#: reports anything that must write first as NEEDS_WRITE).
+_READ_KINDS = frozenset({"external", "recursive"})
+
 
 def drive(
     session,
@@ -123,10 +128,11 @@ def answer(
 
     The whole pipeline for one goal in one mode.  ``exclusive`` says
     the caller holds the write lock; without it, anything but a warm
-    pure-external execution returns :data:`~.executor.NEEDS_WRITE`
-    so the caller restarts on the write side (which repeats the
-    lookup and does the hit/miss accounting, so counts match
-    single-threaded use).  The open span (if any) arrives as a
+    pure-external or recursive execution returns :data:`~.executor.
+    NEEDS_WRITE` so the caller restarts on the write side (which
+    repeats the lookup and does the hit/miss accounting).  A read-side
+    hit is counted only once it answered, so counts match
+    single-threaded use.  The open span (if any) arrives as a
     parameter — the warm path is where the E20 overhead budget is
     spent, and a thread-local read per ask is measurable there.
     """
@@ -149,13 +155,12 @@ def answer(
     shape, plan = session._compiler.lookup(goal, mode, span, exclusive)
     if plan is not None:
         if not exclusive:
-            if plan.kind != "external" or plan.internal_indices:
+            if plan.kind not in _READ_KINDS or plan.internal_indices:
                 return NEEDS_WRITE
-            session.plans.stats.incr("hits")
         elif mode is CQA:
             session.cqa_stats.incr("rewrite_cache_hits")
         try:
-            return session._executor.execute(
+            answers = session._executor.execute(
                 plan, shape, goal, max_solutions, span, exclusive, dirty
             )
         except TransientBackendError:
@@ -178,6 +183,10 @@ def answer(
             session.database.resilience.incr("plan_invalidations")
             if span is not None:
                 span.plan_cache = "miss"
+        else:
+            if not exclusive and answers is not NEEDS_WRITE:
+                session.plans.stats.incr("hits")  # once, where it answered
+            return answers
     elif not exclusive:
         return NEEDS_WRITE
     plan = session._compiler.compile(goal, mode, shape)

@@ -33,14 +33,15 @@ from ..prolog.terms import (
     variables_of,
 )
 from ..prolog.writer import term_to_string
-from .global_opt import CompiledPlan, GoalShape, is_database_indicator
+from .global_opt import CompiledPlan, GoalShape, goal_shape, is_database_indicator
 
 Value = Union[int, float, str, None]
 
 _pc = time.perf_counter
 
 #: Sentinel: execution under the read lock reached a step that mutates
-#: (a pending segment merge); the caller re-runs under the write lock.
+#: (a pending segment merge, a recursion re-plan); the caller re-runs
+#: under the write lock.
 NEEDS_WRITE = object()
 
 
@@ -122,13 +123,21 @@ class Executor:
         plan, whose answers are asserted as facts instead; the predicate
         is None when binding proved the fetch empty — or
         :data:`NEEDS_WRITE` when ``exclusive`` is false (the caller holds
-        only the read lock) and a segment merge is pending.  ``dirty``
+        only the read lock) and a segment merge is pending — or, for a
+        recursive plan, anything else that writes first
+        (:meth:`~.recursion_router.RecursionRouter.ask`).  ``dirty``
         holds the violating relations of a consistent-mode ask.
         """
         session = self.session
         kind = plan.kind
         if kind == "recursive":
-            return session._recursion.ask(goal)
+            # The plan fixed view, bound side and answer variable; the
+            # seed is the shape's one constant.
+            if shape is None:
+                shape = goal_shape(goal)
+            return session._recursion.ask(
+                plan.closure_call, shape.constants[0], exclusive, span
+            )
         goal_vars = [v for v in variables_of(goal) if not v.is_anonymous]
         if kind == "engine":
             return self.answers_from_engine(goal, goal_vars, max_solutions)

@@ -426,7 +426,8 @@ class CompiledPlan:
 
     * ``engine`` — resolved entirely by Prolog (pure internal, or the
       mixed-view fallback); nothing is compiled;
-    * ``recursive`` — routed to the transitive-closure executor;
+    * ``recursive`` — routed to the transitive-closure executor (the
+      view, bound side and answer variable in ``closure_call``);
     * ``external`` / ``mixed`` — the external block compiled to SQL; a
       mixed plan additionally records which conjuncts stay internal.
 
@@ -454,6 +455,8 @@ class CompiledPlan:
     fetch_targets: tuple[Variable, ...] = ()
     internal_indices: tuple[int, ...] = ()
     is_empty: bool = False
+    #: a ``recursive`` plan's :class:`~.recursion_router.ClosureCall`
+    closure_call: Optional[object] = None
     #: lazily-built prepared batch statements, keyed by batch size; False
     #: once the shape is proven unbatchable (no equality column for some
     #: parameter).  Guarded by ``_batch_lock``.

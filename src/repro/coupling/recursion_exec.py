@@ -26,9 +26,10 @@ round-trip, no commits.  On forest-shaped data it goes one further:
 ``strategy="interval"`` answers the probe from a pre/post nested-set
 labeling (:class:`~repro.materialize.intervals.IntervalIndex`) — one
 indexed range predicate, no recursion in either Python *or* the backend.
-``strategy="plan"`` chooses between the interval probe, the CTE
-pushdown, and the prepared frontier loop from the backend's relation
-statistics (:meth:`TransitiveClosure.plan`); maintained views keep their
+``strategy="plan"`` chooses per bound side — the interval probe below a
+bound boss, the CTE above a bound subordinate, the prepared frontier
+loop on tiny edge views — once per data generation
+(:meth:`TransitiveClosure.plan`); maintained views keep their
 :class:`IncrementalClosure` path in the materialize subsystem.
 """
 
@@ -169,14 +170,6 @@ class RecursionPlan:
     reason: str
     estimated_edge_rows: Optional[int] = None
 
-    def as_dict(self) -> dict:
-        """The decision as a plain JSON-serializable record."""
-        return {
-            "strategy": self.strategy,
-            "reason": self.reason,
-            "estimated_edge_rows": self.estimated_edge_rows,
-        }
-
 
 @dataclass
 class _CteQueries:
@@ -257,10 +250,13 @@ class TransitiveClosure:
         self._interval = None
         #: The most recent :meth:`plan` decision (inspection/benchmarks).
         self.last_plan: Optional[RecursionPlan] = None
+        #: bound side -> (edge relations' data generations, decision)
+        self._decisions: dict[str, tuple[tuple, RecursionPlan]] = {}
         # The setrel loop mutates one shared intermediate table per view;
         # two concurrent solves of the same closure would interleave
-        # frontier swaps.  The session routes recursive asks through the
-        # knowledge base's write lock already; this mutex keeps *direct*
+        # frontier swaps.  The session runs the loop (and every re-plan)
+        # under the knowledge base's write lock, while warm probes read
+        # under its read lock and take no mutex; this one keeps *direct*
         # executor use safe too.
         self._solve_lock = threading.RLock()
 
@@ -475,32 +471,42 @@ class TransitiveClosure:
                 )
             return self._interval
 
-    def _solve_interval(
-        self, low: Optional[str], high: Optional[str]
-    ) -> RecursionRun:
-        """One indexed range probe answers the whole closure question.
+    def probe(self, strategy: str, bound: str, seed) -> list:
+        """Sorted distinct nodes from one prepared ``interval`` / ``cte`` read.
 
-        No fixpoint anywhere: descendants are the rows whose intervals
-        nest inside the seed's (a single range scan over the composite
-        ``(pre, post)`` index), ancestors the containing intervals.
-        Raises :class:`~repro.errors.IntervalUnavailable` when the data
-        is not forest-shaped — callers asking explicitly see it; the
-        planner never routes here in that state.
+        ``bound`` names the bound side: ``"high"`` collects the cone
+        below the seed, ``"low"`` the chain above it.  The interval texts
+        bind the seed twice (once per ``UNION`` branch), the CTE texts
+        once.  A pure read: the caller prepared the statement and, for
+        ``interval``, freshened the labeling.
         """
-        index = self.interval_index()
-        index.ensure_fresh()
-        stats = RecursionStats(strategy="interval")
-        if high is not None:
-            rows = self.database.execute_prepared(
-                index.descend_text, (high, high)
-            )
+        if strategy == "interval":
+            index = self._interval
+            text = index.descend_text if bound == "high" else index.ascend_text
+            rows = self.database.execute_prepared(text, (seed, seed))
         else:
-            assert low is not None
-            rows = self.database.execute_prepared(
-                index.ascend_text, (low, low)
-            )
-        stats.queries_issued = 1
-        nodes = {row[0] for row in rows}
+            cte = self._cte
+            text = cte.descend_text if bound == "high" else cte.ascend_text
+            rows = self.database.execute_prepared(text, (seed,))
+        return sorted({row[0] for row in rows})
+
+    def _solve_probe(
+        self, strategy: str, low: Optional[str], high: Optional[str]
+    ) -> RecursionRun:
+        """One prepared statement answers the whole closure question.
+
+        ``interval`` nests intervals — no fixpoint anywhere; it raises
+        :class:`~repro.errors.IntervalUnavailable` on non-forest data.
+        ``cte`` lets the DBMS iterate the fixpoint (``UNION`` ends it on
+        cyclic data): no intermediate relation, no commits.
+        """
+        if strategy == "interval":
+            self.interval_index().ensure_fresh()
+        else:
+            self._prepare_cte()
+        bound, seed = ("high", high) if high is not None else ("low", low)
+        nodes = self.probe(strategy, bound, seed)
+        stats = RecursionStats(strategy=strategy, queries_issued=1)
         stats.new_answers_per_level.append(len(nodes))
         if high is not None:
             pairs = {(node, high) for node in nodes}
@@ -509,51 +515,41 @@ class TransitiveClosure:
         return RecursionRun(pairs=pairs, stats=stats)
 
     def batch_probe_text(self, bound: str, batch_size: int) -> str:
-        """The best prepared batch statement for a same-shape ask group.
+        """The prepared batch statement for a same-shape ask group.
 
-        Prefers the interval batch probe (seeds bound once through a
-        ``VALUES`` CTE, rows back as ``(root, node)`` exactly like the
-        batch closure CTE) when the labeling is fresh and servable;
-        falls back to :meth:`batch_cte_text` otherwise.
+        The serial rule (:meth:`plan`): below bound seeds, the interval
+        batch probe (seeds bound once through a ``VALUES`` CTE, rows back
+        as ``(root, node)`` exactly like the batch closure CTE) when the
+        labeling is fresh and servable; above bound seeds, and whenever
+        the labeling cannot serve, :meth:`batch_cte_text`.
         """
-        try:
-            index = self.interval_index()
-            index.ensure_fresh()
-            return index.batch_text(bound, batch_size)
-        except Exception:  # noqa: BLE001 - demoted/failed: CTE form
-            return self.batch_cte_text(bound, batch_size)
-
-    def _solve_cte(
-        self, low: Optional[str], high: Optional[str]
-    ) -> RecursionRun:
-        """One prepared ``WITH RECURSIVE`` execution answers the probe.
-
-        A single SELECT-shaped statement: no intermediate relation, no
-        per-level swap, no commits at all — the DBMS iterates the
-        fixpoint internally and ``UNION`` deduplication terminates it on
-        cyclic data, mirroring the frontier loop's seen-set.
-        """
-        cte = self._prepare_cte()
-        stats = RecursionStats(strategy="cte")
-        if high is not None:
-            text, seed = cte.descend_text, high
-        else:
-            assert low is not None
-            text, seed = cte.ascend_text, low
-        rows = self.database.execute_prepared(text, (seed,))
-        stats.queries_issued = 1
-        nodes = {row[0] for row in rows}
-        stats.new_answers_per_level.append(len(nodes))
-        if high is not None:
-            pairs = {(node, high) for node in nodes}
-        else:
-            pairs = {(low, node) for node in nodes}
-        return RecursionRun(pairs=pairs, stats=stats)
+        if bound == "high":
+            try:
+                index = self.interval_index()
+                index.ensure_fresh()
+                return index.batch_text(bound, batch_size)
+            except Exception:  # noqa: BLE001 - demoted/failed: CTE form
+                pass
+        return self.batch_cte_text(bound, batch_size)
 
     # -- cost-based strategy choice -----------------------------------------------------
 
+    def _generations(self) -> tuple:
+        """The edge relations' data generations: the decision cache's key."""
+        if self._cte is None:
+            return ()  # no pushdown, no statistics: the frontier for good
+        generation = self.database.data_generation
+        return tuple([generation(name) for name in self._cte.edge_relations])
+
+    def decision(self, bound: str) -> Optional[RecursionPlan]:
+        """The cached :meth:`plan` for a bound side, None once data moved."""
+        cached = self._decisions.get(bound)
+        if cached is None or cached[0] != self._generations():
+            return None
+        return cached[1]
+
     def plan(self, low: Optional[str], high: Optional[str]) -> RecursionPlan:
-        """Choose a strategy for ``view(low, high)`` from relation statistics.
+        """Choose a strategy for ``view(low, high)``, per bound side.
 
         The decision tree (documented in the README's Pushdown section):
 
@@ -563,28 +559,31 @@ class TransitiveClosure:
         * edge view estimated below :data:`CTE_MIN_EDGE_ROWS` rows → the
           frontier loop (per-level Python overhead is noise at that size,
           and its per-level statistics stay observable);
-        * forest-shaped data with a fresh (or freshenable) interval
-          labeling → the interval probe: one indexed range predicate,
-          no recursion at all, with the labeling's exact depth/fanout
+        * low side bound (ancestors) → CTE pushdown: it walks one parent
+          chain, one indexed key join per level, where the interval
+          probe's containment test scans about half the label index;
+        * high side bound (descendants) on forest-shaped data with a
+          fresh (or freshenable) labeling → the interval probe: one range
+          scan over exactly the seed's cone, the labeling's depth/fanout
           recorded in the reason;
-        * otherwise → CTE pushdown: one statement, zero per-level
-          round-trips and commits (also the landing rung when the
-          labeling demotes — non-tree edges, failed relabels).
+        * otherwise → CTE pushdown (the landing rung when the labeling
+          demotes — non-tree edges, failed relabels).
 
-        Maintained views never reach this planner: the materialize
-        subsystem answers them from its :class:`IncrementalClosure`
-        before the session routes a goal here (PR 3 semantics untouched).
+        The decision is cached per bound side, keyed on the edge
+        relations' data generations (:meth:`decision`).  Maintained views
+        never reach this planner: the materialize subsystem answers them
+        from its :class:`IncrementalClosure` first.
         """
+        bound = "low" if low is not None else "high"
         frontier = "bottomup" if low is not None else "topdown"
         try:
             cte = self._prepare_cte()
         except Exception as error:  # noqa: BLE001 - any failure means no pushdown
-            decision = RecursionPlan(
+            return self._decide(bound, RecursionPlan(
                 strategy=frontier,
                 reason=f"no CTE support ({error}); prepared frontier loop",
-            )
-            self.last_plan = decision
-            return decision
+            ))
+        key = self._generations()
         estimate: Optional[int] = None
         stats_of = getattr(self.database, "relation_statistics", None)
         if stats_of is not None:
@@ -599,17 +598,29 @@ class TransitiveClosure:
             except Exception:  # noqa: BLE001 - statistics are advisory
                 estimate = None
         if estimate is not None and estimate < CTE_MIN_EDGE_ROWS:
-            decision = RecursionPlan(
+            return self._decide(bound, RecursionPlan(
                 strategy=frontier,
                 reason=(
                     f"edge view ~{estimate} rows < {CTE_MIN_EDGE_ROWS}: "
                     "frontier loop overhead is negligible"
                 ),
                 estimated_edge_rows=estimate,
-            )
-            self.last_plan = decision
-            return decision
-        unavailable: Optional[str] = None
+            ), key)
+        sized = (
+            f" (edge view ~{estimate} rows)"
+            if estimate is not None
+            else " (no statistics)"
+        )
+        pushdown = (
+            "pushdown: single WITH RECURSIVE statement, zero per-level "
+            "round-trips" + sized
+        )
+        if bound == "low":
+            return self._decide(bound, RecursionPlan(
+                strategy="cte",
+                reason=pushdown + "; ancestors walk one parent chain",
+                estimated_edge_rows=estimate,
+            ), key)
         try:
             index = self.interval_index()
             index.ensure_fresh()
@@ -617,35 +628,26 @@ class TransitiveClosure:
             unavailable = str(error)
         except Exception as error:  # noqa: BLE001 - failed labeling → CTE rung
             unavailable = f"labeling failed: {error}"
-        if unavailable is None:
-            decision = RecursionPlan(
+        else:
+            return self._decide(bound, RecursionPlan(
                 strategy="interval",
                 reason=(
                     f"interval probe: labeled forest ({index.describe()}); "
-                    "reachability is one indexed range predicate"
-                    + (
-                        f" (edge view ~{estimate} rows)"
-                        if estimate is not None
-                        else ""
-                    )
+                    "descendants are one indexed range predicate" + sized
                 ),
                 estimated_edge_rows=estimate,
-            )
-        else:
-            decision = RecursionPlan(
-                strategy="cte",
-                reason=(
-                    "pushdown: single WITH RECURSIVE statement, zero "
-                    "per-level round-trips"
-                    + (
-                        f" (edge view ~{estimate} rows)"
-                        if estimate is not None
-                        else " (no statistics; pushdown is the default)"
-                    )
-                    + f"; interval unavailable ({unavailable})"
-                ),
-                estimated_edge_rows=estimate,
-            )
+            ), key)
+        return self._decide(bound, RecursionPlan(
+            strategy="cte",
+            reason=pushdown + f"; interval unavailable ({unavailable})",
+            estimated_edge_rows=estimate,
+        ), key)
+
+    def _decide(
+        self, bound: str, decision: RecursionPlan, key: tuple = ()
+    ) -> RecursionPlan:
+        """Cache ``decision`` for the bound side under ``key``; return it."""
+        self._decisions[bound] = (key, decision)
         self.last_plan = decision
         return decision
 
@@ -662,7 +664,7 @@ class TransitiveClosure:
 
         ``strategy``:
 
-        * ``plan`` — cost-based: consult :meth:`plan` (relation
+        * ``plan`` — re-run :meth:`plan` (the bound side, relation
           statistics) and run whichever of ``interval`` / ``cte`` /
           frontier it picks;
         * ``interval`` — answer from the nested-set labeling: one
@@ -685,10 +687,8 @@ class TransitiveClosure:
         with self._solve_lock:
             if strategy == "plan":
                 strategy = self.plan(low, high).strategy
-            if strategy == "interval":
-                return self._solve_interval(low, high)
-            if strategy == "cte":
-                return self._solve_cte(low, high)
+            if strategy in ("interval", "cte"):
+                return self._solve_probe(strategy, low, high)
             if strategy == "memory":
                 return self._solve_memory(low, high)
             if strategy == "naive":

@@ -2,11 +2,12 @@
 
 A goal that reaches a predicate on a call-graph cycle bypasses the DBCL
 compile chain and is answered by a :class:`~.recursion_exec.TransitiveClosure`
-per view.  The router validates that the goal is one the executors can
-answer (a single call of a binary linear-recursive view), asks the
-cost-based planner for a strategy, steps down the degradation ladder
-when it fails, and folds a same-shape ``ask_many`` group into one
-batch-seeded statement.
+per view.  The router validates, at compile time, that the goal is one
+the executors can answer (a single call of a binary linear-recursive
+view with one side bound) and records it as a :class:`ClosureCall`; at
+execution it runs the planner's per-side decision, steps down the
+degradation ladder when that fails, and folds a same-shape ``ask_many``
+group into one batch-seeded statement.
 """
 
 from __future__ import annotations
@@ -19,8 +20,31 @@ from ..concurrency import LockedCounters
 from ..errors import CouplingError, DeadlineExceeded
 from ..metaevaluate.recursion import is_recursive_goal
 from ..prolog.terms import Struct, Term, Variable, conjuncts
+from .executor import NEEDS_WRITE
 from .global_opt import CompiledPlan, GoalShape, _constant_value
-from .recursion_exec import RecursionRun, TransitiveClosure
+from .recursion_exec import RecursionPlan, RecursionRun, TransitiveClosure
+
+
+@dataclass(frozen=True)
+class ClosureCall:
+    """What a ``recursive`` plan fixes at compile time.
+
+    The view, which side the goal binds (``"low"``: ``view(c, Y)``, the
+    chain above ``c``; ``"high"``: ``view(X, c)``, the cone below it),
+    the variable the answers bind, and the base relations the view
+    reads — their pending internal segments merge before a probe.
+    """
+
+    view: str
+    bound: str
+    variable: str
+    relations: tuple[str, ...]
+
+
+def _nodes(run: RecursionRun, bound: str) -> list:
+    """The free side of a run's pairs, sorted."""
+    side = 1 if bound == "low" else 0
+    return sorted({pair[side] for pair in run.pairs})
 
 
 @dataclass
@@ -131,46 +155,83 @@ class RecursionRouter:
         low_arg, high_arg = call.args
         return call, _constant_value(low_arg), _constant_value(high_arg)
 
-    def ask(self, goal: Term) -> list[dict]:
-        """Answer one recursive goal through the planned strategy."""
+    def compile(self, goal: Term) -> CompiledPlan:
+        """The ``recursive`` plan of a goal: its :class:`ClosureCall`.
+
+        Raises :class:`CouplingError` for any goal the closure executors
+        cannot answer, including one with both or neither side bound.
+        """
         call, low, high = self._closure_call(goal)
-        indicator = call.indicator
         low_arg, high_arg = call.args
-        # Cost-based strategy choice: CTE pushdown for non-trivial edge
-        # views, the prepared frontier loop below the statistics
-        # threshold.  (Maintained views answered earlier, from their
-        # IncrementalClosure, never reach this point.)
-        closure = self.closure_for(indicator[0])
+        if low is not None and isinstance(high_arg, Variable):
+            bound, variable = "low", high_arg
+        elif high is not None and isinstance(low_arg, Variable):
+            bound, variable = "high", low_arg
+        else:
+            raise CouplingError("exactly one of low/high must be bound")
+        relations = self.session._compiler.base_relations(goal)
+        return CompiledPlan(
+            kind="recursive",
+            closure_call=ClosureCall(
+                call.indicator[0], bound, variable.name, tuple(sorted(relations))
+            ),
+        )
+
+    def ask(self, call: ClosureCall, seed, exclusive: bool = True, span=None):
+        """Answer one bound closure probe: answer dicts, or ``NEEDS_WRITE``.
+
+        A warm ask is a read: the side's cached decision (:meth:`~.
+        recursion_exec.TransitiveClosure.decision`) and one prepared
+        interval / CTE statement.  Without ``exclusive`` (the caller
+        holds only the read lock) anything that writes first returns
+        :data:`~.executor.NEEDS_WRITE`: a decision the edge relations'
+        data outdated (re-planning may relabel), a pending internal
+        segment to merge, the frontier loop (it fills an intermediate
+        table), or a probe that raised (the ladder runs once, on the
+        write side).  Maintained views never reach this point: they
+        answer from their :class:`IncrementalClosure` first.
+        """
+        closure = self.closure_for(call.view)
+        merger = self.session.merger
+        pending = merger.pending(call.relations)
+        if exclusive:
+            for name in pending:
+                merger.materialise_internal(name)
+            plan = closure.decision(call.bound) or closure.plan(
+                *((seed, None) if call.bound == "low" else (None, seed))
+            )
+        else:
+            plan = None if pending else closure.decision(call.bound)
+            if plan is None or plan.strategy not in ("interval", "cte"):
+                return NEEDS_WRITE
         try:
-            try:
-                run = closure.solve(low=low, high=high, strategy="plan")
-            except (CouplingError, DeadlineExceeded):
-                raise  # semantic errors and expired budgets are not rungs
-            except Exception:  # noqa: BLE001 - any execution failure degrades
-                run = self._degraded(closure, low, high)
-        finally:
-            # The decision was made even when execution degraded or
-            # failed — record it either way.
-            if closure.last_plan is not None:
-                self.stats.note(closure.last_plan)
-                span = self.session.tracer.current_span()
-                if span is not None:
-                    span.note_recursion(
-                        closure.last_plan, closure.interval_stats()
-                    )
-        answers = []
-        for pair_low, pair_high in sorted(run.pairs):
-            answer: dict = {}
-            if isinstance(low_arg, Variable):
-                answer[low_arg.name] = pair_low
-            if isinstance(high_arg, Variable):
-                answer[high_arg.name] = pair_high
-            answers.append(answer)
-        return answers
+            if plan.strategy in ("interval", "cte"):
+                nodes = closure.probe(plan.strategy, call.bound, seed)
+            else:  # the planner's frontier loop starts at the bound side
+                run = closure.solve(strategy="auto", **{call.bound: seed})
+                nodes = _nodes(run, call.bound)
+        except (CouplingError, DeadlineExceeded):
+            self._note(closure, plan, span)
+            raise  # semantic errors and expired budgets are not rungs
+        except Exception:  # noqa: BLE001 - any execution failure degrades
+            if not exclusive:
+                return NEEDS_WRITE
+            self._note(closure, plan, span)
+            nodes = self._degraded(closure, plan, call.bound, seed)
+        else:
+            self._note(closure, plan, span)
+        variable = call.variable
+        return [{variable: node} for node in nodes]
+
+    def _note(self, closure: TransitiveClosure, plan: RecursionPlan, span) -> None:
+        """Count one planned ask; record its decision on the open span."""
+        self.stats.note(plan)
+        if span is not None:
+            span.note_recursion(plan, closure.interval_stats())
 
     def _degraded(
-        self, closure: TransitiveClosure, low: Optional[str], high: Optional[str]
-    ) -> RecursionRun:
+        self, closure: TransitiveClosure, plan: RecursionPlan, bound: str, seed
+    ) -> list:
         """Step down the recursion ladder when the planned strategy fails.
 
         When the failed plan was the interval probe, the first rung down
@@ -184,13 +245,12 @@ class RecursionRouter:
         *degraded*, not wrong.
         """
         rungs = ["auto", "memory"]
-        plan = closure.last_plan
-        if plan is not None and plan.strategy == "interval":
+        if plan.strategy == "interval":
             rungs.insert(0, "cte")
         run = None
         for position, rung in enumerate(rungs):
             try:
-                run = closure.solve(low=low, high=high, strategy=rung)
+                run = closure.solve(strategy=rung, **{bound: seed})
                 break
             except (CouplingError, DeadlineExceeded):
                 raise
@@ -198,43 +258,30 @@ class RecursionRouter:
                 if position == len(rungs) - 1:
                     raise
         self.session.database.resilience.incr("degraded_answers")
-        return run
+        return _nodes(run, bound)
 
     # -- batch-seeded execution (ask_many) --------------------------------------
 
-    def batch_closure(self, shape: GoalShape, goal: Term):
-        """``(closure, bound_side, variable_name)`` for a batchable
-        recursive shape, else ``None``.
+    def batch_closure(self, shape: GoalShape):
+        """``(closure, call)`` for a batchable recursive shape, else ``None``.
 
-        Batchable means: a single binary view call with exactly one
-        constant argument, whose shape already holds a warm plan of kind
-        ``recursive``, whose view is linearly recursive, and which is
-        *not* maintained (maintained views answer from their
-        :class:`IncrementalClosure` on the serial path — PR 3 semantics).
+        Batchable means: the shape already holds a warm plan of kind
+        ``recursive`` (one side bound, checked at compile time) over a
+        view that is *not* maintained (maintained views answer from
+        their :class:`IncrementalClosure` on the serial path).
         """
-        if shape is None or len(shape.constants) != 1:
+        if shape is None:
             return None
         session = self.session
         session.plans.sync(session.kb)
         plan = session.plans.peek(shape)
         if not isinstance(plan, CompiledPlan) or plan.kind != "recursive":
             return None
-        try:
-            call, low, high = self._closure_call(goal)
-        except CouplingError:
-            return None
-        low_arg, high_arg = call.args
-        if low is not None and isinstance(high_arg, Variable):
-            bound, variable = "low", high_arg
-        elif high is not None and isinstance(low_arg, Variable):
-            bound, variable = "high", low_arg
-        else:
-            return None
-        indicator = call.indicator
-        if session.materialize.has_view(indicator):
+        call = plan.closure_call
+        if session.materialize.has_view((call.view, 2)):
             return None
         try:
-            closure = self.closure_for(indicator[0])
+            closure = self.closure_for(call.view)
             # Only batch what the CTE can answer; a view whose pushdown
             # preparation fails keeps the serial frontier path.  The
             # first preparation metaevaluates the edge view, which reads
@@ -243,20 +290,21 @@ class RecursionRouter:
                 closure.cte_queries()
         except Exception:  # noqa: BLE001 - fall back to serial asks
             return None
-        return closure, bound, variable.name
+        return closure, call
 
     def execute_batch(
         self, recursive, shapes: Sequence[GoalShape]
     ) -> Optional[list[list[dict]]]:
-        """One batch-seeded ``WITH RECURSIVE`` run for a same-shape group.
+        """One batch-seeded probe for a same-shape group.
 
         The group's seed constants fold into the statement's
         ``IN (VALUES …)`` membership; fetched ``(root, node)`` rows
         demultiplex by root back to per-goal answer lists identical to
-        the serial :meth:`ask` (which sorts closure pairs, so ordering
+        the serial :meth:`ask` (which sorts its nodes, so ordering
         matches too).  Returns ``None`` to fall back to serial asks.
         """
-        closure, bound, variable_name = recursive
+        closure, call = recursive
+        variable_name = call.variable
         seeds = [shape.constants[0] for shape in shapes]
         distinct: dict = dict.fromkeys(seeds)
         if len({str(seed) for seed in distinct}) != len(distinct):
@@ -264,16 +312,18 @@ class RecursionRouter:
         session = self.session
         plans = session.plans
         with session.kb.lock.read():
+            if session.merger.pending(call.relations):
+                return None  # the serial path merges first
             plans.sync(session.kb)
             entry = plans.entry_for(shapes[0])
             if entry is None or entry.uncacheable:
                 return None  # a concurrent write invalidated the plan
             try:
-                # Interval batch probe when the labeling serves (seed
-                # intervals matched through one IN (VALUES …) CTE), the
+                # The serial per-side rule: the interval batch probe
+                # below bound seeds while the labeling serves, the
                 # batch-seeded WITH RECURSIVE otherwise.  Under the read
                 # lock: freshening the labeling must not race a writer.
-                text = closure.batch_probe_text(bound, len(distinct))
+                text = closure.batch_probe_text(call.bound, len(distinct))
             except Exception:  # noqa: BLE001 - no batch form at all
                 return None
             rows = session.database.execute_prepared(text, list(distinct))

@@ -35,11 +35,13 @@ Serving (concurrency + batching)
 
 The session is thread-safe.  Mutations — ``assert_fact``,
 ``retract_fact``, ``consult``, ``load_org``, and any ask that must
-compile, merge segments, refresh a materialized view, run the engine, or
-iterate a recursive closure — serialize on the knowledge base's write
-lock.  Warm *pure-external* asks (a cached fully-compiled plan, no
-pending internal segments) run concurrently under the read lock, each
-thread executing on its own pooled read connection of the backend.
+compile, merge segments, refresh a materialized view, run the engine,
+re-plan a recursive closure or iterate its frontier loop — serialize on
+the knowledge base's write lock.  Warm *pure-external* asks (a cached
+fully-compiled plan, no pending internal segments) and warm recursive
+probes (a decision still current for the data) run concurrently under
+the read lock, each thread executing on its own pooled read connection
+of the backend.
 
 ``ask_many`` is the set-oriented batch entry point: goals are grouped by
 shape, and each warm fully-parameterized shape executes **once** per
@@ -533,12 +535,12 @@ class PrologDbSession:
             kb=self.kb,
         )
 
-    def _batch_form(self, shape: GoalShape, goal: Term) -> tuple:
+    def _batch_form(self, shape: GoalShape) -> tuple:
         """``(flat plan, recursive closure)`` a warm shape batches through."""
         plan = self._executor.batchable_plan(shape)
         if plan is not None:
             return plan, None
-        return None, self._recursion.batch_closure(shape, goal)
+        return None, self._recursion.batch_closure(shape)
 
     def _ask_group(
         self,
@@ -560,13 +562,13 @@ class PrologDbSession:
         plan = recursive = None
         if len(pending) > 1:
             lead = pending[0]
-            plan, recursive = self._batch_form(shapes[lead], parsed[lead])
+            plan, recursive = self._batch_form(shapes[lead])
             if plan is None and recursive is None:
                 # Cold, or never batchable: the lead's serial ask compiles
                 # the plan every later member of the group shares.
                 answers[pending.pop(0)] = self.ask(parsed[lead], max_solutions)
                 if len(pending) > 1:
-                    plan, recursive = self._batch_form(shapes[lead], parsed[lead])
+                    plan, recursive = self._batch_form(shapes[lead])
         if plan is None and recursive is None:
             for position in pending:
                 answers[position] = self.ask(parsed[position], max_solutions)

@@ -435,7 +435,11 @@ def interval_probe(
       index, bounded on *both* sides (``s.pre > a.pre AND s.pre <
       a.post``) so the scan touches exactly the seed's cone;
     * ``"low"`` — ancestors of the seed (``closure(seed, Y)``): the
-      containing intervals, at most one per tree level.
+      containing intervals.  The *answer* is at most one row per tree
+      level, but ``a.pre < s.pre AND a.post > s.post`` bounds the index
+      on one side only, so the scan covers every label before the seed —
+      about half the index on average.  The recursion planner therefore
+      answers ancestor probes with the recursive CTE (one parent chain).
 
     A ``cyc = 1`` node carries a self-loop edge, which tree labels
     cannot express; a ``UNION`` branch adds the seed's own reflexive

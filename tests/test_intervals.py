@@ -40,9 +40,14 @@ def session(org):
     session.close()
 
 
+def warm_descendants(session, org):
+    """Ask for the root's cone: the planner freshens the labeling."""
+    return session.ask(f"works_for(X, {org.root_manager_name()})")
+
+
 def warm_index(session, org):
     """Ask once so the planner builds the labeling; return the index."""
-    session.ask(f"works_for(X, {org.root_manager_name()})")
+    warm_descendants(session, org)
     return session.closure_for("works_for").interval_index()
 
 
@@ -143,6 +148,9 @@ class TestChurn:
         hire(session, 41001, "ivlhire1", org.departments[2].dno)
         answers = session.ask("works_for(ivlhire1, Y)")
         assert answers  # new leaf reaches its manager chain
+        # Ancestor asks take the CTE; a descendant ask re-plans on the
+        # interval probe, which freshens the labeling first.
+        assert "ivlhire1" in {a["X"] for a in warm_descendants(session, org)}
         snapshot = index.stats.snapshot()
         assert snapshot["local_absorbs"] == 1
         assert snapshot["builds"] == 1  # no relabel for one hire
@@ -150,10 +158,13 @@ class TestChurn:
     def test_leaf_departure_is_a_tombstone(self, session, org):
         index = warm_index(session, org)
         hire(session, 41002, "ivlhire2", org.departments[2].dno)
-        session.ask("works_for(ivlhire2, Y)")
+        assert "ivlhire2" in {a["X"] for a in warm_descendants(session, org)}
         session.retract_fact("empl", 41002, "ivlhire2", 20000,
                              org.departments[2].dno)
         assert session.ask("works_for(ivlhire2, Y)") == []
+        assert "ivlhire2" not in {
+            a["X"] for a in warm_descendants(session, org)
+        }
         assert index.stats.snapshot()["tombstones"] == 1
 
     def test_gap_exhaustion_triggers_a_bulk_relabel(self, session, org):
@@ -161,7 +172,7 @@ class TestChurn:
         dept = org.departments[-1].dno
         for i in range(30):
             hire(session, 42000 + i, f"ivlwave{i}", dept)
-            session.ask(f"works_for(ivlwave{i}, Y)")
+            warm_descendants(session, org)
         snapshot = index.stats.snapshot()
         assert snapshot["local_absorbs"] >= 10
         assert snapshot["gap_exhaustions"] >= 1
@@ -180,7 +191,7 @@ class TestChurn:
         index = warm_index(session, org)
         for i in range(30):
             hire(session, 43001 + i, f"ivl/wave/{i}", dept)
-            session.ask(f"works_for('ivl/wave/{i}', Y)")
+            warm_descendants(session, org)
         snapshot = index.stats.snapshot()
         assert snapshot["gap_exhaustions"] >= 1
         assert snapshot["builds"] >= 2
@@ -266,7 +277,7 @@ class TestPlannerIntegration:
     def test_recursion_plan_stats_count_strategies(self, session, org):
         boss = org.root_manager_name()
         session.ask(f"works_for(X, {boss})")
-        session.ask(f"works_for({org.leaf_employee_name()}, Y)")
+        session.ask(f"works_for(X, {org.manager_name_of(org.employees[-1])})")
         stats = session.stats()["recursion_plans"]
         assert stats["planned_asks"] == 2
         assert stats["interval"] == 2

@@ -186,11 +186,11 @@ class TestCteStrategy:
 
 class TestRecursionPlanner:
     def test_large_edge_views_take_the_interval_probe(self, session, org):
-        # PR 7: on a tree-shaped hierarchy above the statistics
-        # threshold the planner now prefers the interval labeling over
-        # the recursive CTE — reachability as one indexed range probe.
+        # On a tree-shaped hierarchy above the statistics threshold a
+        # bound boss's cone is one indexed range probe over the interval
+        # labeling (ancestors take the CTE: TestPerSideRouting).
         closure = session.closure_for("works_for")
-        plan = closure.plan(low=org.leaf_employee_name(), high=None)
+        plan = closure.plan(low=None, high=org.root_manager_name())
         assert plan.strategy == "interval"
         assert "labeled forest" in plan.reason
         assert plan.estimated_edge_rows is not None

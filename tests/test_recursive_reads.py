@@ -1,0 +1,337 @@
+"""A warm recursive ask is a read.
+
+* **Per-side routing** — a bound subordinate's chain (``works_for(c, Y)``)
+  takes the recursive CTE, a bound boss's cone (``works_for(X, c)``) the
+  interval probe; ``ask_many`` batches follow the same rule.
+* **Decided once per data generation** — the planner runs on the first
+  ask of a side and again only after the edge relations' data moved;
+  every other ask reuses the decision on the read lock (no
+  ``acquire_write``, no ``plan()``), counting one plan-cache hit and one
+  planned ask.
+* **Internal segments merge first** — facts asserted straight into the
+  knowledge base (``kb.assert_fact``, the paper's hypothetical tuples)
+  are visible to the next recursive ask on every route: the frontier
+  loop on a tiny org, the interval probe and the CTE on larger ones.
+* **Threaded differential** — readers asking both sides while a writer
+  hires and departs see exactly the ``strategy="cte"`` answer of the
+  data state their ask ran against.
+"""
+
+import threading
+
+import pytest
+
+from repro.coupling import PrologDbSession
+from repro.dbms import generate_org
+from repro.schema import ALL_VIEWS_SOURCE
+
+TINY = dict(depth=2, branching=2, staff_per_dept=3, seed=1)  # frontier loop
+SMALL = dict(depth=4, branching=2, staff_per_dept=4, seed=7)  # interval / CTE
+BENCH = dict(depth=5, branching=3, staff_per_dept=8, seed=5)  # bench_e2e's org
+
+
+def make_session(org):
+    session = PrologDbSession()
+    session.load_org(org)
+    session.consult(ALL_VIEWS_SOURCE)
+    return session
+
+
+@pytest.fixture(scope="module")
+def org():
+    return generate_org(**SMALL)
+
+
+@pytest.fixture()
+def session(org):
+    session = make_session(org)
+    yield session
+    session.close()
+
+
+def managed_dept(org, name):
+    """The department ``name`` manages."""
+    eno = org.employee_by_name(name).eno
+    return next(d.dno for d in org.departments if d.mgr == eno)
+
+
+def middle_manager(org):
+    """A manager strictly between the root and the leaves."""
+    leaf = org.employee_by_name(org.leaf_employee_name())
+    return org.manager_name_of(leaf)
+
+
+def spy(session):
+    """Count write-lock acquisitions and planner runs on ``session``."""
+    counts = {"write": 0, "plan": 0}
+    lock = session.kb.lock
+    closure = session.closure_for("works_for")
+    acquire_write, plan = lock.acquire_write, closure.plan
+
+    def counting_write():
+        counts["write"] += 1
+        acquire_write()
+
+    def counting_plan(*args, **kwargs):
+        counts["plan"] += 1
+        return plan(*args, **kwargs)
+
+    lock.acquire_write = counting_write
+    closure.plan = counting_plan
+    return counts
+
+
+def cte_nodes(session, side, seed):
+    """The closure probe's answer nodes through the explicit CTE strategy."""
+    run = session.solve_recursive("works_for", strategy="cte", **{side: seed})
+    column = 1 if side == "low" else 0
+    return sorted({pair[column] for pair in run.pairs})
+
+
+def asked_nodes(session, side, seed):
+    goal = f"works_for('{seed}', Y)" if side == "low" else f"works_for(X, '{seed}')"
+    return [answer["Y" if side == "low" else "X"] for answer in session.ask(goal)]
+
+
+class TestPerSideRouting:
+    def test_ancestors_plan_cte_and_descendants_plan_interval(self, session, org):
+        closure = session.closure_for("works_for")
+        up = closure.plan(low=org.leaf_employee_name(), high=None)
+        down = closure.plan(low=None, high=org.root_manager_name())
+        assert up.strategy == "cte" and "parent chain" in up.reason
+        assert down.strategy == "interval" and "labeled forest" in down.reason
+        assert closure.decision("low") is up
+        assert closure.decision("high") is down
+
+    def test_asks_count_one_strategy_per_side(self, session, org):
+        session.ask(f"works_for({org.leaf_employee_name()}, Y)")
+        session.ask(f"works_for(X, {org.root_manager_name()})")
+        stats = session.stats()["recursion_plans"]
+        assert (stats["planned_asks"], stats["cte"], stats["interval"]) == (2, 1, 1)
+        assert stats["last_strategy"] == "interval"
+
+    def test_batches_follow_the_serial_rule(self, session, org):
+        closure = session.closure_for("works_for")
+        up = closure.batch_probe_text("low", 3)
+        down = closure.batch_probe_text("high", 3)
+        assert up.lstrip().upper().startswith("WITH RECURSIVE")
+        assert closure.interval_index().table in down
+        assert closure.interval_index().table not in up
+
+    def test_demoted_labeling_sends_descendants_to_the_cte(self, session, org):
+        session.ask(f"works_for(X, {org.root_manager_name()})")
+        victim = next(e for e in org.employees if e.dno == org.departments[3].dno)
+        session.assert_fact("dept", 96, "shadow", org.departments[1].mgr)
+        session.assert_fact("empl", victim.eno + 63000, victim.nam, victim.sal, 96)
+        boss = org.root_manager_name()
+        assert asked_nodes(session, "high", boss) == cte_nodes(session, "high", boss)
+        assert session.closure_for("works_for").last_plan.strategy == "cte"
+
+
+class TestDecidedOncePerGeneration:
+    def test_warm_asks_take_no_write_lock_and_no_plan(self, session, org):
+        by_eno = {e.eno: e.nam for e in org.employees}
+        bosses = [by_eno[eno] for eno in sorted({d.mgr for d in org.departments})][:4]
+        staff = sorted(e.nam for e in org.employees)[::9][:4]
+        session.ask(f"works_for(X, {bosses[0]})")  # compile + plan, per side
+        session.ask(f"works_for({staff[0]}, Y)")
+        counts = spy(session)
+        before = session.stats()
+        for boss, name in zip(bosses, staff):
+            assert asked_nodes(session, "high", boss) == cte_nodes(session, "high", boss)
+            assert asked_nodes(session, "low", name) == cte_nodes(session, "low", name)
+        after = session.stats()
+        # solve_recursive takes the write lock itself: one per cte_nodes call
+        assert counts == {"write": 2 * len(bosses), "plan": 0}
+        asks = 2 * len(bosses)
+        assert after["plan_cache"]["hits"] - before["plan_cache"]["hits"] == asks
+        assert after["plan_cache"]["misses"] == before["plan_cache"]["misses"]
+        planned = after["recursion_plans"]["planned_asks"]
+        assert planned - before["recursion_plans"]["planned_asks"] == asks
+
+    def test_warm_ask_alone_never_acquires_the_write_lock(self, session, org):
+        boss, leaf = org.root_manager_name(), org.leaf_employee_name()
+        session.ask(f"works_for(X, {boss})")
+        session.ask(f"works_for({leaf}, Y)")
+        counts = spy(session)
+        session.database.stats.reset()
+        for _ in range(3):
+            assert session.ask(f"works_for(X, {boss})")
+            assert session.ask(f"works_for({leaf}, Y)")
+        assert counts == {"write": 0, "plan": 0}
+        stats = session.database.stats
+        assert (stats.commits, stats.sql_prints, stats.prepared_executions) == (0, 0, 6)
+
+    def test_a_hire_makes_the_next_ask_re_decide_once(self, session, org):
+        boss = middle_manager(org)
+        session.ask(f"works_for(X, {boss})")
+        counts = spy(session)
+        session.assert_fact("empl", 47001, "rehire", 20000, managed_dept(org, boss))
+        assert counts == {"write": 1, "plan": 0}  # the store write itself
+        assert "rehire" in asked_nodes(session, "high", boss)
+        assert counts == {"write": 2, "plan": 1}
+        assert "rehire" in asked_nodes(session, "high", boss)
+        assert asked_nodes(session, "high", boss) == cte_nodes(session, "high", boss)
+        assert counts == {"write": 3, "plan": 1}  # cte_nodes' own write lock
+        index = session.closure_for("works_for").interval_index()
+        assert index.stats.snapshot()["local_absorbs"] == 1
+
+    def test_frontier_decisions_stay_on_the_write_side(self):
+        tiny = generate_org(**TINY)
+        session = make_session(tiny)
+        try:
+            boss = tiny.root_manager_name()
+            session.ask(f"works_for(X, {boss})")
+            counts = spy(session)
+            assert asked_nodes(session, "high", boss) == cte_nodes(session, "high", boss)
+            # the frontier loop writes its intermediate relation: one
+            # write-side attempt, reusing the cached decision
+            assert counts == {"write": 2, "plan": 0}
+            assert session.closure_for("works_for").last_plan.strategy == "topdown"
+        finally:
+            session.close()
+
+
+class TestLazyAssertsMergeFirst:
+    """``works_for`` equals the closure of ``works_dir_for`` after each
+    fact asserted straight into the knowledge base."""
+
+    @staticmethod
+    def closure_of_direct(session):
+        edges = {(a["X"], a["Y"]) for a in session.ask("works_dir_for(X, Y)")}
+        above: dict = {}
+        for low, high in edges:
+            above.setdefault(low, set()).add(high)
+        closure = set()
+        for start in above:
+            frontier, seen = set(above[start]), set()
+            while frontier:
+                seen |= frontier
+                frontier = {h for f in frontier for h in above.get(f, ())} - seen
+            closure |= {(start, node) for node in seen}
+        return closure
+
+    @pytest.mark.parametrize(
+        "shape, routes",
+        [(TINY, {"topdown", "bottomup"}), (SMALL, {"interval", "cte"}),
+         (BENCH, {"interval", "cte"})],
+        ids=["frontier", "interval-cte", "bench-org"],
+    )
+    def test_every_lazy_assert_is_visible(self, shape, routes):
+        org = generate_org(**shape)
+        session = make_session(org)
+        try:
+            boss = org.root_manager_name()
+            dno = managed_dept(org, boss)
+            seen = set()
+            for offset, name in enumerate(("zed", "zoe")):
+                session.kb.assert_fact("empl", 888001 + offset, name, 20000, dno)
+                below = asked_nodes(session, "high", boss)
+                seen.add(session.closure_for("works_for").last_plan.strategy)
+                chain = asked_nodes(session, "low", name)
+                seen.add(session.closure_for("works_for").last_plan.strategy)
+                pairs = self.closure_of_direct(session)
+                assert name in below
+                assert below == sorted(low for low, high in pairs if high == boss)
+                assert chain == sorted(high for low, high in pairs if low == name)
+            assert seen == routes
+        finally:
+            session.close()
+
+    def test_batches_fall_back_while_a_segment_is_pending(self, session, org):
+        boss = org.root_manager_name()
+        goals = [f"works_for(X, {boss})", f"works_for(X, {middle_manager(org)})"]
+        session.ask_many(goals)
+        session.kb.assert_fact("empl", 888010, "zara", 20000, managed_dept(org, boss))
+        before = session.plans.stats.snapshot()["recursive_batches"]
+        batched = session.ask_many(goals)
+        assert session.plans.stats.snapshot()["recursive_batches"] == before
+        assert "zara" in {a["X"] for a in batched[0]}
+
+
+class TestThreadedDifferential:
+    READERS = 4
+    WRITES = 24
+
+    def test_readers_see_the_cte_answer_of_their_data_state(self, org):
+        boss = org.root_manager_name()
+        middle = middle_manager(org)
+        dno = managed_dept(org, middle)
+        hires = [(48000 + i, f"thr{i}", 20000, dno) for i in range(self.WRITES // 2)]
+        writes = [row for hire in hires for row in (hire, hire)]  # hire, depart
+        probes = [("high", boss), ("high", middle), ("low", org.leaf_employee_name())]
+        probes += [("low", hire[1]) for hire in hires[:3]]
+
+        # The reference: the explicit CTE after each prefix of the writes.
+        reference = make_session(org)
+        expected = []
+        try:
+            for version in range(len(writes) + 1):
+                if version:
+                    row = writes[version - 1]
+                    if version % 2:
+                        reference.assert_fact("empl", *row)
+                    else:
+                        reference.retract_fact("empl", *row)
+                expected.append(
+                    {probe: cte_nodes(reference, *probe) for probe in probes}
+                )
+        finally:
+            reference.close()
+
+        session = make_session(org)
+        version = [0]
+        done = threading.Event()
+        mismatches, errors, checked = [], [], [0]
+
+        def writer():
+            try:
+                for index, row in enumerate(writes):
+                    with session.kb.lock.write():
+                        if index % 2 == 0:
+                            session.assert_fact("empl", *row)
+                        else:
+                            session.retract_fact("empl", *row)
+                        version[0] += 1
+                    done.wait(0.003)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+            finally:
+                done.set()
+
+        def reader(offset):
+            try:
+                position = offset
+                while not done.is_set():
+                    probe = probes[position % len(probes)]
+                    position += 1
+                    seen = version[0]
+                    got = asked_nodes(session, *probe)
+                    if version[0] != seen:
+                        continue  # a write landed mid-ask: state unknown
+                    checked[0] += 1
+                    if got != expected[seen][probe]:
+                        mismatches.append((seen, probe, got))
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        try:
+            for probe in probes:  # warm both sides' plans and decisions
+                asked_nodes(session, *probe)
+            threads = [threading.Thread(target=writer)] + [
+                threading.Thread(target=reader, args=(i,))
+                for i in range(self.READERS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert mismatches == []
+            assert checked[0] >= len(probes)
+            assert version[0] == len(writes)
+            final = {probe: asked_nodes(session, *probe) for probe in probes}
+            assert final == expected[-1]
+        finally:
+            session.close()
