@@ -4,11 +4,14 @@ Claims regression-gated here (and recorded in ``BENCH_observe.json`` by
 ``benchmarks/run_all.py``):
 
 * **tracing overhead** — a tracer *enabled* at the default ring size
-  costs **<= 5%** on the warm-ask hot path (the E12 workload: two view
-  shapes asked as *strings*, constants rotating per ask) and on batched
-  ``ask_many`` throughput (the E14 workload: the same shapes pre-parsed,
-  executed as parameter batches), measured against an identical session
-  constructed with ``tracing=False``;
+  costs at most a fixed number of microseconds per warm ask (the E12
+  workload: two view shapes asked as *strings*, constants rotating per
+  ask) and per batched goal (the E14 workload: the same shapes
+  pre-parsed, executed as ``ask_many`` parameter batches), measured as
+  ``(enabled − disabled) / asks`` against an identical session
+  constructed with ``tracing=False``.  The gate is in µs, not percent:
+  what the tracer does per ask is fixed, so a percentage rises whenever
+  the ask itself gets cheaper;
 * **trace completeness** — under the same workload, the enabled session
   commits exactly one span per ask (batched groups expand to one record
   per member goal), each span names its plan-cache outcome, and the
@@ -31,9 +34,10 @@ from repro.dbms import generate_org
 from repro.prolog.reader import parse_goal
 from repro.schema import ALL_VIEWS_SOURCE
 
-#: (org depth, branching, staff, warm asks, batch size, max overhead pct)
-FULL_SIZES = (4, 3, 6, 512, 64, 5.0)
-QUICK_SIZES = (3, 2, 4, 128, 32, 20.0)
+#: (org depth, branching, staff, warm asks, batch size,
+#:  max tracer µs per warm ask, max tracer µs per batched goal)
+FULL_SIZES = (4, 3, 6, 512, 64, 8.0, 1.0)
+QUICK_SIZES = (3, 2, 4, 128, 32, 8.0, 1.5)
 
 #: timing repeats per side; the minimum is reported (noise rejection).
 #: A batched round is ~100x cheaper than a serial one, so the batched
@@ -160,6 +164,9 @@ def bench_overhead(org, asks, batch_size):
                     asks / seconds, 1
                 )
                 result[f"{label}_{mode}_seconds"] = round(seconds, 4)
+            result[f"{mode}_overhead_us"] = round(
+                (timed["enabled"] - timed["disabled"]) / asks * 1e6, 3
+            )
         for mode in ("warm", "batched"):
             enabled = result[f"enabled_{mode}_seconds"]
             disabled = result[f"disabled_{mode}_seconds"]
@@ -192,16 +199,16 @@ def bench_overhead(org, asks, batch_size):
 
 @pytest.fixture(scope="module")
 def org():
-    depth, branching, staff, _asks, _batch, _gate = QUICK_SIZES
+    depth, branching, staff = QUICK_SIZES[:3]
     return generate_org(
         depth=depth, branching=branching, staff_per_dept=staff, seed=5
     )
 
 
 def test_e20_tracing_overhead(org):
-    _d, _b, _s, asks, batch_size, max_pct = QUICK_SIZES
+    _d, _b, _s, asks, batch_size, warm_us, batched_us = QUICK_SIZES
     result = bench_overhead(org, asks, batch_size)
-    assert result["warm_overhead_pct"] <= max_pct
-    assert result["batched_overhead_pct"] <= max_pct
+    assert result["warm_overhead_us"] <= warm_us
+    assert result["batched_overhead_us"] <= batched_us
     assert result["trace_complete"]
     assert result["disabled_spans"] == 0

@@ -470,7 +470,7 @@ def run_pushdown_benchmarks(
 def run_resilience_benchmarks(
     quick: bool, output: str, smoke_ok: bool, seed: int
 ) -> bool:
-    depth, branching, staff, asks, batch_size, max_overhead = (
+    depth, branching, staff, asks, batch_size, warm_us, batched_us = (
         e16.QUICK_SIZES if quick else e16.FULL_SIZES
     )
     events, horizon, drain_limit = e16.QUICK_DIFF if quick else e16.FULL_DIFF
@@ -484,10 +484,12 @@ def run_resilience_benchmarks(
         f"fault-free overhead: warm enabled="
         f"{overhead['enabled_warm_asks_per_second']}/s disabled="
         f"{overhead['disabled_warm_asks_per_second']}/s "
-        f"({overhead['warm_overhead_pct']:+.2f}%), batched enabled="
+        f"({overhead['warm_overhead_us']:+.2f} µs/ask, "
+        f"{overhead['warm_overhead_pct']:+.2f}%), batched enabled="
         f"{overhead['enabled_batched_asks_per_second']}/s disabled="
         f"{overhead['disabled_batched_asks_per_second']}/s "
-        f"({overhead['batched_overhead_pct']:+.2f}%)"
+        f"({overhead['batched_overhead_us']:+.2f} µs/goal, "
+        f"{overhead['batched_overhead_pct']:+.2f}%)"
     )
     differential = e16.fault_differential(
         org, seed=seed, events=events, horizon=horizon, drain_limit=drain_limit
@@ -503,8 +505,8 @@ def run_resilience_benchmarks(
     )
 
     gates = {
-        "warm_max_overhead_pct": max_overhead,
-        "batched_max_overhead_pct": max_overhead,
+        "warm_max_overhead_us": warm_us,
+        "batched_max_overhead_us": batched_us,
         "differential_identical": True,
         "zero_unhandled_errors": True,
         "schedule_exhausted": True,
@@ -512,8 +514,8 @@ def run_resilience_benchmarks(
         "min_faults_injected": 1,
     }
     gates_passed = (
-        overhead["warm_overhead_pct"] <= max_overhead
-        and overhead["batched_overhead_pct"] <= max_overhead
+        overhead["warm_overhead_us"] <= warm_us
+        and overhead["batched_overhead_us"] <= batched_us
         and differential["identical"]
         and differential["unhandled_error"] is None
         and differential["schedule_exhausted"]
@@ -541,8 +543,8 @@ def run_resilience_benchmarks(
     if not gates_passed:
         print(
             f"FAIL: resilience gates not met (warm overhead "
-            f"{overhead['warm_overhead_pct']}% / batched "
-            f"{overhead['batched_overhead_pct']}% vs {max_overhead}%, "
+            f"{overhead['warm_overhead_us']} vs {warm_us} µs/ask, batched "
+            f"{overhead['batched_overhead_us']} vs {batched_us} µs/goal, "
             f"identical={differential['identical']}, "
             f"error={differential['unhandled_error']}, "
             f"exhausted={differential['schedule_exhausted']}, "
@@ -720,7 +722,7 @@ def run_scaleout_benchmarks(
 def run_observe_benchmarks(
     quick: bool, output: str, smoke_ok: bool, seed: int
 ) -> bool:
-    depth, branching, staff, asks, batch_size, max_overhead = (
+    depth, branching, staff, asks, batch_size, warm_us, batched_us = (
         e20.QUICK_SIZES if quick else e20.FULL_SIZES
     )
     org = generate_org(
@@ -733,10 +735,12 @@ def run_observe_benchmarks(
         f"tracing overhead: warm enabled="
         f"{overhead['enabled_warm_asks_per_second']}/s disabled="
         f"{overhead['disabled_warm_asks_per_second']}/s "
-        f"({overhead['warm_overhead_pct']:+.2f}%), batched enabled="
+        f"({overhead['warm_overhead_us']:+.2f} µs/ask, "
+        f"{overhead['warm_overhead_pct']:+.2f}%), batched enabled="
         f"{overhead['enabled_batched_asks_per_second']}/s disabled="
         f"{overhead['disabled_batched_asks_per_second']}/s "
-        f"({overhead['batched_overhead_pct']:+.2f}%)"
+        f"({overhead['batched_overhead_us']:+.2f} µs/goal, "
+        f"{overhead['batched_overhead_pct']:+.2f}%)"
     )
     print(
         f"trace completeness: {overhead['spans_committed']}/"
@@ -747,15 +751,15 @@ def run_observe_benchmarks(
     )
 
     gates = {
-        "warm_max_overhead_pct": max_overhead,
-        "batched_max_overhead_pct": max_overhead,
+        "warm_max_overhead_us": warm_us,
+        "batched_max_overhead_us": batched_us,
         "trace_complete": True,
         "disabled_spans_zero": True,
         "traces_json_serializable": True,
     }
     gates_passed = (
-        overhead["warm_overhead_pct"] <= max_overhead
-        and overhead["batched_overhead_pct"] <= max_overhead
+        overhead["warm_overhead_us"] <= warm_us
+        and overhead["batched_overhead_us"] <= batched_us
         and overhead["trace_complete"]
         and overhead["disabled_spans"] == 0
         and overhead["traces_json_serializable"]
@@ -778,8 +782,8 @@ def run_observe_benchmarks(
     if not gates_passed:
         print(
             f"FAIL: observability gates not met (warm overhead "
-            f"{overhead['warm_overhead_pct']}% / batched "
-            f"{overhead['batched_overhead_pct']}% vs {max_overhead}%, "
+            f"{overhead['warm_overhead_us']} vs {warm_us} µs/ask, batched "
+            f"{overhead['batched_overhead_us']} vs {batched_us} µs/goal, "
             f"complete={overhead['trace_complete']}, disabled spans="
             f"{overhead['disabled_spans']})",
             file=sys.stderr,

@@ -40,6 +40,7 @@ from ..errors import (
 )
 from ..optimize.costs import permuted, tableau_row_order
 from ..optimize.pipeline import SimplificationResult, SimplifyOptions, simplify
+from ..prolog.reader import parse_goal
 from ..prolog.terms import (
     Struct,
     Term,
@@ -52,6 +53,7 @@ from ..prolog.terms import (
 from ..sql.ast import SqlQuery, empty_query
 from ..sql.printer import print_sql
 from ..sql.translate import translate
+from .executor import answer_columns, answer_variables
 from .global_opt import (
     UNCACHEABLE,
     CompiledPlan,
@@ -65,6 +67,7 @@ from .global_opt import (
     markers_in_rows,
     plan_goal,
     reachable,
+    text_shape,
 )
 
 _pc = time.perf_counter
@@ -266,7 +269,22 @@ class Compiler:
 
     # -- lookup ----------------------------------------------------------------------
 
-    def lookup(self, goal: Term, mode: Mode, span=None, count: bool = True):
+    def scan(
+        self, goal: Union[str, Term]
+    ) -> tuple[Optional[GoalShape], Optional[Term]]:
+        """``(shape, term)`` of a goal: a text whose skeleton is learned
+        (:func:`~.global_opt.text_shape`) is not parsed, and its ``term``
+        is None (``shape.goal()`` builds it).  No plan caching, no shape.
+        """
+        caching = self.session._plan_caching
+        if isinstance(goal, str):
+            shape = text_shape(goal) if caching else None
+            if shape is not None:
+                return shape, None
+            goal = parse_goal(goal)
+        return (goal_shape(goal) if caching else None), goal
+
+    def lookup(self, goal: Term, mode: Mode, span=None, count: bool = True, shape=None):
         """sync → goal shape → plan cache: ``(shape, plan)``.
 
         ``plan`` is None on a miss.  ``shape`` is None when nothing may be
@@ -275,15 +293,16 @@ class Compiler:
         attempt).  The open span records which of ``hit`` / ``miss`` /
         ``uncacheable`` it was; ``count=False`` leaves the hit/miss
         counters to a later lookup (the read-locked attempt of an ask
-        that may restart on the write side).
+        that may restart on the write side).  ``shape`` is the goal's
+        shape when the caller's :meth:`scan` already has it.
         """
         session = self.session
         plans = session.plans
-        shape = None
         if session._plan_caching:
             mark = _pc() if span is not None else 0.0
             plans.sync(session.kb)
-            shape = goal_shape(goal)
+            if shape is None:
+                shape = goal_shape(goal)
             if span is not None:
                 # Inlined span.mark(): method-call frames on this path
                 # are paid on every warm ask (E20 overhead budget).
@@ -357,6 +376,7 @@ class Compiler:
         # the live goal — so they are neither parameterized nor part of
         # the variant key, and rotating them reuses one plan.
         relevant: frozenset = frozenset()
+        plan = None
         if shape is not None:
             relevant = params_in_conjuncts(conjunct_list, front.external_indices)
             seed = self._strategy(shape, relevant)
@@ -365,14 +385,15 @@ class Compiler:
                     plan = self._parameterize(shape, goal, front, relevant, seed)
                 except Exception:  # noqa: BLE001 - the exact compile decides
                     plan = None
-                if plan is not None:
-                    return plan
-        mark = _pc()
-        predicate = front.predicate(conjunct_list)
-        if predicate is None:
-            return None
-        self._phase("metaevaluate", mark)
-        return self._plan(front, self._lower(predicate, front), relevant)
+        if plan is None:
+            mark = _pc()
+            predicate = front.predicate(conjunct_list)
+            if predicate is None:
+                return None
+            self._phase("metaevaluate", mark)
+            plan = self._plan(front, self._lower(predicate, front), relevant)
+        plan.columns = answer_columns(plan.template, answer_variables(goal))
+        return plan
 
     def explain(self, goal: Term) -> TranslationTrace:
         """The whole goal through the chain, in the paper's row order."""

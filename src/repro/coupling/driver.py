@@ -4,10 +4,12 @@
 ``lookup(goal, mode)`` → hit: ``execute(plan, constants)`` | miss:
 ``compile(goal, mode)`` → ``execute`` → ``store``, wrapped once in
 tracing, a deadline scope and transient retry (stage diagram: README,
-"The compile-once ask path").  A :class:`~.compiler.Mode` selects the
-shape-key prefix, the compiler's front and finish and — through the
-plan's kind — the executor's answer assembly; nothing here forks on it
-beyond the consistent mode's violation probe.
+"The compile-once ask path").  A goal text is scanned first: once its
+skeleton is learned, the scan alone gives its shape and goal term.  A
+:class:`~.compiler.Mode` selects the shape-key prefix, the compiler's
+front and finish and — through the plan's kind — the executor's answer
+assembly; nothing here forks on it beyond the consistent mode's
+violation probe.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import time
 from typing import Optional, Union
 
 from ..errors import ExecutionError, TransientBackendError
-from ..prolog.reader import parse_goal
 from ..prolog.terms import Term
 from .compiler import CQA, PLAIN, Mode
 from .executor import NEEDS_WRITE
+from .global_opt import GoalShape
 
 #: Plan kinds a warm ask may execute under the read lock (an ``external``
 #: plan with no internal conjuncts; a ``recursive`` plan whose router
@@ -33,16 +35,19 @@ def drive(
     mode: Mode,
     max_solutions: Optional[int],
     deadline: Optional[float],
+    shape: Optional[GoalShape] = None,
 ) -> list[dict]:
     """Answer one goal: span, deadline scope and transient retry.
 
-    Wraps :func:`attempt` for every public ask entry point.  A
+    Wraps :func:`attempt` for every public ask entry point; a caller
+    that scanned the goal already passes its term and ``shape``.  A
     transient backend failure that outlasted the backend's own retry
     ladder restarts the whole attempt, bounded by the fault policy's
     ``max_ask_retries``.
     """
     if isinstance(goal, str):
-        goal = parse_goal(goal)
+        shape, term = session._compiler.scan(goal)
+        goal = shape.goal() if term is None else term
     tracer = session.tracer
     database = session.database
     span = tracer.begin(goal, mode.span_kind)
@@ -51,7 +56,7 @@ def drive(
             attempts = 0
             while True:
                 try:
-                    answers = attempt(session, goal, mode, max_solutions, span)
+                    answers = attempt(session, goal, mode, max_solutions, span, shape)
                     break
                 except TransientBackendError:
                     attempts += 1
@@ -83,7 +88,8 @@ def drive(
 
 
 def attempt(
-    session, goal: Term, mode: Mode, max_solutions: Optional[int], span=None
+    session, goal: Term, mode: Mode, max_solutions: Optional[int], span=None,
+    shape: Optional[GoalShape] = None,
 ) -> list[dict]:
     """One attempt: under the read lock if possible, else the write lock.
 
@@ -108,11 +114,13 @@ def attempt(
     lock = session.kb.lock
     if mode is PLAIN:
         with lock.read():
-            answers = answer(session, goal, mode, max_solutions, span, False)
+            answers = answer(
+                session, goal, mode, max_solutions, span, False, None, shape
+            )
         if answers is not NEEDS_WRITE:
             return answers
     with lock.write():
-        return answer(session, goal, mode, max_solutions, span, True, dirty)
+        return answer(session, goal, mode, max_solutions, span, True, dirty, shape)
 
 
 def answer(
@@ -123,6 +131,7 @@ def answer(
     span,
     exclusive: bool,
     dirty=None,
+    shape: Optional[GoalShape] = None,
 ):
     """lookup → hit: execute | miss: compile → execute → store.
 
@@ -135,6 +144,7 @@ def answer(
     single-threaded use.  The open span (if any) arrives as a
     parameter — the warm path is where the E20 overhead budget is
     spent, and a thread-local read per ask is measurable there.
+    ``shape`` is the goal's scanned shape, if it has one.
     """
     if mode is PLAIN:
         if exclusive:
@@ -152,7 +162,7 @@ def answer(
                 span.plan_cache = "maintained"
                 span.plan_kind = "maintained"
             return maintained
-    shape, plan = session._compiler.lookup(goal, mode, span, exclusive)
+    shape, plan = session._compiler.lookup(goal, mode, span, exclusive, shape)
     if plan is not None:
         if not exclusive:
             if plan.kind not in _READ_KINDS or plan.internal_indices:

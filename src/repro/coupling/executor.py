@@ -70,6 +70,11 @@ def answer_columns(
     ]
 
 
+def answer_variables(goal: Term) -> list[Variable]:
+    """The goal's named variables, in order: what its answers bind."""
+    return [v for v in variables_of(goal) if not v.is_anonymous]
+
+
 def decode_rows(
     columns: Sequence[tuple[int, str]], rows: Iterable[tuple]
 ) -> list[dict[str, Value]]:
@@ -135,12 +140,14 @@ class Executor:
             # seed is the shape's one constant.
             if shape is None:
                 shape = goal_shape(goal)
-            return session._recursion.ask(
+            answers = session._recursion.ask(
                 plan.closure_call, shape.constants[0], exclusive, span
             )
-        goal_vars = [v for v in variables_of(goal) if not v.is_anonymous]
+            if max_solutions is None or answers is NEEDS_WRITE:
+                return answers
+            return answers[:max_solutions]
         if kind == "engine":
-            return self.answers_from_engine(goal, goal_vars, max_solutions)
+            return self.answers_from_engine(goal, answer_variables(goal), max_solutions)
         constants = shape.constants if shape is not None else ()
         # Execution reads only the bind values; the bound predicate is
         # built below only where something reads it.
@@ -156,7 +163,7 @@ class Executor:
                 return NEEDS_WRITE
             if kind == "fetch":
                 bound = plan.bind(constants, session.constraints)
-                assert_answers(session.kb, goal, bound, goal_vars, rows)
+                assert_answers(session.kb, goal, bound, answer_variables(goal), rows)
             if exclusive and shape is not None:
                 # A fetch's answer facts advanced the program clock;
                 # keep this shape's plan alive across its own side
@@ -183,13 +190,11 @@ class Executor:
                 [by_name[t.name] for t in plan.fetch_targets],
                 rows,
                 [conjunct_list[i] for i in plan.internal_indices],
-                goal_vars,
+                answer_variables(goal),
                 max_solutions,
             )
         mark = _pc() if span is not None else 0.0
-        # Binding renames constants only: targets (the answer columns)
-        # are the template's.
-        answers = decode_rows(answer_columns(plan.template, goal_vars), rows)
+        answers = decode_rows(plan.columns, rows)
         if span is not None:
             span.phases["demux"] = _pc() - mark
         if max_solutions is not None:
@@ -394,7 +399,6 @@ class Executor:
         self,
         plan: CompiledPlan,
         shapes: Sequence[GoalShape],
-        goals: Sequence[Term],
         max_solutions: Optional[int],
     ) -> Optional[list[list[dict[str, Value]]]]:
         """One prepared execution for a whole same-shape group, demuxed.
@@ -424,7 +428,7 @@ class Executor:
             distinct[key] = None
         live = [key for key in keys if key is not None]
         if not live:
-            return [[] for _ in goals]
+            return [[] for _ in shapes]
         if len(live) < 2:
             return None  # a lone live member gains nothing from batching
         # Two *distinct* Python keys that SQLite affinity would coerce to
@@ -465,14 +469,10 @@ class Executor:
                 # the row, so answer this batch serially instead.
                 return None
             bucket.append(row)
-        session.plans.stats.incr("batched_asks", len(goals))
+        session.plans.stats.incr("batched_asks", len(shapes))
         session.plans.stats.incr("batch_executions")
-        # Every member shares the shape, so target columns and answer
-        # variable names are identical across the group: resolve them once.
-        columns = answer_columns(
-            plan.template, [v for v in variables_of(goals[0]) if not v.is_anonymous]
-        )
+        # Every member shares the shape, and so the plan's answer columns.
         return [
-            [] if key is None else decode_rows(columns, demux[key])
+            [] if key is None else decode_rows(plan.columns, demux[key])
             for key in keys
         ]

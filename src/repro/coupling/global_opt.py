@@ -40,12 +40,13 @@ import networkx as nx
 from ..concurrency import LockedCounters, StripedLock
 from ..dbcl.predicate import DbclPredicate
 from ..dbcl.symbols import ConstSymbol, ParamMarker, is_param_marker
-from ..errors import CouplingError, DatabaseNegationError
+from ..errors import CouplingError, DatabaseNegationError, PrologSyntaxError
 from ..metaevaluate.recursion import (
     recursive_indicators as _recursive_indicators,
     view_call_graph,
 )
 from ..prolog.knowledge_base import KnowledgeBase
+from ..prolog.reader import parse_goal, slot_value, split_slots
 from ..prolog.terms import (
     COMPARISON_PREDICATES,
     Atom,
@@ -279,10 +280,17 @@ class GoalShape:
 
     key: tuple
     constants: tuple
+    #: the parse of a :func:`text_shape` probe (``'$slotN$'`` markers at
+    #: the constant positions); None for a shape taken from a parsed goal
+    template: Optional[Term] = field(default=None, compare=False, repr=False)
 
     @property
     def parameter_count(self) -> int:
         return len(self.constants)
+
+    def goal(self) -> Term:
+        """The goal a scanned shape stands for: its template, constants in."""
+        return _fill(self.template, iter(self.constants))
 
 
 @lru_cache(maxsize=4096)
@@ -346,6 +354,85 @@ def goal_shape(goal: Term) -> Optional[GoalShape]:
             constants.append(value)
         key_parts.append((subgoal.functor, tuple(arg_keys)))
     return GoalShape(key=tuple(key_parts), constants=tuple(constants))
+
+
+def _fill(term: Term, values) -> Term:
+    """``term`` with each constant argument of its conjuncts replaced by
+    the next of ``values`` (:func:`goal_shape`'s traversal order)."""
+    if not isinstance(term, Struct):
+        return term
+    if term.functor == "," and len(term.args) == 2:
+        return Struct(",", tuple([_fill(part, values) for part in term.args]))
+    return Struct(term.functor, tuple([
+        arg if isinstance(arg, Variable)
+        else Atom(value) if isinstance(value := next(values), str)
+        else Number(value)
+        for arg in term.args
+    ]))
+
+
+# -- goal skeletons: a goal text's shape without its parse -----------------------
+
+#: Skeletons held before the map starts over.  One map serves the process:
+#: which skeleton has which shape is a fact of the syntax, not of a session.
+_MAX_SKELETONS = 1024
+#: A skeleton seen once, and one whose texts must always parse.
+_SEEN_ONCE = object()
+_UNLEARNABLE = object()
+_skeletons: dict[tuple, object] = {}
+
+
+def text_shape(text: str) -> Optional[GoalShape]:
+    """The shape of goal ``text`` from its skeleton, or None: parse it.
+
+    The skeleton is the text without its argument-position constants
+    (:func:`~repro.prolog.reader.split_slots`); it is learned on its
+    second sight (:func:`_learn`).  Concurrent callers may learn one
+    skeleton twice; both store the same value.
+    """
+    parts = split_slots(text)
+    skeleton = tuple(parts[0::2])
+    learned = _skeletons.get(skeleton)
+    if learned.__class__ is not tuple:
+        if learned is _UNLEARNABLE:
+            return None
+        if len(_skeletons) >= _MAX_SKELETONS:
+            _skeletons.clear()
+        # A skeleton that never repeats costs one split beside its parse.
+        learned = (
+            _SEEN_ONCE if learned is None else _learn(skeleton, text, parts[1::2])
+        )
+        _skeletons[skeleton] = learned
+        if learned.__class__ is not tuple:
+            return None
+    key, template = learned
+    return GoalShape(key, tuple(map(slot_value, parts[1::2])), template)
+
+
+def _learn(pieces: tuple, text: str, tokens: list):
+    """``(shape key, template)`` for a skeleton, or :data:`_UNLEARNABLE`.
+
+    The probe, a distinct quoted marker in each slot, must parse to
+    exactly the markers as shape constants, in order, and the text to
+    the probe's key with the decoded tokens.  The text alone is not
+    enough: in ``empl(E, N, S, D), c, S > c`` the one slot is the
+    conjunct ``c`` and the one constant is ``greater``'s.
+    """
+    markers = tuple(f"$slot{index}$" for index in range(len(tokens)))
+    probe = pieces[0] + "".join(
+        f"'{marker}'{piece}" for marker, piece in zip(markers, pieces[1:])
+    )
+    try:
+        template = parse_goal(probe)
+        shape = goal_shape(template)
+        if shape is None or shape.constants != markers:
+            return _UNLEARNABLE
+        values = tuple(map(slot_value, tokens))
+        if goal_shape(parse_goal(text)) != GoalShape(shape.key, values):
+            return _UNLEARNABLE
+    except (PrologSyntaxError, ValueError):
+        return _UNLEARNABLE
+    return shape.key, template
 
 
 def goal_with_markers(goal: Term, material: frozenset[int]) -> Term:
@@ -457,6 +544,9 @@ class CompiledPlan:
     is_empty: bool = False
     #: a ``recursive`` plan's :class:`~.recursion_router.ClosureCall`
     closure_call: Optional[object] = None
+    #: ``(row position, variable name)`` per answer column, set at compile
+    #: time (the shape key names every variable, so they never change)
+    columns: Optional[list] = None
     #: lazily-built prepared batch statements, keyed by batch size; False
     #: once the shape is proven unbatchable (no equality column for some
     #: parameter).  Guarded by ``_batch_lock``.

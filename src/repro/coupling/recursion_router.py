@@ -293,7 +293,10 @@ class RecursionRouter:
         return closure, call
 
     def execute_batch(
-        self, recursive, shapes: Sequence[GoalShape]
+        self,
+        recursive,
+        shapes: Sequence[GoalShape],
+        max_solutions: Optional[int] = None,
     ) -> Optional[list[list[dict]]]:
         """One batch-seeded probe for a same-shape group.
 
@@ -301,7 +304,8 @@ class RecursionRouter:
         ``IN (VALUES …)`` membership; fetched ``(root, node)`` rows
         demultiplex by root back to per-goal answer lists identical to
         the serial :meth:`ask` (which sorts its nodes, so ordering
-        matches too).  Returns ``None`` to fall back to serial asks.
+        matches too, and so does the ``max_solutions`` prefix each
+        member keeps).  Returns ``None`` to fall back to serial asks.
         """
         closure, call = recursive
         variable_name = call.variable
@@ -336,6 +340,6 @@ class RecursionRouter:
         plans.stats.incr("batched_asks", len(shapes))
         plans.stats.incr("recursive_batches")
         return [
-            [{variable_name: node} for node in sorted(demux[seed])]
+            [{variable_name: node} for node in sorted(demux[seed])[:max_solutions]]
             for seed in seeds
         ]

@@ -78,13 +78,7 @@ from ..schema.empdep import empdep_constraints, empdep_schema
 from .compiler import CQA, FETCH, PLAIN, Compiler, TranslationTrace
 from .driver import answer, drive
 from .executor import Executor, answer_columns, decode_rows, interface_name
-from .global_opt import (
-    CachePolicy,
-    GoalShape,
-    PlanCache,
-    ResultCache,
-    goal_shape,
-)
+from .global_opt import CachePolicy, GoalShape, PlanCache, ResultCache
 from .multi_query import BatchExecutor
 from .recursion_exec import RecursionRun, TransitiveClosure
 from .recursion_router import RecursionRouter
@@ -436,7 +430,9 @@ class PrologDbSession:
     ) -> list[list[dict[str, Value]]]:
         """Answer a batch of goals, one execution per warm goal shape.
 
-        Goals are grouped by :func:`goal_shape`; each group whose shape
+        Goals are grouped by shape (:meth:`~.compiler.Compiler.scan`: a
+        goal text whose skeleton is learned is neither parsed nor built
+        into a term unless it answers serially); each group whose shape
         has a warm fully-parameterized pure-external plan executes
         **once**: the members' constant tuples fold into an
         ``IN (VALUES …)`` parameter-batch variant of the prepared
@@ -471,28 +467,24 @@ class PrologDbSession:
         per-goal (folding it into an ``IN (VALUES …)`` batch would be
         unsound).
         """
-        parsed = [
-            parse_goal(goal) if isinstance(goal, str) else goal for goal in goals
-        ]
+        scanned = [self._compiler.scan(goal) for goal in goals]
         if consistent:
-            reachable = set().union(
-                *(self._compiler.base_relations(goal) for goal in parsed)
-            )
+            # One reachability walk per template (or unscanned term).
+            sources = [s.template if t is None else t for s, t in scanned]
+            unique = {id(source): source for source in sources}.values()
+            reachable = set().union(*map(self._compiler.base_relations, unique))
             self._executor.merge_pending(reachable)
             if self._cqa.dirty(reachable):
                 with self.database.deadline(deadline):
                     return [
-                        self.ask_consistent(goal, max_solutions)
-                        for goal in parsed
+                        self._ask_scanned(one, max_solutions, CQA)
+                        for one in scanned
                     ]
-            self.cqa_stats.incr("clean_fast_paths", len(parsed))
-        answers: list[Optional[list[dict[str, Value]]]] = [None] * len(parsed)
+            self.cqa_stats.incr("clean_fast_paths", len(scanned))
+        answers: list[Optional[list[dict[str, Value]]]] = [None] * len(scanned)
         groups: dict[tuple, list[int]] = {}
         serial: list[int] = []
-        shapes: list[Optional[GoalShape]] = []
-        for position, goal in enumerate(parsed):
-            shape = goal_shape(goal) if self._plan_caching else None
-            shapes.append(shape)
+        for position, (shape, _term) in enumerate(scanned):
             if shape is None or not shape.constants:
                 serial.append(position)
             else:
@@ -500,9 +492,7 @@ class PrologDbSession:
         with self.database.deadline(deadline):
             for members in groups.values():
                 try:
-                    self._ask_group(
-                        parsed, shapes, members, answers, max_solutions
-                    )
+                    self._ask_group(scanned, members, answers, max_solutions)
                 except (CouplingError, DeadlineExceeded):
                     raise
                 except ExecutionError:
@@ -514,8 +504,15 @@ class PrologDbSession:
                         answers[position] = None
                     serial.extend(members)
             for position in serial:
-                answers[position] = self.ask(parsed[position], max_solutions)
+                answers[position] = self._ask_scanned(scanned[position], max_solutions)
         return [a if a is not None else [] for a in answers]
+
+    def _ask_scanned(self, scanned: tuple, max_solutions, mode=PLAIN):
+        """One serial ask of a scanned goal; its term is built only now."""
+        shape, term = scanned
+        if term is None:
+            term = shape.goal()
+        return drive(self, term, mode, max_solutions, None, shape)
 
     def batch_executor(self, share: bool = True):
         """A multiple-query optimizer sharing this session's plan cache.
@@ -544,8 +541,7 @@ class PrologDbSession:
 
     def _ask_group(
         self,
-        parsed: list[Term],
-        shapes: list[Optional[GoalShape]],
+        scanned: list[tuple],
         members: list[int],
         answers: list,
         max_solutions: Optional[int],
@@ -559,46 +555,51 @@ class PrologDbSession:
         the whole group).  Everything else answers serially.
         """
         pending = list(members)
+        lead = scanned[pending[0]]
         plan = recursive = None
         if len(pending) > 1:
-            lead = pending[0]
-            plan, recursive = self._batch_form(shapes[lead])
+            plan, recursive = self._batch_form(lead[0])
             if plan is None and recursive is None:
                 # Cold, or never batchable: the lead's serial ask compiles
                 # the plan every later member of the group shares.
-                answers[pending.pop(0)] = self.ask(parsed[lead], max_solutions)
+                answers[pending.pop(0)] = self._ask_scanned(lead, max_solutions)
                 if len(pending) > 1:
-                    plan, recursive = self._batch_form(shapes[lead])
+                    plan, recursive = self._batch_form(lead[0])
         if plan is None and recursive is None:
             for position in pending:
-                answers[position] = self.ask(parsed[position], max_solutions)
+                answers[position] = self._ask_scanned(scanned[position], max_solutions)
             return
-        group_shapes = [shapes[position] for position in pending]
-        group_goals = [parsed[position] for position in pending]
+        group_shapes = [scanned[position][0] for position in pending]
         # One *group* span covers the whole batched execution — a span
         # per member would cost more than the batch itself (~6µs/goal);
-        # the tracer expands the group back to per-goal records on read.
+        # the tracer expands the group back to per-goal records on read,
+        # rendering a scanned member's goal only then.
         with self.tracer.group(len(pending)) as gspan:
             if plan is not None:
                 batched = self._executor.execute_batch(
-                    plan, group_shapes, group_goals, max_solutions
+                    plan, group_shapes, max_solutions
                 )
                 batch_kind = "external"
             else:
-                batched = self._recursion.execute_batch(recursive, group_shapes)
+                batched = self._recursion.execute_batch(
+                    recursive, group_shapes, max_solutions
+                )
                 batch_kind = "recursive"
             if batched is not None and gspan is not None:
                 gspan.shape_key = group_shapes[0].key
                 gspan.phases["batch"] = time.perf_counter() - gspan.t0
                 self.tracer.commit_group(
                     gspan,
-                    group_goals,
+                    [
+                        shape if term is None else term
+                        for shape, term in map(scanned.__getitem__, pending)
+                    ],
                     [len(result) for result in batched],
                     batch_kind,
                 )
         if batched is None:
             for position in pending:
-                answers[position] = self.ask(parsed[position], max_solutions)
+                answers[position] = self._ask_scanned(scanned[position], max_solutions)
             return
         for position, result in zip(pending, batched):
             answers[position] = result

@@ -352,9 +352,8 @@ class MaterializeManager:
         if answers is None:
             return "miss", None
         self.stats.incr("maintained_asks")
-        if not view.recursive and max_solutions is not None:
+        if max_solutions is not None:
             return "hit", answers[:max_solutions]
-        # The batch recursive path ignores max_solutions; mirror it.
         return "hit", answers
 
     # -- lifecycle ----------------------------------------------------------

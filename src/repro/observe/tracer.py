@@ -673,8 +673,11 @@ def _goal_text(goal) -> Optional[str]:
     if goal is None or isinstance(goal, str):
         return goal
     try:
+        from ..coupling.global_opt import GoalShape
         from ..prolog.writer import term_to_string
 
+        if isinstance(goal, GoalShape):  # a scanned ask_many member
+            goal = goal.goal()
         return term_to_string(goal)
     except Exception:  # noqa: BLE001 - rendering is cosmetic
         return repr(goal)

@@ -17,7 +17,7 @@ deliberately left out.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 from ..errors import PrologSyntaxError
 from .terms import (
@@ -83,6 +83,11 @@ _TOKEN = re.compile(
     re.DOTALL | re.VERBOSE,
 )
 _LAYOUT_ONLY = re.compile(_LAYOUT, re.DOTALL)
+#: One argument-position constant: an unquoted atom, a number or a quoted
+#: atom without escapes, after ``(`` or ``,`` and before ``,`` or ``)``,
+#: blanks allowed around it.  Its one group makes ``split`` return the
+#: skeleton pieces and the constant tokens, alternating, in one call.
+_SLOT = re.compile(r"(?<=[(,])[ \t]*([a-z]\w*|-?\d+(?:\.\d+)?|'[^'\\]*')[ \t]*(?=[,)])")
 #: Per quote character: a backslash escape, or the quote doubled.
 _ESCAPES = {
     quote: re.compile(r"\\(.)|" + quote * 2, re.DOTALL) for quote in "'\""
@@ -395,3 +400,19 @@ def parse_goal(text: str) -> Term:
 def parse_term(text: str) -> Term:
     """Parse a single term."""
     return Parser(text).parse_goal()
+
+
+def split_slots(text: str) -> list[str]:
+    """``text`` cut at its argument-position constants (``_SLOT``): the
+    skeleton pieces at even positions, the constant tokens at odd ones."""
+    return _SLOT.split(text)
+
+
+def slot_value(token: str) -> Union[int, float, str]:
+    """The constant the parser reads from one :func:`split_slots` token."""
+    first = token[0]
+    if first == "'":
+        return token[1:-1]  # no escapes: the body is the name
+    if "a" <= first <= "z":
+        return token
+    return float(token) if "." in token else int(token)

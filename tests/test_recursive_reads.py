@@ -249,6 +249,44 @@ class TestLazyAssertsMergeFirst:
         assert "zara" in {a["X"] for a in batched[0]}
 
 
+class TestMaxSolutions:
+    """A recursive ask keeps its first ``max_solutions`` answers, as a
+    flat ask does, on every path."""
+
+    def test_plain_maintained_and_serial_asks_cap(self):
+        tiny = generate_org(**TINY)
+        plain = make_session(tiny)
+        maintained = make_session(tiny)
+        maintained.materialize.view("works_for(X, Y)")
+        try:
+            goal = "works_for(X, emp00001)"
+            everything = {a["X"] for a in plain.ask(goal)}
+            assert len(everything) > 2
+            for session in (plain, maintained):
+                capped = session.ask(goal, max_solutions=2)
+                assert len(capped) == 2
+                assert {a["X"] for a in capped} <= everything
+                serial = session.ask_many([goal] * 2, max_solutions=2)
+                assert [len(answers) for answers in serial] == [2, 2]
+        finally:
+            plain.close()
+            maintained.close()
+
+    def test_batched_members_cap(self, session, org):
+        goals = [
+            f"works_for(X, {org.root_manager_name()})",
+            f"works_for(X, {middle_manager(org)})",
+            f"works_for({org.leaf_employee_name()}, Y)",
+            f"works_for({org.root_manager_name()}, Y)",
+        ]
+        serial = [session.ask(goal, max_solutions=2) for goal in goals]
+        before = session.plans.stats.snapshot()["recursive_batches"]
+        batched = session.ask_many(goals * 2, max_solutions=2)
+        assert session.plans.stats.snapshot()["recursive_batches"] > before
+        assert batched == serial * 2
+        assert all(len(answers) <= 2 for answers in batched)
+
+
 class TestThreadedDifferential:
     READERS = 4
     WRITES = 24
