@@ -1,6 +1,6 @@
 """E11 — resolution hot-path overhaul: measured speedups vs the baseline.
 
-Claims regression-gated here (and recorded in ``BENCH_engine.json`` by
+Claims gated by :func:`run` (recorded in ``BENCH_engine.json`` by
 ``benchmarks/run_all.py``):
 
 * a three-way join proof over a 10k-fact relation runs **>= 5x** faster
@@ -16,8 +16,6 @@ Claims regression-gated here (and recorded in ``BENCH_engine.json`` by
 
 import time
 
-import pytest
-
 from engine_workloads import (
     JOIN_GOAL,
     RECURSION_GOAL,
@@ -27,28 +25,56 @@ from engine_workloads import (
     run_goal,
 )
 from repro.prolog.engine import Engine
+from run_all import failed
+
+#: (join facts, join iterations, recursion chain, join gate, recursion gate)
+FULL = (10_000, 5, 300, 5.0, 3.0)
+QUICK = (2_000, 3, 120, 2.0, 2.0)
 
 
-def test_e11_join_proof_speedup(benchmark):
+def run(quick: bool, seed: int) -> dict:
+    """The E11 record and its gates (no randomized part: ``seed`` unused)."""
+    facts, iterations, chain, join_gate, recursion_gate = (
+        QUICK if quick else FULL
+    )
+    join = compare_engines(build_join_kb(facts), JOIN_GOAL, iterations=iterations)
+    join["facts"] = facts
+    recursion = compare_engines(build_recursion_kb(chain), RECURSION_GOAL)
+    recursion["chain_length"] = chain
+    return {
+        "benchmark": "E11 resolution hot-path overhaul",
+        "baseline": "repro.prolog.legacy (pinned pre-overhaul engine)",
+        "workloads": {"join_proof": join, "recursion_proof": recursion},
+        "gates": [
+            ("join_min_speedup", join["speedup"], ">=", join_gate),
+            ("recursion_min_speedup", recursion["speedup"], ">=", recursion_gate),
+            (
+                "join_same_steps",
+                join["optimized_steps"] == join["legacy_steps"],
+                "==",
+                True,
+            ),
+            (
+                "recursion_same_steps",
+                recursion["optimized_steps"] == recursion["legacy_steps"],
+                "==",
+                True,
+            ),
+        ],
+    }
+
+
+def test_e11_quick_gates():
+    assert not failed(run(quick=True, seed=5)["gates"])
+
+
+def test_e11_join_proof_timing(benchmark):
     kb = build_join_kb(10_000)
-    result = compare_engines(kb, JOIN_GOAL, iterations=5)
-    print(f"\n[E11] 10k-fact join proof: legacy={result['legacy_seconds']:.3f}s "
-          f"optimized={result['optimized_seconds']:.4f}s "
-          f"speedup={result['speedup']:.0f}x")
-    assert result["legacy_steps"] == result["optimized_steps"]
-    assert result["speedup"] >= 5.0
     benchmark(lambda: run_goal(Engine, kb, JOIN_GOAL, iterations=5))
 
 
-def test_e11_recursion_proof_speedup(benchmark):
+def test_e11_recursion_proof_timing(benchmark):
     kb = build_recursion_kb(300)
-    result = compare_engines(kb, RECURSION_GOAL)
-    print(f"\n[E11] E7-shaped recursion proof: "
-          f"legacy={result['legacy_seconds']:.3f}s "
-          f"optimized={result['optimized_seconds']:.4f}s "
-          f"speedup={result['speedup']:.0f}x")
-    assert result["legacy_steps"] == result["optimized_steps"]
-    assert result["speedup"] >= 3.0
     benchmark(lambda: run_goal(Engine, kb, RECURSION_GOAL))
 
 

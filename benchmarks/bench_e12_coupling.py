@@ -1,6 +1,6 @@
 """E12 — compile-once ask path: plan cache + prepared statements.
 
-Claims regression-gated here (and recorded in ``BENCH_coupling.json`` by
+Claims gated by :func:`run` (recorded in ``BENCH_coupling.json`` by
 ``benchmarks/run_all.py``):
 
 * on a repeated-shape workload (one goal shape, rotating constants) the
@@ -16,19 +16,17 @@ Claims regression-gated here (and recorded in ``BENCH_coupling.json`` by
   re-executed as prepared statements, with one commit per frontier level
   (swap + step inside a single transaction).
 
-The pytest entry points gate the relaxed (quick-size) thresholds so a CI
-timeslice stays loud on order-of-magnitude regressions; ``run_all.py``
-applies the strict full-size gates.
+Quick sizes relax the bounds so a CI timeslice stays loud on
+order-of-magnitude regressions; full sizes hold the committed claims.
 """
 
 import time
-
-import pytest
 
 from repro.coupling import PrologDbSession
 from repro.coupling.global_opt import CachePolicy
 from repro.dbms import generate_org
 from repro.schema import ALL_VIEWS_SOURCE
+from run_all import failed
 
 #: (org depth, branching, staff, warm iters, cold iters, min speedup)
 FULL_SIZES = (3, 3, 6, 400, 60, 5.0)
@@ -157,42 +155,47 @@ def bench_setrel(org) -> dict:
     return record
 
 
-# -- pytest entry points (quick gates; run_all.py applies the strict ones) ------
-
-
-@pytest.fixture(scope="module")
-def org():
-    depth, branching, staff, _, _, _ = QUICK_SIZES
-    return generate_org(
+def run(quick: bool, seed: int) -> dict:
+    """The E12 record and its gates (no randomized part: ``seed`` unused)."""
+    depth, branching, staff, warm_iters, cold_iters, gate = (
+        QUICK_SIZES if quick else FULL_SIZES
+    )
+    org = generate_org(
         depth=depth, branching=branching, staff_per_dept=staff, seed=5
     )
+    asks = bench_warm_vs_cold(org, warm_iters, cold_iters)
+    differential = differential_check(org)
+    setrel = bench_setrel(org)
+    return {
+        "benchmark": "E12 compile-once ask path (plan cache + prepared statements)",
+        "baseline": "cold path: classify+metaevaluate+simplify+translate+print per ask",
+        "org": {"depth": depth, "branching": branching, "staff_per_dept": staff},
+        "workloads": {
+            "repeated_shape_asks": asks,
+            "setrel_prepared_loop": setrel,
+            "warm_cold_differential": differential,
+        },
+        "gates": [
+            ("warm_min_speedup", asks["speedup"], ">=", gate),
+            ("warm_min_plan_hits", asks["plan_cache_hits"], ">=", warm_iters),
+            ("setrel_max_reprints", setrel["sql_prints_during_levels"], "==", 0),
+            (
+                "setrel_executions_over_levels",
+                setrel["prepared_executions"] - setrel["levels"],
+                "==",
+                0,
+            ),
+            (
+                "setrel_commits_over_levels",
+                setrel["commits"] - setrel["levels"],
+                "<=",
+                1,
+            ),
+            ("differential_identical", differential["identical"], "==", True),
+            ("differential_min_plan_hits", differential["plan_cache_hits"], ">", 0),
+        ],
+    }
 
 
-def test_e12_warm_ask_speedup(org):
-    _, _, _, warm_iters, cold_iters, gate = QUICK_SIZES
-    result = bench_warm_vs_cold(org, warm_iters, cold_iters)
-    print(
-        f"\n[E12] repeated-shape asks: warm={result['warm_asks_per_second']}/s "
-        f"cold={result['cold_asks_per_second']}/s "
-        f"speedup={result['speedup']}x"
-    )
-    assert result["plan_cache_hits"] >= warm_iters
-    assert result["speedup"] >= gate
-
-
-def test_e12_warm_answers_identical(org):
-    result = differential_check(org)
-    assert result["identical"], result["mismatches"]
-    assert result["plan_cache_hits"] > 0
-
-
-def test_e12_setrel_zero_reprints(org):
-    result = bench_setrel(org)
-    print(
-        f"\n[E12] setrel loop: {result['levels']} levels at "
-        f"{result['levels_per_second']}/s, "
-        f"{result['sql_prints_during_levels']} re-prints"
-    )
-    assert result["sql_prints_during_levels"] == 0
-    assert result["prepared_executions"] == result["levels"]
-    assert result["commits"] <= result["levels"] + 1
+def test_e12_quick_gates():
+    assert not failed(run(quick=True, seed=5)["gates"])

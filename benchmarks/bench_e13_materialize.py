@@ -1,6 +1,6 @@
 """E13 — incremental view maintenance: maintain, don't recompute.
 
-Claims regression-gated here (recorded in ``BENCH_materialize.json`` by
+Claims gated by :func:`run` (recorded in ``BENCH_materialize.json`` by
 ``benchmarks/run_all.py``):
 
 * on an **interleaved update/ask workload** (single-fact asserts and
@@ -21,19 +21,15 @@ Claims regression-gated here (recorded in ``BENCH_materialize.json`` by
   recomputing over the same data — for flat views, constant-filtered
   asks, and the recursive ``works_for`` view after retracts (DRed
   delete/re-derive).
-
-The pytest entry points apply the relaxed quick-size gates; ``run_all.py``
-applies the strict full-size ones.
 """
 
 import random
 import time
 
-import pytest
-
 from repro.coupling import PrologDbSession
 from repro.dbms import generate_org
 from repro.schema import ALL_VIEWS_SOURCE
+from run_all import failed
 
 #: (org depth, branching, staff, update/ask cycles, asks per cycle, min speedup)
 FULL_SIZES = (3, 3, 6, 80, 4, 1.4)
@@ -243,40 +239,50 @@ def bench_recursive_maintained(org) -> dict:
     return record
 
 
-# -- pytest entry points (quick gates; run_all.py applies the strict ones) ------
-
-
-@pytest.fixture(scope="module")
-def org():
-    depth, branching, staff, _, _, _ = QUICK_SIZES
-    return generate_org(
+def run(quick: bool, seed: int) -> dict:
+    """The E13 record and its gates; ``seed`` drives the random trace."""
+    depth, branching, staff, cycles, asks_per_cycle, gate = (
+        QUICK_SIZES if quick else FULL_SIZES
+    )
+    diff_ops, checkpoint_every = QUICK_DIFF if quick else FULL_DIFF
+    org = generate_org(
         depth=depth, branching=branching, staff_per_dept=staff, seed=5
     )
+    interleaved = bench_interleaved(org, cycles, asks_per_cycle)
+    differential = differential_check(org, diff_ops, checkpoint_every, seed=seed)
+    recursive = bench_recursive_maintained(org)
+    return {
+        "benchmark": "E13 incremental view maintenance (maintain, don't recompute)",
+        "baseline": "invalidate-and-re-execute: every write drops the cached "
+        "rows that read the relation; every ask re-executes its warm plan",
+        "org": {"depth": depth, "branching": branching, "staff_per_dept": staff},
+        "workloads": {
+            "interleaved_update_ask": interleaved,
+            "randomized_differential": differential,
+            "recursive_closure": recursive,
+        },
+        "gates": [
+            ("interleaved_min_speedup", interleaved["speedup"], ">=", gate),
+            ("max_refreshes", interleaved["maintained_refreshes"], "==", 0),
+            ("max_fallbacks", interleaved["maintenance_fallbacks"], "==", 0),
+            ("differential_identical", differential["identical"], "==", True),
+            (
+                "differential_max_refreshes",
+                differential["maintained_refreshes"],
+                "==",
+                0,
+            ),
+            (
+                "differential_max_fallbacks",
+                differential["maintenance_fallbacks"],
+                "==",
+                0,
+            ),
+            ("differential_min_checkpoints", differential["checkpoints"], ">=", 3),
+            ("recursive_min_speedup", recursive["speedup"], ">=", 1.0),
+        ],
+    }
 
 
-def test_e13_interleaved_update_ask_speedup(org):
-    _, _, _, cycles, asks_per_cycle, gate = QUICK_SIZES
-    result = bench_interleaved(org, cycles, asks_per_cycle)
-    print(
-        f"\n[E13] interleaved: maintained="
-        f"{result['maintained_asks_per_second']}/s baseline="
-        f"{result['baseline_asks_per_second']}/s speedup={result['speedup']}x"
-    )
-    assert result["maintained_refreshes"] == 0
-    assert result["maintenance_fallbacks"] == 0
-    assert result["speedup"] >= gate
-
-
-def test_e13_randomized_differential(org):
-    ops, checkpoint_every = QUICK_DIFF
-    result = differential_check(org, ops, checkpoint_every)
-    assert result["identical"], result["mismatches"]
-    assert result["maintenance_fallbacks"] == 0
-    assert result["maintained_refreshes"] == 0
-    assert result["checkpoints"] >= 3
-
-
-def test_e13_recursive_closure_beats_batch(org):
-    result = bench_recursive_maintained(org)
-    print(f"\n[E13] recursive maintained vs batch: {result['speedup']}x")
-    assert result["speedup"] >= 1.0
+def test_e13_quick_gates():
+    assert not failed(run(quick=True, seed=5)["gates"])

@@ -1,6 +1,6 @@
 """E14 — the concurrent batched serving layer.
 
-Claims regression-gated here (and recorded in ``BENCH_serving.json`` by
+Claims gated by :func:`run` (recorded in ``BENCH_serving.json`` by
 ``benchmarks/run_all.py``):
 
 * **set-oriented batching** — on a rotating-constant workload over warm
@@ -8,7 +8,7 @@ Claims regression-gated here (and recorded in ``BENCH_serving.json`` by
   ``IN (VALUES …)`` parameter-batch execution per shape per call,
   demultiplexed back to per-goal answers (gated as counts; the speedup
   over serial warm ``ask()`` calls, both sides fully warm with result
-  caching off, is printed but not gated: both sides ask pre-parsed
+  caching off, is recorded but not gated: both sides ask pre-parsed
   terms, so a cheaper serial ask moves the ratio with the batch path
   unchanged);
 * **concurrent serving** — warm pure-external asks from N threads (each
@@ -24,9 +24,6 @@ Claims regression-gated here (and recorded in ``BENCH_serving.json`` by
   every write round, and every answer observed by a concurrent reader
   equals some write-script checkpoint state (the serial-interleaving
   guarantee of the reader–writer lock).
-
-The pytest entry points run the quick sizes; ``run_all.py`` applies the
-same gates at full size.
 """
 
 import os
@@ -34,13 +31,12 @@ import random
 import threading
 import time
 
-import pytest
-
 from repro.coupling import PrologDbSession
 from repro.coupling.global_opt import CachePolicy
 from repro.dbms import generate_org
 from repro.prolog.reader import parse_goal
 from repro.schema import ALL_VIEWS_SOURCE
+from run_all import failed
 
 #: (org depth, branching, staff, serial asks, batch size)
 FULL_SIZES = (4, 3, 6, 512, 64)
@@ -133,15 +129,6 @@ def bench_ask_many(org, total: int, batch_size: int) -> dict:
     return record
 
 
-def batching_gate(record: dict) -> bool:
-    """Every goal was batched, one statement per shape per ``ask_many`` call."""
-    calls = -(-record["goals"] // record["batch_size"])
-    return (
-        record["batched_asks"] == record["goals"]
-        and record["batch_executions"] == ROTATING_SHAPES * calls
-    )
-
-
 # -- workload 2: multi-threaded warm serving --------------------------------------
 
 
@@ -149,7 +136,7 @@ def bench_threads(org, threads: int, per_thread: int) -> dict:
     """Warm pure-external ask throughput: 1 thread vs N threads.
 
     The gate is "the serving layer does not collapse": N threads must
-    sustain at least ``NO_COLLAPSE_FLOOR`` of the single-thread rate.
+    sustain more than ``NO_COLLAPSE_FLOOR`` of the single-thread rate.
     """
     session = make_session(org)
     names = [e.nam for e in org.employees]
@@ -195,12 +182,6 @@ def bench_threads(org, threads: int, per_thread: int) -> dict:
 #: Python half of every ask (a 2-cpu host read 0.43–1.2x), so the gate is
 #: that the locks and the pool cost little, not that threads scale.
 NO_COLLAPSE_FLOOR = 0.7
-
-
-def thread_gate(record: dict) -> tuple[float, bool]:
-    """The thread gate and whether the record passes it."""
-    passed = record["speedup"] > NO_COLLAPSE_FLOOR
-    return NO_COLLAPSE_FLOOR, passed and record["pooled_read_connections"] > 1
 
 
 # -- workload 3: randomized batched differential ----------------------------------
@@ -382,51 +363,65 @@ def concurrent_differential(
     return record
 
 
-# -- pytest entry points (quick gates; run_all.py applies the strict ones) ------
-
-
-@pytest.fixture(scope="module")
-def org():
-    depth, branching, staff, _, _ = QUICK_SIZES
-    return generate_org(
+def run(quick: bool, seed: int) -> dict:
+    """The E14 record and its gates; ``seed`` drives both differentials."""
+    depth, branching, staff, total, batch_size = (
+        QUICK_SIZES if quick else FULL_SIZES
+    )
+    threads, per_thread = QUICK_THREADS if quick else FULL_THREADS
+    diff_rounds, diff_goals = QUICK_DIFF if quick else FULL_DIFF
+    readers, reader_asks, writes = QUICK_CONC if quick else FULL_CONC
+    org = generate_org(
         depth=depth, branching=branching, staff_per_dept=staff, seed=5
     )
-
-
-def test_e14_ask_many_speedup(org):
-    _, _, _, total, batch_size = QUICK_SIZES
-    result = bench_ask_many(org, total, batch_size)
-    print(
-        f"\n[E14] ask_many: batched={result['batched_asks_per_second']}/s "
-        f"serial={result['serial_asks_per_second']}/s "
-        f"speedup={result['speedup']}x (reported, not gated)"
+    batching = bench_ask_many(org, total, batch_size)
+    threading_result = bench_threads(org, threads, per_thread)
+    differential = differential_check(org, diff_rounds, diff_goals, seed=seed)
+    concurrent = concurrent_differential(
+        org, readers, reader_asks, writes, seed=seed
     )
-    assert result["batched_asks"] == total
-    assert result["batch_executions"] == ROTATING_SHAPES * total // batch_size
-    assert batching_gate(result)
+    return {
+        "benchmark": "E14 concurrent batched serving "
+        "(ask_many + thread-safe caches + pooled backend)",
+        "baseline": "serial warm ask() round trips on one thread",
+        "org": {"depth": depth, "branching": branching, "staff_per_dept": staff},
+        "workloads": {
+            "batched_ask_many": batching,
+            "multi_thread_warm_asks": threading_result,
+            "batched_differential": differential,
+            "concurrent_differential": concurrent,
+        },
+        "gates": [
+            ("ask_many_goals_batched", batching["batched_asks"], "==", total),
+            (
+                "ask_many_batch_executions",
+                batching["batch_executions"],
+                "==",
+                ROTATING_SHAPES * -(-total // batch_size),
+            ),
+            (
+                "thread_min_speedup",
+                threading_result["speedup"],
+                ">",
+                NO_COLLAPSE_FLOOR,
+            ),
+            (
+                "thread_min_pooled_readers",
+                threading_result["pooled_read_connections"],
+                ">",
+                1,
+            ),
+            ("batched_differential_identical", differential["identical"], "==", True),
+            (
+                "batched_differential_min_batches",
+                differential["batch_executions"],
+                ">",
+                0,
+            ),
+            ("concurrent_differential_identical", concurrent["identical"], "==", True),
+        ],
+    }
 
 
-def test_e14_thread_throughput(org):
-    threads, per_thread = QUICK_THREADS
-    result = bench_threads(org, threads, per_thread)
-    gate, passed = thread_gate(result)
-    print(
-        f"\n[E14] threads: single={result['single_thread_asks_per_second']}/s "
-        f"multi={result['multi_thread_asks_per_second']}/s "
-        f"speedup={result['speedup']}x (gate {gate}, "
-        f"{result['cpu_count']} cpus)"
-    )
-    assert passed
-
-
-def test_e14_batched_differential(org):
-    rounds, per_round = QUICK_DIFF
-    result = differential_check(org, rounds, per_round, seed=5)
-    assert result["identical"], result["mismatches"]
-    assert result["batch_executions"] > 0
-
-
-def test_e14_concurrent_differential(org):
-    readers, asks, writes = QUICK_CONC
-    result = concurrent_differential(org, readers, asks, writes, seed=5)
-    assert result["identical"], (result["stray_answers"], result["errors"])
+def test_e14_quick_gates():
+    assert not failed(run(quick=True, seed=5)["gates"])

@@ -1,6 +1,6 @@
 """E15 — backend pushdown: recursive CTEs + statistics-driven planning.
 
-Claims regression-gated here (and recorded in ``BENCH_pushdown.json`` by
+Claims gated by :func:`run` (recorded in ``BENCH_pushdown.json`` by
 ``benchmarks/run_all.py``):
 
 * on the E7-shaped 300-chain closure workload the single prepared
@@ -18,19 +18,15 @@ Claims regression-gated here (and recorded in ``BENCH_pushdown.json`` by
 * the statistics-driven planner picks the pushdown tier (CTE — or,
   since PR 7, the interval probe on tree-shaped data) on this workload
   and records why.
-
-The pytest entry points gate the relaxed (quick-size) thresholds;
-``run_all.py`` applies the strict full-size gates.
 """
 
 import random
 import time
 
-import pytest
-
 from repro.coupling import PrologDbSession
 from repro.dbms import generate_org
 from repro.schema import ALL_VIEWS_SOURCE
+from run_all import failed
 
 #: (chain depth, staff per dept, timing iterations, max levels, min speedup)
 FULL_SIZES = (300, 2, 3, 400, 3.0)
@@ -232,50 +228,57 @@ def bench_recursive_ask_many(
     return record
 
 
-# -- pytest entry points (quick gates; run_all.py applies the strict ones) ------
-
-
-@pytest.fixture(scope="module")
-def chain_org():
-    depth, staff, _, _, _ = QUICK_SIZES
-    return make_chain_org(depth, staff)
-
-
-def test_e15_cte_speedup_and_zero_commits(chain_org):
-    _, _, iterations, max_levels, gate = QUICK_SIZES
-    result = bench_chain_closure(chain_org, iterations, max_levels)
-    print(
-        f"\n[E15] {result['chain_depth']}-chain closure: "
-        f"cte={result['cte_seconds']}s frontier={result['frontier_seconds']}s "
-        f"speedup={result['speedup']}x commits={result['cte_commits']}"
+def run(quick: bool, seed: int) -> dict:
+    """The E15 record and its gates; ``seed`` drives the differential."""
+    chain_depth, staff, iterations, max_levels, gate = (
+        QUICK_SIZES if quick else FULL_SIZES
     )
-    assert result["identical"]
-    assert result["speedup"] >= gate
-    assert result["cte_commits"] == 0
-    assert result["cte_sql_prints"] == 0
-    # PR 7: tree-shaped chains may plan as the interval probe instead.
-    assert result["planner_strategy"] in ("cte", "interval")
-
-
-def test_e15_strategy_differential():
-    depth, branching, staff, probes, rounds = QUICK_DIFF
-    result = differential_check(depth, branching, staff, probes, rounds, seed=5)
-    print(
-        f"\n[E15] strategy differential: {result['probes']} probes over "
-        f"{result['churn_rounds']} churn rounds, "
-        f"identical={result['identical']}"
+    diff_depth, diff_branching, diff_staff, probes, rounds = (
+        QUICK_DIFF if quick else FULL_DIFF
     )
-    assert result["identical"], result["mismatches"]
-
-
-def test_e15_recursive_ask_many_batches():
-    depth, branching, staff, total = QUICK_BATCH
-    result = bench_recursive_ask_many(depth, branching, staff, total)
-    print(
-        f"\n[E15] recursive ask_many: {result['goals']} goals, "
-        f"{result['recursive_batches']} batch statement(s), "
-        f"identical={result['identical']}"
+    b_depth, b_branching, b_staff, total = QUICK_BATCH if quick else FULL_BATCH
+    chain = bench_chain_closure(
+        make_chain_org(chain_depth, staff), iterations, max_levels
     )
-    assert result["recursive_batches"] >= 1
-    assert result["batched_goals"] >= result["goals"] - 2
-    assert result["identical"]
+    differential = differential_check(
+        diff_depth, diff_branching, diff_staff, probes, rounds, seed=seed
+    )
+    batching = bench_recursive_ask_many(b_depth, b_branching, b_staff, total)
+    return {
+        "benchmark": "E15 backend pushdown "
+        "(WITH RECURSIVE CTE + statistics-driven cost-based planning)",
+        "baseline": "prepared setrel frontier loop: one round-trip and one "
+        "commit per recursion level",
+        "workloads": {
+            "chain_closure": chain,
+            "strategy_differential": differential,
+            "recursive_ask_many": batching,
+        },
+        "gates": [
+            ("cte_min_speedup", chain["speedup"], ">=", gate),
+            ("cte_max_commits", chain["cte_commits"], "==", 0),
+            ("cte_max_reprints", chain["cte_sql_prints"], "==", 0),
+            # The interval probe is the pushdown tier too, and the planner
+            # may prefer it on a tree-shaped chain.
+            (
+                "planner_picks_pushdown_tier",
+                chain["planner_strategy"],
+                "in",
+                ("cte", "interval"),
+            ),
+            ("chain_identical", chain["identical"], "==", True),
+            ("differential_identical", differential["identical"], "==", True),
+            ("ask_many_recursive_batched", batching["recursive_batches"], ">=", 1),
+            (
+                "ask_many_min_batched_goals",
+                batching["batched_goals"],
+                ">=",
+                total - 2,
+            ),
+            ("ask_many_identical", batching["identical"], "==", True),
+        ],
+    }
+
+
+def test_e15_quick_gates():
+    assert not failed(run(quick=True, seed=5)["gates"])

@@ -1,6 +1,6 @@
 """E16 — the fault-tolerant execution layer.
 
-Claims regression-gated here (and recorded in ``BENCH_resilience.json``
+Claims gated by :func:`run` (recorded in ``BENCH_resilience.json``
 by ``benchmarks/run_all.py``):
 
 * **fault-free overhead** — the resilience machinery (fault-point probe,
@@ -20,14 +20,10 @@ by ``benchmarks/run_all.py``):
   quarantined materialized view healed by the end.
 
 The seed in effect is recorded in ``BENCH_resilience.json`` so a failing
-differential is reproducible bit-for-bit.  The pytest entry points gate
-the relaxed quick thresholds; ``run_all.py`` applies the strict full
-gates.
+differential is reproducible bit-for-bit.
 """
 
 import time
-
-import pytest
 
 from repro.coupling import PrologDbSession
 from repro.coupling.global_opt import CachePolicy
@@ -37,6 +33,7 @@ from repro.prolog.reader import parse_goal
 from repro.resilience import FaultPolicy
 from repro.resilience.faults import FaultInjectingBackend, FaultSchedule
 from repro.schema import ALL_VIEWS_SOURCE, empdep_constraints, empdep_schema
+from run_all import failed
 
 #: (org depth, branching, staff, warm asks, batch size,
 #:  max ladder µs per warm ask, max ladder µs per batched goal)
@@ -229,31 +226,46 @@ def fault_differential(org, seed, events, horizon, drain_limit):
     }
 
 
-# -- pytest entry points (quick thresholds; run_all.py applies full gates) -----
-
-
-@pytest.fixture(scope="module")
-def org():
-    depth, branching, staff = QUICK_SIZES[:3]
-    return generate_org(
+def run(quick: bool, seed: int) -> dict:
+    """The E16 record and its gates; ``seed`` draws the fault schedule."""
+    depth, branching, staff, asks, batch_size, warm_us, batched_us = (
+        QUICK_SIZES if quick else FULL_SIZES
+    )
+    events, horizon, drain_limit = QUICK_DIFF if quick else FULL_DIFF
+    org = generate_org(
         depth=depth, branching=branching, staff_per_dept=staff, seed=5
     )
-
-
-def test_e16_fault_free_overhead(org):
-    _d, _b, _s, asks, batch_size, warm_us, batched_us = QUICK_SIZES
-    result = bench_overhead(org, asks, batch_size)
-    assert result["warm_overhead_us"] <= warm_us
-    assert result["batched_overhead_us"] <= batched_us
-
-
-def test_e16_fault_differential(org):
-    events, horizon, limit = QUICK_DIFF
-    result = fault_differential(
-        org, seed=7, events=events, horizon=horizon, drain_limit=limit
+    overhead = bench_overhead(org, asks, batch_size)
+    differential = fault_differential(
+        org, seed=seed, events=events, horizon=horizon, drain_limit=drain_limit
     )
-    assert result["unhandled_error"] is None
-    assert result["identical"]
-    assert result["schedule_exhausted"]
-    assert result["quarantined_after_heal"] == 0
-    assert result["faults_injected"] > 0
+    return {
+        "benchmark": "E16 fault-tolerant execution "
+        "(fault injection + retry/backoff + degradation ladder + "
+        "self-healing views)",
+        "baseline": "FaultPolicy.disabled(): the pre-resilience execution "
+        "path (bounded lock patience, no probes, no retries)",
+        "org": {"depth": depth, "branching": branching, "staff_per_dept": staff},
+        "workloads": {
+            "fault_free_overhead": overhead,
+            "seeded_fault_differential": differential,
+        },
+        "gates": [
+            ("warm_max_overhead_us", overhead["warm_overhead_us"], "<=", warm_us),
+            (
+                "batched_max_overhead_us",
+                overhead["batched_overhead_us"],
+                "<=",
+                batched_us,
+            ),
+            ("differential_identical", differential["identical"], "==", True),
+            ("zero_unhandled_errors", differential["unhandled_error"], "==", None),
+            ("schedule_exhausted", differential["schedule_exhausted"], "==", True),
+            ("all_views_healed", differential["quarantined_after_heal"], "==", 0),
+            ("min_faults_injected", differential["faults_injected"], ">=", 1),
+        ],
+    }
+
+
+def test_e16_quick_gates():
+    assert not failed(run(quick=True, seed=7)["gates"])

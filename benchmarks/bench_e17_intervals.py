@@ -1,7 +1,7 @@
 """E17 — interval-labeled hierarchy accelerator: reachability as one
 indexed range probe.
 
-Claims regression-gated here (and recorded in ``BENCH_intervals.json``
+Claims gated by :func:`run` (recorded in ``BENCH_intervals.json``
 by ``benchmarks/run_all.py``):
 
 * on a deep/wide org hierarchy the prepared interval probes (descend
@@ -18,19 +18,15 @@ by ``benchmarks/run_all.py``):
   frontier directions, and the maintained ``IncrementalClosure``;
 * ``ask_many`` batches warm recursive shapes through the batch interval
   probe with answers identical to serial ``ask()``.
-
-The pytest entry points gate the relaxed (quick-size) thresholds;
-``run_all.py`` applies the strict full-size gates.
 """
 
 import random
 import time
 
-import pytest
-
 from repro.coupling import PrologDbSession
 from repro.dbms import generate_org
 from repro.schema import ALL_VIEWS_SOURCE
+from run_all import failed
 
 #: (org depth, branching, staff per dept, timed probe rounds, min speedup)
 FULL_PROBE = (10, 2, 3, 50, 3.0)
@@ -291,50 +287,53 @@ def bench_interval_ask_many(
     return record
 
 
-# -- pytest entry points (quick gates; run_all.py applies the strict ones) ------
-
-
-def test_e17_interval_probe_speedup(capsys=None):
-    depth, branching, staff, rounds, gate = QUICK_PROBE
-    result = bench_probe_latency(depth, branching, staff, rounds)
-    print(
-        f"\n[E17] {result['employees']}-employee hierarchy "
-        f"(depth {result['tree_depth']}): interval={result['interval_seconds']}s "
-        f"cte={result['cte_seconds']}s speedup={result['speedup']}x "
-        f"(end-to-end {result['solve_speedup']}x, build "
-        f"{result['labeling_build_seconds']}s)"
+def run(quick: bool, seed: int) -> dict:
+    """The E17 record and its gates; ``seed`` drives the churn."""
+    depth, branching, staff, rounds, gate = QUICK_PROBE if quick else FULL_PROBE
+    c_depth, c_branching, c_staff, probes, churn_rounds = (
+        QUICK_CHURN if quick else FULL_CHURN
     )
-    assert result["identical"]
-    assert result["speedup"] >= gate
-    assert result["interval_commits"] == 0
-    assert result["interval_sql_prints"] == 0
-    assert result["planner_strategy"] == "interval"
-
-
-def test_e17_churn_differential():
-    depth, branching, staff, probes, rounds = QUICK_CHURN
-    result = churn_differential(depth, branching, staff, probes, rounds, seed=5)
-    print(
-        f"\n[E17] churn differential: {result['probes']} probes over "
-        f"{result['churn_rounds']} rounds ({result['hires']} hires), "
-        f"absorbs={result['local_absorbs']} tombstones={result['tombstones']} "
-        f"relabels={result['relabels']}, identical={result['identical']}"
+    b_depth, b_branching, b_staff, total = QUICK_BATCH if quick else FULL_BATCH
+    probe = bench_probe_latency(depth, branching, staff, rounds)
+    churn = churn_differential(
+        c_depth, c_branching, c_staff, probes, churn_rounds, seed=seed
     )
-    assert result["identical"], result["mismatches"]
-    assert result["local_absorbs"] >= 1
-    assert result["demotions"] == 0
+    batching = bench_interval_ask_many(b_depth, b_branching, b_staff, total)
+    return {
+        "benchmark": "E17 interval-labeled hierarchy accelerator "
+        "(nested-set labeling + covering-index range probes)",
+        "baseline": "prepared WITH RECURSIVE CTE probes (E15's pushdown tier)",
+        "workloads": {
+            "probe_latency": probe,
+            "churn_differential": churn,
+            "interval_ask_many": batching,
+        },
+        "gates": [
+            ("interval_min_speedup", probe["speedup"], ">=", gate),
+            ("interval_max_commits", probe["interval_commits"], "==", 0),
+            ("interval_max_reprints", probe["interval_sql_prints"], "==", 0),
+            ("planner_picks_interval", probe["planner_strategy"], "==", "interval"),
+            ("probe_identical", probe["identical"], "==", True),
+            ("differential_identical", churn["identical"], "==", True),
+            ("min_local_absorbs", churn["local_absorbs"], ">=", 1),
+            ("max_demotions", churn["demotions"], "==", 0),
+            ("ask_many_recursive_batched", batching["recursive_batches"], ">=", 1),
+            (
+                "ask_many_min_batched_goals",
+                batching["batched_goals"],
+                ">=",
+                total - 2,
+            ),
+            (
+                "ask_many_planner_picks_interval",
+                batching["planner_strategy"],
+                "==",
+                "interval",
+            ),
+            ("ask_many_identical", batching["identical"], "==", True),
+        ],
+    }
 
 
-def test_e17_interval_ask_many_batches():
-    depth, branching, staff, total = QUICK_BATCH
-    result = bench_interval_ask_many(depth, branching, staff, total)
-    print(
-        f"\n[E17] interval ask_many: {result['goals']} goals, "
-        f"{result['recursive_batches']} batch statement(s), "
-        f"planner={result['planner_strategy']}, "
-        f"identical={result['identical']}"
-    )
-    assert result["recursive_batches"] >= 1
-    assert result["batched_goals"] >= result["goals"] - 2
-    assert result["planner_strategy"] == "interval"
-    assert result["identical"]
+def test_e17_quick_gates():
+    assert not failed(run(quick=True, seed=5)["gates"])

@@ -1,6 +1,6 @@
 """E18 — the scale-out serving tier (multi-process workers + front door).
 
-Claims regression-gated here (and recorded in ``BENCH_scaleout.json`` by
+Claims gated by :func:`run` (recorded in ``BENCH_scaleout.json`` by
 ``benchmarks/run_all.py``):
 
 * **fleet throughput** — warm asks driven through the serving tier at
@@ -15,9 +15,6 @@ Claims regression-gated here (and recorded in ``BENCH_scaleout.json`` by
   observe only answers equal to some serial ``ask()`` checkpoint state
   (the generation-publish ordering guarantee), and the load really was
   coalesced (>= 1 multi-goal batch dispatched as one ``ask_many``).
-
-The pytest entry points gate the relaxed quick thresholds; ``run_all.py``
-applies the strict full-size gates.
 """
 
 import asyncio
@@ -27,13 +24,12 @@ import tempfile
 import threading
 import time
 
-import pytest
-
 from repro.coupling import PrologDbSession
 from repro.coupling.global_opt import CachePolicy
 from repro.dbms import ExternalDatabase, generate_org
 from repro.schema import ALL_VIEWS_SOURCE, empdep_constraints, empdep_schema
 from repro.serving import FrontDoor, ServingTier
+from run_all import failed
 
 #: (org depth, branching, staff per dept)
 FULL_SIZES = (4, 3, 6)
@@ -161,10 +157,8 @@ SINGLE_CORE_FLOOR = 0.7
 QUICK_SINGLE_CORE_FLOOR = 0.45
 
 
-def worker_gate(
-    record: dict, single_core_floor: float = SINGLE_CORE_FLOOR
-) -> tuple[float, bool]:
-    """The applicable fleet gate and whether the record passes it.
+def fleet_bound(record: dict, single_core_floor: float) -> float:
+    """The speedup the fleet must exceed on this host.
 
     Real scale-out (1.8x at 4 workers) is only demanded when the host
     has a core per worker; between that and single-core the fleet must
@@ -173,12 +167,10 @@ def worker_gate(
     """
     cpus = record["cpu_count"]
     if cpus >= record["workers"]:
-        gate = 1.8
-    elif cpus > 1:
-        gate = 1.0
-    else:
-        gate = single_core_floor
-    return gate, record["speedup"] > gate
+        return 1.8
+    if cpus > 1:
+        return 1.0
+    return single_core_floor
 
 
 # -- workload 2: coalesced answers vs serial checkpoints ---------------------------
@@ -291,32 +283,38 @@ def coalesced_differential(
     }
 
 
-# -- pytest entry points (quick gates; run_all.py applies the strict ones) ------
-
-
-@pytest.fixture(scope="module")
-def org():
-    depth, branching, staff = QUICK_SIZES
-    return generate_org(
+def run(quick: bool, seed: int) -> dict:
+    """The E18 record and its gates; ``seed`` draws the write script."""
+    depth, branching, staff = QUICK_SIZES if quick else FULL_SIZES
+    workers, drivers, total = QUICK_FLEET if quick else FULL_FLEET
+    clients, client_asks, writes = QUICK_COAL if quick else FULL_COAL
+    org = generate_org(
         depth=depth, branching=branching, staff_per_dept=staff, seed=5
     )
+    fleet = bench_fleet(org, workers, drivers, total)
+    floor = QUICK_SINGLE_CORE_FLOOR if quick else SINGLE_CORE_FLOOR
+    coalesced = coalesced_differential(org, clients, client_asks, writes, seed=seed)
+    return {
+        "benchmark": "E18 scale-out serving tier "
+        "(multi-process workers + snapshot shipping + coalescing front door)",
+        "baseline": "one worker process behind the same tier and driver load",
+        "org": {"depth": depth, "branching": branching, "staff_per_dept": staff},
+        "workloads": {
+            "fleet_throughput": fleet,
+            "coalesced_differential": coalesced,
+        },
+        "gates": [
+            ("fleet_min_speedup", fleet["speedup"], ">", fleet_bound(fleet, floor)),
+            (
+                "coalesced_differential_identical",
+                coalesced["identical"],
+                "==",
+                True,
+            ),
+            ("min_coalesced_batches", coalesced["coalesced_batches"], ">=", 1),
+        ],
+    }
 
 
-def test_e18_fleet_throughput(org):
-    workers, drivers, total = QUICK_FLEET
-    result = bench_fleet(org, workers, drivers, total)
-    gate, passed = worker_gate(result, QUICK_SINGLE_CORE_FLOOR)
-    print(
-        f"\n[E18] fleet: single={result['single_worker_asks_per_second']}/s "
-        f"multi={result['multi_worker_asks_per_second']}/s "
-        f"speedup={result['speedup']}x (gate {gate}, "
-        f"{result['cpu_count']} cpus)"
-    )
-    assert passed
-
-
-def test_e18_coalesced_differential(org):
-    clients, asks, writes = QUICK_COAL
-    result = coalesced_differential(org, clients, asks, writes, seed=5)
-    assert result["identical"], (result["stray_answers"], result["errors"])
-    assert result["coalesced_batches"] >= 1
+def test_e18_quick_gates():
+    assert not failed(run(quick=True, seed=5)["gates"])

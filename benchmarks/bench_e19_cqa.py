@@ -1,6 +1,6 @@
 """E19 — consistent query answering over inconsistent stores.
 
-Claims regression-gated here (and recorded in ``BENCH_cqa.json`` by
+Claims gated by :func:`run` (recorded in ``BENCH_cqa.json`` by
 ``benchmarks/run_all.py``):
 
 * **certain-answer differential** — over seeded randomized inconsistent
@@ -18,21 +18,17 @@ Claims regression-gated here (and recorded in ``BENCH_cqa.json`` by
   served from the consistent-mode shape cache, constants bound into the
   prepared rewriting) sustains **>= 5x** the throughput of the cold
   path that recompiles the certainty rewriting every ask.
-
-The pytest entry points gate the relaxed quick thresholds;
-``run_all.py`` applies the strict full gates.
 """
 
 import random
 import time
-
-import pytest
 
 from repro.coupling import PrologDbSession
 from repro.prolog.reader import parse_goal
 from repro.cqa import repair_instances, split_blocks
 from repro.dbms.sqlite_backend import ExternalDatabase
 from repro.schema.empdep import empdep_constraints, empdep_schema
+from run_all import failed
 
 #: (differential cases, warm asks, min warm/cold speedup)
 FULL_SIZES = (40, 400, 5.0)
@@ -231,26 +227,38 @@ def bench_warm_speedup(warm_asks):
     return result
 
 
-# -- pytest entry points (quick thresholds; run_all.py applies full gates) -----
+def run(quick: bool, seed: int) -> dict:
+    """The E19 record and its gates; ``seed`` draws the differential stores."""
+    cases, warm_asks, min_speedup = QUICK_SIZES if quick else FULL_SIZES
+    differential = bench_differential(seed=seed, cases=cases)
+    identity = bench_clean_identity()
+    speedup = bench_warm_speedup(warm_asks)
+    return {
+        "benchmark": "E19 consistent query answering "
+        "(violation probes + Koutris-Wijsen certainty rewriting + "
+        "block-wise repair enumeration)",
+        "baseline": "plain ask() intersected over every explicitly "
+        "materialized repair (one fresh store + session per repair)",
+        "workloads": {
+            "differential": differential,
+            "clean_identity": identity,
+            "warm_speedup": speedup,
+        },
+        "gates": [
+            ("differential_identical", differential["all_identical"], "==", True),
+            (
+                "both_paths_exercised",
+                differential["both_paths_exercised"],
+                "==",
+                True,
+            ),
+            ("clean_identity", identity["all_identical"], "==", True),
+            ("clean_extra_statements_zero", identity["extra_statements"], "==", 0),
+            ("min_warm_speedup", speedup["speedup"], ">=", min_speedup),
+            ("warm_rewrite_cache_hits", speedup["rewrite_cache_hits"], ">", 0),
+        ],
+    }
 
 
-@pytest.mark.smoke
-def test_e19_differential_quick():
-    cases, _asks, _speedup = QUICK_SIZES
-    result = bench_differential(seed=5, cases=cases)
-    assert result["all_identical"]
-    assert result["both_paths_exercised"]
-
-
-@pytest.mark.smoke
-def test_e19_clean_identity_quick():
-    result = bench_clean_identity()
-    assert result["all_identical"]
-    assert result["extra_statements"] == 0
-
-
-def test_e19_warm_speedup_quick():
-    _cases, asks, min_speedup = QUICK_SIZES
-    result = bench_warm_speedup(asks)
-    assert result["speedup"] >= min_speedup
-    assert result["rewrite_cache_hits"] > 0
+def test_e19_quick_gates():
+    assert not failed(run(quick=True, seed=5)["gates"])

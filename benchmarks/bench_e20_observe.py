@@ -1,6 +1,6 @@
 """E20 — the query tracing and metrics layer.
 
-Claims regression-gated here (and recorded in ``BENCH_observe.json`` by
+Claims gated by :func:`run` (recorded in ``BENCH_observe.json`` by
 ``benchmarks/run_all.py``):
 
 * **tracing overhead** — a tracer *enabled* at the default ring size
@@ -19,20 +19,18 @@ Claims regression-gated here (and recorded in ``BENCH_observe.json`` by
 
 The disabled side is the true kill-switch path: no span allocation, no
 backend execute observer, no clock reads — the gate therefore measures
-everything tracing adds.  The pytest entry points gate the relaxed
-quick thresholds; ``run_all.py`` applies the strict full gates.
+everything tracing adds.
 """
 
 import json
 import time
-
-import pytest
 
 from repro.coupling import PrologDbSession
 from repro.coupling.global_opt import CachePolicy
 from repro.dbms import generate_org
 from repro.prolog.reader import parse_goal
 from repro.schema import ALL_VIEWS_SOURCE
+from run_all import failed
 
 #: (org depth, branching, staff, warm asks, batch size,
 #:  max tracer µs per warm ask, max tracer µs per batched goal)
@@ -194,21 +192,42 @@ def bench_overhead(org, asks, batch_size):
             session.close()
 
 
-# -- pytest entry points (quick thresholds; run_all.py applies full gates) -----
-
-
-@pytest.fixture(scope="module")
-def org():
-    depth, branching, staff = QUICK_SIZES[:3]
-    return generate_org(
+def run(quick: bool, seed: int) -> dict:
+    """The E20 record and its gates (no randomized part: ``seed`` unused)."""
+    depth, branching, staff, asks, batch_size, warm_us, batched_us = (
+        QUICK_SIZES if quick else FULL_SIZES
+    )
+    org = generate_org(
         depth=depth, branching=branching, staff_per_dept=staff, seed=5
     )
+    overhead = bench_overhead(org, asks, batch_size)
+    return {
+        "benchmark": "E20 query tracing & metrics layer "
+        "(per-ask spans + phase timings + slow-query log + "
+        "structured export)",
+        "baseline": "tracing=False: the kill-switch path (no span "
+        "allocation, no execute observer, no clock reads)",
+        "org": {"depth": depth, "branching": branching, "staff_per_dept": staff},
+        "workloads": {"tracing_overhead": overhead},
+        "gates": [
+            ("warm_max_overhead_us", overhead["warm_overhead_us"], "<=", warm_us),
+            (
+                "batched_max_overhead_us",
+                overhead["batched_overhead_us"],
+                "<=",
+                batched_us,
+            ),
+            ("trace_complete", overhead["trace_complete"], "==", True),
+            ("disabled_spans_zero", overhead["disabled_spans"], "==", 0),
+            (
+                "traces_json_serializable",
+                overhead["traces_json_serializable"],
+                "==",
+                True,
+            ),
+        ],
+    }
 
 
-def test_e20_tracing_overhead(org):
-    _d, _b, _s, asks, batch_size, warm_us, batched_us = QUICK_SIZES
-    result = bench_overhead(org, asks, batch_size)
-    assert result["warm_overhead_us"] <= warm_us
-    assert result["batched_overhead_us"] <= batched_us
-    assert result["trace_complete"]
-    assert result["disabled_spans"] == 0
+def test_e20_quick_gates():
+    assert not failed(run(quick=True, seed=5)["gates"])

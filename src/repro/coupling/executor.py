@@ -228,6 +228,7 @@ class Executor:
             return rows
         for name in pending:
             merger.materialise_internal(name)
+        stamp = None if bound is None else cache.stamp(bound)
         rows = session.database.execute_prepared(
             plan.sql_text, plan.bind_values(constants)
         )
@@ -235,6 +236,7 @@ class Executor:
             bound,
             rows,
             None if bound is None else self.result_dependencies(bound, goal),
+            stamp,
         )
         return rows
 

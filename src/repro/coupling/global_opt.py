@@ -33,7 +33,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from hashlib import blake2b
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import networkx as nx
 
@@ -905,11 +905,24 @@ class ResultCache:
     intermediate view's own definition or facts change
     (``invalidate_relation("works_dir_for")``) — the row tags alone never
     mention intermediate views, because metaevaluation unfolds them away.
+
+    Invalidation only sees writes made through the session.  Each entry
+    is therefore also stamped with the ``data_generation`` of every base
+    relation its rows were read from (``generation``, the backend's
+    per-relation mutation counter), and a moved stamp is a miss — a
+    write straight to the backend (``database.insert_rows``) never
+    serves stale rows.
     """
 
-    def __init__(self, policy: Optional[CachePolicy] = None):
+    def __init__(
+        self,
+        policy: Optional[CachePolicy] = None,
+        generation: Optional[Callable[[str], int]] = None,
+    ):
         self.policy = policy if policy is not None else CachePolicy()
-        self._entries: dict[tuple, list[tuple]] = {}
+        self._generation = generation or (lambda relation: 0)
+        #: canonical key → (rows, stamp)
+        self._entries: dict[tuple, tuple[list[tuple], tuple]] = {}
         self._relations_of: dict[tuple, frozenset[str]] = {}
         self._keys_by_relation: dict[str, set[tuple]] = {}
         self.stats = CacheStats()
@@ -928,28 +941,49 @@ class ResultCache:
         key = predicate.canonical_key()
         with self._stripes.for_key(key):
             entry = self._entries.get(key)
-        if entry is None:
+        if entry is None or not self._fresh(entry[1]):
             self.stats.incr("misses")
             return None
         self.stats.incr("hits")
-        return entry
+        return entry[0]
+
+    def stamp(self, predicate: DbclPredicate) -> tuple:
+        """The data generations of the base relations ``predicate`` reads.
+
+        Take it *before* executing the statement whose rows are stored
+        under it: a write landing in between then leaves the entry stale
+        (a miss), never fresh over old rows.
+        """
+        generation = self._generation
+        return tuple(
+            (tag, generation(tag)) for tag in {row.tag for row in predicate.rows}
+        )
+
+    def _fresh(self, stamp: tuple) -> bool:
+        generation = self._generation
+        return all(generation(tag) == seen for tag, seen in stamp)
 
     def store(
         self,
         predicate: Optional[DbclPredicate],
         rows: Sequence[tuple],
         relations: Optional[Iterable[str]] = None,
+        stamp: Optional[tuple] = None,
     ) -> bool:
         """Store rows for a predicate, tracking its dependencies.
 
         ``relations`` overrides the default row-tag dependency set; pass
         the transitive closure over the view call graph so indirect base
         relations and intermediate view names invalidate this entry too.
-        ``predicate`` is None only while the policy is disabled.
+        ``stamp`` is :meth:`stamp` as taken before the rows were read
+        (taken now when omitted).  ``predicate`` is None only while the
+        policy is disabled.
         """
         if not self.policy.should_store(len(rows)):
             self.stats.incr("rejected")
             return False
+        if stamp is None:
+            stamp = self.stamp(predicate)
         key = predicate.canonical_key()
         if relations is None:
             relations = frozenset(row.tag for row in predicate.rows)
@@ -959,7 +993,7 @@ class ResultCache:
             )
         with self._stripes.for_key(key):
             with self._index_lock:
-                self._entries[key] = list(rows)
+                self._entries[key] = (list(rows), stamp)
                 self._relations_of[key] = relations
                 for relation in relations:
                     self._keys_by_relation.setdefault(relation, set()).add(key)

@@ -68,7 +68,7 @@ class StepwiseEvaluator:
         self.database = database
         self.constraints = constraints
         self.options = options
-        self.cache = ResultCache()
+        self.cache = ResultCache(generation=database.data_generation)
 
     def evaluate(
         self, goal: Union[Term, str], max_solutions: Optional[int] = None

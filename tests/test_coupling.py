@@ -149,6 +149,28 @@ class TestResultCache:
         assert not cache.store(predicate, [(1,), (2,), (3,)])
         assert cache.stats.rejected == 1
 
+    @pytest.mark.parametrize("cache_on", [True, False])
+    def test_backend_write_past_the_session_is_seen(self, cache_on):
+        # insert_rows / delete_row on the backend never reach the
+        # session's invalidation: the entry's generation stamp catches them.
+        org = generate_org(depth=2, branching=2, staff_per_dept=3, seed=1)
+        dno = org.departments[0].dno
+        ghost = (777001, "ghost", 20000, dno)
+        session = PrologDbSession(cache_policy=CachePolicy(enabled=cache_on))
+        session.load_org(org)
+        goal = f"empl(E, N, S, {dno})"
+        try:
+            assert len(session.ask(goal)) == 3
+            session.database.insert_rows("empl", [ghost])
+            assert len(session.ask(goal)) == 4
+            assert len(session.ask(goal)) == 4
+            session.database.delete_row("empl", ghost)
+            assert len(session.ask(goal)) == 3
+            stats = session.stats()["result_cache"]
+            assert stats["hits"] == (1 if cache_on else 0)
+        finally:
+            session.close()
+
 
 class TestSessionAsk:
     def test_pure_external_query(self, session, org):
