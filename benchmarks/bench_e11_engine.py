@@ -25,7 +25,6 @@ from engine_workloads import (
     run_goal,
 )
 from repro.prolog.engine import Engine
-from run_all import failed
 
 #: (join facts, join iterations, recursion chain, join gate, recursion gate)
 FULL = (10_000, 5, 300, 5.0, 3.0)
@@ -65,16 +64,31 @@ def run(quick: bool, seed: int) -> dict:
 
 
 def test_e11_quick_gates():
+    from run_all import failed
+
     assert not failed(run(quick=True, seed=5)["gates"])
 
 
-def test_e11_join_proof_timing(benchmark):
+def test_e11_join_proof_speedup(benchmark):
     kb = build_join_kb(10_000)
+    result = compare_engines(kb, JOIN_GOAL, iterations=5)
+    print(f"\n[E11] 10k-fact join proof: legacy={result['legacy_seconds']:.3f}s "
+          f"optimized={result['optimized_seconds']:.4f}s "
+          f"speedup={result['speedup']:.0f}x")
+    assert result["legacy_steps"] == result["optimized_steps"]
+    assert result["speedup"] >= 5.0
     benchmark(lambda: run_goal(Engine, kb, JOIN_GOAL, iterations=5))
 
 
-def test_e11_recursion_proof_timing(benchmark):
+def test_e11_recursion_proof_speedup(benchmark):
     kb = build_recursion_kb(300)
+    result = compare_engines(kb, RECURSION_GOAL)
+    print(f"\n[E11] E7-shaped recursion proof: "
+          f"legacy={result['legacy_seconds']:.3f}s "
+          f"optimized={result['optimized_seconds']:.4f}s "
+          f"speedup={result['speedup']:.0f}x")
+    assert result["legacy_steps"] == result["optimized_steps"]
+    assert result["speedup"] >= 3.0
     benchmark(lambda: run_goal(Engine, kb, RECURSION_GOAL))
 
 

@@ -26,7 +26,6 @@ from repro.coupling import PrologDbSession
 from repro.coupling.global_opt import CachePolicy
 from repro.dbms import generate_org
 from repro.schema import ALL_VIEWS_SOURCE
-from run_all import failed
 
 #: (org depth, branching, staff, warm iters, cold iters, min speedup)
 FULL_SIZES = (3, 3, 6, 400, 60, 5.0)
@@ -198,4 +197,6 @@ def run(quick: bool, seed: int) -> dict:
 
 
 def test_e12_quick_gates():
+    from run_all import failed
+
     assert not failed(run(quick=True, seed=5)["gates"])

@@ -29,7 +29,6 @@ import time
 from repro.coupling import PrologDbSession
 from repro.dbms import generate_org
 from repro.schema import ALL_VIEWS_SOURCE
-from run_all import failed
 
 #: (org depth, branching, staff, update/ask cycles, asks per cycle, min speedup)
 FULL_SIZES = (3, 3, 6, 80, 4, 1.4)
@@ -285,4 +284,6 @@ def run(quick: bool, seed: int) -> dict:
 
 
 def test_e13_quick_gates():
+    from run_all import failed
+
     assert not failed(run(quick=True, seed=5)["gates"])

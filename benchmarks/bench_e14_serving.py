@@ -36,7 +36,6 @@ from repro.coupling.global_opt import CachePolicy
 from repro.dbms import generate_org
 from repro.prolog.reader import parse_goal
 from repro.schema import ALL_VIEWS_SOURCE
-from run_all import failed
 
 #: (org depth, branching, staff, serial asks, batch size)
 FULL_SIZES = (4, 3, 6, 512, 64)
@@ -424,4 +423,6 @@ def run(quick: bool, seed: int) -> dict:
 
 
 def test_e14_quick_gates():
+    from run_all import failed
+
     assert not failed(run(quick=True, seed=5)["gates"])

@@ -26,7 +26,6 @@ import time
 from repro.coupling import PrologDbSession
 from repro.dbms import generate_org
 from repro.schema import ALL_VIEWS_SOURCE
-from run_all import failed
 
 #: (chain depth, staff per dept, timing iterations, max levels, min speedup)
 FULL_SIZES = (300, 2, 3, 400, 3.0)
@@ -281,4 +280,6 @@ def run(quick: bool, seed: int) -> dict:
 
 
 def test_e15_quick_gates():
+    from run_all import failed
+
     assert not failed(run(quick=True, seed=5)["gates"])

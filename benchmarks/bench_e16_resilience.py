@@ -33,7 +33,6 @@ from repro.prolog.reader import parse_goal
 from repro.resilience import FaultPolicy
 from repro.resilience.faults import FaultInjectingBackend, FaultSchedule
 from repro.schema import ALL_VIEWS_SOURCE, empdep_constraints, empdep_schema
-from run_all import failed
 
 #: (org depth, branching, staff, warm asks, batch size,
 #:  max ladder µs per warm ask, max ladder µs per batched goal)
@@ -268,4 +267,6 @@ def run(quick: bool, seed: int) -> dict:
 
 
 def test_e16_quick_gates():
+    from run_all import failed
+
     assert not failed(run(quick=True, seed=7)["gates"])

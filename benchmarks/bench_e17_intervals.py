@@ -26,7 +26,6 @@ import time
 from repro.coupling import PrologDbSession
 from repro.dbms import generate_org
 from repro.schema import ALL_VIEWS_SOURCE
-from run_all import failed
 
 #: (org depth, branching, staff per dept, timed probe rounds, min speedup)
 FULL_PROBE = (10, 2, 3, 50, 3.0)
@@ -336,4 +335,6 @@ def run(quick: bool, seed: int) -> dict:
 
 
 def test_e17_quick_gates():
+    from run_all import failed
+
     assert not failed(run(quick=True, seed=5)["gates"])

@@ -29,7 +29,6 @@ from repro.coupling.global_opt import CachePolicy
 from repro.dbms import ExternalDatabase, generate_org
 from repro.schema import ALL_VIEWS_SOURCE, empdep_constraints, empdep_schema
 from repro.serving import FrontDoor, ServingTier
-from run_all import failed
 
 #: (org depth, branching, staff per dept)
 FULL_SIZES = (4, 3, 6)
@@ -317,4 +316,6 @@ def run(quick: bool, seed: int) -> dict:
 
 
 def test_e18_quick_gates():
+    from run_all import failed
+
     assert not failed(run(quick=True, seed=5)["gates"])

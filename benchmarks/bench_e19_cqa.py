@@ -28,7 +28,6 @@ from repro.prolog.reader import parse_goal
 from repro.cqa import repair_instances, split_blocks
 from repro.dbms.sqlite_backend import ExternalDatabase
 from repro.schema.empdep import empdep_constraints, empdep_schema
-from run_all import failed
 
 #: (differential cases, warm asks, min warm/cold speedup)
 FULL_SIZES = (40, 400, 5.0)
@@ -261,4 +260,6 @@ def run(quick: bool, seed: int) -> dict:
 
 
 def test_e19_quick_gates():
+    from run_all import failed
+
     assert not failed(run(quick=True, seed=5)["gates"])

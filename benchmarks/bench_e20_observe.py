@@ -30,7 +30,6 @@ from repro.coupling.global_opt import CachePolicy
 from repro.dbms import generate_org
 from repro.prolog.reader import parse_goal
 from repro.schema import ALL_VIEWS_SOURCE
-from run_all import failed
 
 #: (org depth, branching, staff, warm asks, batch size,
 #:  max tracer µs per warm ask, max tracer µs per batched goal)
@@ -230,4 +229,6 @@ def run(quick: bool, seed: int) -> dict:
 
 
 def test_e20_quick_gates():
+    from run_all import failed
+
     assert not failed(run(quick=True, seed=5)["gates"])

@@ -236,7 +236,7 @@ class Executor:
             bound,
             rows,
             None if bound is None else self.result_dependencies(bound, goal),
-            stamp,
+            stamp=stamp,
         )
         return rows
 

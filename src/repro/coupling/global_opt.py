@@ -917,10 +917,11 @@ class ResultCache:
     def __init__(
         self,
         policy: Optional[CachePolicy] = None,
-        generation: Optional[Callable[[str], int]] = None,
+        *,
+        generation: Callable[[str], int],
     ):
         self.policy = policy if policy is not None else CachePolicy()
-        self._generation = generation or (lambda relation: 0)
+        self._generation = generation
         #: canonical key → (rows, stamp)
         self._entries: dict[tuple, tuple[list[tuple], tuple]] = {}
         self._relations_of: dict[tuple, frozenset[str]] = {}
@@ -968,22 +969,21 @@ class ResultCache:
         predicate: Optional[DbclPredicate],
         rows: Sequence[tuple],
         relations: Optional[Iterable[str]] = None,
-        stamp: Optional[tuple] = None,
+        *,
+        stamp: Optional[tuple],
     ) -> bool:
         """Store rows for a predicate, tracking its dependencies.
 
         ``relations`` overrides the default row-tag dependency set; pass
         the transitive closure over the view call graph so indirect base
         relations and intermediate view names invalidate this entry too.
-        ``stamp`` is :meth:`stamp` as taken before the rows were read
-        (taken now when omitted).  ``predicate`` is None only while the
-        policy is disabled.
+        ``stamp`` is :meth:`stamp` as taken before the rows were read.
+        ``predicate`` and ``stamp`` are None only while the policy is
+        disabled.
         """
         if not self.policy.should_store(len(rows)):
             self.stats.incr("rejected")
             return False
-        if stamp is None:
-            stamp = self.stamp(predicate)
         key = predicate.canonical_key()
         if relations is None:
             relations = frozenset(row.tag for row in predicate.rows)

@@ -131,7 +131,7 @@ class PrologDbSession:
         self.engine = Engine(self.kb)
         self.metaevaluator = Metaevaluator(self.schema, self.kb)
         self.merger = SegmentMerger(self.kb, self.database)
-        self.cache = ResultCache(cache_policy, self.database.data_generation)
+        self.cache = ResultCache(cache_policy, generation=self.database.data_generation)
         self.plans = PlanCache()
         #: Consistent query answering (ROADMAP E19): key-violation
         #: detection with per-generation probe caching, the certainty

@@ -139,11 +139,12 @@ class StepwiseEvaluator:
                 continue
             rows = self.cache.lookup(result.predicate)
             if rows is None:
+                stamp = self.cache.stamp(result.predicate)
                 rows = self.database.execute(
                     translate(result.predicate, distinct=True)
                 )
                 stats.queries_issued += 1
-                self.cache.store(result.predicate, rows)
+                self.cache.store(result.predicate, rows, stamp=stamp)
             else:
                 stats.cache_hits += 1
             names = [t.name for t in result.predicate.target_symbols()]
@@ -168,11 +169,12 @@ class StepwiseEvaluator:
             return False
         rows = self.cache.lookup(result.predicate)
         if rows is None:
+            stamp = self.cache.stamp(result.predicate)
             rows = self.database.execute(
                 translate(result.predicate, distinct=True)
             )
             stats.queries_issued += 1
-            self.cache.store(result.predicate, rows)
+            self.cache.store(result.predicate, rows, stamp=stamp)
         else:
             stats.cache_hits += 1
         return bool(rows)

@@ -115,9 +115,9 @@ class TestResultCache:
         predicate = evaluator.metaevaluate(
             "works_dir_for(X, smiley)", targets=[var("X")]
         )
-        cache = ResultCache()
+        cache = ResultCache(generation=lambda relation: 0)
         assert cache.lookup(predicate) is None
-        cache.store(predicate, [("a",)])
+        cache.store(predicate, [("a",)], stamp=cache.stamp(predicate))
         assert cache.lookup(predicate) == [("a",)]
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
@@ -133,8 +133,8 @@ class TestResultCache:
         second = evaluator.metaevaluate(
             "works_dir_for(X, smiley)", targets=[var("X")]
         )
-        cache = ResultCache()
-        cache.store(first, [("a",)])
+        cache = ResultCache(generation=lambda relation: 0)
+        cache.store(first, [("a",)], stamp=cache.stamp(first))
         assert cache.lookup(second) == [("a",)]
 
     def test_policy_rejects_large_results(self):
@@ -145,8 +145,10 @@ class TestResultCache:
         predicate = evaluator.metaevaluate(
             "works_dir_for(X, smiley)", targets=[var("X")]
         )
-        cache = ResultCache(CachePolicy(max_rows=2))
-        assert not cache.store(predicate, [(1,), (2,), (3,)])
+        cache = ResultCache(CachePolicy(max_rows=2), generation=lambda relation: 0)
+        assert not cache.store(
+            predicate, [(1,), (2,), (3,)], stamp=cache.stamp(predicate)
+        )
         assert cache.stats.rejected == 1
 
     @pytest.mark.parametrize("cache_on", [True, False])

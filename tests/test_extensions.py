@@ -231,3 +231,37 @@ class TestStepwise:
             f"dept(D, F, M)"
         )
         assert len(answers) == 1
+
+    def test_cache_never_fresh_over_rows_read_before_a_write(self, session, org):
+        # A backend write landing between the stepwise read and its
+        # cache store leaves the entry stale: the stamp predates the read.
+        evaluator = StepwiseEvaluator(
+            session.metaevaluator,
+            session.engine,
+            session.database,
+            session.constraints,
+        )
+        dno = org.departments[0].dno
+        goal = f"empl(E, N, S, {dno})"
+        database = session.database
+        read = database.execute
+        ghost = (777001, "ghost", 20000, dno)
+
+        def read_then_write(query):
+            rows = read(query)
+            database.execute = read
+            database.insert_rows("empl", [ghost])
+            return rows
+
+        database.execute = read_then_write
+        try:
+            before, _ = evaluator.evaluate(goal)
+            after, stats = evaluator.evaluate(goal)
+        finally:
+            database.execute = read
+        assert len(after) == len(before) + 1
+        assert stats.cache_hits == 0
+        database.delete_row("empl", ghost)
+        again, stats = evaluator.evaluate(goal)
+        assert len(again) == len(before)
+        assert stats.cache_hits == 0

@@ -479,11 +479,13 @@ class TestChangeCapture:
 class TestTransitiveResultCache:
     def test_store_accepts_explicit_dependencies(self, session):
         trace = session.explain("works_dir_for(X, 'emp00002')")
-        cache = ResultCache()
+        predicate = trace.simplification.predicate
+        cache = ResultCache(generation=session.database.data_generation)
         cache.store(
-            trace.simplification.predicate,
+            predicate,
             [("a",)],
             relations={"works_dir_for", "empl", "dept"},
+            stamp=cache.stamp(predicate),
         )
         assert len(cache) == 1
         cache.invalidate_relation("works_dir_for")  # a view name, not a tag

@@ -220,9 +220,11 @@ class TestInvalidation:
         dept_only = evaluator.metaevaluate(
             "dept(D, F, M)", targets=[var("F")]
         )
-        cache = session.cache.__class__()
-        cache.store(empl_only, [("a",)])
-        cache.store(dept_only, [("x",)])
+        cache = session.cache.__class__(
+            generation=session.database.data_generation
+        )
+        cache.store(empl_only, [("a",)], stamp=cache.stamp(empl_only))
+        cache.store(dept_only, [("x",)], stamp=cache.stamp(dept_only))
         cache.invalidate_relation("empl")
         assert cache.lookup(empl_only) is None
         assert cache.lookup(dept_only) == [("x",)]
