@@ -477,17 +477,17 @@ class Compiler:
             # so ordinary Prolog resolution is the correct evaluator.
             return CompiledPlan(kind="engine")
         if consistent:
-            if not split.is_pure_external:
+            if split.internal:
                 raise CqaError(
                     "consistent answers need a pure-external conjunctive goal; "
                     "internal conjuncts have no repair semantics"
                 )
             session._cqa.stats.incr("rewrite_compiles")
             kind = "cqa"
-        elif split.is_pure_internal:
+        elif not split.external:
             return CompiledPlan(kind="engine")
         else:
-            kind = "external" if split.is_pure_external else "mixed"
+            kind = "mixed" if split.internal else "external"
         self._phase("classify", mark)
         index_of = {id(term): i for i, term in enumerate(conjunct_list)}
         external_indices = tuple(index_of[id(term)] for term in split.external)

@@ -189,7 +189,7 @@ def answer(
             # later ask; result rows cached through the dead plan were
             # fetched from the state the backend just disowned.
             session.plans.evict(shape)
-            session.cache.invalidate()
+            session.cache.clear()
             session.database.resilience.incr("plan_invalidations")
             if span is not None:
                 span.plan_cache = "miss"

@@ -33,7 +33,7 @@ from ..prolog.terms import (
     variables_of,
 )
 from ..prolog.writer import term_to_string
-from .global_opt import CompiledPlan, GoalShape, goal_shape, is_database_indicator
+from .global_opt import CompiledPlan, GoalShape, goal_shape
 
 Value = Union[int, float, str, None]
 
@@ -158,7 +158,7 @@ class Executor:
         if kind == "cqa" or kind == "cqa_enum":
             rows = self._certain_rows(plan, constants, empty, dirty, span)
         elif not empty:
-            rows = self._rows(plan, constants, goal, exclusive)
+            rows = self._rows(plan, constants, exclusive)
             if rows is NEEDS_WRITE:
                 return NEEDS_WRITE
             if kind == "fetch":
@@ -201,43 +201,40 @@ class Executor:
             return answers[:max_solutions]
         return answers
 
-    def _rows(self, plan: CompiledPlan, constants: tuple, goal: Term, exclusive: bool):
+    def _rows(self, plan: CompiledPlan, constants: tuple, exclusive: bool):
         """Result rows for a live plan: result cache, else prepared SQL.
 
-        The one place that touches the result cache.  With the cache
-        policy disabled nothing could ever be stored, so neither the
-        bound predicate (the cache's key, see :meth:`ResultCache.lookup`)
-        nor its dependency set is built; the miss/rejected counters tick
-        as for any probe and refused store.
+        The one place the session touches the result cache.  Its key is
+        ``(sql_text, bind values)`` and its stamp the data generations of
+        the template's row tags (binding leaves tags alone); a moved
+        stamp is a miss (:class:`~.global_opt.ResultCache`).  Pending
+        internal segments merge *before* the lookup, so a lazily
+        asserted base fact has already moved its relation's generation
+        when the entry is checked.  With the cache policy disabled no key
+        is built and no stamp taken; the miss/rejected counters tick as
+        for any probe and refused store.
         """
         session = self.session
         merger = session.merger
         # The paper's merge procedure: a base relation with internally
         # asserted tuples is materialised externally before SQL reads it,
-        # so the statement sees the union of both segments.  Binding
-        # leaves row tags alone, so the template's are the bound ones.
-        pending = merger.pending({row.tag for row in plan.template.rows})
-        if pending and not exclusive:
-            return NEEDS_WRITE  # merging segments mutates both stores
+        # so the statement sees the union of both segments.
+        relations = {row.tag for row in plan.template.rows}
+        pending = merger.pending(relations)
+        if pending:
+            if not exclusive:
+                return NEEDS_WRITE  # merging segments mutates both stores
+            for name in pending:
+                merger.materialise_internal(name)
         cache = session.cache
-        bound = None
-        if cache.policy.enabled:
-            bound = plan.bind(constants, session.constraints)
-        rows = cache.lookup(bound)
+        values = plan.bind_values(constants)
+        key = (plan.sql_text, tuple(values)) if cache.policy.enabled else None
+        rows = cache.lookup(key)
         if rows is not None:
             return rows
-        for name in pending:
-            merger.materialise_internal(name)
-        stamp = None if bound is None else cache.stamp(bound)
-        rows = session.database.execute_prepared(
-            plan.sql_text, plan.bind_values(constants)
-        )
-        cache.store(
-            bound,
-            rows,
-            None if bound is None else self.result_dependencies(bound, goal),
-            stamp=stamp,
-        )
+        stamp = None if key is None else cache.stamp(relations)
+        rows = session.database.execute_prepared(plan.sql_text, values)
+        cache.store(key, rows, stamp=stamp)
         return rows
 
     def _certain_rows(
@@ -253,8 +250,7 @@ class Executor:
         A rewriting runs as one prepared statement and degrades to repair
         enumeration if it fails for good; a non-rewritable plan
         enumerates straight away.  Certain rows bypass the result cache
-        (its key is the predicate alone, shared with the plain rows) and
-        need no segment merge (the consistent mode merges before it
+        and need no segment merge (the consistent mode merges before it
         probes for violations).
         """
         session, cqa = self.session, self.session._cqa
@@ -291,26 +287,6 @@ class Executor:
             return cqa.enumerate(plan.bind(constants, session.constraints), dirty)
         cqa.stats.incr("rewritten_asks")
         return rows
-
-    def result_dependencies(self, predicate: DbclPredicate, goal: Term) -> frozenset:
-        """What a cached result for ``predicate`` depends on, transitively.
-
-        Row tags cover the base relations the *compiled* query reads, but
-        a goal over views depends on the intermediate view definitions
-        too: new clauses (or facts) for ``works_dir_for`` must drop a
-        cached ``same_manager`` result even though the compiled tableau
-        only mentions ``empl``/``dept``.  The view call graph supplies the
-        names on the path plus any indirect base relations simplification
-        may have reasoned away.
-        """
-        session = self.session
-        relations = {row.tag for row in predicate.rows}
-        for indicator in session._compiler.reachable_from(conjuncts(goal)):
-            if is_database_indicator(
-                session.schema, indicator
-            ) or session.kb.has_procedure(indicator):
-                relations.add(indicator[0])
-        return frozenset(relations)
 
     # -- answer assembly -------------------------------------------------------------------
 

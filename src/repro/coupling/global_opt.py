@@ -12,9 +12,9 @@ metaevaluated, simplified, translated, and fetched, plus the *internal
 remainder* to be resolved tuple-at-a-time over the fetched answers.
 
 :class:`ResultCache` implements the storage decision with a simple,
-inspectable policy (cache results up to a row bound, keyed by the
-canonicalised DBCL predicate and invalidated per base relation), which is
-what the recursion strategies and the multiple-query optimizer build on.
+inspectable policy: results up to a row bound, keyed by the prepared
+statement and its bind values, and stale once a base relation they read
+has moved its data generation.
 
 :class:`PlanCache` implements the *compile-once* half of the storage
 decision: two goals that differ only in their constants (``works_for(X,
@@ -78,9 +78,9 @@ def reachable(
 ) -> set[tuple[str, int]]:
     """The indicators plus everything they call, transitively.
 
-    The one walk over the view call graph: classification, result-cache
-    dependencies, the constant-discrimination test and the consistent
-    mode's relation probe all ask this question.
+    The one walk over the view call graph: classification, the
+    constant-discrimination test and the consistent mode's relation
+    probe all ask this question.
     """
     found: set[tuple[str, int]] = set()
     for indicator in indicators:
@@ -152,7 +152,12 @@ def classify_conjuncts(
             # internal facts": a view whose every non-database callee is
             # itself database-translatable is external.
             internal_fact_preds = {
-                i for i in defined if not _reaches_database(graph, schema, i)
+                i
+                for i in defined
+                if not any(
+                    is_database_indicator(schema, other)
+                    for other in reachable(graph, (i,))
+                )
             }
             if internal_fact_preds - {indicator}:
                 classified.append((subgoal, "mixed"))
@@ -163,15 +168,6 @@ def classify_conjuncts(
         else:
             classified.append((subgoal, "internal"))
     return classified
-
-
-def _reaches_database(
-    graph: "nx.DiGraph", schema: DatabaseSchema, indicator: tuple[str, int]
-) -> bool:
-    return any(
-        is_database_indicator(schema, other)
-        for other in reachable(graph, (indicator,))
-    )
 
 
 @dataclass
@@ -186,14 +182,6 @@ class ExecutionPlan:
     interface_variables: list[Variable]
     #: target variables of the whole goal
     goal_variables: list[Variable]
-
-    @property
-    def is_pure_external(self) -> bool:
-        return not self.internal
-
-    @property
-    def is_pure_internal(self) -> bool:
-        return not self.external
 
 
 def plan_goal(
@@ -465,24 +453,24 @@ def goal_with_markers(goal: Term, material: frozenset[int]) -> Term:
     return conjoin([rebuild(g) for g in conjuncts(goal)])
 
 
+def _marker_indices(symbols: Iterable) -> set[int]:
+    return {
+        marker_index(symbol.value)
+        for symbol in symbols
+        if isinstance(symbol, ConstSymbol) and is_param_marker(symbol.value)
+    }
+
+
 def markers_in_comparisons(predicate: DbclPredicate) -> set[int]:
     """Parameter indices whose marker occurs in any Relcomparison."""
-    found: set[int] = set()
-    for comparison in predicate.comparisons:
-        for side in comparison.symbols():
-            if isinstance(side, ConstSymbol) and is_param_marker(side.value):
-                found.add(marker_index(side.value))
-    return found
+    return _marker_indices(
+        side for comparison in predicate.comparisons for side in comparison.symbols()
+    )
 
 
 def markers_in_rows(predicate: DbclPredicate) -> set[int]:
     """Parameter indices whose marker occurs in some tableau cell."""
-    found: set[int] = set()
-    for row in predicate.rows:
-        for entry in row.entries:
-            if isinstance(entry, ConstSymbol) and is_param_marker(entry.value):
-                found.add(marker_index(entry.value))
-    return found
+    return _marker_indices(entry for row in predicate.rows for entry in row.entries)
 
 
 def marker_columns(
@@ -522,7 +510,7 @@ class CompiledPlan:
     Execution needs only :meth:`bind_is_empty` (the valuebound checks a
     fresh compile would have applied) and :meth:`bind_values`;
     :meth:`bind` substitutes the values into the template for the
-    readers of a bound predicate (cache key, fetch, mixed plan, repairs).
+    readers of a bound predicate (fetch, mixed plan, repairs).
     ``material`` are the positions compiled concretely — the plan is
     filed under their values (see :class:`ShapeEntry`).
     """
@@ -870,7 +858,10 @@ class PlanCache:
 
 @dataclass
 class CachePolicy:
-    """When is a query result worth storing? (paper section 2, function 2)"""
+    """When is a query result worth storing? (paper section 2, function 2)
+
+    Disabled, every lookup misses and every store is rejected, unkeyed.
+    """
 
     max_rows: int = 10_000
     enabled: bool = True
@@ -888,30 +879,18 @@ class CacheStats(LockedCounters):
 
 
 class ResultCache:
-    """Query-result store keyed by the canonicalised DBCL predicate.
+    """A stamped memo of prepared statements: key → rows.
 
-    Canonical keys are invariant under variable renaming, so two goals
-    that compile to isomorphic tableaux share one entry — the paper's
-    motivation for storing intermediate results across related queries.
+    The session's key is ``(sql_text, bind values)``, values in bind
+    order (two shapes may share a text but order their parameters
+    differently).  Goals differing only in variable names share a text,
+    hence an entry; a program change changes the text, hence the key.
 
-    Each entry also records what it *depends on*, so a change to one
-    relation (``assert_fact`` on ``empl``) invalidates only the results
-    that could observe it instead of dropping everything.  Dependencies
-    default to the predicate's row tags (its base relations), but the
-    session passes the **transitive** set instead: every view name and
-    base relation reachable from the original goal through the view call
-    graph.  That way a result for a view defined over other views is
-    dropped both when an indirect base relation changes and when an
-    intermediate view's own definition or facts change
-    (``invalidate_relation("works_dir_for")``) — the row tags alone never
-    mention intermediate views, because metaevaluation unfolds them away.
-
-    Invalidation only sees writes made through the session.  Each entry
-    is therefore also stamped with the ``data_generation`` of every base
-    relation its rows were read from (``generation``, the backend's
-    per-relation mutation counter), and a moved stamp is a miss — a
-    write straight to the backend (``database.insert_rows``) never
-    serves stale rows.
+    One freshness rule: an entry is stamped with the ``generation`` (the
+    backend's ``data_generation``) of each base relation its statement
+    reads, taken before the read; a lookup whose stamp has moved is a
+    miss and drops the entry.  Every base write moves a generation —
+    through the session, straight to the backend, or a segment merge.
     """
 
     def __init__(
@@ -922,104 +901,50 @@ class ResultCache:
     ):
         self.policy = policy if policy is not None else CachePolicy()
         self._generation = generation
-        #: canonical key → (rows, stamp)
-        self._entries: dict[tuple, tuple[list[tuple], tuple]] = {}
-        self._relations_of: dict[tuple, frozenset[str]] = {}
-        self._keys_by_relation: dict[str, set[tuple]] = {}
+        #: key → (rows, stamp); entry access holds the key's stripe
+        self._entries: dict[object, tuple[list[tuple], tuple]] = {}
         self.stats = CacheStats()
-        #: Entry lookups/stores stripe by canonical key; the relation →
-        #: keys dependency index is cross-stripe, so it has its own lock
-        #: (acquired after a stripe, never before one is *waited on*).
         self._stripes = StripedLock()
-        self._index_lock = threading.RLock()
 
-    def lookup(self, predicate: Optional[DbclPredicate]) -> Optional[list[tuple]]:
-        """Cached rows; ``predicate`` is None while the policy is disabled."""
+    def lookup(self, key) -> Optional[list[tuple]]:
+        """Fresh rows stored under ``key``, else None (a miss)."""
         if not self.policy.enabled:
-            # Nothing is ever stored: a miss, without the canonical key.
-            self.stats.incr("misses")
+            self.stats.incr("misses")  # nothing is ever stored: key unread
             return None
-        key = predicate.canonical_key()
         with self._stripes.for_key(key):
             entry = self._entries.get(key)
-        if entry is None or not self._fresh(entry[1]):
-            self.stats.incr("misses")
-            return None
-        self.stats.incr("hits")
-        return entry[0]
+            if entry is not None and self._fresh(entry[1]):
+                self.stats.incr("hits")
+                return entry[0]
+            self._entries.pop(key, None)  # stale, or absent
+        self.stats.incr("misses")
+        return None
 
-    def stamp(self, predicate: DbclPredicate) -> tuple:
-        """The data generations of the base relations ``predicate`` reads.
-
-        Take it *before* executing the statement whose rows are stored
-        under it: a write landing in between then leaves the entry stale
-        (a miss), never fresh over old rows.
-        """
+    def stamp(self, relations: Iterable[str]) -> tuple:
+        """The data generations of the base relations a statement reads,
+        taken *before* the read: a write landing in between leaves the
+        entry stale, never fresh over old rows."""
         generation = self._generation
-        return tuple(
-            (tag, generation(tag)) for tag in {row.tag for row in predicate.rows}
-        )
+        return tuple((relation, generation(relation)) for relation in relations)
 
     def _fresh(self, stamp: tuple) -> bool:
         generation = self._generation
-        return all(generation(tag) == seen for tag, seen in stamp)
+        return all(generation(relation) == seen for relation, seen in stamp)
 
-    def store(
-        self,
-        predicate: Optional[DbclPredicate],
-        rows: Sequence[tuple],
-        relations: Optional[Iterable[str]] = None,
-        *,
-        stamp: Optional[tuple],
-    ) -> bool:
-        """Store rows for a predicate, tracking its dependencies.
-
-        ``relations`` overrides the default row-tag dependency set; pass
-        the transitive closure over the view call graph so indirect base
-        relations and intermediate view names invalidate this entry too.
-        ``stamp`` is :meth:`stamp` as taken before the rows were read.
-        ``predicate`` and ``stamp`` are None only while the policy is
-        disabled.
-        """
+    def store(self, key, rows: Sequence[tuple], *, stamp: Optional[tuple]) -> bool:
+        """Store ``rows`` under ``key`` with its :meth:`stamp`; both are
+        None only while the policy is disabled."""
         if not self.policy.should_store(len(rows)):
             self.stats.incr("rejected")
             return False
-        key = predicate.canonical_key()
-        if relations is None:
-            relations = frozenset(row.tag for row in predicate.rows)
-        else:
-            relations = frozenset(relations) | frozenset(
-                row.tag for row in predicate.rows
-            )
         with self._stripes.for_key(key):
-            with self._index_lock:
-                self._entries[key] = (list(rows), stamp)
-                self._relations_of[key] = relations
-                for relation in relations:
-                    self._keys_by_relation.setdefault(relation, set()).add(key)
+            self._entries[key] = (list(rows), stamp)
         self.stats.incr("stored")
         return True
 
-    def invalidate(self, relations: Optional[Iterable[str]] = None) -> None:
-        """Drop entries reading the given base relations (all when None)."""
-        with self._index_lock:
-            if relations is None:
-                self._entries.clear()
-                self._relations_of.clear()
-                self._keys_by_relation.clear()
-                return
-            for relation in relations:
-                for key in self._keys_by_relation.pop(relation, ()):
-                    self._entries.pop(key, None)
-                    for other in self._relations_of.pop(key, ()):
-                        if other != relation:
-                            keys = self._keys_by_relation.get(other)
-                            if keys is not None:
-                                keys.discard(key)
-
-    def invalidate_relation(self, relation: str) -> None:
-        """Drop every entry whose predicate reads ``relation``."""
-        self.invalidate((relation,))
+    def clear(self) -> None:
+        self._entries.clear()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """The entries the cache can serve: those whose stamp is current."""
+        return sum(self._fresh(stamp) for _, stamp in list(self._entries.values()))

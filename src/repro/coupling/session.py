@@ -158,10 +158,6 @@ class PrologDbSession:
         self.tracer.attach(self.database)
         self._plan_caching = plan_cache
         self._register_metaevaluate_builtin()
-        # Any base-relation mutation (including engine-level assertz or
-        # retract from inside a Prolog program) invalidates exactly the
-        # cached results that could observe it.
-        self.kb.add_listener(self._on_base_relation_change)
         # Imported here, not at module level: repro.materialize reaches
         # back into repro.coupling for the closure machinery.
         from ..materialize.manager import MaterializeManager
@@ -184,17 +180,12 @@ class PrologDbSession:
         self.compile_phases = self._compiler.phases
         self._executor = Executor(self)
 
-    def _on_base_relation_change(self, kind, indicator, clauses) -> None:
-        if indicator in self.kb.data_indicators:
-            self.cache.invalidate_relation(indicator[0])
-
     # -- program loading ---------------------------------------------------------
 
     def consult(self, source: str) -> None:
         """Load Prolog clauses (views, rules, facts) into the session."""
-        # The write lock makes load + cache invalidation atomic: no
-        # concurrent reader observes new clauses with stale cached plans
-        # or result rows.
+        # The write lock makes load + plan invalidation atomic: no
+        # concurrent reader observes new clauses with stale cached plans.
         with self.kb.lock.write():
             clauses = self.kb.consult(source)
             self._recursion.clear()
@@ -202,18 +193,12 @@ class PrologDbSession:
             # advanced; the next sync drops them.  Clear eagerly anyway so the
             # cache never outlives a program change even in direct use.
             self.plans.invalidate()
-            # Cached results track dependencies transitively (view names as
-            # well as base relations), so invalidating each consulted head
-            # also drops results for views defined *over* the changed ones.
-            for name in {clause.indicator[0] for clause in clauses}:
-                self.cache.invalidate_relation(name)
             self.materialize.on_consult([clause.indicator for clause in clauses])
 
     def load_org(self, org: OrgHierarchy) -> None:
         """Load a generated organisation into the external database."""
         with self.kb.lock.write():
             relations = load_org(self.database, org)
-            self.cache.invalidate(relations)
             self.materialize.on_load(relations)
 
     def warm(self, goals: Iterable[Union[str, Term]]) -> int:
@@ -258,9 +243,9 @@ class PrologDbSession:
 
         A tuple of a *base relation* is inserted into the external DBMS
         unless it is already there (merge semantics), with materialized
-        views maintained through insert deltas and affected cached
-        results invalidated; nothing enters the knowledge base.  Any
-        other fact is expert-system knowledge, asserted internally.
+        views maintained through insert deltas; nothing enters the
+        knowledge base.  Any other fact is expert-system knowledge,
+        asserted internally.
         """
         clause = KnowledgeBase.fact_clause(functor, values)
         if clause.indicator not in self.kb.data_indicators:
@@ -272,7 +257,6 @@ class PrologDbSession:
                 self.materialize.insert(functor, row)
             else:
                 self.database.insert_absent(functor, [row])
-            self.cache.invalidate_relation(functor)
 
     def retract_fact(self, functor: str, *values) -> bool:
         """Remove a fact from the session's visible union of segments.
@@ -296,7 +280,6 @@ class PrologDbSession:
             else:
                 removed = self.database.delete_row(functor, row)
                 found = found or removed > 0
-            self.cache.invalidate_relation(functor)
             return found
 
     # -- the paper's amalgamated metaevaluate/4 ------------------------------------

@@ -92,11 +92,10 @@ class CertainAnswers:
     ) -> list[tuple]:
         """The predicate's certain rows, intersected over every repair.
 
-        Certain-answer rows never enter the session's result cache — its
-        canonical key is the predicate alone, and the *plain* executor
-        stores rows under the same key with different (non-certain)
-        contents — so enumeration results memoize here instead, keyed by
-        predicate plus the data generations of every involved relation.
+        Certain-answer rows never enter the session's result cache, which
+        memoizes prepared statements and enumeration runs none, so they
+        memoize here instead, keyed by predicate plus the data
+        generations of every involved relation.
         """
         tags = sorted({row.tag for row in predicate.rows})
         generations = tuple(

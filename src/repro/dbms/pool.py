@@ -3,10 +3,10 @@
 Readers are per thread, so concurrent SELECTs never serialize on one
 cursor; with WAL (file-backed stores) they also never block behind the
 writer.  The pool owns everything about those connections and nothing
-else: lazy creation, the ``max_readers`` cap with a bounded wait, the
-PID stamp that keeps a ``fork()`` child off its parent's handles,
-retirement (a collected thread's reader, a poisoned reader) and the
-``PRAGMA optimize`` a connection runs before it goes away.
+else: lazy creation, the PID stamp that keeps a ``fork()`` child off its
+parent's handles, retirement (a collected thread's reader, a poisoned
+reader) and the ``PRAGMA optimize`` a connection runs before it goes
+away.
 """
 
 from __future__ import annotations
@@ -18,29 +18,21 @@ import weakref
 from contextlib import suppress
 from typing import Callable, Optional
 
-from ..errors import ExecutionError, PoolExhaustedError
+from ..errors import ExecutionError
 
 
 class ReaderPool:
     """The read connections of one :class:`ExternalDatabase`.
 
     ``connect`` opens one more connection to the backend's store;
-    ``max_readers`` / ``wait_timeout`` are the backend's cap and patience;
     ``stats`` / ``resilience`` are the backend's counters
-    (``pragma_optimizes``; ``pool_timeouts`` and ``poisoned_retired``).
+    (``pragma_optimizes``; ``poisoned_retired``).
     """
 
     def __init__(
-        self,
-        connect: Callable[[], sqlite3.Connection],
-        max_readers: Optional[int],
-        wait_timeout: float,
-        stats,
-        resilience,
+        self, connect: Callable[[], sqlite3.Connection], stats, resilience
     ):
         self._connect = connect
-        self._max_readers = max_readers
-        self._wait_timeout = wait_timeout
         self._stats = stats
         self._resilience = resilience
         self._closed = False
@@ -56,13 +48,13 @@ class ReaderPool:
         self._local = threading.local()
         self._connections: list[sqlite3.Connection] = []
         self._finalizers: list = []
-        self._cond = threading.Condition()
+        self._lock = threading.RLock()
         self._peak = 0
 
     @property
     def size(self) -> int:
         """How many pooled read connections are currently open."""
-        with self._cond:
+        with self._lock:
             return len(self._connections)
 
     @property
@@ -70,7 +62,7 @@ class ReaderPool:
         """The most read connections ever open at once (dead threads'
         connections are retired, so ``size`` alone understates how far
         the pool fanned out)."""
-        with self._cond:
+        with self._lock:
             return self._peak
 
     def current(self) -> Optional[sqlite3.Connection]:
@@ -89,20 +81,9 @@ class ReaderPool:
         connection = getattr(self._local, "connection", None)
         if connection is not None:
             return connection
-        with self._cond:
+        with self._lock:
             # registration and the closed check share the pool lock,
             # so close() cannot clear the pool between them
-            if self._max_readers is not None and not self._cond.wait_for(
-                lambda: self._closed
-                or len(self._connections) < self._max_readers,
-                self._wait_timeout,
-            ):
-                self._resilience.incr("pool_timeouts")
-                raise PoolExhaustedError(
-                    f"read pool saturated at {self._max_readers} "
-                    f"connections; no slot freed within "
-                    f"{self._wait_timeout:.3f}s"
-                )
             if self._closed:
                 raise ExecutionError("database is closed")
             connection = self._connect()
@@ -142,7 +123,7 @@ class ReaderPool:
 
     def _retire(self, connection: sqlite3.Connection) -> None:
         """Close a pooled reader whose owning thread has been collected."""
-        with self._cond:
+        with self._lock:
             # drop spent finalize handles too, or thread-per-request use
             # would grow the list (pinning closed connections) unboundedly
             self._finalizers = [
@@ -152,7 +133,6 @@ class ReaderPool:
                 self._connections.remove(connection)
             except ValueError:
                 return  # close() already took it
-            self._cond.notify_all()
         self.optimize(connection)
         with suppress(sqlite3.Error):
             connection.close()
@@ -162,17 +142,16 @@ class ReaderPool:
 
         Called by the retry ladder when a read fails with a
         connection-level error ("closed database", corruption): the
-        connection leaves the pool (freeing a capacity slot for
-        waiters), and the thread's next read lazily opens a fresh one.
+        connection leaves the pool, and the thread's next read lazily
+        opens a fresh one.
         """
         connection = self.current()
         if connection is None:
             return
         self._local.connection = None
-        with self._cond:
+        with self._lock:
             with suppress(ValueError):
                 self._connections.remove(connection)
-            self._cond.notify_all()
         with suppress(sqlite3.Error):
             connection.close()
         self._resilience.incr("poisoned_retired")
@@ -191,9 +170,8 @@ class ReaderPool:
         self._stats.incr("pragma_optimizes")
 
     def close(self) -> None:
-        with self._cond:
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()  # waiters wake and see closed
             for finalizer in self._finalizers:
                 finalizer.detach()
             self._finalizers.clear()

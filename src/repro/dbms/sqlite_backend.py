@@ -82,9 +82,6 @@ class ExternalDatabase(SideTables):
     ``policy`` configures the fault-handling layer (retry/backoff,
     circuit breakers, whole-ask retry bounds); ``FaultPolicy.disabled()``
     reverts to the pre-resilience single-attempt behaviour.
-    ``max_readers`` caps the pooled read connections — threads beyond the
-    cap wait up to ``pool_wait_timeout`` seconds for a slot and then get
-    a typed :class:`~repro.errors.PoolExhaustedError` instead of a hang.
 
     Besides the methods below, an instance carries ``deadline``,
     ``current_deadline``, ``fault_context`` and ``breaker_states`` (bound
@@ -105,8 +102,6 @@ class ExternalDatabase(SideTables):
         path: str = ":memory:",
         constraints=None,
         policy: Optional[FaultPolicy] = None,
-        max_readers: Optional[int] = None,
-        pool_wait_timeout: float = 5.0,
     ):
         self.schema = schema
         # Anonymous in-memory databases are private to one connection; the
@@ -141,13 +136,7 @@ class ExternalDatabase(SideTables):
         self.policy = policy if policy is not None else FaultPolicy()
         self.resilience = ResilienceStats()
         self.stats = ExecutionStats()
-        self._pool = ReaderPool(
-            connect,
-            max_readers,
-            pool_wait_timeout,
-            self.stats,
-            self.resilience,
-        )
+        self._pool = ReaderPool(connect, self.stats, self.resilience)
         ladder = self._ladder = RetryLadder(
             self.policy,
             self.resilience,

@@ -124,15 +124,6 @@ class BackendPoisonedError(TransientBackendError):
     """
 
 
-class PoolExhaustedError(TransientBackendError):
-    """Read-pool saturation did not clear within the wait budget.
-
-    Raised instead of blocking indefinitely when ``max_readers`` is set
-    and every pooled connection stays claimed past the pool wait
-    timeout — a clean, typed timeout rather than a hang.
-    """
-
-
 class DeadlineExceeded(ReproError):
     """An operation ran past its per-ask deadline budget.
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from ..coupling.global_opt import ResultCache, classify_conjuncts
+from ..dbcl.predicate import DbclPredicate
 from ..dbms.internal_db import term_to_value, value_to_term
 from ..dbms.sqlite_backend import ExternalDatabase
 from ..errors import CouplingError
@@ -137,16 +138,7 @@ class StepwiseEvaluator:
             result = simplify(predicate, self.constraints, self.options)
             if result.is_empty:
                 continue
-            rows = self.cache.lookup(result.predicate)
-            if rows is None:
-                stamp = self.cache.stamp(result.predicate)
-                rows = self.database.execute(
-                    translate(result.predicate, distinct=True)
-                )
-                stats.queries_issued += 1
-                self.cache.store(result.predicate, rows, stamp=stamp)
-            else:
-                stats.cache_hits += 1
+            rows = self._rows(result.predicate, stats)
             names = [t.name for t in result.predicate.target_symbols()]
             by_name = {v.name: v for v in free}
             for row in rows:
@@ -167,17 +159,21 @@ class StepwiseEvaluator:
         result = simplify(predicate, self.constraints, self.options)
         if result.is_empty:
             return False
-        rows = self.cache.lookup(result.predicate)
-        if rows is None:
-            stamp = self.cache.stamp(result.predicate)
-            rows = self.database.execute(
-                translate(result.predicate, distinct=True)
-            )
-            stats.queries_issued += 1
-            self.cache.store(result.predicate, rows, stamp=stamp)
-        else:
+        return bool(self._rows(result.predicate, stats))
+
+    def _rows(self, predicate: DbclPredicate, stats: StepwiseStats) -> list[tuple]:
+        """The predicate's rows, memoized under its canonical key (so a
+        renamed-apart repeat hits) and stamped by its row tags."""
+        key = predicate.canonical_key()
+        rows = self.cache.lookup(key)
+        if rows is not None:
             stats.cache_hits += 1
-        return bool(rows)
+            return rows
+        stamp = self.cache.stamp({row.tag for row in predicate.rows})
+        rows = self.database.execute(translate(predicate, distinct=True))
+        stats.queries_issued += 1
+        self.cache.store(key, rows, stamp=stamp)
+        return rows
 
     def _extend_internal(
         self,

@@ -206,8 +206,8 @@ class RetryLadder:
                     )
                 result = attempt_once()
             except sqlite3.Error as error:
-                # (typed budget errors — DeadlineExceeded, PoolExhausted —
-                # are not sqlite3 errors and pass through unretried)
+                # (a typed DeadlineExceeded is not an sqlite3 error and
+                # passes through unretried)
                 category = classify_sqlite_error(error)
                 if category == "permanent":
                     # the statement's fault, not the substrate's: the

@@ -54,8 +54,6 @@ class ResilienceStats(LockedCounters):
     deadline_exceeded: int = 0
     #: poisoned pooled connections retired instead of recycled.
     poisoned_retired: int = 0
-    #: read-pool waits that expired into ``PoolExhaustedError``.
-    pool_timeouts: int = 0
     #: maintained views quarantined after a failed maintenance delta.
     quarantines: int = 0
     #: quarantined views rebuilt back to serving condition.

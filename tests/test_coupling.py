@@ -12,7 +12,6 @@ from repro.coupling import (
 )
 from repro.dbms import generate_org
 from repro.errors import CouplingError
-from repro.metaevaluate import Metaevaluator
 from repro.prolog import KnowledgeBase, parse_goal, var
 from repro.schema import (
     ALL_VIEWS_SOURCE,
@@ -107,49 +106,71 @@ class TestClassification:
 
 
 class TestResultCache:
+    KEY = ("SELECT v1.nam FROM empl v1 WHERE v1.dno = ?", (3,))
+
     def test_hit_and_miss(self):
-        schema = empdep_schema()
-        kb = KnowledgeBase()
-        kb.consult(WORKS_DIR_FOR_SOURCE)
-        evaluator = Metaevaluator(schema, kb)
-        predicate = evaluator.metaevaluate(
-            "works_dir_for(X, smiley)", targets=[var("X")]
-        )
-        cache = ResultCache(generation=lambda relation: 0)
-        assert cache.lookup(predicate) is None
-        cache.store(predicate, [("a",)], stamp=cache.stamp(predicate))
-        assert cache.lookup(predicate) == [("a",)]
+        generations = {"empl": 0}
+        cache = ResultCache(generation=generations.__getitem__)
+        assert cache.lookup(self.KEY) is None
+        cache.store(self.KEY, [("a",)], stamp=cache.stamp({"empl"}))
+        assert cache.lookup(self.KEY) == [("a",)]
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
+        # A moved stamp is a miss, and the lookup drops the stale entry.
+        generations["empl"] += 1
+        assert len(cache) == 0
+        assert cache.lookup(self.KEY) is None
+        assert cache._entries == {}
 
-    def test_renamed_query_hits(self):
-        schema = empdep_schema()
-        kb = KnowledgeBase()
-        kb.consult(WORKS_DIR_FOR_SOURCE)
-        evaluator = Metaevaluator(schema, kb)
-        first = evaluator.metaevaluate(
-            "works_dir_for(X, smiley)", targets=[var("X")]
-        )
-        second = evaluator.metaevaluate(
-            "works_dir_for(X, smiley)", targets=[var("X")]
-        )
-        cache = ResultCache(generation=lambda relation: 0)
-        cache.store(first, [("a",)], stamp=cache.stamp(first))
-        assert cache.lookup(second) == [("a",)]
+    def test_renamed_query_hits(self, session, org):
+        boss = org.root_manager_name()
+        first = session.ask(f"works_dir_for(X, {boss})")
+        second = session.ask(f"works_dir_for(Who, {boss})")
+        assert [a["X"] for a in first] == [a["Who"] for a in second]
+        # Two goals differing only in variable names share one entry.
+        assert len(session.cache) == 1
+        assert session.cache.stats.hits == 1
 
     def test_policy_rejects_large_results(self):
-        schema = empdep_schema()
-        kb = KnowledgeBase()
-        kb.consult(WORKS_DIR_FOR_SOURCE)
-        evaluator = Metaevaluator(schema, kb)
-        predicate = evaluator.metaevaluate(
-            "works_dir_for(X, smiley)", targets=[var("X")]
-        )
         cache = ResultCache(CachePolicy(max_rows=2), generation=lambda relation: 0)
         assert not cache.store(
-            predicate, [(1,), (2,), (3,)], stamp=cache.stamp(predicate)
+            self.KEY, [(1,), (2,), (3,)], stamp=cache.stamp({"empl"})
         )
         assert cache.stats.rejected == 1
+
+    def test_warm_ask_builds_no_key_predicate(self, session, org, monkeypatch):
+        """A first-sight warm ask neither binds the template nor
+        canonicalizes a predicate; its repeat is a hit, 0 statements."""
+        from repro.coupling.global_opt import CompiledPlan
+        from repro.dbcl.predicate import DbclPredicate
+
+        names = [e.nam for e in org.employees[:2]]
+        session.ask(f"works_dir_for(X, {names[0]})")  # compile the shape
+        calls = []
+        for owner, method in (
+            (DbclPredicate, "canonical_key"),
+            (CompiledPlan, "bind"),
+        ):
+            original = getattr(owner, method)
+            monkeypatch.setattr(
+                owner,
+                method,
+                lambda *args, _m=method, _f=original: calls.append(_m)
+                or _f(*args),
+            )
+        goal = f"works_dir_for(X, {names[1]})"
+        first = session.ask(goal)
+        assert calls == []
+        before = session.stats()
+        assert session.ask(goal) == first
+        after = session.stats()
+        assert calls == []
+        executed = {
+            key: after["database"][key] - before["database"][key]
+            for key in ("queries_executed", "prepared_executions")
+        }
+        assert executed == {"queries_executed": 0, "prepared_executions": 0}
+        assert after["result_cache"]["hits"] - before["result_cache"]["hits"] == 1
 
     @pytest.mark.parametrize("cache_on", [True, False])
     def test_backend_write_past_the_session_is_seen(self, cache_on):

@@ -210,24 +210,20 @@ class TestInvalidation:
         assert len(session.cache) == 0
 
     def test_result_cache_keeps_unrelated_relations(self, session, org):
-        schema = empdep_schema()
-        kb = KnowledgeBase()
-        kb.consult(WORKS_DIR_FOR_SOURCE)
-        evaluator = Metaevaluator(schema, kb)
-        empl_only = evaluator.metaevaluate(
-            "empl(E, N, S, D)", targets=[var("N")]
+        session.ask("empl(E, N, S, D)")
+        session.ask("dept(D, F, M)")
+        assert len(session.cache) == 2
+        # A write straight to the backend moves empl's generation only.
+        session.database.insert_rows(
+            "empl", [(777001, "ghost", 20000, org.departments[0].dno)]
         )
-        dept_only = evaluator.metaevaluate(
-            "dept(D, F, M)", targets=[var("F")]
-        )
-        cache = session.cache.__class__(
-            generation=session.database.data_generation
-        )
-        cache.store(empl_only, [("a",)], stamp=cache.stamp(empl_only))
-        cache.store(dept_only, [("x",)], stamp=cache.stamp(dept_only))
-        cache.invalidate_relation("empl")
-        assert cache.lookup(empl_only) is None
-        assert cache.lookup(dept_only) == [("x",)]
+        assert len(session.cache) == 1
+        hits = session.cache.stats.hits
+        session.ask("dept(D, F, M)")
+        assert session.cache.stats.hits == hits + 1
+        answers = session.ask("empl(E, N, S, D)")
+        assert "ghost" in {a["N"] for a in answers}
+        assert session.cache.stats.hits == hits + 1
 
     def test_plan_cache_generation_isolated_from_interface_facts(
         self, session, org

@@ -11,7 +11,6 @@ differential (a Hypothesis property: any eventually-healing schedule
 yields answers identical to a fault-free run).
 """
 
-import gc
 import sqlite3
 from collections import Counter
 import threading
@@ -29,7 +28,6 @@ from repro.errors import (
     BackendPoisonedError,
     DeadlineExceeded,
     ExecutionError,
-    PoolExhaustedError,
     TransientBackendError,
     classify_sqlite_error,
 )
@@ -150,7 +148,6 @@ class TestErrorTaxonomy:
     def test_taxonomy_hierarchy(self):
         assert issubclass(TransientBackendError, ExecutionError)
         assert issubclass(BackendPoisonedError, TransientBackendError)
-        assert issubclass(PoolExhaustedError, TransientBackendError)
         # A deadline is a caller-imposed budget, not a backend fault:
         # neither the retry loop nor the ladder may swallow it.
         assert not issubclass(DeadlineExceeded, ExecutionError)
@@ -372,56 +369,6 @@ class TestDeadlines:
             assert session.ask("works_dir_for(X, Y)")
         finally:
             session.close()
-
-
-# -- pool capacity (satellite: clean timeout, not a hang) ----------------------
-
-
-class TestPoolExhaustion:
-    def test_exhausted_pool_times_out_cleanly(self):
-        with make_backend(max_readers=1, pool_wait_timeout=0.15) as database:
-            database.insert_rows("empl", EMPL_ROWS)
-            claimed = threading.Event()
-            release = threading.Event()
-
-            def holder():
-                database.row_count("empl")  # claims the only reader slot
-                claimed.set()
-                release.wait(10.0)
-
-            thread = threading.Thread(target=holder)
-            thread.start()
-            try:
-                assert claimed.wait(5.0)
-                started = time.monotonic()
-                with pytest.raises(PoolExhaustedError):
-                    database.row_count("empl")
-                elapsed = time.monotonic() - started
-                assert elapsed < 2.0  # timed out, did not hang
-                assert database.resilience.snapshot()["pool_timeouts"] >= 1
-            finally:
-                release.set()
-                thread.join(timeout=5.0)
-            assert not thread.is_alive()
-
-    def test_capacity_frees_when_reader_retires(self):
-        with make_backend(max_readers=1, pool_wait_timeout=1.0) as database:
-            database.insert_rows("empl", EMPL_ROWS)
-            done = threading.Event()
-
-            def transient_reader():
-                database.row_count("empl")
-                done.set()
-
-            thread = threading.Thread(target=transient_reader)
-            thread.start()
-            assert done.wait(5.0)
-            thread.join(timeout=5.0)
-            # Retirement is keyed on the Thread object's finalizer: drop
-            # our reference and collect so the slot frees deterministically.
-            thread = None
-            gc.collect()
-            assert database.row_count("empl") == 4
 
 
 # -- write-mutex exception safety (satellite: failing-txn hammer) --------------
@@ -658,7 +605,6 @@ class TestSessionLadder:
                 "plan_invalidations",
                 "deadline_exceeded",
                 "poisoned_retired",
-                "pool_timeouts",
                 "quarantines",
                 "heals",
                 "ask_retries",
