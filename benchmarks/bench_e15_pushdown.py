@@ -1,4 +1,4 @@
-"""E15 — backend pushdown: recursive CTEs + statistics-driven planning.
+"""E15 — backend pushdown: recursive CTEs + per-side read planning.
 
 Claims gated by :func:`run` (recorded in ``BENCH_pushdown.json`` by
 ``benchmarks/run_all.py``):
@@ -15,9 +15,8 @@ Claims gated by :func:`run` (recorded in ``BENCH_pushdown.json`` by
   ``IncrementalClosure`` (PR 3's path, untouched);
 * ``ask_many`` batches warm recursive shapes through the batch-seeded
   CTE (no serial fallback) with answers identical to serial ``ask()``;
-* the statistics-driven planner picks the pushdown tier (CTE — or,
-  since PR 7, the interval probe on tree-shaped data) on this workload
-  and records why.
+* the planner picks the pushdown tier (CTE — or, on tree-shaped data,
+  the interval probe) on this workload and records why.
 """
 
 import random
@@ -100,7 +99,6 @@ def bench_chain_closure(org, iterations: int, max_levels: int) -> dict:
         "cte_statements_per_solve": db_stats["prepared_executions"]
         // iterations,
         "planner_strategy": plan.strategy,
-        "planner_estimated_edge_rows": plan.estimated_edge_rows,
         "identical": cte.pairs == frontier.pairs,
     }
     session.close()
@@ -245,7 +243,7 @@ def run(quick: bool, seed: int) -> dict:
     batching = bench_recursive_ask_many(b_depth, b_branching, b_staff, total)
     return {
         "benchmark": "E15 backend pushdown "
-        "(WITH RECURSIVE CTE + statistics-driven cost-based planning)",
+        "(WITH RECURSIVE CTE + per-side read planning)",
         "baseline": "prepared setrel frontier loop: one round-trip and one "
         "commit per recursion level",
         "workloads": {

@@ -87,8 +87,8 @@ def main() -> None:
     # Recursive closure without recursion: label the works_for forest
     # with pre/post (nested-set) intervals and a reachability probe
     # becomes one covering-index range scan — no fixpoint at all.
-    # The planner picks this tier automatically on large tree-shaped
-    # data (strategy="plan"); here we force it to show the machinery.
+    # The planner picks this tier for every descendant ask on
+    # tree-shaped data; here we call it directly to show the machinery.
     session.consult(WORKS_FOR_TOP_DOWN_SOURCE)
     boss = org.root_manager_name()
     session.ask(f"works_for(X, {boss})")  # warm the recursive shape

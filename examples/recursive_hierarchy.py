@@ -59,9 +59,9 @@ def main() -> None:
           f"query 2 -> {auto2.stats.strategy}")
 
     # Beyond the paper: push the whole fixpoint into the DBMS as one
-    # prepared WITH RECURSIVE statement.  The planner chooses per bound
-    # side (on a hierarchy above its statistics threshold: the CTE for a
-    # bound subordinate, the interval probe for a bound boss).
+    # prepared WITH RECURSIVE statement.  The planner chooses a read per
+    # bound side, at every size: the CTE for a bound subordinate, the
+    # interval probe for a bound boss.
     cte = session.solve_recursive("works_for", high=boss, strategy="cte")
     show("cte", cte)
     for low, high in ((leaf, None), (None, boss)):

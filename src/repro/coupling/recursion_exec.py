@@ -26,10 +26,12 @@ round-trip, no commits.  On forest-shaped data it goes one further:
 ``strategy="interval"`` answers the probe from a pre/post nested-set
 labeling (:class:`~repro.materialize.intervals.IntervalIndex`) — one
 indexed range predicate, no recursion in either Python *or* the backend.
-``strategy="plan"`` chooses per bound side — the interval probe below a
-bound boss, the CTE above a bound subordinate, the prepared frontier
-loop on tiny edge views — once per data generation
-(:meth:`TransitiveClosure.plan`); maintained views keep their
+The planner (:meth:`TransitiveClosure.plan`) chooses only reads, from
+the bound side alone, once per data generation: the interval probe
+below a bound boss, the CTE above a bound subordinate, and ``memory``
+(one flat edge fetch) when the CTE cannot be prepared.  The paper's
+frontier strategies stay callable (Example 7-1, E7) and are the
+degradation ladder's middle rung; maintained views keep their
 :class:`IncrementalClosure` path in the materialize subsystem.
 """
 
@@ -37,15 +39,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Optional, Sequence, Union
+from typing import AbstractSet, Iterable, NamedTuple, Optional
 
-from ..dbcl.predicate import DbclPredicate
 from ..errors import CouplingError, IntervalUnavailable, RecursionLimitExceeded
-from ..metaevaluate.recursion import (
-    expansion_at_level,
-    is_linear_recursive,
-    recursion_signature,
-)
+from ..metaevaluate.recursion import expansion_at_level, is_linear_recursive
 from ..metaevaluate.translator import Metaevaluator
 from ..optimize.pipeline import SimplifyOptions, simplify
 from ..prolog.knowledge_base import KnowledgeBase
@@ -60,17 +57,11 @@ from ..prolog.terms import (
 )
 from ..schema.catalog import DatabaseSchema, Relation
 from ..schema.constraints import ConstraintSet
+from ..sql.ast import empty_query
 from ..sql.translate import closure_cte, translate
-from .global_opt import CachePolicy
 from ..dbms.sqlite_backend import ExternalDatabase
 
 INTERMEDIATE = "intermediate"
-
-#: Below this estimated edge cardinality the Python frontier loop's
-#: per-level overhead is negligible and its per-level statistics are
-#: worth keeping; at or above it the planner pushes the fixpoint down as
-#: one ``WITH RECURSIVE`` statement.
-CTE_MIN_EDGE_ROWS = 16
 
 
 def find_base_clause(
@@ -154,21 +145,32 @@ class RecursionRun:
     pairs: set[tuple]
     stats: RecursionStats
 
+    def nodes(self, bound: str) -> list:
+        """The free side of the pairs, sorted (``bound``: the bound side)."""
+        side = 1 if bound == "low" else 0
+        return sorted({pair[side] for pair in self.pairs})
+
 
 @dataclass(frozen=True)
 class RecursionPlan:
     """One planning decision: which strategy answers a closure probe.
 
-    ``strategy`` is a :meth:`TransitiveClosure.solve` strategy name;
-    ``estimated_edge_rows`` is the statistics service's estimate for the
-    edge view's cardinality (None when no statistics were available) and
-    ``reason`` says why the planner chose as it did — surfaced so tests
-    and operators can audit cost-based decisions.
+    ``strategy`` is ``interval``, ``cte`` or ``memory`` (each a read;
+    see :meth:`TransitiveClosure.probe`); ``reason`` says why the planner
+    chose as it did — surfaced so tests and operators can audit it.
     """
 
     strategy: str
     reason: str
-    estimated_edge_rows: Optional[int] = None
+
+
+class _EdgeView(NamedTuple):
+    """The base clause's flat edge body, metaevaluated once per closure."""
+
+    sql: object  # SELECT (low, high); ``is_empty`` when provably empty
+    relations: tuple[str, ...]  # the base relations it reads
+    low_attribute: str  # the attribute each endpoint lives in
+    high_attribute: str
 
 
 @dataclass
@@ -187,9 +189,6 @@ class _CteQueries:
     ascend_sql: object  # seed on the low side, collect the cone above
     descend_text: str
     ascend_text: str
-    edge_sql: object  # the flat edge block both directions share
-    #: base-relation names the edge view reads (the planner's stats keys)
-    edge_relations: tuple[str, ...]
     batch_texts: dict = field(default_factory=dict)
 
 
@@ -206,9 +205,6 @@ class _EdgeQueries:
     ascend_sql: object  # SELECT (low, high) ... WHERE low IN intermediate
     descend_text: str  # rendered once; re-executed per level
     ascend_text: str
-    database: ExternalDatabase
-    low_attribute: str
-    high_attribute: str
 
 
 class TransitiveClosure:
@@ -237,6 +233,7 @@ class TransitiveClosure:
         self.view = view
         self.optimize = optimize
         self._base_head, self._base_body = find_base_clause(kb, view)
+        self._edge: Optional[_EdgeView] = None
         self._edges: Optional[_EdgeQueries] = None
         self._cte: Optional[_CteQueries] = None
         #: Negative cache: the error a failed CTE preparation raised.  A
@@ -246,7 +243,7 @@ class TransitiveClosure:
         #: for this executor's lifetime is sound.
         self._cte_error: Optional[Exception] = None
         #: The view's interval (nested-set) labeling, built lazily the
-        #: first time the planner considers the ``interval`` strategy.
+        #: first time a descendant probe is planned.
         self._interval = None
         #: The most recent :meth:`plan` decision (inspection/benchmarks).
         self.last_plan: Optional[RecursionPlan] = None
@@ -277,25 +274,7 @@ class TransitiveClosure:
             return self._edges
 
         low_var, high_var = self._base_head.args  # type: ignore[misc]
-        assert isinstance(low_var, Variable) and isinstance(high_var, Variable)
-
-        # Determine the attribute each end of the edge lives in by
-        # metaevaluating the plain edge goal once.
-        plain_eval = Metaevaluator(self.schema, self.kb)
-        edge_predicate = plain_eval.metaevaluate(
-            conjoin(self._base_body),
-            name="edge",
-            targets=[low_var, high_var],
-        )
-        low_column = edge_predicate.first_occurrence(
-            edge_predicate.targets[0]
-        ).column
-        high_column = edge_predicate.first_occurrence(
-            edge_predicate.targets[1]
-        ).column
-        low_attribute = self.schema.attribute_names[low_column]
-        high_attribute = self.schema.attribute_names[high_column]
-
+        edge = self._edge_query()
         options = SimplifyOptions() if self.optimize else SimplifyOptions.none()
 
         def build(step_goal: Term, attribute: str) -> object:
@@ -318,16 +297,13 @@ class TransitiveClosure:
         # edge between part numbers of different columns).
         descend_goal = conjoin(self._base_body + [struct(INTERMEDIATE, high_var)])
         ascend_goal = conjoin(self._base_body + [struct(INTERMEDIATE, low_var)])
-        descend_sql = build(descend_goal, high_attribute)
-        ascend_sql = build(ascend_goal, low_attribute)
+        descend_sql = build(descend_goal, edge.high_attribute)
+        ascend_sql = build(ascend_goal, edge.low_attribute)
         self._edges = _EdgeQueries(
             descend_sql=descend_sql,
             ascend_sql=ascend_sql,
             descend_text=self.database.prepare(descend_sql),
             ascend_text=self.database.prepare(ascend_sql),
-            database=self.database,
-            low_attribute=low_attribute,
-            high_attribute=high_attribute,
         )
         return self._edges
 
@@ -351,8 +327,15 @@ class TransitiveClosure:
 
     # -- recursive-CTE pushdown ---------------------------------------------------------
 
-    def _edge_query(self) -> tuple[object, tuple[str, ...]]:
-        """The flat edge view compiled to SQL: SELECT (low, high) pairs."""
+    def _edge_query(self) -> _EdgeView:
+        """The flat edge view compiled to SQL: SELECT (low, high) pairs.
+
+        Metaevaluated once per closure; the attribute each endpoint lives
+        in is read off the unsimplified predicate, so a provably empty
+        view still has them (the frontier loop needs them).
+        """
+        if self._edge is not None:
+            return self._edge
         low_var, high_var = self._base_head.args  # type: ignore[misc]
         evaluator = Metaevaluator(self.schema, self.kb)
         predicate = evaluator.metaevaluate(
@@ -360,14 +343,19 @@ class TransitiveClosure:
             name="edge",
             targets=[low_var, high_var],
         )
+        low, high = (
+            self.schema.attribute_names[predicate.first_occurrence(target).column]
+            for target in predicate.targets
+        )
         options = SimplifyOptions() if self.optimize else SimplifyOptions.none()
         result = simplify(predicate, self.constraints, options)
         if result.is_empty:
-            raise CouplingError(
-                f"{self.view[0]}/2: the edge view is provably empty"
-            )
-        relations = tuple(sorted({row.tag for row in result.predicate.rows}))
-        return translate(result.predicate, distinct=True), relations
+            self._edge = _EdgeView(empty_query(), (), low, high)
+        else:
+            relations = tuple(sorted({row.tag for row in result.predicate.rows}))
+            sql = translate(result.predicate, distinct=True)
+            self._edge = _EdgeView(sql, relations, low, high)
+        return self._edge
 
     def _cte_name(self) -> str:
         """A CTE name that cannot shadow any base relation in the FROM list."""
@@ -395,7 +383,11 @@ class TransitiveClosure:
                 raise
 
     def _prepare_cte_uncached(self) -> _CteQueries:
-        edge_sql, edge_relations = self._edge_query()
+        edge_sql = self._edge_query().sql
+        if edge_sql.is_empty:
+            raise CouplingError(
+                f"{self.view[0]}/2: the edge view is provably empty"
+            )
         name = self._cte_name()
         # Descending collects the cone *below* a bound high endpoint:
         # the frontier matches the high column (index 1 of the edge
@@ -407,8 +399,6 @@ class TransitiveClosure:
             ascend_sql=ascend,
             descend_text=self.database.prepare(descend),
             ascend_text=self.database.prepare(ascend),
-            edge_sql=edge_sql,
-            edge_relations=edge_relations,
         )
         return self._cte
 
@@ -416,37 +406,6 @@ class TransitiveClosure:
         """The two prepared ``WITH RECURSIVE`` trees (descend, ascend)."""
         cte = self._prepare_cte()
         return cte.descend_sql, cte.ascend_sql
-
-    def batch_cte_text(self, bound: str, batch_size: int) -> str:
-        """Prepared batch-seeded CTE text for ``batch_size`` distinct seeds.
-
-        ``bound`` names the bound argument side: ``"high"`` descends (the
-        ``works_for(X, boss)`` shape), ``"low"`` ascends.  The statement
-        seeds the closure through one ``IN (VALUES …)`` membership and
-        threads each row's originating seed through a ``root`` column, so
-        one execution answers a whole same-shape ``ask_many`` group; rows
-        come back as ``(root, node)``.  Texts are cached per (direction,
-        batch size) — the set-oriented serving path re-executes them with
-        rotating seed batches at zero re-prints.
-        """
-        if bound not in ("low", "high"):
-            raise CouplingError(f"bound side must be 'low' or 'high', got {bound!r}")
-        cte = self._prepare_cte()
-        with self._solve_lock:
-            key = (bound, batch_size)
-            text = cte.batch_texts.get(key)
-            if text is None:
-                frontier, result = (1, 0) if bound == "high" else (0, 1)
-                variant = closure_cte(
-                    cte.edge_sql,
-                    frontier=frontier,
-                    result=result,
-                    name=self._cte_name(),
-                    batch_size=batch_size,
-                )
-                text = self.database.prepare(variant)
-                cte.batch_texts[key] = text
-            return text
 
     # -- interval (nested-set) acceleration ----------------------------------------------
 
@@ -462,24 +421,27 @@ class TransitiveClosure:
             if self._interval is None:
                 from ..materialize.intervals import IntervalIndex
 
-                cte = self._prepare_cte()
+                self._prepare_cte()
+                edge = self._edge_query()
                 self._interval = IntervalIndex(
-                    self.database,
-                    self.view[0],
-                    cte.edge_sql,
-                    cte.edge_relations,
+                    self.database, self.view[0], edge.sql, edge.relations
                 )
             return self._interval
 
     def probe(self, strategy: str, bound: str, seed) -> list:
-        """Sorted distinct nodes from one prepared ``interval`` / ``cte`` read.
+        """Sorted distinct nodes from one read of a planned strategy.
 
         ``bound`` names the bound side: ``"high"`` collects the cone
-        below the seed, ``"low"`` the chain above it.  The interval texts
-        bind the seed twice (once per ``UNION`` branch), the CTE texts
-        once.  A pure read: the caller prepared the statement and, for
-        ``interval``, freshened the labeling.
+        below the seed, ``"low"`` the chain above it.  ``interval`` and
+        ``cte`` execute one prepared statement (the interval texts bind
+        the seed twice, once per ``UNION`` branch; the CTE texts once):
+        the caller prepared it and, for ``interval``, freshened the
+        labeling.  ``memory`` fetches the flat edge view and closes over
+        it in Python — also a read, and no statement at all when the
+        view is provably empty.
         """
+        if strategy == "memory":
+            return self._solve_memory(**{bound: seed}).nodes(bound)
         if strategy == "interval":
             index = self._interval
             text = index.descend_text if bound == "high" else index.ascend_text
@@ -490,38 +452,18 @@ class TransitiveClosure:
             rows = self.database.execute_prepared(text, (seed,))
         return sorted({row[0] for row in rows})
 
-    def _solve_probe(
-        self, strategy: str, low: Optional[str], high: Optional[str]
-    ) -> RecursionRun:
-        """One prepared statement answers the whole closure question.
-
-        ``interval`` nests intervals — no fixpoint anywhere; it raises
-        :class:`~repro.errors.IntervalUnavailable` on non-forest data.
-        ``cte`` lets the DBMS iterate the fixpoint (``UNION`` ends it on
-        cyclic data): no intermediate relation, no commits.
-        """
-        if strategy == "interval":
-            self.interval_index().ensure_fresh()
-        else:
-            self._prepare_cte()
-        bound, seed = ("high", high) if high is not None else ("low", low)
-        nodes = self.probe(strategy, bound, seed)
-        stats = RecursionStats(strategy=strategy, queries_issued=1)
-        stats.new_answers_per_level.append(len(nodes))
-        if high is not None:
-            pairs = {(node, high) for node in nodes}
-        else:
-            pairs = {(low, node) for node in nodes}
-        return RecursionRun(pairs=pairs, stats=stats)
-
     def batch_probe_text(self, bound: str, batch_size: int) -> str:
         """The prepared batch statement for a same-shape ask group.
 
         The serial rule (:meth:`plan`): below bound seeds, the interval
-        batch probe (seeds bound once through a ``VALUES`` CTE, rows back
-        as ``(root, node)`` exactly like the batch closure CTE) when the
-        labeling is fresh and servable; above bound seeds, and whenever
-        the labeling cannot serve, :meth:`batch_cte_text`.
+        batch probe while the labeling is fresh and servable; above bound
+        seeds, and whenever the labeling cannot serve, the batch-seeded
+        CTE.  Either seeds its probe with ``batch_size`` distinct
+        constants through one ``IN (VALUES …)`` membership and threads
+        each row's seed through a ``root`` column, so one execution
+        answers the whole group; rows come back as ``(root, node)``.
+        CTE texts are cached per (direction, batch size) — rotating seed
+        batches re-execute them at zero re-prints.
         """
         if bound == "high":
             try:
@@ -530,16 +472,31 @@ class TransitiveClosure:
                 return index.batch_text(bound, batch_size)
             except Exception:  # noqa: BLE001 - demoted/failed: CTE form
                 pass
-        return self.batch_cte_text(bound, batch_size)
+        cte = self._prepare_cte()
+        with self._solve_lock:
+            key = (bound, batch_size)
+            text = cte.batch_texts.get(key)
+            if text is None:
+                frontier, result = (1, 0) if bound == "high" else (0, 1)
+                variant = closure_cte(
+                    self._edge_query().sql,
+                    frontier=frontier,
+                    result=result,
+                    name=self._cte_name(),
+                    batch_size=batch_size,
+                )
+                text = self.database.prepare(variant)
+                cte.batch_texts[key] = text
+            return text
 
-    # -- cost-based strategy choice -----------------------------------------------------
+    # -- strategy choice -----------------------------------------------------------------
 
     def _generations(self) -> tuple:
         """The edge relations' data generations: the decision cache's key."""
         if self._cte is None:
-            return ()  # no pushdown, no statistics: the frontier for good
+            return ()  # no pushdown: ``memory`` for good
         generation = self.database.data_generation
-        return tuple([generation(name) for name in self._cte.edge_relations])
+        return tuple([generation(name) for name in self._edge.relations])
 
     def decision(self, bound: str) -> Optional[RecursionPlan]:
         """The cached :meth:`plan` for a bound side, None once data moved."""
@@ -549,16 +506,13 @@ class TransitiveClosure:
         return cached[1]
 
     def plan(self, low: Optional[str], high: Optional[str]) -> RecursionPlan:
-        """Choose a strategy for ``view(low, high)``, per bound side.
+        """Choose a read for ``view(low, high)`` from the bound side alone.
 
         The decision tree (documented in the README's Pushdown section):
 
-        * no recursive-CTE support (preparation failed — e.g. a dialect
-          without ``WITH RECURSIVE``) → the prepared frontier loop on the
-          bound side;
-        * edge view estimated below :data:`CTE_MIN_EDGE_ROWS` rows → the
-          frontier loop (per-level Python overhead is noise at that size,
-          and its per-level statistics stay observable);
+        * no recursive-CTE support (preparation failed — e.g. a provably
+          empty edge view, or a dialect without ``WITH RECURSIVE``) →
+          ``memory``: one flat edge fetch closed over in Python;
         * low side bound (ancestors) → CTE pushdown: it walks one parent
           chain, one indexed key join per level, where the interval
           probe's containment test scans about half the label index;
@@ -569,57 +523,29 @@ class TransitiveClosure:
         * otherwise → CTE pushdown (the landing rung when the labeling
           demotes — non-tree edges, failed relabels).
 
-        The decision is cached per bound side, keyed on the edge
-        relations' data generations (:meth:`decision`).  Maintained views
-        never reach this planner: the materialize subsystem answers them
-        from its :class:`IncrementalClosure` first.
+        No edge count enters the choice, so no statistics are read.  The
+        decision is cached per bound side, keyed on the edge relations'
+        data generations (:meth:`decision`).  Maintained views never
+        reach this planner: the materialize subsystem answers them from
+        its :class:`IncrementalClosure` first.
         """
         bound = "low" if low is not None else "high"
-        frontier = "bottomup" if low is not None else "topdown"
         try:
-            cte = self._prepare_cte()
+            self._prepare_cte()
         except Exception as error:  # noqa: BLE001 - any failure means no pushdown
             return self._decide(bound, RecursionPlan(
-                strategy=frontier,
-                reason=f"no CTE support ({error}); prepared frontier loop",
+                strategy="memory",
+                reason=f"no CTE support ({error}); one flat edge fetch",
             ))
         key = self._generations()
-        estimate: Optional[int] = None
-        stats_of = getattr(self.database, "relation_statistics", None)
-        if stats_of is not None:
-            try:
-                # A key/foreign-key edge join cannot exceed the smallest
-                # participating relation by much; min() is the standard
-                # conservative estimate without join histograms.
-                estimate = min(
-                    stats_of(relation).row_count
-                    for relation in cte.edge_relations
-                )
-            except Exception:  # noqa: BLE001 - statistics are advisory
-                estimate = None
-        if estimate is not None and estimate < CTE_MIN_EDGE_ROWS:
-            return self._decide(bound, RecursionPlan(
-                strategy=frontier,
-                reason=(
-                    f"edge view ~{estimate} rows < {CTE_MIN_EDGE_ROWS}: "
-                    "frontier loop overhead is negligible"
-                ),
-                estimated_edge_rows=estimate,
-            ), key)
-        sized = (
-            f" (edge view ~{estimate} rows)"
-            if estimate is not None
-            else " (no statistics)"
-        )
         pushdown = (
             "pushdown: single WITH RECURSIVE statement, zero per-level "
-            "round-trips" + sized
+            "round-trips"
         )
         if bound == "low":
             return self._decide(bound, RecursionPlan(
                 strategy="cte",
                 reason=pushdown + "; ancestors walk one parent chain",
-                estimated_edge_rows=estimate,
             ), key)
         try:
             index = self.interval_index()
@@ -633,14 +559,12 @@ class TransitiveClosure:
                 strategy="interval",
                 reason=(
                     f"interval probe: labeled forest ({index.describe()}); "
-                    "descendants are one indexed range predicate" + sized
+                    "descendants are one indexed range predicate"
                 ),
-                estimated_edge_rows=estimate,
             ), key)
         return self._decide(bound, RecursionPlan(
             strategy="cte",
             reason=pushdown + f"; interval unavailable ({unavailable})",
-            estimated_edge_rows=estimate,
         ), key)
 
     def _decide(
@@ -664,9 +588,6 @@ class TransitiveClosure:
 
         ``strategy``:
 
-        * ``plan`` — re-run :meth:`plan` (the bound side, relation
-          statistics) and run whichever of ``interval`` / ``cte`` /
-          frontier it picks;
         * ``interval`` — answer from the nested-set labeling: one
           indexed range probe, no fixpoint anywhere (raises
           :class:`~repro.errors.IntervalUnavailable` on non-tree data);
@@ -685,10 +606,20 @@ class TransitiveClosure:
         if (low is None) == (high is None):
             raise CouplingError("exactly one of low/high must be bound")
         with self._solve_lock:
-            if strategy == "plan":
-                strategy = self.plan(low, high).strategy
             if strategy in ("interval", "cte"):
-                return self._solve_probe(strategy, low, high)
+                if strategy == "interval":
+                    self.interval_index().ensure_fresh()
+                else:
+                    self._prepare_cte()
+                bound, seed = ("high", high) if high is not None else ("low", low)
+                nodes = self.probe(strategy, bound, seed)
+                stats = RecursionStats(strategy=strategy, queries_issued=1)
+                stats.new_answers_per_level.append(len(nodes))
+                if high is not None:
+                    pairs = {(node, high) for node in nodes}
+                else:
+                    pairs = {(low, node) for node in nodes}
+                return RecursionRun(pairs=pairs, stats=stats)
             if strategy == "memory":
                 return self._solve_memory(low, high)
             if strategy == "naive":
@@ -721,7 +652,7 @@ class TransitiveClosure:
         aligned = (frontier_side == "high") == (high is not None)
 
         if frontier_side == "high":
-            frontier_attribute = edges.high_attribute
+            frontier_attribute = self._edge_query().high_attribute
             seed = (
                 {high}
                 if high is not None
@@ -729,7 +660,7 @@ class TransitiveClosure:
             )
             step_text = edges.descend_text
         else:
-            frontier_attribute = edges.low_attribute
+            frontier_attribute = self._edge_query().low_attribute
             seed = (
                 {low}
                 if low is not None
@@ -786,7 +717,7 @@ class TransitiveClosure:
         return RecursionRun(pairs=pairs, stats=stats)
 
     def _solve_memory(
-        self, low: Optional[str], high: Optional[str]
+        self, low: Optional[str] = None, high: Optional[str] = None
     ) -> RecursionRun:
         """One flat SELECT of the edge view; the fixpoint runs in Python.
 
@@ -796,15 +727,13 @@ class TransitiveClosure:
         no cached statement texts — so it stays answerable when every
         richer strategy's machinery is failing.  The full edge set crosses
         the wire, which is exactly the inefficiency the healthier rungs
-        exist to avoid.
+        exist to avoid.  A provably empty edge view answers no pairs
+        without a statement.
         """
         stats = RecursionStats(strategy="memory")
-        if self._cte is not None:
-            edge_sql = self._cte.edge_sql
-        else:
-            edge_sql, _relations = self._edge_query()
+        edge_sql = self._edge_query().sql
         rows = self.database.execute(edge_sql)
-        stats.queries_issued = 1
+        stats.queries_issued = 0 if edge_sql.is_empty else 1
         stats.levels = 1
         edge_set = {(row[0], row[1]) for row in rows}
         stats.new_answers_per_level.append(len(edge_set))

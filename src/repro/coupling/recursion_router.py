@@ -22,7 +22,7 @@ from ..metaevaluate.recursion import is_recursive_goal
 from ..prolog.terms import Struct, Term, Variable, conjuncts
 from .executor import NEEDS_WRITE
 from .global_opt import CompiledPlan, GoalShape, _constant_value
-from .recursion_exec import RecursionPlan, RecursionRun, TransitiveClosure
+from .recursion_exec import RecursionPlan, TransitiveClosure
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,12 @@ class ClosureCall:
     relations: tuple[str, ...]
 
 
-def _nodes(run: RecursionRun, bound: str) -> list:
-    """The free side of a run's pairs, sorted."""
-    side = 1 if bound == "low" else 0
-    return sorted({pair[side] for pair in run.pairs})
-
-
 @dataclass
 class RecursionPlanStats(LockedCounters):
-    """Observability for the cost-based recursion planner's decisions.
+    """Observability for the recursion planner's decisions.
 
-    Every planned recursive ask records which strategy the planner chose
-    (per-strategy counters) plus the *reason string* of the most recent
+    Every planned recursive ask counts the strategy the planner chose —
+    one of its three reads — plus the *reason string* of the most recent
     decision, so interval-vs-CTE routing is auditable in production via
     ``session.stats()["recursion_plans"]`` instead of requiring a
     debugger on :attr:`TransitiveClosure.last_plan`.
@@ -61,9 +55,7 @@ class RecursionPlanStats(LockedCounters):
     planned_asks: int = 0
     interval: int = 0
     cte: int = 0
-    topdown: int = 0
-    bottomup: int = 0
-    other: int = 0
+    memory: int = 0
     last_strategy: str = ""
     last_reason: str = ""
 
@@ -71,11 +63,7 @@ class RecursionPlanStats(LockedCounters):
         """Record one :class:`~repro.coupling.recursion_exec.RecursionPlan`."""
         with self._lock:
             self.planned_asks += 1
-            name = plan.strategy
-            if name in ("interval", "cte", "topdown", "bottomup"):
-                setattr(self, name, getattr(self, name) + 1)
-            else:
-                self.other += 1
+            setattr(self, plan.strategy, getattr(self, plan.strategy) + 1)
             self.last_strategy = plan.strategy
             self.last_reason = plan.reason
 
@@ -181,15 +169,16 @@ class RecursionRouter:
         """Answer one bound closure probe: answer dicts, or ``NEEDS_WRITE``.
 
         A warm ask is a read: the side's cached decision (:meth:`~.
-        recursion_exec.TransitiveClosure.decision`) and one prepared
-        interval / CTE statement.  Without ``exclusive`` (the caller
-        holds only the read lock) anything that writes first returns
-        :data:`~.executor.NEEDS_WRITE`: a decision the edge relations'
-        data outdated (re-planning may relabel), a pending internal
-        segment to merge, the frontier loop (it fills an intermediate
-        table), or a probe that raised (the ladder runs once, on the
-        write side).  Maintained views never reach this point: they
-        answer from their :class:`IncrementalClosure` first.
+        recursion_exec.TransitiveClosure.decision`) and the read it names
+        — one prepared interval / CTE statement, or ``memory``'s flat
+        edge fetch.  Without ``exclusive`` (the caller holds only the
+        read lock) anything that writes first returns
+        :data:`~.executor.NEEDS_WRITE`: a missing decision (none yet, or
+        the edge relations' data outdated it; re-planning may relabel), a
+        pending internal segment to merge, or a probe that raised (the
+        ladder runs once, on the write side).  Maintained views never
+        reach this point: they answer from their
+        :class:`IncrementalClosure` first.
         """
         closure = self.closure_for(call.view)
         merger = self.session.merger
@@ -202,14 +191,10 @@ class RecursionRouter:
             )
         else:
             plan = None if pending else closure.decision(call.bound)
-            if plan is None or plan.strategy not in ("interval", "cte"):
+            if plan is None:
                 return NEEDS_WRITE
         try:
-            if plan.strategy in ("interval", "cte"):
-                nodes = closure.probe(plan.strategy, call.bound, seed)
-            else:  # the planner's frontier loop starts at the bound side
-                run = closure.solve(strategy="auto", **{call.bound: seed})
-                nodes = _nodes(run, call.bound)
+            nodes = closure.probe(plan.strategy, call.bound, seed)
         except (CouplingError, DeadlineExceeded):
             self._note(closure, plan, span)
             raise  # semantic errors and expired budgets are not rungs
@@ -258,7 +243,7 @@ class RecursionRouter:
                 if position == len(rungs) - 1:
                     raise
         self.session.database.resilience.incr("degraded_answers")
-        return _nodes(run, bound)
+        return run.nodes(bound)
 
     # -- batch-seeded execution (ask_many) --------------------------------------
 
@@ -283,7 +268,7 @@ class RecursionRouter:
         try:
             closure = self.closure_for(call.view)
             # Only batch what the CTE can answer; a view whose pushdown
-            # preparation fails keeps the serial frontier path.  The
+            # preparation fails keeps the serial ``memory`` path.  The
             # first preparation metaevaluates the edge view, which reads
             # the knowledge base: read-locked.
             with session.kb.lock.read():

@@ -609,12 +609,9 @@ class PrologDbSession:
         # serialize against mutations and other closure runs.
         with self.kb.lock.write():
             closure = self.closure_for(view_name)
-            run = closure.solve(
+            return closure.solve(
                 low=low, high=high, strategy=strategy, max_levels=max_levels
             )
-            if strategy == "plan" and closure.last_plan is not None:
-                self.recursion_plans.note(closure.last_plan)
-            return run
 
     def heal_materialized(self) -> int:
         """Rebuild quarantined materialized views now, not lazily.

@@ -157,7 +157,6 @@ class AskTrace:
         decision = {
             "strategy": plan.strategy,
             "reason": plan.reason,
-            "estimated_edge_rows": plan.estimated_edge_rows,
         }
         if interval_stats is not None:
             decision["interval_demotions"] = interval_stats.get("demotions", 0)

@@ -12,7 +12,7 @@ Covers the PR 7 engine end to end:
 * demotion on non-tree data (multi-parent, cycles) back to the CTE
   tier, cached per data generation;
 * the planner integration: ``RecursionPlan.strategy == "interval"``
-  above the statistics threshold, ``session.stats()["recursion_plans"]``
+  for descendant probes at every size, ``session.stats()["recursion_plans"]``
   observability, and the degradation ladder stepping interval → cte on
   operational probe failures.
 """
@@ -285,7 +285,7 @@ class TestPlannerIntegration:
         assert stats["last_strategy"] == "interval"
         assert "labeled forest" in stats["last_reason"]
 
-    def test_tiny_hierarchies_count_frontier_strategies(self):
+    def test_tiny_hierarchies_count_probe_strategies(self):
         tiny = generate_org(depth=2, branching=1, staff_per_dept=2, seed=3)
         session = PrologDbSession()
         session.load_org(tiny)
@@ -294,9 +294,9 @@ class TestPlannerIntegration:
         session.ask(f"works_for({tiny.leaf_employee_name()}, Y)")
         stats = session.stats()["recursion_plans"]
         assert stats["planned_asks"] == 2
-        assert stats["topdown"] == 1
-        assert stats["bottomup"] == 1
-        assert stats["interval"] == 0
+        assert stats["interval"] == 1
+        assert stats["cte"] == 1
+        assert stats["memory"] == 0
         session.close()
 
     def test_degraded_ladder_steps_interval_down_to_cte(self, session, org):

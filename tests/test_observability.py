@@ -93,9 +93,7 @@ class TestAskSpans:
         record = session.traces()[-1]
         assert record["plan_kind"] == "recursive"
         decision = record["recursion"]
-        assert decision["strategy"] in (
-            "interval", "cte", "topdown", "bottomup", "auto", "memory"
-        )
+        assert decision["strategy"] in ("interval", "cte", "memory")
         assert isinstance(decision["reason"], str) and decision["reason"]
         stats_strategy = session.stats()["recursion_plans"]["last_strategy"]
         assert decision["strategy"] == stats_strategy

@@ -7,8 +7,8 @@ Covers the E15 engine end to end:
 * the ``TransitiveClosure`` CTE strategy — answer-identical to every
   frontier strategy and to the maintained ``IncrementalClosure``, with
   zero per-level commits;
-* the statistics-driven recursion planner and the greedy cost-based row
-  order for flat plans;
+* the recursion planner (per bound side, reads only) and the greedy
+  cost-based row order for flat plans;
 * the backend relation-statistics service (lazy generation-keyed
   refresh, ``ANALYZE``, refresh/hit counters) and the read-pool
   ``PRAGMA optimize`` retirement hook;
@@ -23,7 +23,6 @@ import pytest
 
 from repro.coupling import PrologDbSession
 from repro.coupling.global_opt import goal_shape
-from repro.coupling.recursion_exec import CTE_MIN_EDGE_ROWS
 from repro.dbms import generate_org
 from repro.dbms.sqlite_backend import ExternalDatabase
 from repro.errors import TranslationError, UnsupportedDialectError
@@ -184,64 +183,92 @@ class TestCteStrategy:
 # -- the planner -----------------------------------------------------------------------
 
 
+DEAD_WORKS_SOURCE = """
+    dead_edge(X, Y) :- empl(_, X, 5, D), dept(D, _, M),
+                       empl(M, Y, _, _).
+    dead_works(L, H) :- dead_edge(L, H).
+    dead_works(L, H) :- dead_edge(L, M), dead_works(M, H).
+"""
+
+
+@pytest.fixture()
+def dead_session(org):
+    # An edge view that simplification proves empty: sal=5 violates the
+    # empl salary valuebound.
+    session = PrologDbSession()
+    session.load_org(org)
+    session.consult(DEAD_WORKS_SOURCE)
+    yield session
+    session.close()
+
+
 class TestRecursionPlanner:
     def test_large_edge_views_take_the_interval_probe(self, session, org):
-        # On a tree-shaped hierarchy above the statistics threshold a
-        # bound boss's cone is one indexed range probe over the interval
-        # labeling (ancestors take the CTE: TestPerSideRouting).
+        # On a tree-shaped hierarchy a bound boss's cone is one indexed
+        # range probe over the interval labeling (ancestors take the
+        # CTE: TestPerSideRouting).
         closure = session.closure_for("works_for")
         plan = closure.plan(low=None, high=org.root_manager_name())
         assert plan.strategy == "interval"
         assert "labeled forest" in plan.reason
-        assert plan.estimated_edge_rows is not None
-        assert plan.estimated_edge_rows >= CTE_MIN_EDGE_ROWS
         assert closure.last_plan is plan
 
-    def test_tiny_edge_views_keep_the_frontier_loop(self):
+    def test_tiny_edge_views_take_the_probes(self):
+        # A tiny view plans the same reads as a large one, and answers
+        # as the frontier loop does.
         tiny = generate_org(depth=2, branching=1, staff_per_dept=2, seed=5)
         session = PrologDbSession()
         session.load_org(tiny)
         session.consult(ALL_VIEWS_SOURCE)
+        leaf, boss = tiny.leaf_employee_name(), tiny.root_manager_name()
         closure = session.closure_for("works_for")
-        plan = closure.plan(low=tiny.leaf_employee_name(), high=None)
-        assert plan.strategy == "bottomup"
-        plan = closure.plan(low=None, high=tiny.root_manager_name())
-        assert plan.strategy == "topdown"
-        assert plan.estimated_edge_rows < CTE_MIN_EDGE_ROWS
-        # The planned answer still matches the explicit strategies.
-        run = session.solve_recursive(
-            "works_for", low=tiny.leaf_employee_name(), strategy="plan"
-        )
-        explicit = session.solve_recursive(
-            "works_for", low=tiny.leaf_employee_name(), strategy="bottomup"
-        )
-        assert run.pairs == explicit.pairs
+        assert closure.plan(low=leaf, high=None).strategy == "cte"
+        assert closure.plan(low=None, high=boss).strategy == "interval"
+        up = {(leaf, a["Y"]) for a in session.ask(f"works_for({leaf}, Y)")}
+        down = {(a["X"], boss) for a in session.ask(f"works_for(X, {boss})")}
+        assert up == session.solve_recursive(
+            "works_for", low=leaf, strategy="bottomup"
+        ).pairs
+        assert down == session.solve_recursive(
+            "works_for", high=boss, strategy="topdown"
+        ).pairs
+        assert up and down
         session.close()
 
-    def test_failed_cte_preparation_is_cached(self, org):
-        # An edge view that simplification proves empty (sal=5 violates
-        # the empl salary valuebound) cannot push down; the failure must
-        # be cached so later planned asks do not re-metaevaluate.
-        session = PrologDbSession()
-        session.load_org(org)
-        session.consult(
-            """
-            dead_edge(X, Y) :- empl(_, X, 5, D), dept(D, _, M),
-                               empl(M, Y, _, _).
-            dead_works(L, H) :- dead_edge(L, H).
-            dead_works(L, H) :- dead_edge(L, M), dead_works(M, H).
-            """
-        )
-        closure = session.closure_for("dead_works")
+    def test_failed_cte_preparation_is_cached(self, dead_session):
+        # The view cannot push down, so the planner picks the memory
+        # read; the failure is cached so later planned asks do not
+        # re-metaevaluate.
+        closure = dead_session.closure_for("dead_works")
         first = closure.plan(low="nobody", high=None)
-        assert first.strategy == "bottomup"
+        assert first.strategy == "memory"
         assert "no CTE support" in first.reason
         assert closure._cte_error is not None
         cached_error = closure._cte_error
         second = closure.plan(low="nobody", high=None)
-        assert second.strategy == "bottomup"
+        assert second.strategy == "memory"
         assert closure._cte_error is cached_error  # not recompiled
-        session.close()
+        assert dead_session.ask("dead_works(nobody, Y)") == []
+        assert closure._cte_error is cached_error
+
+    @pytest.mark.parametrize(
+        "strategy", ["naive", "topdown", "bottomup", "auto", "memory", "ask"]
+    )
+    def test_provably_empty_view_answers_nothing_everywhere(
+        self, dead_session, org, strategy
+    ):
+        leaf, boss = org.leaf_employee_name(), org.root_manager_name()
+        for side, seed, goal in (
+            ("low", leaf, f"dead_works({leaf}, Y)"),
+            ("high", boss, f"dead_works(X, {boss})"),
+        ):
+            if strategy == "ask":
+                assert dead_session.ask(goal) == []
+            else:
+                run = dead_session.solve_recursive(
+                    "dead_works", strategy=strategy, **{side: seed}
+                )
+                assert run.pairs == set()
 
     def test_ask_routes_through_the_planner(self, session, org):
         boss = org.root_manager_name()

@@ -530,15 +530,19 @@ class TestSessionLadder:
             closure = session.closure_for("works_for")
             original = closure.solve
 
+            def failing_probe(strategy, bound, seed):
+                raise TransientBackendError("substrate probe down")
+
             def failing_upper_rungs(
                 low=None, high=None, strategy="auto", max_levels=64
             ):
-                if strategy in ("plan", "auto"):
+                if strategy in ("interval", "cte", "auto"):
                     raise TransientBackendError("substrate rung down")
                 return original(
                     low=low, high=high, strategy=strategy, max_levels=max_levels
                 )
 
+            closure.probe = failing_probe
             closure.solve = failing_upper_rungs
             degraded = session.ask("works_for(X, 'emp00001')")
             assert answer_set(degraded) == expected
