@@ -9,16 +9,15 @@ carry the whole design:
   two threads touch the *same* shape, not on one global mutex;
 * :class:`ReentrantRWLock` — many concurrent readers or one writer, with
   writer preference and same-thread reentrancy (a writer may re-enter the
-  write side, and may read while writing — mutation listeners and nested
-  ``bulk_update`` blocks need both);
+  write side, and may read while writing — a base write inside a
+  ``bulk_update`` block and nested ``bulk_update`` blocks need both);
 * the locking *discipline* (documented here because the code enforcing it
   is spread across modules): the :class:`~repro.prolog.knowledge_base.
   KnowledgeBase` RW lock is the outermost lock; cache stripes, backend
   write mutex, and stats locks are leaves acquired inside it and never
   hold anything else while blocking.  Readers (warm external asks) take
   the read side; every mutation — assert/retract/consult, materialize
-  delta application, segment merges, plan compilation — runs under the
-  write side.  No code path upgrades read→write while holding read; the
+  delta application, plan compilation — runs under the write side.  No code path upgrades read→write while holding read; the
   session releases the read lock and restarts on the write side instead.
 """
 
@@ -136,7 +135,7 @@ class ReentrantRWLock:
 
     * a thread may acquire the read side multiple times (nested asks);
     * a thread may acquire the write side multiple times (``consult``
-      calling ``assertz``, listeners mutating bookkeeping);
+      calling ``assertz``, an ask whose engine goal asserts);
     * a thread holding the write side may also take the read side (the
       cold ask path re-enters read-only helpers);
     * a waiting writer blocks *new* reader threads (no writer starvation

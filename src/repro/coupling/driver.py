@@ -99,9 +99,7 @@ def attempt(
     """
     dirty = None
     if mode is CQA:
-        relations = session._compiler.base_relations(goal)
-        session._executor.merge_pending(relations)
-        dirty = session._cqa.dirty(relations)
+        dirty = session._cqa.dirty(session._compiler.base_relations(goal))
         if not dirty:
             # Every repair of a clean store is the store itself:
             # certain answers coincide with plain answers, and the

@@ -30,6 +30,7 @@ from ..prolog.terms import (
     Variable,
     conjoin,
     conjuncts,
+    goal_indicator,
     variables_of,
 )
 from ..prolog.writer import term_to_string
@@ -40,8 +41,7 @@ Value = Union[int, float, str, None]
 _pc = time.perf_counter
 
 #: Sentinel: execution under the read lock reached a step that mutates
-#: (a pending segment merge, a recursion re-plan); the caller re-runs
-#: under the write lock.
+#: (a recursion re-plan); the caller re-runs under the write lock.
 NEEDS_WRITE = object()
 
 
@@ -90,25 +90,10 @@ def decode_rows(
 
 
 class Executor:
-    """Runs compiled plans against the two database segments."""
+    """Runs compiled plans against the store and the knowledge base."""
 
     def __init__(self, session):
         self.session = session
-
-    def merge_pending(self, relations: Iterable[str]) -> None:
-        """Merge pending internal segments ahead of violation probes.
-
-        A fact asserted into a base relation can introduce (or resolve)
-        a key violation; probing the pre-merge store would answer for
-        data the subsequent execution never sees.
-        """
-        session = self.session
-        pending = session.merger.pending(sorted(set(relations)))
-        if not pending:
-            return
-        with session.kb.lock.write():
-            for name in session.merger.pending(pending):
-                session.merger.materialise_internal(name)
 
     # -- the one execution tail ----------------------------------------------------------
 
@@ -128,8 +113,7 @@ class Executor:
         plan, whose answers are asserted as facts instead; the predicate
         is None when binding proved the fetch empty — or
         :data:`NEEDS_WRITE` when ``exclusive`` is false (the caller holds
-        only the read lock) and a segment merge is pending — or, for a
-        recursive plan, anything else that writes first
+        only the read lock) and a recursive plan must write first
         (:meth:`~.recursion_router.RecursionRouter.ask`).  ``dirty``
         holds the violating relations of a consistent-mode ask.
         """
@@ -158,12 +142,14 @@ class Executor:
         if kind == "cqa" or kind == "cqa_enum":
             rows = self._certain_rows(plan, constants, empty, dirty, span)
         elif not empty:
-            rows = self._rows(plan, constants, exclusive)
-            if rows is NEEDS_WRITE:
-                return NEEDS_WRITE
+            rows = self._rows(plan, constants)
             if kind == "fetch":
                 bound = plan.bind(constants, session.constraints)
-                assert_answers(session.kb, goal, bound, answer_variables(goal), rows)
+                # A base relation's answer rows are its store rows already.
+                if goal_indicator(goal) not in session.kb.data_indicators:
+                    assert_answers(
+                        session.kb, goal, bound, answer_variables(goal), rows
+                    )
             if exclusive and shape is not None:
                 # A fetch's answer facts advanced the program clock;
                 # keep this shape's plan alive across its own side
@@ -201,38 +187,29 @@ class Executor:
             return answers[:max_solutions]
         return answers
 
-    def _rows(self, plan: CompiledPlan, constants: tuple, exclusive: bool):
+    def _rows(self, plan: CompiledPlan, constants: tuple) -> list[tuple]:
         """Result rows for a live plan: result cache, else prepared SQL.
 
         The one place the session touches the result cache.  Its key is
         ``(sql_text, bind values)`` and its stamp the data generations of
         the template's row tags (binding leaves tags alone); a moved
-        stamp is a miss (:class:`~.global_opt.ResultCache`).  Pending
-        internal segments merge *before* the lookup, so a lazily
-        asserted base fact has already moved its relation's generation
-        when the entry is checked.  With the cache policy disabled no key
-        is built and no stamp taken; the miss/rejected counters tick as
-        for any probe and refused store.
+        stamp is a miss (:class:`~.global_opt.ResultCache`).  Every base
+        fact is in the store the moment it is written, whatever route it
+        took, so the statement reads the whole relation and every write
+        has moved its generation before the entry is checked.  With the
+        cache policy disabled no key is built and no stamp taken; the
+        miss/rejected counters tick as for any probe and refused store.
         """
         session = self.session
-        merger = session.merger
-        # The paper's merge procedure: a base relation with internally
-        # asserted tuples is materialised externally before SQL reads it,
-        # so the statement sees the union of both segments.
-        relations = {row.tag for row in plan.template.rows}
-        pending = merger.pending(relations)
-        if pending:
-            if not exclusive:
-                return NEEDS_WRITE  # merging segments mutates both stores
-            for name in pending:
-                merger.materialise_internal(name)
         cache = session.cache
         values = plan.bind_values(constants)
         key = (plan.sql_text, tuple(values)) if cache.policy.enabled else None
         rows = cache.lookup(key)
         if rows is not None:
             return rows
-        stamp = None if key is None else cache.stamp(relations)
+        stamp = None
+        if key is not None:
+            stamp = cache.stamp({row.tag for row in plan.template.rows})
         rows = session.database.execute_prepared(plan.sql_text, values)
         cache.store(key, rows, stamp=stamp)
         return rows
@@ -249,9 +226,7 @@ class Executor:
 
         A rewriting runs as one prepared statement and degrades to repair
         enumeration if it fails for good; a non-rewritable plan
-        enumerates straight away.  Certain rows bypass the result cache
-        and need no segment merge (the consistent mode merges before it
-        probes for violations).
+        enumerates straight away.  Certain rows bypass the result cache.
         """
         session, cqa = self.session, self.session._cqa
         rewriting = plan.kind == "cqa"
@@ -382,8 +357,7 @@ class Executor:
         """One prepared execution for a whole same-shape group, demuxed.
 
         Returns ``None`` to make the caller fall back to serial asks —
-        when the plan has no batchable SQL form, a pending segment merge
-        needs the write lock, the plan went stale under a concurrent
+        when the plan has no batchable SQL form, the plan went stale under a concurrent
         write between warm-up and execution, a ``max_solutions`` cap is
         in force (the serial path defines which prefix of the answers is
         returned), or a fetched row's anchor values fail to demultiplex
@@ -424,8 +398,6 @@ class Executor:
             if key is not None and key not in constants_by_key:
                 constants_by_key[key] = shape.constants
         with session.kb.lock.read():
-            if session.merger.pending({row.tag for row in plan.template.rows}):
-                return None
             session.plans.sync(session.kb)
             first = session.plans.entry_for(shapes[0])
             if first is None or first.variants.get(()) is not plan:

@@ -35,13 +35,13 @@ from functools import lru_cache
 from hashlib import blake2b
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-import networkx as nx
-
 from ..concurrency import LockedCounters, StripedLock
 from ..dbcl.predicate import DbclPredicate
 from ..dbcl.symbols import ConstSymbol, ParamMarker, is_param_marker
 from ..errors import CouplingError, DatabaseNegationError, PrologSyntaxError
 from ..metaevaluate.recursion import (
+    CallGraph,
+    descendants,
     recursive_indicators as _recursive_indicators,
     view_call_graph,
 )
@@ -74,7 +74,7 @@ def is_database_indicator(schema: DatabaseSchema, indicator: tuple[str, int]) ->
 
 
 def reachable(
-    graph: "nx.DiGraph", indicators: Iterable[tuple[str, int]]
+    graph: CallGraph, indicators: Iterable[tuple[str, int]]
 ) -> set[tuple[str, int]]:
     """The indicators plus everything they call, transitively.
 
@@ -85,8 +85,7 @@ def reachable(
     found: set[tuple[str, int]] = set()
     for indicator in indicators:
         found.add(indicator)
-        if graph.has_node(indicator):
-            found |= nx.descendants(graph, indicator)
+        found |= descendants(graph, indicator)
     return found
 
 
@@ -94,7 +93,7 @@ def classify_conjuncts(
     kb: KnowledgeBase,
     schema: DatabaseSchema,
     goal: Term,
-    graph: Optional["nx.DiGraph"] = None,
+    graph: Optional[CallGraph] = None,
 ) -> list[tuple[Term, Kind]]:
     """Label each conjunct of ``goal``.
 
@@ -188,7 +187,7 @@ def plan_goal(
     kb: KnowledgeBase,
     schema: DatabaseSchema,
     goal: Term,
-    graph: Optional["nx.DiGraph"] = None,
+    graph: Optional[CallGraph] = None,
 ) -> ExecutionPlan:
     """Split a conjunctive goal into external and internal parts.
 
@@ -684,7 +683,7 @@ class PlanCache:
         self.stats = PlanCacheStats()
         self._entries: dict[tuple, ShapeEntry] = {}
         self._generation: Optional[int] = None
-        self._graph: Optional["nx.DiGraph"] = None
+        self._graph: Optional[CallGraph] = None
         self._recursive: Optional[set[tuple[str, int]]] = None
         #: Per-shape critical sections stripe by shape key so concurrent
         #: warm asks of *different* shapes never contend; whole-cache
@@ -725,7 +724,7 @@ class PlanCache:
 
     # -- memoized call-graph analyses ------------------------------------------
 
-    def graph(self, kb: KnowledgeBase, schema: DatabaseSchema) -> "nx.DiGraph":
+    def graph(self, kb: KnowledgeBase, schema: DatabaseSchema) -> CallGraph:
         self.sync(kb)
         with self._structure:
             if self._graph is None:
@@ -890,7 +889,7 @@ class ResultCache:
     backend's ``data_generation``) of each base relation its statement
     reads, taken before the read; a lookup whose stamp has moved is a
     miss and drops the entry.  Every base write moves a generation —
-    through the session, straight to the backend, or a segment merge.
+    through the session (whatever its route) or straight to the backend.
     """
 
     def __init__(

@@ -31,14 +31,12 @@ class ClosureCall:
 
     The view, which side the goal binds (``"low"``: ``view(c, Y)``, the
     chain above ``c``; ``"high"``: ``view(X, c)``, the cone below it),
-    the variable the answers bind, and the base relations the view
-    reads — their pending internal segments merge before a probe.
+    and the variable the answers bind.
     """
 
     view: str
     bound: str
     variable: str
-    relations: tuple[str, ...]
 
 
 @dataclass
@@ -157,12 +155,9 @@ class RecursionRouter:
             bound, variable = "high", low_arg
         else:
             raise CouplingError("exactly one of low/high must be bound")
-        relations = self.session._compiler.base_relations(goal)
         return CompiledPlan(
             kind="recursive",
-            closure_call=ClosureCall(
-                call.indicator[0], bound, variable.name, tuple(sorted(relations))
-            ),
+            closure_call=ClosureCall(call.indicator[0], bound, variable.name),
         )
 
     def ask(self, call: ClosureCall, seed, exclusive: bool = True, span=None):
@@ -174,25 +169,19 @@ class RecursionRouter:
         edge fetch.  Without ``exclusive`` (the caller holds only the
         read lock) anything that writes first returns
         :data:`~.executor.NEEDS_WRITE`: a missing decision (none yet, or
-        the edge relations' data outdated it; re-planning may relabel), a
-        pending internal segment to merge, or a probe that raised (the
-        ladder runs once, on the write side).  Maintained views never
-        reach this point: they answer from their
+        the edge relations' data outdated it; re-planning may relabel), or
+        a probe that raised (the ladder runs once, on the write side).
+        Maintained views never reach this point: they answer from their
         :class:`IncrementalClosure` first.
         """
         closure = self.closure_for(call.view)
-        merger = self.session.merger
-        pending = merger.pending(call.relations)
-        if exclusive:
-            for name in pending:
-                merger.materialise_internal(name)
-            plan = closure.decision(call.bound) or closure.plan(
+        plan = closure.decision(call.bound)
+        if plan is None:
+            if not exclusive:
+                return NEEDS_WRITE
+            plan = closure.plan(
                 *((seed, None) if call.bound == "low" else (None, seed))
             )
-        else:
-            plan = None if pending else closure.decision(call.bound)
-            if plan is None:
-                return NEEDS_WRITE
         try:
             nodes = closure.probe(plan.strategy, call.bound, seed)
         except (CouplingError, DeadlineExceeded):
@@ -301,8 +290,6 @@ class RecursionRouter:
         session = self.session
         plans = session.plans
         with session.kb.lock.read():
-            if session.merger.pending(call.relations):
-                return None  # the serial path merges first
             plans.sync(session.kb)
             entry = plans.entry_for(shapes[0])
             if entry is None or entry.uncacheable:

@@ -35,13 +35,12 @@ Serving (concurrency + batching)
 
 The session is thread-safe.  Mutations — ``assert_fact``,
 ``retract_fact``, ``consult``, ``load_org``, and any ask that must
-compile, merge segments, refresh a materialized view, run the engine,
-re-plan a recursive closure or iterate its frontier loop — serialize on
-the knowledge base's write lock.  Warm *pure-external* asks (a cached
-fully-compiled plan, no pending internal segments) and warm recursive
-probes (a decision still current for the data) run concurrently under
-the read lock, each thread executing on its own pooled read connection
-of the backend.
+compile, refresh a materialized view, run the engine, re-plan a
+recursive closure or iterate its frontier loop — serialize on the
+knowledge base's write lock.  Warm *pure-external* asks (a cached
+fully-compiled plan) and warm recursive probes (a decision still
+current for the data) run concurrently under the read lock, each thread
+executing on its own pooled read connection of the backend.
 
 ``ask_many`` is the set-oriented batch entry point: goals are grouped by
 shape, and each warm fully-parameterized shape executes **once** per
@@ -55,12 +54,12 @@ multiple-query optimization, applied to the prepared-plan hot path).
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from typing import Iterable, Optional, Union
 
 from ..cqa import CertainAnswers
 from ..dbcl.grammar import format_dbcl
 from ..dbms.internal_db import fact_row
-from ..dbms.merge import SegmentMerger
 from ..dbms.sqlite_backend import ExternalDatabase
 from ..dbms.workload import OrgHierarchy, load_org
 from ..errors import CouplingError, DeadlineExceeded, ExecutionError, ReproError
@@ -68,8 +67,8 @@ from ..metaevaluate.translator import Metaevaluator
 from ..observe import Tracer
 from ..prolog.engine import Engine
 from ..prolog.knowledge_base import KnowledgeBase
-from ..prolog.reader import parse_goal, parse_term
-from ..prolog.terms import Atom, Struct, Term, list_items, variables_of
+from ..prolog.reader import parse_goal, parse_program, parse_term
+from ..prolog.terms import Atom, Clause, Struct, Term, list_items, variables_of
 from ..prolog.unify import unify
 from ..prolog.writer import program_to_string
 from ..schema.catalog import DatabaseSchema
@@ -128,9 +127,9 @@ class PrologDbSession:
             (relation.name, relation.arity)
             for relation in self.schema.relations.values()
         )
+        self.kb.base_writer = self._write_base
         self.engine = Engine(self.kb)
         self.metaevaluator = Metaevaluator(self.schema, self.kb)
-        self.merger = SegmentMerger(self.kb, self.database)
         self.cache = ResultCache(cache_policy, generation=self.database.data_generation)
         self.plans = PlanCache()
         #: Consistent query answering (ROADMAP E19): key-violation
@@ -169,7 +168,6 @@ class PrologDbSession:
             database=self.database,
             constraints=self.constraints,
             metaevaluator=self.metaevaluator,
-            merger=self.merger,
             plans=self.plans,
             optimize=optimize,
         )
@@ -183,17 +181,30 @@ class PrologDbSession:
     # -- program loading ---------------------------------------------------------
 
     def consult(self, source: str) -> None:
-        """Load Prolog clauses (views, rules, facts) into the session."""
+        """Load Prolog clauses (views, rules, facts) into the session.
+
+        Ground tuples of base relations go to the store (:meth:`_write_base`),
+        all of them in one write unit; a source without any writes nothing,
+        and one with nothing else leaves the program — and every compiled
+        plan — as it was.
+        """
+        clauses = parse_program(source)
+        tuples = any(self._base_row(clause) is not None for clause in clauses)
         # The write lock makes load + plan invalidation atomic: no
         # concurrent reader observes new clauses with stale cached plans.
+        unit = self.database.transaction() if tuples else nullcontext()
         with self.kb.lock.write():
-            clauses = self.kb.consult(source)
+            generation = self.kb.generation
+            with unit:
+                self.kb.load(clauses)
+            if self.kb.generation == generation:
+                return  # data only: the program clock did not move
             self._recursion.clear()
             # Compiled plans key on KnowledgeBase.generation, which consult
             # advanced; the next sync drops them.  Clear eagerly anyway so the
             # cache never outlives a program change even in direct use.
             self.plans.invalidate()
-            self.materialize.on_consult([clause.indicator for clause in clauses])
+            self.materialize.on_consult()
 
     def load_org(self, org: OrgHierarchy) -> None:
         """Load a generated organisation into the external database."""
@@ -225,11 +236,9 @@ class PrologDbSession:
 
         The payload a scale-out owner ships to read-only workers: every
         rule and non-base fact, rendered back to Prolog source, stamped
-        with the program clock it serializes.  Base-relation facts are
-        deliberately excluded — a base write is a store write, so the
-        external store already holds them, and shipping the hypothetical
-        ones would turn read-only workers into writers when their merge
-        procedure fired.
+        with the program clock it serializes.  Base-relation clauses are
+        excluded: every ground tuple is a store write, so the shared store
+        already holds it, and no statement reads the rest.
         """
         with self.kb.lock.read():
             clauses = []
@@ -241,46 +250,54 @@ class PrologDbSession:
     def assert_fact(self, functor: str, *values) -> None:
         """Add a fact: a store write for a base relation, else internal.
 
-        A tuple of a *base relation* is inserted into the external DBMS
-        unless it is already there (merge semantics), with materialized
-        views maintained through insert deltas; nothing enters the
-        knowledge base.  Any other fact is expert-system knowledge,
+        The knowledge base hands a base-relation tuple to
+        :meth:`_write_base`; any other fact is expert-system knowledge,
         asserted internally.
         """
-        clause = KnowledgeBase.fact_clause(functor, values)
-        if clause.indicator not in self.kb.data_indicators:
-            self.kb.assertz(clause)
-            return
-        row = fact_row(clause)
-        with self.kb.lock.write():
-            if self.materialize.is_maintained(functor):
-                self.materialize.insert(functor, row)
-            else:
-                self.database.insert_absent(functor, [row])
+        self.kb.assertz(KnowledgeBase.fact_clause(functor, values))
 
     def retract_fact(self, functor: str, *values) -> bool:
-        """Remove a fact from the session's visible union of segments.
+        """Remove a fact: a store delete for a base relation, else internal.
 
-        The internal copy is retracted if present; for base relations the
-        external tuple is removed as well, with materialized views
-        maintained through delete deltas (DRed delete/re-derive for
-        recursive views).  Returns True when something was removed.
+        Returns True when something was removed.
         """
-        clause = KnowledgeBase.fact_clause(functor, values)
-        # One write bracket for the internal retract *and* the external
-        # delete: concurrent readers see the tuple everywhere or nowhere.
-        with self.kb.lock.write():
-            found = self.kb.retract(clause)
-            if clause.indicator not in self.kb.data_indicators:
-                return found
-            row = fact_row(clause)
-            if self.materialize.is_maintained(functor):
-                if not found:
-                    found = self.materialize.delete(functor, row)
-            else:
-                removed = self.database.delete_row(functor, row)
-                found = found or removed > 0
-            return found
+        return self.kb.retract(KnowledgeBase.fact_clause(functor, values))
+
+    def _base_row(self, clause: Clause) -> Optional[tuple]:
+        """The row of a ground tuple of a base relation, else None."""
+        if clause.indicator not in self.kb.data_indicators:
+            return None
+        return fact_row(clause)
+
+    def _write_base(self, clause: Clause, insert: bool) -> Optional[bool]:
+        """The one write of a base fact, whichever route it came by.
+
+        ``session.assert_fact`` / ``retract_fact``, the knowledge base's
+        ``assertz`` / ``asserta`` / ``retract`` (and so the engine's
+        builtins) and ``consult`` all arrive here (the knowledge base's
+        ``base_writer``).  A ground tuple is inserted into the store
+        unless it is already there (the paper's merge semantics) or
+        deleted from it, with materialized views maintained through
+        insert / delete deltas (DRed delete/re-derive for recursive
+        views); nothing enters the knowledge base.  Returns whether a
+        row was stored or deleted, or None for a clause that is no
+        tuple (non-ground, structured, a rule), which the knowledge
+        base keeps.  The caller holds the knowledge base's write lock, so
+        readers see the row in the store or not at all.
+        """
+        row = self._base_row(clause)
+        if row is None:
+            return None
+        name = clause.indicator[0]
+        if self.materialize.is_maintained(name):
+            if not insert:
+                return self.materialize.delete(name, row)
+            self.materialize.insert(name, row)
+        elif not insert:
+            return self.database.delete_row(name, row) > 0
+        else:
+            self.database.insert_absent(name, [row])
+        return True
 
     # -- the paper's amalgamated metaevaluate/4 ------------------------------------
 
@@ -340,9 +357,9 @@ class PrologDbSession:
 
         Thread-safe: warm pure-external asks (and fresh maintained-view
         hits) run concurrently under the knowledge base's read lock;
-        everything that might mutate — compilation, segment merges, view
-        refreshes, engine resolution, recursive closures — serializes on
-        the write lock.
+        everything that might mutate — compilation, view refreshes,
+        engine resolution, recursive closures — serializes on the write
+        lock.
 
         ``deadline`` caps the ask's wall-clock budget in seconds: the
         backend's progress handler interrupts any statement still running
@@ -456,7 +473,6 @@ class PrologDbSession:
             sources = [s.template if t is None else t for s, t in scanned]
             unique = {id(source): source for source in sources}.values()
             reachable = set().union(*map(self._compiler.base_relations, unique))
-            self._executor.merge_pending(reachable)
             if self._cqa.dirty(reachable):
                 with self.database.deadline(deadline):
                     return [
@@ -628,14 +644,6 @@ class PrologDbSession:
 
     # -- extensions (paper section 7) ------------------------------------------------------
 
-    def _execute_merged(self, predicates, query) -> list[tuple]:
-        """Merge the predicates' pending segments, then run ``query``."""
-        self._executor.merge_pending(
-            row.tag for predicate in predicates for row in predicate.rows
-        )
-        with self.kb.lock.read():
-            return self.database.execute(query)
-
     def ask_disjunctive(self, goal: Union[str, Term]) -> list[dict[str, Value]]:
         """Answer a goal over a disjunctive view via per-conjunct UNION."""
         from ..extensions.disjunction import translate_disjunctive
@@ -648,7 +656,7 @@ class PrologDbSession:
                 self.metaevaluator, goal, self.constraints, targets=targets,
                 options=self._compiler.options(),
             )
-        rows = self._execute_merged(translation.branches, translation.union)
+            rows = self.database.execute(translation.union)
         live = [p for p in translation.simplified if p is not None]
         if not live:
             return []
@@ -666,9 +674,7 @@ class PrologDbSession:
                 self.metaevaluator, goal, self.constraints, targets=targets,
                 options=self._compiler.options(),
             )
-        rows = self._execute_merged(
-            (translation.positive, translation.negated), translation.query
-        )
+            rows = self.database.execute(translation.query)
         # Targets were projected in goal-variable order by the translator.
         wanted = {v.name for v in targets}
         target_names = [

@@ -1,4 +1,4 @@
-"""The DBMS substrate: sqlite backend, internal-DB bridge, merge, workload."""
+"""The DBMS substrate: sqlite backend, internal-DB bridge, workload."""
 
 from .internal_db import (
     answer_substitutions,
@@ -6,7 +6,6 @@ from .internal_db import (
     term_to_value,
     value_to_term,
 )
-from .merge import MergeReport, SegmentMerger
 from .sqlite_backend import ExecutionStats, ExternalDatabase
 from .workload import (
     Department,
@@ -22,8 +21,6 @@ __all__ = [
     "assert_answers",
     "term_to_value",
     "value_to_term",
-    "MergeReport",
-    "SegmentMerger",
     "ExecutionStats",
     "ExternalDatabase",
     "Department",

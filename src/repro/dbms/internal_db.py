@@ -62,7 +62,7 @@ def fact_row(clause: Clause) -> Optional[tuple]:
     """The value tuple of a ground relational fact, or None.
 
     Non-ground facts and structured arguments cannot be database tuples:
-    the merge procedure and view maintenance both skip them.
+    the session's base writes leave them to the knowledge base.
     """
     if not clause.is_fact or not isinstance(clause.head, Struct):
         return None

@@ -363,8 +363,8 @@ class ExternalDatabase(SideTables):
     def insert_absent(self, relation_name: str, rows: Iterable[Sequence[Value]]) -> int:
         """Insert each tuple the relation does not already hold; returns
         how many were added.  Merge (set) semantics for the session's
-        base-relation writes and the merge procedure's segment push: one
-        null-safe, index-matched statement per tuple."""
+        base-relation writes: one null-safe, index-matched statement per
+        tuple."""
         data = [tuple(row) for row in rows]
         relation = self._checked_relation(relation_name, data)
         statement = (
@@ -408,7 +408,7 @@ class ExternalDatabase(SideTables):
         return self.read(f"SELECT COUNT(*) FROM {relation_name}")[0][0]
 
     def fetch_relation(self, relation_name: str) -> list[Row]:
-        """All tuples of a base relation (used by the merge procedure)."""
+        """All tuples of a base relation (view maintenance's initial set)."""
         relation = self.schema.relation(relation_name)
         columns = ", ".join(relation.attributes)
         return self.execute(f"SELECT {columns} FROM {relation_name}")

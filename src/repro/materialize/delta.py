@@ -1,9 +1,8 @@
 """Relation-level deltas and maintenance statistics.
 
 A :class:`Delta` is one base-relation tuple entering or leaving the
-*visible union* of the database (external tuples plus internally asserted
-facts).  The manager produces them from knowledge-base mutation events;
-views consume them.
+store.  The manager produces them from the session's base writes; views
+consume them.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ DELETE = "delete"
 
 @dataclass(frozen=True)
 class Delta:
-    """One tuple-level change to a base relation's visible union."""
+    """One tuple-level change to a base relation's stored rows."""
 
     relation: str
     kind: str  # INSERT or DELETE

@@ -1,18 +1,16 @@
 """Orchestration of incremental view maintenance for one session.
 
-The manager owns every registered materialized view, subscribes to
-knowledge-base mutation events, and keeps three invariants:
+The manager owns every registered materialized view and keeps three
+invariants:
 
 1. **One write path** — a write to a base relation that backs at least
-   one registered view is a store write made *here*: the session's
-   ``assert_fact`` / ``retract_fact`` call :meth:`insert` /
-   :meth:`delete` directly, and a fact that reaches the knowledge base
-   some other way (engine-level ``assertz`` / ``retract``, a consult)
-   arrives through the listener and takes the same two methods, without
-   waiting for the next query's segment merge.  Delta queries therefore
-   always see the visible union.
-2. **Set semantics of the union** — merge semantics deduplicate internal
-   against external segments, so the manager tracks the visible rows per
+   one registered view is a store write made *here*: the session's one
+   base-write function (every route — ``assert_fact`` / ``retract_fact``,
+   engine-level ``assertz`` / ``retract``, a consult — ends there) calls
+   :meth:`insert` / :meth:`delete`.  Delta queries therefore always see
+   the store.
+2. **Set semantics of the relation** — a base write inserts a tuple
+   unless the store holds it, so the manager tracks the rows per
    relation as a set; re-asserting an existing tuple or retracting a
    missing one is a no-op delta.
 3. **Order of application** — insert deltas evaluate against the
@@ -20,10 +18,10 @@ knowledge-base mutation events, and keeps three invariants:
    the inclusion–exclusion rules in :mod:`repro.materialize.views` are
    derived for exactly those states.
 
-Anything the delta path cannot handle exactly (a ``retract_all`` sweep,
-a maintenance error, a wholesale ``load_org``) marks affected views
-*stale*; a stale view recomputes once on its next ask — never worse than
-the invalidate-and-recompute behaviour this subsystem replaces.
+Anything the delta path cannot handle exactly (a maintenance error, a
+wholesale ``load_org``) marks affected views *stale*; a stale view
+recomputes once on its next ask — never worse than the
+invalidate-and-recompute behaviour this subsystem replaces.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from ..errors import CouplingError
 from ..optimize.pipeline import SimplifyOptions, simplify
 from ..prolog.reader import parse_goal
 from ..prolog.terms import Struct, Term, Variable, conjoin, conjuncts
-from ..dbms.internal_db import fact_row
 from .delta import DELETE, INSERT, Delta, MaintenanceStats
 from .recursive import RecursiveMaterializedView
 from .views import MaterializedView
@@ -52,7 +49,6 @@ class MaterializeManager:
         database,
         constraints,
         metaevaluator,
-        merger,
         plans,
         optimize: bool = True,
     ):
@@ -61,7 +57,6 @@ class MaterializeManager:
         self.database = database
         self.constraints = constraints
         self.metaevaluator = metaevaluator
-        self.merger = merger
         self.plans = plans
         self.optimize = optimize
         self.stats = MaintenanceStats()
@@ -71,7 +66,6 @@ class MaterializeManager:
         self._views: dict[tuple[str, int], MaintainedView] = {}
         self._by_relation: dict[str, list[MaintainedView]] = {}
         self._union: dict[str, set[tuple]] = {}
-        kb.add_listener(self._on_kb_event)
 
     # -- registration -------------------------------------------------------
 
@@ -160,7 +154,6 @@ class MaterializeManager:
                 f"view {view_name} is provably empty under the constraints; "
                 "nothing to maintain"
             )
-        self._merge_segments(frozenset(row.tag for row in result.predicate.rows))
         view = MaterializedView(
             view_name,
             call,
@@ -194,45 +187,20 @@ class MaterializeManager:
             )
         return RecursiveMaterializedView(view_name, call, args, edge_view)
 
-    def _merge_segments(self, relations: frozenset) -> None:
-        """Push pending internal facts external before the initial load."""
-        for relation_name in self.merger.pending(relations):
-            self.merger.materialise_internal(relation_name)
-
-    # -- delta capture ------------------------------------------------------
-
-    def _on_kb_event(self, kind: str, indicator, clauses) -> None:
-        name = indicator[0]
-        dependents = self._by_relation.get(name)
-        if not dependents or indicator not in self.kb.data_indicators:
-            return
-        if kind == "clear":
-            # A retract_all sweep mixes removals with rows that survive
-            # externally; recompute instead of guessing.
-            for view in dependents:
-                view.stale = True
-            return
-        for clause in clauses:
-            row = fact_row(clause)
-            if row is None:
-                continue  # non-tuple fact: invisible to the merged union
-            if kind == "insert":
-                self.insert(name, row)
-            elif kind == "delete":
-                self.delete(name, row)
+    # -- the write path -----------------------------------------------------
 
     def insert(self, relation: str, row: tuple) -> None:
-        """Add a tuple to a maintained relation unless it is already visible."""
+        """Add a tuple to a maintained relation unless it is already there."""
         union = self._union[relation]
         if row in union:
-            return  # merge semantics: duplicate of a visible tuple
+            return  # merge semantics: duplicate of a stored tuple
         self.database.insert_rows(relation, [row])
         union.add(row)
         self._dispatch(Delta(relation, INSERT, row))
         self._heal_pass(relation)
 
     def delete(self, relation: str, row: tuple) -> bool:
-        """Remove a tuple from a maintained relation; False when not visible."""
+        """Remove a tuple from a maintained relation; False when absent."""
         union = self._union[relation]
         if row not in union:
             return False
@@ -371,15 +339,13 @@ class MaterializeManager:
             for view in self._by_relation.get(relation, ()):
                 view.stale = True
 
-    def on_consult(self, indicators: Sequence[tuple]) -> None:
-        """Program clauses changed: rebuild views whose rules may differ.
+    def on_consult(self) -> None:
+        """The program changed: conservatively re-register every view.
 
-        Pure base-relation facts arrive as ordinary insert deltas and
-        need no rebuild; anything else (view rules, rules for a base
-        relation) conservatively re-registers every view.
+        The session calls this only when a consult moved the program
+        clock; consulted base-relation tuples arrive as ordinary insert
+        deltas and need no rebuild.
         """
-        if self.kb.data_indicators.issuperset(indicators):
-            return
         if not self._views:
             return
         registered = [(view.goal, view.name) for view in self._views.values()]

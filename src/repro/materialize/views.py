@@ -23,7 +23,7 @@ parameterized prepared statement — the pinning constants are PR 2
   the tuple after), with the same alternating signs.
 
 Both follow from expanding the join product over ``R ± t``; with the
-visible union kept duplicate-free (merge semantics), the pinned tuple
+relation kept duplicate-free (merge semantics), the pinned tuple
 matches exactly one stored row, so no multiplicity scaling is needed.
 
 Support counts make deletion exact: a distinct answer row disappears

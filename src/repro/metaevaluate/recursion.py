@@ -4,7 +4,8 @@
 statements.  This module provides the analysis half:
 
 * :func:`view_call_graph` / :func:`recursive_indicators` — which predicates
-  are (mutually) recursive, via SCCs of the call graph;
+  are (mutually) recursive, via SCCs of the call graph (a ``dict`` of
+  callee sets; :func:`descendants` walks it);
 * :func:`is_linear_recursive` — does every recursive clause contain exactly
   one recursive call (the class Example 7-1's ``works_for`` belongs to);
 * :func:`expansion_at_level` — the level-``k`` conjunctive expansion used
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
-
-import networkx as nx
 
 from ..dbcl.predicate import DbclPredicate
 from ..errors import MetaevaluationError
@@ -40,42 +39,88 @@ from .translator import Metaevaluator
 
 Indicator = tuple[str, int]
 
+#: The view call graph: each predicate defined in the knowledge base maps
+#: to the set of predicates its clauses call (database relations and
+#: builtins appear only as callees).
+CallGraph = dict[Indicator, set[Indicator]]
 
-def view_call_graph(kb: KnowledgeBase, schema: DatabaseSchema) -> "nx.DiGraph":
-    """Directed graph: edge u -> v when a clause of u calls v.
 
-    Database relations and builtins are included as sink nodes; only
-    predicates defined in ``kb`` have outgoing edges.
-    """
-    graph = nx.DiGraph()
+def view_call_graph(kb: KnowledgeBase, schema: DatabaseSchema) -> CallGraph:
+    """``graph[u]`` holds ``v`` when a clause of ``u`` calls ``v``."""
+    graph: CallGraph = {}
     for indicator in kb.indicators():
-        graph.add_node(indicator)
+        callees = graph.setdefault(indicator, set())
         for clause in kb.all_clauses(indicator):
             for goal in clause.body_goals():
                 try:
-                    callee = goal_indicator(goal)
+                    callees.add(goal_indicator(goal))
                 except ValueError:
                     continue
-                graph.add_edge(indicator, callee)
     return graph
+
+
+def descendants(graph: CallGraph, node: Indicator) -> set[Indicator]:
+    """Everything ``node`` calls, transitively (``node`` itself excluded)."""
+    found: set[Indicator] = set()
+    frontier = list(graph.get(node, ()))
+    while frontier:
+        callee = frontier.pop()
+        if callee not in found:
+            found.add(callee)
+            frontier.extend(graph.get(callee, ()))
+    found.discard(node)
+    return found
 
 
 def recursive_indicators(
     kb: KnowledgeBase,
     schema: DatabaseSchema,
-    graph: Optional["nx.DiGraph"] = None,
+    graph: Optional[CallGraph] = None,
 ) -> set[Indicator]:
-    """All predicates on a call-graph cycle (directly or mutually recursive)."""
+    """All predicates on a call-graph cycle (directly or mutually recursive).
+
+    One linear-time pass of Tarjan's strongly-connected-components
+    algorithm, iterative so a deep program cannot exhaust the stack.
+    """
     if graph is None:
         graph = view_call_graph(kb, schema)
+    index: dict[Indicator, int] = {}
+    low: dict[Indicator, int] = {}
+    stack: list[Indicator] = []
+    on_stack: set[Indicator] = set()
     recursive: set[Indicator] = set()
-    for component in nx.strongly_connected_components(graph):
-        if len(component) > 1:
-            recursive.update(component)
-        else:
-            node = next(iter(component))
-            if graph.has_edge(node, node):
-                recursive.add(node)
+    work: list = []  # (node, iterator over its unvisited callees)
+
+    def visit(node: Indicator) -> None:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(graph.get(node, ()))))
+
+    for root in graph:
+        if root in index:
+            continue
+        visit(root)
+        while work:
+            node, callees = work[-1]
+            for callee in callees:
+                if callee not in index:
+                    visit(callee)
+                    break
+                if callee in on_stack:
+                    low[node] = min(low[node], index[callee])
+            else:
+                work.pop()
+                if work:
+                    caller = work[-1][0]
+                    low[caller] = min(low[caller], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while not component or component[-1] != node:
+                        component.append(stack.pop())
+                        on_stack.discard(component[-1])
+                    if len(component) > 1 or node in graph.get(node, ()):
+                        recursive.update(component)
     return recursive
 
 
@@ -83,7 +128,7 @@ def is_recursive_goal(
     kb: KnowledgeBase,
     schema: DatabaseSchema,
     goal: Union[Term, str],
-    graph: Optional["nx.DiGraph"] = None,
+    graph: Optional[CallGraph] = None,
     recursive: Optional[set[Indicator]] = None,
 ) -> bool:
     """Does evaluating ``goal`` reach any recursive predicate?
@@ -107,12 +152,8 @@ def is_recursive_goal(
             indicator = goal_indicator(subgoal)
         except ValueError:
             continue
-        if indicator in recursive:
+        if indicator in recursive or descendants(graph, indicator) & recursive:
             return True
-        if graph.has_node(indicator):
-            reachable = nx.descendants(graph, indicator)
-            if reachable & recursive:
-                return True
     return False
 
 

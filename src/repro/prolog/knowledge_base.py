@@ -46,25 +46,23 @@ procedure with the copy and marks both sides shared; the first mutation
 of a procedure on either side clones just that procedure.  Taking a
 snapshot is therefore O(#procedures) instead of O(#clauses).
 
-Change capture
---------------
+Base facts live in the store
+----------------------------
 
-Mutations can be observed through :meth:`KnowledgeBase.add_listener`:
-every ``assertz``/``asserta``/``assert_fact`` reports an ``insert``,
-every successful ``retract`` a ``delete``, and ``retract_all`` a
-``clear`` carrying the removed clauses.  The materialized-view subsystem
-(:mod:`repro.materialize`) subscribes here to turn writes into
-relation-level deltas.  Bookkeeping moves that do not change the visible
-union of data (the segment merger relocating facts between the internal
-and external store) run under :meth:`KnowledgeBase.suspend_deltas` so
-listeners never mistake them for updates.
+A knowledge base coupled to an external store (a session sets
+``data_indicators`` to its schema's base relations and ``base_writer``
+to its one base-write function) keeps no ground tuple of a base
+relation: ``assertz`` / ``asserta`` / ``assert_fact`` hand such a tuple
+to ``base_writer``, which inserts it unless the store already holds it,
+and ``retract`` of a ground tuple deletes the store row.  Everything
+else — rules, facts of other predicates, non-ground or structured facts
+of a base relation — stays here.  A knowledge base with no writer (the
+bare engine, every :meth:`KnowledgeBase.snapshot`) keeps every clause.
 
-Listeners fire for every mutation; ``generation`` is a *program* clock
-and advances only for indicators outside ``data_indicators`` (the
-session puts its schema's base relations there): a tuple of a base
-relation can change an answer, never how a goal compiles, so the
-internal segment of a base relation — and its relocation by the merge
-procedure — leaves compiled plans and the memoized call graph alone.
+``generation`` is a *program* clock and advances only for indicators
+outside ``data_indicators``: a tuple of a base relation can change an
+answer, never how a goal compiles, so base-relation clauses leave
+compiled plans and the memoized call graph alone.
 """
 
 from __future__ import annotations
@@ -332,55 +330,23 @@ class KnowledgeBase:
         self.generation = 0
         #: Indicators whose clauses are data, not program.
         self.data_indicators: frozenset = frozenset()
-        self._listeners: list = []
+        #: ``base_writer(clause, insert)`` stores (``insert``) or deletes
+        #: one ground tuple of a ``data_indicators`` relation and returns
+        #: True when it did (False: a deletion found no row), or None for
+        #: a clause that is no tuple, which stays here.  None: no store.
+        self.base_writer = None
         self._bulk_depth = 0
         self._bulk_dirty = False
-        self._suspend_depth = 0
         #: Reader–writer lock for the serving layer.  Every mutation
         #: (assert/retract/retract_all/consult, and the whole of a
-        #: ``bulk_update`` bracket) holds the write side, so listeners —
-        #: materialize delta application, cache invalidation — run
-        #: atomically with the mutation from any reader's point of view.
+        #: ``bulk_update`` bracket) holds the write side, so a base
+        #: tuple's store write runs atomically with the mutation from any
+        #: reader's point of view.
         #: Read-only consumers (the session's warm ask path) hold the
         #: read side across their whole evaluation; the engine's clause
         #: lookups themselves stay lock-free, relying on the caller's
         #: read/write bracket.
         self.lock = ReentrantRWLock()
-
-    # -- change capture -----------------------------------------------------
-
-    def add_listener(self, listener) -> None:
-        """Subscribe ``listener(kind, indicator, clauses)`` to mutations.
-
-        ``kind`` is ``"insert"`` (assertz/asserta), ``"delete"`` (a
-        successful retract), or ``"clear"`` (retract_all); ``clauses`` is
-        the tuple of affected clause objects.  Listeners run synchronously
-        inside the mutation and must not mutate this knowledge base.
-        """
-        self._listeners.append(listener)
-
-    @contextmanager
-    def suspend_deltas(self) -> Iterator[None]:
-        """Hide mutations from listeners.
-
-        For bookkeeping that relocates data without changing the visible
-        union — the segment merger pushing internal facts to the external
-        store retracts the internal copies, which is not a deletion of
-        data.
-        """
-        self._suspend_depth += 1
-        try:
-            yield
-        finally:
-            self._suspend_depth -= 1
-
-    def _notify(
-        self, kind: str, indicator: tuple[str, int], clauses: tuple
-    ) -> None:
-        if self._suspend_depth or not self._listeners:
-            return
-        for listener in list(self._listeners):
-            listener(kind, indicator, clauses)
 
     # -- generation bookkeeping ---------------------------------------------
 
@@ -415,10 +381,9 @@ class KnowledgeBase:
 
         A 1000-fact load advances ``generation`` exactly once (at exit,
         and only if something actually changed), so generation-keyed
-        caches invalidate once per batch instead of per fact.  Nestable;
-        listeners still observe every individual mutation.  The whole
-        bracket holds the write lock, so a batch load is atomic with
-        respect to concurrent readers and other writers.
+        caches invalidate once per batch instead of per fact.  Nestable.
+        The whole bracket holds the write lock, so a batch load is atomic
+        with respect to concurrent readers and other writers.
         """
         with self.lock.write():
             self._bulk_depth += 1
@@ -435,6 +400,11 @@ class KnowledgeBase:
     def consult(self, source: str) -> list[Clause]:
         """Parse and assert all clauses in ``source``; returns them."""
         clauses = parse_program(source)
+        self.load(clauses)
+        return clauses
+
+    def load(self, clauses: Sequence[Clause]) -> None:
+        """Assert parsed clauses in order, as one generation bump."""
         with self.bulk_update():
             for clause in clauses:
                 if clause.head == Atom("?-"):
@@ -443,21 +413,26 @@ class KnowledgeBase:
                         "use Engine.solve for queries"
                     )
                 self.assertz(clause)
-        return clauses
+
+    def _written_through(self, clause: Clause, insert: bool) -> Optional[bool]:
+        """``base_writer``'s verdict on a base-relation clause, else None."""
+        if self.base_writer is None or clause.indicator not in self.data_indicators:
+            return None
+        return self.base_writer(clause, insert)
 
     def assertz(self, clause: Clause) -> None:
-        """Add a clause at the end of its procedure."""
+        """Add a clause at the end of its procedure (a base tuple: the store)."""
         with self.lock.write():
-            self._procedure(clause.indicator).add(clause)
-            self._bump(clause.indicator)
-            self._notify("insert", clause.indicator, (clause,))
+            if self._written_through(clause, True) is None:
+                self._procedure(clause.indicator).add(clause)
+                self._bump(clause.indicator)
 
     def asserta(self, clause: Clause) -> None:
-        """Add a clause at the front of its procedure."""
+        """Add a clause at the front of its procedure (a base tuple: the store)."""
         with self.lock.write():
-            self._procedure(clause.indicator).add(clause, front=True)
-            self._bump(clause.indicator)
-            self._notify("insert", clause.indicator, (clause,))
+            if self._written_through(clause, True) is None:
+                self._procedure(clause.indicator).add(clause, front=True)
+                self._bump(clause.indicator)
 
     @staticmethod
     def fact_clause(functor: str, values: Iterable[object]) -> Clause:
@@ -481,25 +456,29 @@ class KnowledgeBase:
     def retract(self, pattern: Clause) -> bool:
         """Remove the first clause unifying with ``pattern``; True if found.
 
-        A ground-fact pattern against a procedure holding only ground
+        A ground tuple of a base relation deletes its store row first
+        (``base_writer``); only when the store has none does the search
+        go on here, where a non-ground fact may still unify.  A
+        ground-fact pattern against a procedure holding only ground
         facts is located through the ground-head hash set (O(1)
         membership, no unification scan); anything else — including a
         ground pattern that might unify with a stored *non-ground* fact
         like ``p(X).`` — falls back to the first-unifying-clause scan.
         """
         with self.lock.write():
+            if self._written_through(pattern, False):
+                return True
             procedure = self._procedures.get(pattern.indicator)
             if procedure is None:
                 return False
             if pattern.is_ground_fact and procedure.all_ground_facts:
                 if not procedure.has_ground_fact(pattern.head):
                     return False
-                owner = self._procedure(pattern.indicator)
-                removed_clause = owner._ground_heads[pattern.head][0]
-                removed = owner.remove_ground_fact(pattern.head)
+                removed = self._procedure(pattern.indicator).remove_ground_fact(
+                    pattern.head
+                )
                 if removed:
                     self._bump(pattern.indicator)
-                    self._notify("delete", pattern.indicator, (removed_clause,))
                 return removed
             for clause in list(procedure.iter_clauses()):
                 subst = unify(clause.head, pattern.head)
@@ -509,7 +488,6 @@ class KnowledgeBase:
                     continue
                 self._procedure(pattern.indicator).remove(clause)
                 self._bump(pattern.indicator)
-                self._notify("delete", pattern.indicator, (clause,))
                 return True
             return False
 
@@ -520,8 +498,6 @@ class KnowledgeBase:
             if procedure is None:
                 return 0
             self._bump(indicator)
-            if self._listeners and not self._suspend_depth:
-                self._notify("clear", indicator, tuple(procedure.iter_clauses()))
             return len(procedure)
 
     # -- querying -----------------------------------------------------------

@@ -436,16 +436,16 @@ class TestRecursion:
 
 class TestSegmentMergeInAsk:
     def test_internal_base_facts_visible_to_external_queries(self, session, org):
-        """The merge procedure: internally asserted empl tuples join in."""
+        """Merge semantics: an asserted empl tuple joins the store's answers."""
         boss = org.root_manager_name()
         boss_row = next(e for e in org.employees if e.nam == boss)
         before = {a["X"] for a in session.ask(f"works_dir_for(X, {boss})")}
-        # Hire someone into the boss's department, internally only.
+        # Hire someone into the boss's department.
         session.assert_fact("empl", 9999, "newhire", 30000, boss_row.dno)
         after = {a["X"] for a in session.ask(f"works_dir_for(X, {boss})")}
         assert "newhire" not in before
         assert after == before | {"newhire"}
-        # The fact migrated to the external segment and left the internal one.
+        # The fact is in the store; the knowledge base holds no base tuple.
         assert session.kb.fact_count(("empl", 4)) == 0
         assert session.database.row_count("empl") == org.employee_count + 1
 

@@ -1,10 +1,9 @@
-"""Tests for the DBMS substrate: sqlite backend, workload, merge, bridge."""
+"""Tests for the DBMS substrate: sqlite backend, workload, bridge."""
 
 import pytest
 
 from repro.dbms import (
     ExternalDatabase,
-    SegmentMerger,
     assert_answers,
     generate_org,
     load_org,
@@ -241,27 +240,3 @@ class TestAssertAnswers:
         predicate = evaluator.metaevaluate(goal, targets=[var("X")])
         with pytest.raises(CouplingError):
             assert_answers(kb, goal, predicate, [var("X")], [])
-
-
-class TestSegmentMerger:
-    def test_materialise_internal(self, schema, database):
-        kb = KnowledgeBase()
-        # One duplicate of an external tuple, one genuinely new fact.
-        kb.assert_fact("empl", 1, "smiley", 80000, 1)
-        kb.assert_fact("empl", 99, "newhire", 30000, 1)
-        merger = SegmentMerger(kb, database)
-        report = merger.materialise_internal("empl")
-        assert report.external_rows == 4
-        assert report.internal_facts == 2
-        assert report.rows_added == 1
-        assert report.duplicates_removed == 1
-        assert database.row_count("empl") == 5
-        assert (99, "newhire", 30000, 1) in database.fetch_relation("empl")
-        assert kb.fact_count(("empl", 4)) == 0
-
-    def test_garbage_collection(self, schema, database):
-        kb = KnowledgeBase()
-        kb.assert_fact("same_manager", "a", "b")
-        merger = SegmentMerger(kb, database)
-        assert merger.collect_garbage(("same_manager", 2)) == 1
-        assert kb.fact_count(("same_manager", 2)) == 0

@@ -156,7 +156,7 @@ class TestNegation:
 
 
 class TestPendingSegments:
-    """The section-7 entry points read the union of both segments."""
+    """The section-7 entry points see base facts asserted on the knowledge base."""
 
     def test_negation_sees_pending_base_fact(self, session, org):
         boss = org.root_manager_name()
@@ -165,7 +165,7 @@ class TestPendingSegments:
             for d in org.departments
             if next(e.nam for e in org.employees if e.eno == d.mgr) != boss
         )
-        # Pending in the internal segment (the lazy path), both sides.
+        # Asserted on the knowledge base (the lazy route): stored at once.
         session.kb.assert_fact("empl", 9901, "ghost", 30000, elsewhere)
         answers = session.ask_with_negation(
             f"empl(E, N, S, D), not(works_dir_for(N, {boss}))"

@@ -53,7 +53,7 @@ def warm_index(session, org):
 
 def hire(session, eno, name, dept):
     session.assert_fact("empl", eno, name, 20000, dept)
-    session.ask(f"empl({eno}, N, S, D)")  # trigger the segment merge
+    session.ask(f"empl({eno}, N, S, D)")  # read the hire back
 
 
 # -- SQL builders ----------------------------------------------------------------------

@@ -416,33 +416,6 @@ class TestChangeCapture:
         assert first != 0 and second != first
         # two consults -> exactly two distinct generations observed
 
-    def test_listeners_observe_each_mutation(self):
-        events = []
-        kb = KnowledgeBase()
-        kb.add_listener(lambda kind, ind, clauses: events.append((kind, ind)))
-        kb.consult("e(1). e(2).")
-        clause = parse_program("e(1).")[0]
-        kb.retract(clause)
-        kb.retract_all(("e", 1))
-        assert events == [
-            ("insert", ("e", 1)),
-            ("insert", ("e", 1)),
-            ("delete", ("e", 1)),
-            ("clear", ("e", 1)),
-        ]
-
-    def test_suspended_relocations_are_invisible(self, session):
-        events = []
-        session.kb.add_listener(
-            lambda kind, ind, clauses: events.append((kind, ind))
-        )
-        session.assert_fact("empl", 905, "emp00905", 23000, 1)
-        events.clear()
-        # The next external query merges the internal segment: the
-        # retract_all relocation must not be observed as a deletion.
-        session.ask("works_dir_for(X, 'emp00905')")
-        assert ("clear", ("empl", 4)) not in events
-
     def test_snapshot_branches_get_distinct_generations(self):
         kb = KnowledgeBase()
         kb.consult("f(1).")
@@ -567,8 +540,8 @@ class TestSnapshotCacheInteraction:
         session.assert_fact("empl", 908, "emp00908", 26000, 1)
         with_new = session.ask("works_dir_for(X, Y)")
         assert "emp00908" in {a["X"] for a in with_new}
-        # The snapshot still answers from the old internal segment even
-        # though the live session moved on (copy-on-write isolation).
+        # The write went to the store, not the knowledge base, so the
+        # snapshot (copy-on-write isolation) holds no base tuple either.
         assert snapshot.fact_count(("empl", 4)) == 0
 
 

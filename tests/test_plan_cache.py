@@ -673,15 +673,17 @@ class TestDisabledResultCache:
             "canonical_key",
             lambda self: calls.append(self) or original(self),
         )
-        import networkx
+        from repro.coupling import global_opt
+        from repro.metaevaluate import recursion
 
         dependency_walks = []
-        walk = networkx.descendants
-        monkeypatch.setattr(
-            networkx,
-            "descendants",
-            lambda graph, node: dependency_walks.append(node) or walk(graph, node),
-        )
+        walk = recursion.descendants
+        for module in (recursion, global_opt):  # each looks the walk up itself
+            monkeypatch.setattr(
+                module,
+                "descendants",
+                lambda graph, node: dependency_walks.append(node) or walk(graph, node),
+            )
         before = session.stats()
         expected = answer_set(fresh_session(org).ask(f"works_dir_for(X, {names[2]})"))
         calls.clear()

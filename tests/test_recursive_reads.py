@@ -9,10 +9,11 @@
   ``acquire_write``, no ``plan()``), counting one plan-cache hit and one
   planned ask.  Every planned strategy is a read, on a tiny org too,
   and re-planning after a write reads no relation statistics.
-* **Internal segments merge first** — facts asserted straight into the
+* **Lazy asserts are store writes** — facts asserted straight into the
   knowledge base (``kb.assert_fact``, the paper's hypothetical tuples)
-  are visible to the next recursive ask on every route: the interval
-  probe and the CTE, on a tiny org and on larger ones.
+  are in the store at once, so the next recursive ask sees them on every
+  route: the interval probe and the CTE, on a tiny org and on larger
+  ones, serial or batched.
 * **Threaded differential** — readers asking both sides while a writer
   hires and departs see exactly the ``strategy="cte"`` answer of the
   data state their ask ran against.
@@ -258,15 +259,17 @@ class TestLazyAssertsMergeFirst:
         finally:
             session.close()
 
-    def test_batches_fall_back_while_a_segment_is_pending(self, session, org):
+    def test_a_lazy_assert_reaches_the_next_batch(self, session, org):
         boss = org.root_manager_name()
         goals = [f"works_for(X, {boss})", f"works_for(X, {middle_manager(org)})"]
         session.ask_many(goals)
         session.kb.assert_fact("empl", 888010, "zara", 20000, managed_dept(org, boss))
+        assert session.kb.fact_count(("empl", 4)) == 0
         before = session.plans.stats.snapshot()["recursive_batches"]
         batched = session.ask_many(goals)
-        assert session.plans.stats.snapshot()["recursive_batches"] == before
+        assert session.plans.stats.snapshot()["recursive_batches"] == before + 1
         assert "zara" in {a["X"] for a in batched[0]}
+        assert batched == [session.ask(goal) for goal in goals]
 
 
 class TestMaxSolutions:

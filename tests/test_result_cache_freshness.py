@@ -4,7 +4,7 @@ Each example drives two sessions over one org through the same random
 sequence of asks and writes.  The writes take every route a base tuple
 can: the session's ``assert_fact`` / ``retract_fact``, the backend
 directly (``insert_rows`` / ``delete_row``), an engine-level
-``assertz(empl(...))`` (a pending internal segment the next ask merges),
+``assertz(empl(...))`` (stored at once, as on every route),
 a consulted base fact, and a consulted redefinition of ``works_dir_for``
 (a program change, under the ``same_manager`` view too).  Every answer
 of the cache-on session must equal its twin's.

@@ -246,6 +246,16 @@ def test_consult_refreshes_every_worker(fleet):
     want = answer_set(session.ask("vip(X)"))
     for answers in fleet_answers:
         assert answer_set(answers) == want
+    # A consulted base fact is a store write: every worker sees it with
+    # no owner ask in between.
+    row = (9500, "consulted", 30000, org.departments[0].dno)
+    tier.consult("empl({}, {}, {}, {}).".format(*row))
+    try:
+        for index in range(tier.workers):
+            answers = tier.submit("empl(9500, N, S, D)", worker=index).result(30)
+            assert answers == [{"N": "consulted", "S": 30000, "D": row[3]}]
+    finally:
+        assert tier.retract_fact("empl", *row)
 
 
 # -- satellite: observe merge + trace attribution -----------------------------------

@@ -1,11 +1,12 @@
 """The write-then-ask contract, in exact counters (ROADMAP E35).
 
 A write to a base relation is a store write: it costs one commit, drops
-no compiled plan, and leaves nothing for the read path to do.  The
-internal segment that remains — ``kb.assert_fact`` / engine-level
-``assertz`` under a schema functor, the paper's hypothetical tuples — is
-equivalent to the eager path once merged, moves only its own rows, and
-is data, not program, to the knowledge base's clock.
+no compiled plan, and leaves nothing for the read path to do.  That holds
+on every route a ground tuple can take — ``session.assert_fact`` /
+``retract_fact``, ``kb.assert_fact``, the engine's ``assertz`` /
+``retract``, a consult — so the knowledge base never holds one; only
+non-ground base clauses stay there, and they are data, not program, to
+its clock.
 """
 
 import pytest
@@ -100,20 +101,75 @@ class TestWriteThenAsk:
         assert session.kb.fact_count(("empl", 4)) == 0
 
     def test_the_lazy_segment_is_also_plan_neutral(self, org):
-        """Engine-level assertz: one commit (the merge), plans kept."""
+        """Engine-level assertz: one commit (the store write), plans kept."""
         session = make_session(org)
         manager = managers_of(org)[1]
         for other in managers_of(org)[:3]:
             session.ask(f"works_dir_for(X, {other.nam})")
         before = counters(session)
         session.ask(f"assertz(empl(9101, lazy, 30000, {manager.dno}))")
+        assert moved(session, before)["commits"] == 1
+        assert session.kb.fact_count(("empl", 4)) == 0
         assert "lazy" in names(session.ask(f"works_dir_for(X, {manager.nam})"))
         session.ask(f"works_dir_for(X, {manager.nam})")
         delta = moved(session, before)
         assert (delta["invalidations"], delta["compiled"]) == (0, 0)
         assert delta["commits"] == 1
 
+    def test_a_consult_is_one_write_unit(self, org):
+        session = make_session(org)
+        dno = managers_of(org)[0].dno
+        size = session.database.row_count("empl")
+        before = counters(session)
+        session.consult(" ".join(f"empl({9500 + i}, c{i}, 30000, {dno})." for i in range(3)))
+        assert moved(session, before)["commits"] == 1
+        assert session.kb.fact_count(("empl", 4)) == 0
+        assert session.database.row_count("empl") == size + 3
+        before = counters(session)
+        session.consult("vip(X) :- empl(_, X, _, _).")
+        assert moved(session, before)["commits"] == 0
+        before = counters(session)
+        session.consult(f"boss(X) :- vip(X). empl(9503, c3, 30000, {dno}).")
+        assert moved(session, before)["commits"] == 1
+        assert session.database.row_count("empl") == size + 4
+
+    def test_a_fetch_of_a_base_relation_writes_nothing(self, org):
+        """metaevaluate/4 asserts fetched answers; a base relation's are
+        its store rows already, so none is written back."""
+        session = make_session(org)
+        dno = managers_of(org)[0].dno
+        before = counters(session)
+        assert session.ask(f"metaevaluate(p, [empl(E, N, S, {dno})], yes, D)")
+        assert moved(session, before)["commits"] == 0
+        assert session.kb.fact_count(("empl", 4)) == 0
+
+    def test_an_engine_retract_deletes_what_an_engine_assert_stored(self, org):
+        """Engine retract of a ground tuple deletes the store row, with or
+        without an ask in between; a non-ground pattern stays internal."""
+        session = make_session(org)
+        manager = managers_of(org)[1]
+        fact = f"empl(9101, lazy, 30000, {manager.dno})"
+        goal = f"works_dir_for(X, {manager.nam})"
+        size = session.database.row_count("empl")
+        for ask_between in (True, False):
+            session.ask(f"assertz({fact})")
+            assert session.database.row_count("empl") == size + 1
+            if ask_between:
+                assert "lazy" in names(session.ask(goal))
+            assert session.ask(f"retract({fact})") == [{}]
+            assert session.database.row_count("empl") == size
+            assert "lazy" not in names(session.ask(goal))
+        assert session.ask(f"retract({fact})") == []
+        session.ask("assertz(empl(9102, lazy, 30000, D))")
+        assert session.kb.fact_count(("empl", 4)) == 1
+        session.ask(goal)
+        assert session.ask("retract(empl(9102, lazy, 30000, D))") == [{"D": None}]
+        assert session.kb.fact_count(("empl", 4)) == 0
+        assert session.database.row_count("empl") == size
+
     def test_a_merge_moves_only_what_is_pending(self, org):
+        """A knowledge-base write stores its own rows at once, one commit
+        each; the next ask has nothing left to move."""
         session = make_session(org)
         asked, elsewhere = managers_of(org)[0], managers_of(org)[-1]
         goal = f"works_dir_for(X, {asked.nam})"
@@ -122,29 +178,55 @@ class TestWriteThenAsk:
         session.ask(goal)
         warm_rows = moved(session, before)["rows_fetched"]
 
-        pending = 5
-        for i in range(pending):
+        written = 5
+        size = session.database.row_count("empl")
+        before = counters(session)
+        for i in range(written):
             session.kb.assert_fact(
                 "empl", 9200 + i, f"pending{i}", 30000, elsewhere.dno
             )
-        size = session.database.row_count("empl")
+        assert moved(session, before)["commits"] == written
+        assert session.kb.fact_count(("empl", 4)) == 0
+        assert session.database.row_count("empl") == size + written
         before = counters(session)
         session.ask(goal)
         delta = moved(session, before)
-        # No statement of the merge returns more than the pending rows
-        # (this one returns none): nothing relation-sized is fetched.
-        assert delta["rows_fetched"] - warm_rows <= pending < size
-        assert delta["commits"] == 1
-        assert session.database.row_count("empl") == size + pending
-        assert session.kb.fact_count(("empl", 4)) == 0
+        assert delta["rows_fetched"] == warm_rows
+        assert delta["commits"] == 0
+
+
+def literal(row):
+    return "empl({})".format(", ".join(map(str, row)))
+
+
+def write(session, route, row):
+    """Assert one ``empl`` tuple by a route other than ``assert_fact``."""
+    if route == "kb.assert_fact":
+        session.kb.assert_fact("empl", *row)
+    elif route == "assertz":
+        session.ask(f"assertz({literal(row)})")
+    else:
+        session.consult(f"{literal(row)}.")
+
+
+def stored(session):
+    return sorted(session.database.fetch_relation("empl"), key=repr)
 
 
 class TestEagerEqualsLazy:
     @pytest.mark.parametrize("maintained", [False, True])
     def test_same_writes_same_state(self, org, maintained):
+        for route in ("kb.assert_fact", "assertz", "consult"):
+            self.same_writes_same_state(org, maintained, route)
+
+    @staticmethod
+    def same_writes_same_state(org, maintained, route):
+        """The eager twin writes by ``assert_fact`` / ``retract_fact``, the
+        lazy one by ``route`` and the engine's ``retract``."""
         eager, lazy = make_session(org), make_session(org)
         manager = managers_of(org)[2]
         goal = f"works_dir_for(X, {manager.nam})"
+        staff = f"empl(E, N, S, {manager.dno})"  # never maintained: reads the store
         existing = next(e for e in org.employees if e.dno == manager.dno)
         for session in (eager, lazy):
             # a NULL-bearing tuple already in the store
@@ -154,6 +236,7 @@ class TestEagerEqualsLazy:
             if maintained:
                 session.materialize.view("works_dir_for(X, Y)")
             session.ask(goal)
+            session.ask(staff)
         writes = [
             (9301, "fresh", 30000, manager.dno),
             (9301, "fresh", 30000, manager.dno),  # twice in one sequence
@@ -163,24 +246,36 @@ class TestEagerEqualsLazy:
         deltas = eager.materialize.stats.deltas_applied
         for row in writes:
             eager.assert_fact("empl", *row)
-            lazy.kb.assert_fact("empl", *row)
+            write(lazy, route, row)
+            assert lazy.kb.fact_count(("empl", 4)) == 0
+            assert stored(lazy) == stored(eager)
+
+        def same_state(expected):
+            assert stored(lazy) == stored(eager)
+            for session in (eager, lazy):
+                before = counters(session)
+                assert names(session.ask(staff), "N") == expected
+                assert names(session.ask(goal)) == expected
+                assert moved(session, before)["commits"] == 0
+                assert session.kb.fact_count(("empl", 4)) == 0
+
         expected = {
             low for low, high in org.works_dir_for_pairs() if high == manager.nam
         } | {"fresh", "nullsal"}
-        staff = f"empl(E, N, S, {manager.dno})"  # never maintained: reads the store
+        same_state(expected)
         for session in (eager, lazy):
-            assert names(session.ask(goal)) == expected
-            assert names(session.ask(staff), "N") == expected
             assert session.database.row_count("empl") == org.employee_count + 3
-            assert session.kb.fact_count(("empl", 4)) == 0
-        assert sorted(eager.database.fetch_relation("empl"), key=repr) == sorted(
-            lazy.database.fetch_relation("empl"), key=repr
-        )
+        fresh = writes[0]
+        assert eager.retract_fact("empl", *fresh)
+        assert lazy.ask(f"retract({literal(fresh)})") == [{}]
+        assert lazy.kb.fact_count(("empl", 4)) == 0
+        same_state(expected - {"fresh"})
         if maintained:
             for session in (eager, lazy):
                 stats = session.materialize.stats
-                # two new tuples, one delta each; the duplicates none
-                assert stats.deltas_applied - deltas == 2
+                # two new tuples and one deletion, one delta each; the
+                # duplicates none
+                assert stats.deltas_applied - deltas == 3
                 assert (stats.refreshes, stats.fallbacks) == (0, 0)
                 assert not session.materialize.views()[0].stale
 
@@ -196,10 +291,15 @@ class TestEagerEqualsLazy:
 
     def test_a_non_ground_fact_stays_internal(self, org):
         session = make_session(org)
+        session.ask("works_dir_for(X, b)")  # warm: compiling may commit
         clause = Clause(parse_term("empl(E, anybody, 0, 1)"))
         session.kb.assertz(clause)
         assert session.kb.fact_count(("empl", 4)) == 1
         assert session.database.row_count("empl") == org.employee_count
+        before = counters(session)
+        session.ask("works_dir_for(X, c)")
+        assert session.kb.all_clauses(("empl", 4)) == [clause]
+        assert moved(session, before)["commits"] == 0
 
 
 class TestProgramClock:
@@ -233,14 +333,10 @@ class TestProgramClock:
         yield "bulk_update", bulk
 
     def test_data_leaves_the_clock_alone(self, kb):
-        seen = []
-        kb.add_listener(lambda kind, indicator, clauses: seen.append(kind))
         generation = kb.generation
         for label, mutate in self.mutations(kb, self.DATA):
             mutate()
             assert kb.generation == generation, label
-        # listeners still hear every mutation
-        assert seen == ["insert", "insert", "delete", "clear", "insert", "insert"]
 
     def test_program_moves_it(self, kb):
         for label, mutate in self.mutations(kb, self.PROGRAM):
