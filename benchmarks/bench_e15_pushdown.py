@@ -13,10 +13,12 @@ Claims gated by :func:`run` (recorded in ``BENCH_pushdown.json`` by
   employee churn between rounds, is **identical** across the CTE
   pushdown, both frontier directions, and the maintained
   ``IncrementalClosure`` (PR 3's path, untouched);
-* ``ask_many`` batches warm recursive shapes through the batch-seeded
-  CTE (no serial fallback) with answers identical to serial ``ask()``;
+* ``ask_many`` batches warm recursive shapes (no serial fallback) —
+  from the interval labels on tree-shaped data, through the
+  batch-seeded CTE otherwise — with answers identical to serial
+  ``ask()``;
 * the planner picks the pushdown tier (CTE — or, on tree-shaped data,
-  the interval probe) on this workload and records why.
+  the interval labels) on this workload and records why.
 """
 
 import random
@@ -66,7 +68,7 @@ def bench_chain_closure(org, iterations: int, max_levels: int) -> dict:
     # sides: the comparison is pure execution mechanics.
     closure.step_queries()
     closure.cte_queries()
-    plan = closure.plan(low=leaf, high=None)
+    plan = closure.plan()
 
     started = time.perf_counter()
     for _ in range(iterations):
@@ -186,7 +188,7 @@ def differential_check(
 def bench_recursive_ask_many(
     depth: int, branching: int, staff: int, total: int
 ) -> dict:
-    """Warm recursive shapes batch through the batch-seeded CTE."""
+    """Warm recursive shapes batch (the interval labels on this forest)."""
     org = generate_org(
         depth=depth, branching=branching, staff_per_dept=staff, seed=5
     )
@@ -255,8 +257,8 @@ def run(quick: bool, seed: int) -> dict:
             ("cte_min_speedup", chain["speedup"], ">=", gate),
             ("cte_max_commits", chain["cte_commits"], "==", 0),
             ("cte_max_reprints", chain["cte_sql_prints"], "==", 0),
-            # The interval probe is the pushdown tier too, and the planner
-            # may prefer it on a tree-shaped chain.
+            # The interval labels are the pushdown tier too, and the
+            # planner prefers them on a tree-shaped chain.
             (
                 "planner_picks_pushdown_tier",
                 chain["planner_strategy"],

@@ -1,23 +1,20 @@
-"""E17 — interval-labeled hierarchy accelerator: reachability as one
-indexed range probe.
+"""E17 — in-memory interval labels: reachability with no statement at all.
 
 Claims gated by :func:`run` (recorded in ``BENCH_intervals.json``
 by ``benchmarks/run_all.py``):
 
-* on a deep/wide org hierarchy the prepared interval probes (descend
-  from the boss + ascend from the deepest leaf) answer **>= 3x** faster
-  than the prepared ``WITH RECURSIVE`` CTE probes — one covering-index
-  range scan versus an in-backend fixpoint;
-* the warm interval path issues **zero** commits and zero SQL re-prints:
-  the labeling is built once and probes are pooled-reader SELECTs;
-* the statistics-driven planner picks the interval strategy on this
-  workload and records why;
-* a randomized churn differential — interleaved hires/departures with
-  local gap absorption, tombstones, and forced bulk relabels — stays
-  **identical** across the interval probe, the CTE pushdown, both
-  frontier directions, and the maintained ``IncrementalClosure``;
-* ``ask_many`` batches warm recursive shapes through the batch interval
-  probe with answers identical to serial ``ask()``.
+* on a deep/wide org hierarchy the interval labels (descend from the
+  boss: a slice of the tour; ascend from the deepest leaf: the parent
+  walk) answer **>= 3x** faster than the prepared ``WITH RECURSIVE``
+  CTE probes, both read through ``TransitiveClosure.probe``;
+* the planner picks the interval strategy on this workload and records
+  why;
+* a randomized churn differential — interleaved hires/departures, and a
+  burst of hires into one department — stays **identical** across the
+  interval labels, the CTE pushdown, both frontier directions, and the
+  maintained ``IncrementalClosure``;
+* ``ask_many`` batches warm recursive shapes from the tour with answers
+  identical to serial ``ask()``.
 """
 
 import random
@@ -50,56 +47,45 @@ def make_session(org) -> PrologDbSession:
 def bench_probe_latency(
     depth: int, branching: int, staff: int, rounds: int
 ) -> dict:
-    """Prepared interval probes vs prepared CTE probes, same seeds.
+    """Interval labels vs prepared CTE probes, same seeds, same reader.
 
     Each timed round runs one descend from the boss (the whole tree
-    back) and one ascend from the deepest leaf (the management chain).
-    Statement preparation and the one-time labeling build happen before
-    timing on both sides: the comparison is pure probe mechanics.
+    back) and one ascend from the deepest leaf (the management chain),
+    through ``TransitiveClosure.probe``.  Statement preparation and the
+    one-time tour build happen before timing on both sides: the
+    comparison is pure probe mechanics.
     """
     org = generate_org(
         depth=depth, branching=branching, staff_per_dept=staff, seed=5
     )
     session = make_session(org)
-    database = session.database
     closure = session.closure_for("works_for")
     closure.cte_queries()
-    cte = closure._cte
 
     build_started = time.perf_counter()
     index = closure.interval_index()
     index.ensure_fresh()
     build_seconds = time.perf_counter() - build_started
-    plan = closure.plan(low=None, high=org.root_manager_name())
+    plan = closure.plan()
 
     boss = org.root_manager_name()
     leaf = org.leaf_employee_name()
-    cte_probes = [(cte.descend_text, (boss,)), (cte.ascend_text, (leaf,))]
-    interval_probes = [
-        (index.descend_text, (boss, boss)),
-        (index.ascend_text, (leaf, leaf)),
-    ]
-    for text, parameters in cte_probes + interval_probes:  # warm both
-        database.execute_prepared(text, parameters)
+    probes = [("high", boss), ("low", leaf)]
+
+    def answers(strategy):
+        return [closure.probe(strategy, bound, seed) for bound, seed in probes]
+
+    cte_answers, interval_answers = answers("cte"), answers("interval")  # warm
 
     started = time.perf_counter()
     for _ in range(rounds):
-        for text, parameters in cte_probes:
-            database.execute_prepared(text, parameters)
+        answers("cte")
     cte_seconds = time.perf_counter() - started
 
-    database.stats.reset()
     started = time.perf_counter()
     for _ in range(rounds):
-        for text, parameters in interval_probes:
-            database.execute_prepared(text, parameters)
+        answers("interval")
     interval_seconds = time.perf_counter() - started
-    db_stats = database.stats.snapshot()
-
-    descend_cte = {r[0] for r in database.execute_prepared(*cte_probes[0])}
-    descend_ivl = {r[0] for r in database.execute_prepared(*interval_probes[0])}
-    ascend_cte = {r[0] for r in database.execute_prepared(*cte_probes[1])}
-    ascend_ivl = {r[0] for r in database.execute_prepared(*interval_probes[1])}
 
     # End-to-end for context: the full solve_recursive round trip.
     run_started = time.perf_counter()
@@ -116,8 +102,8 @@ def bench_probe_latency(
         "departments": org.department_count,
         "tree_depth": org.max_depth,
         "probe_rounds": rounds,
-        "descend_answers": len(descend_ivl),
-        "ascend_answers": len(ascend_ivl),
+        "descend_answers": len(interval_answers[0]),
+        "ascend_answers": len(interval_answers[1]),
         "labeling": index.describe(),
         "labeling_build_seconds": round(build_seconds, 4),
         "cte_seconds": round(cte_seconds, 4),
@@ -126,11 +112,9 @@ def bench_probe_latency(
         "cte_solve_seconds": round(cte_solve_seconds, 4),
         "interval_solve_seconds": round(interval_solve_seconds, 4),
         "solve_speedup": round(cte_solve_seconds / interval_solve_seconds, 2),
-        "interval_commits": db_stats["commits"],
-        "interval_sql_prints": db_stats["sql_prints"],
         "planner_strategy": plan.strategy,
         "planner_reason": plan.reason,
-        "identical": descend_cte == descend_ivl and ascend_cte == ascend_ivl,
+        "identical": cte_answers == interval_answers,
     }
     session.close()
     return record
@@ -148,12 +132,10 @@ def churn_differential(
 
     Probes alternate bound-low / bound-high over randomly chosen
     employees; between rounds random employees are hired and fired on
-    both sessions.  Hires are merged to the backend immediately (the
-    flat ask below triggers the segment merge) so every strategy — and
-    the separately-maintained session — sees the same facts.  The churn
-    exercises the labeling's maintenance tiers: local gap absorption for
-    most hires, tombstones for departures, and a forced burst of hires
-    into one department to drive gap exhaustion and a bulk relabel.
+    both sessions, so every strategy — and the separately-maintained
+    session — sees the same facts.  Each round's writes move the data
+    generations, so the next interval solve rebuilds the tour; a burst
+    of hires lands in one department every round.
     """
     rng = random.Random(seed)
     org = generate_org(
@@ -210,7 +192,7 @@ def churn_differential(
             if not (interval == cte == bottomup == topdown == incremental):
                 mismatches.append(goal)
         # Churn: two random hires, one departure, plus a burst of hires
-        # into one fixed department so its local gap eventually runs dry.
+        # into one fixed department.
         for _ in range(2):
             row = (next_eno, f"emp{next_eno}", 30_000, rng.choice(depts))
             next_eno += 1
@@ -232,10 +214,7 @@ def churn_differential(
         "hires": next_eno - 40_000,
         "identical": not mismatches,
         "mismatches": mismatches[:5],
-        "local_absorbs": interval_stats["local_absorbs"],
-        "tombstones": interval_stats["tombstones"],
-        "gap_exhaustions": interval_stats["gap_exhaustions"],
-        "relabels": interval_stats["builds"],
+        "builds": interval_stats["builds"],
         "demotions": interval_stats["demotions"],
     }
     plain.close()
@@ -246,7 +225,7 @@ def churn_differential(
 def bench_interval_ask_many(
     depth: int, branching: int, staff: int, total: int
 ) -> dict:
-    """Warm recursive shapes batch through the batch interval probe."""
+    """Warm recursive shapes batch, answered from the tour."""
     org = generate_org(
         depth=depth, branching=branching, staff_per_dept=staff, seed=5
     )
@@ -299,8 +278,8 @@ def run(quick: bool, seed: int) -> dict:
     )
     batching = bench_interval_ask_many(b_depth, b_branching, b_staff, total)
     return {
-        "benchmark": "E17 interval-labeled hierarchy accelerator "
-        "(nested-set labeling + covering-index range probes)",
+        "benchmark": "E17 interval labels in memory "
+        "(one tour per data generation: a slice below, a parent walk above)",
         "baseline": "prepared WITH RECURSIVE CTE probes (E15's pushdown tier)",
         "workloads": {
             "probe_latency": probe,
@@ -309,12 +288,9 @@ def run(quick: bool, seed: int) -> dict:
         },
         "gates": [
             ("interval_min_speedup", probe["speedup"], ">=", gate),
-            ("interval_max_commits", probe["interval_commits"], "==", 0),
-            ("interval_max_reprints", probe["interval_sql_prints"], "==", 0),
             ("planner_picks_interval", probe["planner_strategy"], "==", "interval"),
             ("probe_identical", probe["identical"], "==", True),
             ("differential_identical", churn["identical"], "==", True),
-            ("min_local_absorbs", churn["local_absorbs"], ">=", 1),
             ("max_demotions", churn["demotions"], "==", 0),
             ("ask_many_recursive_batched", batching["recursive_batches"], ">=", 1),
             (

@@ -84,17 +84,17 @@ def main() -> None:
     snapshot = session.stats()
     print(f"  unified session.stats() keys: {sorted(snapshot)}")
 
-    # Recursive closure without recursion: label the works_for forest
-    # with pre/post (nested-set) intervals and a reachability probe
-    # becomes one covering-index range scan — no fixpoint at all.
-    # The planner picks this tier for every descendant ask on
-    # tree-shaped data; here we call it directly to show the machinery.
+    # Recursive closure without recursion: one depth-first tour of the
+    # works_for forest, held in memory, makes the cone below a boss one
+    # list slice — no fixpoint and no statement at all.  The planner
+    # picks this tier for every recursive ask on tree-shaped data; here
+    # we call it directly to show the machinery.
     session.consult(WORKS_FOR_TOP_DOWN_SOURCE)
     boss = org.root_manager_name()
     session.ask(f"works_for(X, {boss})")  # warm the recursive shape
     run = session.solve_recursive("works_for", high=boss, strategy="interval")
     print()
-    print("=== Interval accelerator (one indexed range probe) ===")
+    print("=== Interval accelerator (one slice of an in-memory tour) ===")
     print(f"  everyone under {boss}: {len(run.pairs)} pairs")
     plans = session.stats()["recursion_plans"]
     print(f"  recursion plans by strategy: {plans}")

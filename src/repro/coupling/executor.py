@@ -15,7 +15,6 @@ demultiplexed back into per-goal answers.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from itertools import islice
 from operator import itemgetter
@@ -52,7 +51,8 @@ def interface_name(predicate: DbclPredicate) -> str:
     across runs (no dependence on Python hash randomization) and
     distinct for structurally different predicates.
     """
-    digest = hashlib.blake2b(
+    from hashlib import blake2b  # on first use, as in global_opt.shape_digest
+    digest = blake2b(
         repr(predicate.canonical_key()).encode("utf-8"), digest_size=6
     ).hexdigest()
     return f"$ext_{digest}"

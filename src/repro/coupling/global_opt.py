@@ -32,7 +32,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from hashlib import blake2b
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..concurrency import LockedCounters, StripedLock
@@ -289,6 +288,7 @@ def shape_digest(key: tuple) -> str:
     ``hash``, which is salted), short enough to read in a log line, and
     memoized because the tracer computes it once per committed span.
     """
+    from hashlib import blake2b  # on first use: it loads OpenSSL (3.6 MB RSS)
     return blake2b(repr(key).encode("utf-8"), digest_size=6).hexdigest()
 
 

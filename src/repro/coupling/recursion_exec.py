@@ -23,25 +23,25 @@ Beyond the paper's repertoire, the executor can push the *entire*
 fixpoint into the backend as one prepared ``WITH RECURSIVE`` statement
 (``strategy="cte"``): no intermediate relation, no per-level Python
 round-trip, no commits.  On forest-shaped data it goes one further:
-``strategy="interval"`` answers the probe from a pre/post nested-set
-labeling (:class:`~repro.materialize.intervals.IntervalIndex`) — one
-indexed range predicate, no recursion in either Python *or* the backend.
-The planner (:meth:`TransitiveClosure.plan`) chooses only reads, from
-the bound side alone, once per data generation: the interval probe
-below a bound boss, the CTE above a bound subordinate, and ``memory``
-(one flat edge fetch) when the CTE cannot be prepared.  The paper's
-frontier strategies stay callable (Example 7-1, E7) and are the
-degradation ladder's middle rung; maintained views keep their
+``strategy="interval"`` answers from in-memory interval labels
+(:class:`~repro.materialize.intervals.IntervalIndex`) — a slice of one
+depth-first tour below a seed, the parent walk above it, no statement at
+all.  The planner (:meth:`TransitiveClosure.plan`) chooses only reads,
+once per data generation and the same for either bound side: the
+interval labels on a forest, the CTE otherwise, and ``memory`` (one flat
+edge fetch) when the CTE cannot be prepared.  The paper's frontier
+strategies stay callable (Example 7-1, E7) and are the degradation
+ladder's middle rung; maintained views keep their
 :class:`IncrementalClosure` path in the materialize subsystem.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import AbstractSet, Iterable, NamedTuple, Optional
 
-from ..errors import CouplingError, IntervalUnavailable, RecursionLimitExceeded
+from ..errors import CouplingError, RecursionLimitExceeded
 from ..metaevaluate.recursion import expansion_at_level, is_linear_recursive
 from ..metaevaluate.translator import Metaevaluator
 from ..optimize.pipeline import SimplifyOptions, simplify
@@ -164,6 +164,11 @@ class RecursionPlan:
     reason: str
 
 
+_ANCESTORS_WHILE_STALE = RecursionPlan("cte", (
+    "pushdown: the edge data moved; an ancestor probe reads the CTE "
+    "until a descendant probe rebuilds the tour"))
+
+
 class _EdgeView(NamedTuple):
     """The base clause's flat edge body, metaevaluated once per closure."""
 
@@ -242,13 +247,13 @@ class TransitiveClosure:
         #: closures whenever the program changes, so caching the failure
         #: for this executor's lifetime is sound.
         self._cte_error: Optional[Exception] = None
-        #: The view's interval (nested-set) labeling, built lazily the
-        #: first time a descendant probe is planned.
+        #: The view's in-memory interval labels, built lazily the first
+        #: time a probe is planned.
         self._interval = None
         #: The most recent :meth:`plan` decision (inspection/benchmarks).
         self.last_plan: Optional[RecursionPlan] = None
-        #: bound side -> (edge relations' data generations, decision)
-        self._decisions: dict[str, tuple[tuple, RecursionPlan]] = {}
+        #: (edge relations' data generations, decision)
+        self._decision: Optional[tuple[tuple, RecursionPlan]] = None
         # The setrel loop mutates one shared intermediate table per view;
         # two concurrent solves of the same closure would interleave
         # frontier swaps.  The session runs the loop (and every re-plan)
@@ -407,15 +412,16 @@ class TransitiveClosure:
         cte = self._prepare_cte()
         return cte.descend_sql, cte.ascend_sql
 
-    # -- interval (nested-set) acceleration ----------------------------------------------
+    # -- interval labels (in-memory tour) -------------------------------------------------
 
     def interval_index(self):
         """The view's :class:`~repro.materialize.intervals.IntervalIndex`.
 
-        Built lazily over the same compiled edge view the CTE pushdown
-        uses (so interval availability implies CTE availability — the
-        demotion target always exists).  Imported locally: the
-        materialize package reaches back into this module.
+        Built lazily over the CTE pushdown's edge view (so interval
+        availability implies CTE availability — the demotion target
+        always exists), fetched without ``DISTINCT``: the tour skips a
+        repeated edge for less than the backend's sort costs.  Imported
+        locally: the materialize package reaches back into this module.
         """
         with self._solve_lock:
             if self._interval is None:
@@ -424,54 +430,53 @@ class TransitiveClosure:
                 self._prepare_cte()
                 edge = self._edge_query()
                 self._interval = IntervalIndex(
-                    self.database, self.view[0], edge.sql, edge.relations
+                    self.database,
+                    self.view[0],
+                    replace(edge.sql, distinct=False),
+                    edge.relations,
                 )
             return self._interval
+
+    def seed(self, bound: str, value):
+        """``value`` as the backend compares it with the bound endpoint.
+
+        A flat ask leaves that to SQLite's column affinity (``"2"``
+        equals employee number 2); the in-memory strategies compare in
+        Python, so every strategy takes its seed through here.
+        """
+        edge = self._edge_query()
+        attribute = edge.low_attribute if bound == "low" else edge.high_attribute
+        return self.schema.attribute(attribute).coerce(value)
 
     def probe(self, strategy: str, bound: str, seed) -> list:
         """Sorted distinct nodes from one read of a planned strategy.
 
         ``bound`` names the bound side: ``"high"`` collects the cone
-        below the seed, ``"low"`` the chain above it.  ``interval`` and
-        ``cte`` execute one prepared statement (the interval texts bind
-        the seed twice, once per ``UNION`` branch; the CTE texts once):
-        the caller prepared it and, for ``interval``, freshened the
-        labeling.  ``memory`` fetches the flat edge view and closes over
-        it in Python — also a read, and no statement at all when the
-        view is provably empty.
+        below the seed, ``"low"`` the chain above it.  ``interval``
+        answers from the tour the caller freshened; ``cte`` executes one
+        prepared statement the caller prepared.  ``memory`` fetches the
+        flat edge view and closes over it in Python — also a read, and
+        no statement at all when the view is provably empty.
         """
+        seed = self.seed(bound, seed)
         if strategy == "memory":
             return self._solve_memory(**{bound: seed}).nodes(bound)
         if strategy == "interval":
-            index = self._interval
-            text = index.descend_text if bound == "high" else index.ascend_text
-            rows = self.database.execute_prepared(text, (seed, seed))
-        else:
-            cte = self._cte
-            text = cte.descend_text if bound == "high" else cte.ascend_text
-            rows = self.database.execute_prepared(text, (seed,))
-        return sorted({row[0] for row in rows})
+            return self._interval.nodes(bound, seed)
+        cte = self._cte
+        text = cte.descend_text if bound == "high" else cte.ascend_text
+        return sorted({row[0] for row in self.database.execute_prepared(text, (seed,))})
 
     def batch_probe_text(self, bound: str, batch_size: int) -> str:
-        """The prepared batch statement for a same-shape ask group.
+        """The prepared batch-seeded CTE for a same-shape ask group.
 
-        The serial rule (:meth:`plan`): below bound seeds, the interval
-        batch probe while the labeling is fresh and servable; above bound
-        seeds, and whenever the labeling cannot serve, the batch-seeded
-        CTE.  Either seeds its probe with ``batch_size`` distinct
-        constants through one ``IN (VALUES …)`` membership and threads
-        each row's seed through a ``root`` column, so one execution
-        answers the whole group; rows come back as ``(root, node)``.
-        CTE texts are cached per (direction, batch size) — rotating seed
-        batches re-execute them at zero re-prints.
+        Seeds its probe with ``batch_size`` distinct constants through
+        one ``IN (VALUES …)`` membership and threads each row's seed
+        through a ``root`` column, so one execution answers the whole
+        group; rows come back as ``(root, node)``.  Texts are cached per
+        (direction, batch size) — rotating seed batches re-execute them
+        at zero re-prints.
         """
-        if bound == "high":
-            try:
-                index = self.interval_index()
-                index.ensure_fresh()
-                return index.batch_text(bound, batch_size)
-            except Exception:  # noqa: BLE001 - demoted/failed: CTE form
-                pass
         cte = self._prepare_cte()
         with self._solve_lock:
             key = (bound, batch_size)
@@ -499,79 +504,60 @@ class TransitiveClosure:
         return tuple([generation(name) for name in self._edge.relations])
 
     def decision(self, bound: str) -> Optional[RecursionPlan]:
-        """The cached :meth:`plan` for a bound side, None once data moved."""
-        cached = self._decisions.get(bound)
-        if cached is None or cached[0] != self._generations():
-            return None
-        return cached[1]
+        """The read for a probe on ``bound`` without re-planning, or None.
 
-    def plan(self, low: Optional[str], high: Optional[str]) -> RecursionPlan:
-        """Choose a read for ``view(low, high)`` from the bound side alone.
-
-        The decision tree (documented in the README's Pushdown section):
-
-        * no recursive-CTE support (preparation failed — e.g. a provably
-          empty edge view, or a dialect without ``WITH RECURSIVE``) →
-          ``memory``: one flat edge fetch closed over in Python;
-        * low side bound (ancestors) → CTE pushdown: it walks one parent
-          chain, one indexed key join per level, where the interval
-          probe's containment test scans about half the label index;
-        * high side bound (descendants) on forest-shaped data with a
-          fresh (or freshenable) labeling → the interval probe: one range
-          scan over exactly the seed's cone, the labeling's depth/fanout
-          recorded in the reason;
-        * otherwise → CTE pushdown (the landing rung when the labeling
-          demotes — non-tree edges, failed relabels).
-
-        No edge count enters the choice, so no statistics are read.  The
-        decision is cached per bound side, keyed on the edge relations'
-        data generations (:meth:`decision`).  Maintained views never
-        reach this planner: the materialize subsystem answers them from
-        its :class:`IncrementalClosure` first.
+        The cached :meth:`plan` until the edge data moves; then an ancestor
+        probe reads the prepared CTE (tens of µs) rather than re-plan and
+        rebuild the tour from every edge (ms): a descendant probe does.
         """
-        bound = "low" if low is not None else "high"
+        cached = self._decision
+        if cached is not None and cached[0] == self._generations():
+            return cached[1]
+        return _ANCESTORS_WHILE_STALE if bound == "low" and self._cte else None
+
+    def plan(self) -> RecursionPlan:
+        """Choose one read for the view's bound probes, either side.
+
+        The README's Pushdown section draws the tree: ``memory`` (one
+        flat edge fetch closed over in Python) when the recursive CTE
+        cannot be prepared (a provably empty edge view, a dialect without
+        ``WITH RECURSIVE``); ``interval`` (the tour) on forest-shaped
+        data; otherwise the CTE pushdown, the landing rung when the
+        labels demote.  No edge count enters the choice, so no statistics
+        are read.  Cached under the edge relations' data generations
+        (:meth:`decision`); maintained views never reach it (their
+        :class:`IncrementalClosure` answers first).
+        """
         try:
             self._prepare_cte()
         except Exception as error:  # noqa: BLE001 - any failure means no pushdown
-            return self._decide(bound, RecursionPlan(
-                strategy="memory",
-                reason=f"no CTE support ({error}); one flat edge fetch",
-            ))
+            reason = f"no CTE support ({error}); one flat edge fetch"
+            return self._decide(RecursionPlan("memory", reason))
         key = self._generations()
-        pushdown = (
-            "pushdown: single WITH RECURSIVE statement, zero per-level "
-            "round-trips"
-        )
-        if bound == "low":
-            return self._decide(bound, RecursionPlan(
-                strategy="cte",
-                reason=pushdown + "; ancestors walk one parent chain",
-            ), key)
         try:
             index = self.interval_index()
             index.ensure_fresh()
-        except IntervalUnavailable as error:
+        except Exception as error:  # noqa: BLE001 - demoted or failed → CTE rung
             unavailable = str(error)
-        except Exception as error:  # noqa: BLE001 - failed labeling → CTE rung
-            unavailable = f"labeling failed: {error}"
         else:
-            return self._decide(bound, RecursionPlan(
+            return self._decide(RecursionPlan(
                 strategy="interval",
                 reason=(
-                    f"interval probe: labeled forest ({index.describe()}); "
-                    "descendants are one indexed range predicate"
+                    f"interval labels: labeled forest ({index.describe()}); "
+                    "a tour slice below a seed, the parent walk above"
                 ),
             ), key)
-        return self._decide(bound, RecursionPlan(
+        return self._decide(RecursionPlan(
             strategy="cte",
-            reason=pushdown + f"; interval unavailable ({unavailable})",
+            reason=(
+                "pushdown: single WITH RECURSIVE statement, zero per-level "
+                f"round-trips; interval unavailable ({unavailable})"
+            ),
         ), key)
 
-    def _decide(
-        self, bound: str, decision: RecursionPlan, key: tuple = ()
-    ) -> RecursionPlan:
-        """Cache ``decision`` for the bound side under ``key``; return it."""
-        self._decisions[bound] = (key, decision)
+    def _decide(self, decision: RecursionPlan, key: tuple = ()) -> RecursionPlan:
+        """Cache ``decision`` under ``key``; return it."""
+        self._decision = (key, decision)
         self.last_plan = decision
         return decision
 
@@ -588,9 +574,10 @@ class TransitiveClosure:
 
         ``strategy``:
 
-        * ``interval`` — answer from the nested-set labeling: one
-          indexed range probe, no fixpoint anywhere (raises
-          :class:`~repro.errors.IntervalUnavailable` on non-tree data);
+        * ``interval`` — answer from the in-memory interval labels: a
+          tour slice or a parent walk, no fixpoint and no statement
+          (raises :class:`~repro.errors.IntervalUnavailable` on non-tree
+          data);
         * ``cte`` — push the whole fixpoint down as one prepared
           ``WITH RECURSIVE`` statement (zero per-level round-trips);
         * ``auto`` — frontier starts at the bound argument (efficient);
@@ -605,6 +592,10 @@ class TransitiveClosure:
         """
         if (low is None) == (high is None):
             raise CouplingError("exactly one of low/high must be bound")
+        if low is not None:
+            low = self.seed("low", low)
+        else:
+            high = self.seed("high", high)
         with self._solve_lock:
             if strategy in ("interval", "cte"):
                 if strategy == "interval":

@@ -5,9 +5,11 @@ compile chain and is answered by a :class:`~.recursion_exec.TransitiveClosure`
 per view.  The router validates, at compile time, that the goal is one
 the executors can answer (a single call of a binary linear-recursive
 view with one side bound) and records it as a :class:`ClosureCall`; at
-execution it runs the planner's per-side decision, steps down the
-degradation ladder when that fails, and folds a same-shape ``ask_many``
-group into one batch-seeded statement.
+execution it runs the planner's decision (the in-memory interval labels
+on a forest, for either bound side), steps down the degradation ladder
+when that fails, and answers a same-shape ``ask_many`` group per seed
+from the labels — or, when they cannot serve, with one batch-seeded
+statement.
 """
 
 from __future__ import annotations
@@ -163,14 +165,17 @@ class RecursionRouter:
     def ask(self, call: ClosureCall, seed, exclusive: bool = True, span=None):
         """Answer one bound closure probe: answer dicts, or ``NEEDS_WRITE``.
 
-        A warm ask is a read: the side's cached decision (:meth:`~.
+        A warm ask is a read: the cached decision (:meth:`~.
         recursion_exec.TransitiveClosure.decision`) and the read it names
-        — one prepared interval / CTE statement, or ``memory``'s flat
-        edge fetch.  Without ``exclusive`` (the caller holds only the
-        read lock) anything that writes first returns
+        — the interval labels' tour, one prepared CTE statement, or
+        ``memory``'s flat edge fetch; an ancestor ask after the edge data
+        moved reads the CTE and leaves the tour's rebuild to the next
+        descendant ask.  Without ``exclusive`` (the caller holds only the
+        read lock) anything that must run under the write lock returns
         :data:`~.executor.NEEDS_WRITE`: a missing decision (none yet, or
-        the edge relations' data outdated it; re-planning may relabel), or
-        a probe that raised (the ladder runs once, on the write side).
+        a descendant ask after the data moved; re-planning may rebuild
+        the tour), or a probe that raised (the ladder runs once, on the
+        write side).
         Maintained views never reach this point: they answer from their
         :class:`IncrementalClosure` first.
         """
@@ -179,9 +184,7 @@ class RecursionRouter:
         if plan is None:
             if not exclusive:
                 return NEEDS_WRITE
-            plan = closure.plan(
-                *((seed, None) if call.bound == "low" else (None, seed))
-            )
+            plan = closure.plan()
         try:
             nodes = closure.probe(plan.strategy, call.bound, seed)
         except (CouplingError, DeadlineExceeded):
@@ -208,7 +211,7 @@ class RecursionRouter:
     ) -> list:
         """Step down the recursion ladder when the planned strategy fails.
 
-        When the failed plan was the interval probe, the first rung down
+        When the failed plan was the interval labels, the first rung down
         is the CTE pushdown (stale or failing labels must not cost the
         whole pushdown tier); then the prepared frontier loop on the
         bound side (``auto``); finally one flat edge fetch with the
@@ -272,21 +275,20 @@ class RecursionRouter:
         shapes: Sequence[GoalShape],
         max_solutions: Optional[int] = None,
     ) -> Optional[list[list[dict]]]:
-        """One batch-seeded probe for a same-shape group.
+        """Answer a same-shape group at once, identically to serial asks.
 
-        The group's seed constants fold into the statement's
-        ``IN (VALUES …)`` membership; fetched ``(root, node)`` rows
-        demultiplex by root back to per-goal answer lists identical to
-        the serial :meth:`ask` (which sorts its nodes, so ordering
-        matches too, and so does the ``max_solutions`` prefix each
-        member keeps).  Returns ``None`` to fall back to serial asks.
+        While the interval labels serve, each distinct seed is answered
+        from the tour with no statement; otherwise the group's seeds
+        fold into one batch-seeded CTE's ``IN (VALUES …)`` membership
+        and the fetched ``(root, node)`` rows demultiplex by root.  The
+        answer lists match the serial :meth:`ask` (which sorts its
+        nodes), and so does the ``max_solutions`` prefix each member
+        keeps.  Returns ``None`` to fall back to serial asks.
         """
         closure, call = recursive
         variable_name = call.variable
-        seeds = [shape.constants[0] for shape in shapes]
+        seeds = [closure.seed(call.bound, shape.constants[0]) for shape in shapes]
         distinct: dict = dict.fromkeys(seeds)
-        if len({str(seed) for seed in distinct}) != len(distinct):
-            return None  # affinity-coercible seed collision: serial
         session = self.session
         plans = session.plans
         with session.kb.lock.read():
@@ -294,24 +296,36 @@ class RecursionRouter:
             entry = plans.entry_for(shapes[0])
             if entry is None or entry.uncacheable:
                 return None  # a concurrent write invalidated the plan
-            try:
-                # The serial per-side rule: the interval batch probe
-                # below bound seeds while the labeling serves, the
-                # batch-seeded WITH RECURSIVE otherwise.  Under the read
-                # lock: freshening the labeling must not race a writer.
-                text = closure.batch_probe_text(call.bound, len(distinct))
-            except Exception:  # noqa: BLE001 - no batch form at all
-                return None
-            rows = session.database.execute_prepared(text, list(distinct))
-        demux: dict = {seed: set() for seed in distinct}
-        for root, node in rows:
-            bucket = demux.get(root)
-            if bucket is None:
-                return None  # affinity coerced a seed: answer serially
-            bucket.add(node)
+            # The serial rule (:meth:`ask`): the labels while they serve,
+            # the CTE otherwise.  Under the read lock: a rebuild of the
+            # tour must not race a writer.
+            index = None
+            plan = closure.decision(call.bound)
+            if plan is None or plan.strategy == "interval":
+                try:
+                    index = closure.interval_index()
+                    index.ensure_fresh()
+                except Exception:  # noqa: BLE001 - demoted or failed: no labels
+                    index = None
+            if index is not None:
+                demux = {seed: index.nodes(call.bound, seed) for seed in distinct}
+            else:
+                try:
+                    text = closure.batch_probe_text(call.bound, len(distinct))
+                except Exception:  # noqa: BLE001 - no batch form at all
+                    return None
+                rows = session.database.execute_prepared(text, list(distinct))
+        if index is None:
+            found: dict = {seed: set() for seed in distinct}
+            for root, node in rows:
+                bucket = found.get(root)
+                if bucket is None:
+                    return None  # affinity coerced a seed: answer serially
+                bucket.add(node)
+            demux = {seed: sorted(nodes) for seed, nodes in found.items()}
         plans.stats.incr("batched_asks", len(shapes))
         plans.stats.incr("recursive_batches")
         return [
-            [{variable_name: node} for node in sorted(demux[seed])[:max_solutions]]
+            [{variable_name: node} for node in demux[seed][:max_solutions]]
             for seed in seeds
         ]

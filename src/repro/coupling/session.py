@@ -54,7 +54,7 @@ multiple-query optimization, applied to the prepared-plan hot path).
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 from typing import Iterable, Optional, Union
 
 from ..cqa import CertainAnswers
@@ -128,6 +128,7 @@ class PrologDbSession:
             for relation in self.schema.relations.values()
         )
         self.kb.base_writer = self._write_base
+        self.kb.write_unit = self._write_unit
         self.engine = Engine(self.kb)
         self.metaevaluator = Metaevaluator(self.schema, self.kb)
         self.cache = ResultCache(cache_policy, generation=self.database.data_generation)
@@ -184,19 +185,16 @@ class PrologDbSession:
         """Load Prolog clauses (views, rules, facts) into the session.
 
         Ground tuples of base relations go to the store (:meth:`_write_base`),
-        all of them in one write unit; a source without any writes nothing,
-        and one with nothing else leaves the program — and every compiled
-        plan — as it was.
+        all of them in one write unit (the load's ``bulk_update``); a
+        source without any writes nothing, and one with nothing else
+        leaves the program — and every compiled plan — as it was.
         """
         clauses = parse_program(source)
-        tuples = any(self._base_row(clause) is not None for clause in clauses)
         # The write lock makes load + plan invalidation atomic: no
         # concurrent reader observes new clauses with stale cached plans.
-        unit = self.database.transaction() if tuples else nullcontext()
         with self.kb.lock.write():
             generation = self.kb.generation
-            with unit:
-                self.kb.load(clauses)
+            self.kb.load(clauses)
             if self.kb.generation == generation:
                 return  # data only: the program clock did not move
             self._recursion.clear()
@@ -269,6 +267,21 @@ class PrologDbSession:
             return None
         return fact_row(clause)
 
+    @contextmanager
+    def _write_unit(self):
+        """The store write unit of a ``bulk_update`` bracket (a consult).
+
+        The knowledge base's ``write_unit``.  A bracket that raises rolls
+        the store back and advances the data generations it wrote; the
+        maintained views then resync from the store, as after a load.
+        """
+        try:
+            with self.database.transaction():
+                yield
+        except BaseException:
+            self.materialize.on_load(list(self.schema.relations))
+            raise
+
     def _write_base(self, clause: Clause, insert: bool) -> Optional[bool]:
         """The one write of a base fact, whichever route it came by.
 
@@ -283,7 +296,9 @@ class PrologDbSession:
         row was stored or deleted, or None for a clause that is no
         tuple (non-ground, structured, a rule), which the knowledge
         base keeps.  The caller holds the knowledge base's write lock, so
-        readers see the row in the store or not at all.
+        readers see the row in the store or not at all; inside a
+        ``bulk_update`` bracket (a consult) every tuple joins one write
+        unit.
         """
         row = self._base_row(clause)
         if row is None:

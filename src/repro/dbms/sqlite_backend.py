@@ -71,6 +71,27 @@ Value = Union[int, float, str, None]
 _memory_names = itertools.count(1)
 
 
+class _UnitCursor:
+    """The cursor a write unit yields: its first statement begins the unit."""
+
+    __slots__ = ("_cursor", "_begin")
+
+    def __init__(self, cursor: sqlite3.Cursor, begin: Callable[[], None]):
+        self._cursor = cursor
+        self._begin = begin
+
+    def execute(self, *args) -> sqlite3.Cursor:
+        self._begin()
+        return self._cursor.execute(*args)
+
+    def executemany(self, *args) -> sqlite3.Cursor:
+        self._begin()
+        return self._cursor.executemany(*args)
+
+    def __getattr__(self, name: str):
+        return getattr(self._cursor, name)
+
+
 class ExternalDatabase(SideTables):
     """An SQLite-backed relational store for one catalog.
 
@@ -131,6 +152,11 @@ class ExternalDatabase(SideTables):
         self._write_lock = threading.RLock()
         self._txn_depth = 0
         self._txn_thread: Optional[int] = None
+        #: Whether the open unit issued its ``BEGIN`` (its first statement).
+        self._txn_begun = False
+        #: Base relations the open unit wrote: a rollback advances their
+        #: data generations again, past anything read in the unit.
+        self._txn_mutated: set[str] = set()
         self._closed = False
         #: The fault policy governing this backend's retry behaviour.
         self.policy = policy if policy is not None else FaultPolicy()
@@ -218,9 +244,11 @@ class ExternalDatabase(SideTables):
         enclosing one; the outermost exit commits once, or rolls the
         whole unit back if the block raised — so no failed statement
         (an ``executemany`` mid-batch) can leave half its rows staged
-        for whoever commits next.  The whole bracket holds the backend
-        write mutex, so two threads' transactions serialize instead of
-        interleaving statements on the owning connection.
+        for whoever commits next.  The unit begins at its first
+        statement, so one that ran none commits nothing.  The whole
+        bracket holds the backend write mutex, so two threads'
+        transactions serialize instead of interleaving statements on
+        the owning connection.
         """
         if self._closed:
             raise ExecutionError("database is closed")
@@ -228,24 +256,38 @@ class ExternalDatabase(SideTables):
             self._txn_depth += 1
             self._txn_thread = threading.get_ident()
             try:
-                if self._txn_depth == 1:
-                    # explicit: sqlite3 opens its implicit transaction only
-                    # before DML, and DDL units must roll back whole too
-                    self._connection.execute("BEGIN")
-                yield self._connection.cursor()
-                if self._txn_depth == 1:
+                yield _UnitCursor(self._connection.cursor(), self._begin)
+                if self._txn_depth == 1 and self._txn_begun:
                     self._connection.commit()
                     self.stats.incr("commits")
             except BaseException:
-                if self._txn_depth == 1:
+                if self._txn_depth == 1 and self._txn_begun:
                     # nothing staged, or the connection is gone
                     with suppress(sqlite3.Error):
                         self._connection.rollback()
+                    for relation_name in self._txn_mutated:
+                        self._statistics.note_mutation(relation_name)
                 raise
             finally:
                 self._txn_depth -= 1
                 if self._txn_depth == 0:
                     self._txn_thread = None
+                    self._txn_begun = False
+                    self._txn_mutated.clear()
+
+    def _begin(self) -> None:
+        """Open the current unit before its first statement."""
+        if not self._txn_begun:
+            # explicit: sqlite3 opens its implicit transaction only
+            # before DML, and DDL units must roll back whole too
+            self._connection.execute("BEGIN")
+            self._txn_begun = True
+
+    def _mutated(self, relation_name: str) -> None:
+        """A write changed a base relation: advance its data generation."""
+        self._statistics.note_mutation(relation_name)
+        if self._txn_depth and self._txn_thread == threading.get_ident():
+            self._txn_mutated.add(relation_name)
 
     def write(self, label: str, body: Callable[[sqlite3.Cursor], object]):
         """Run ``body(cursor)`` as one write unit under the retry ladder.
@@ -259,6 +301,7 @@ class ExternalDatabase(SideTables):
         if self._closed:
             raise ExecutionError("database is closed")
         if self._txn_depth and self._txn_thread == threading.get_ident():
+            self._begin()
             cursor = self._connection.cursor()
             try:
                 return body(cursor)
@@ -357,7 +400,7 @@ class ExternalDatabase(SideTables):
             f"insert {relation_name}",
             lambda cursor: cursor.executemany(statement, data),
         )
-        self._statistics.note_mutation(relation_name)
+        self._mutated(relation_name)
         return len(data)
 
     def insert_absent(self, relation_name: str, rows: Iterable[Sequence[Value]]) -> int:
@@ -380,7 +423,7 @@ class ExternalDatabase(SideTables):
             ).rowcount,
         )
         if added:
-            self._statistics.note_mutation(relation_name)
+            self._mutated(relation_name)
         return added
 
     def delete_row(self, relation_name: str, row: Sequence[Value]) -> int:
@@ -393,7 +436,7 @@ class ExternalDatabase(SideTables):
             f"delete {relation_name}",
             lambda cursor: cursor.execute(statement, tuple(row)).rowcount,
         )
-        self._statistics.note_mutation(relation_name)
+        self._mutated(relation_name)
         return count
 
     def clear_relation(self, relation_name: str) -> None:
@@ -402,7 +445,7 @@ class ExternalDatabase(SideTables):
             f"clear {relation_name}",
             lambda cursor: cursor.execute(f"DELETE FROM {relation_name}"),
         )
-        self._statistics.note_mutation(relation_name)
+        self._mutated(relation_name)
 
     def row_count(self, relation_name: str) -> int:
         return self.read(f"SELECT COUNT(*) FROM {relation_name}")[0][0]

@@ -22,16 +22,16 @@ change**:
   delta propagation for inserts, DRed-style delete/re-derive for
   retracts;
 * :class:`~repro.materialize.intervals.IntervalIndex` is a third
-  materialized-view kind: a gap-scaled pre/post (nested-set) labeling of
-  a recursive view's edge forest, stored as an indexed ``ivl_*`` backend
-  table so a reachability probe is one indexed range predicate — with
-  local absorption of leaf churn, bulk relabels by one DFS, and demotion
-  back to the CTE strategies on non-tree data.
+  materialized-view kind: interval labels of a recursive view's edge
+  forest, held in memory as one depth-first tour per data generation,
+  so the cone below a seed is a slice of the tour and the chain above
+  it a parent walk — rebuilt from one edge fetch when the data moves,
+  and demoted back to the CTE strategies on non-tree data.
 
 Each derived relation has one home and one writer: a view's support
-counts (and a recursive view's closure) live in this process's memory,
-interval labels in their ``ivl_*`` table, the ``setrel`` frontier in its
-``intermediate`` relation — nothing is mirrored.  The paper's "should a
+counts, a recursive view's closure and the interval labels live in this
+process's memory, the ``setrel`` frontier in its ``intermediate``
+relation — nothing is mirrored.  The paper's "should a
 result be stored" decision is the explicit :meth:`MaterializeManager.view`
 registration (and ``CachePolicy`` for plain answers).
 """

@@ -48,6 +48,13 @@ class RecursiveMaterializedView:
         self.args = tuple(args)
         self.edge_view = edge_view
         self.closure = IncrementalClosure(edge_view.counts)
+        # Each end's attribute: a bound constant is compared as the
+        # backend compares it with that column ("2" reaches employee 2).
+        schema = edge_view.database.schema
+        self._ends = tuple(
+            schema.attribute(edge_view.column_cells[column][0][1])
+            for column in edge_view.position_column
+        )
         self.stale = False
         self.quarantined = False
         self.stats = ViewStats()
@@ -95,6 +102,10 @@ class RecursiveMaterializedView:
             high is None and not isinstance(high_arg, Variable)
         ):
             return None  # structured argument: not a closure probe
+        if low is not None:
+            low = self._ends[0].coerce(low)
+        if high is not None:
+            high = self._ends[1].coerce(high)
         answers: list[dict] = []
         seen: set[tuple] = set()
         closure = self.closure

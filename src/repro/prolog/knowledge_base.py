@@ -67,7 +67,7 @@ compiled plans and the memoized call graph alone.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from itertools import count
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -335,6 +335,10 @@ class KnowledgeBase:
         #: True when it did (False: a deletion found no row), or None for
         #: a clause that is no tuple, which stays here.  None: no store.
         self.base_writer = None
+        #: ``write_unit()`` opens the store's write unit around a
+        #: :meth:`bulk_update` bracket, so its base tuples commit once.
+        #: Set with ``base_writer``; None: no store.
+        self.write_unit = None
         self._bulk_depth = 0
         self._bulk_dirty = False
         #: Reader–writer lock for the serving layer.  Every mutation
@@ -381,14 +385,22 @@ class KnowledgeBase:
 
         A 1000-fact load advances ``generation`` exactly once (at exit,
         and only if something actually changed), so generation-keyed
-        caches invalidate once per batch instead of per fact.  Nestable.
-        The whole bracket holds the write lock, so a batch load is atomic
-        with respect to concurrent readers and other writers.
+        caches invalidate once per batch instead of per fact, and its
+        base tuples share one store write unit (``write_unit``).
+        Nestable.  The whole bracket holds the write lock, so a batch
+        load is atomic with respect to concurrent readers and other
+        writers.
         """
         with self.lock.write():
+            unit = (
+                self.write_unit()
+                if self.write_unit is not None and not self._bulk_depth
+                else nullcontext()
+            )
             self._bulk_depth += 1
             try:
-                yield
+                with unit:
+                    yield
             finally:
                 self._bulk_depth -= 1
                 if self._bulk_depth == 0 and self._bulk_dirty:

@@ -14,6 +14,7 @@ checking) and lookup tables from relation-local positions to global columns.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -25,6 +26,10 @@ ATTRIBUTE_TYPES: dict[str, str] = {
     "float": "REAL",
     "text": "TEXT",
 }
+
+#: A text SQLite's numeric affinity reads as a number (it ignores the
+#: surrounding blanks, and hex or ``1_0`` stay text).
+_NUMERAL = re.compile(r"\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\s*")
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,6 +53,25 @@ class Attribute:
     @property
     def is_numeric(self) -> bool:
         return self.type in ("int", "float")
+
+    def coerce(self, value):
+        """``value`` as SQLite compares it with a column of this attribute.
+
+        Column affinity turns a numeral text into a number before
+        comparing it with a numeric column (``"2"`` equals 2) and a
+        number into its text against a text column (30000 equals
+        ``'30000'``); Python equality does neither.
+        """
+        if isinstance(value, str):
+            if self.is_numeric and _NUMERAL.fullmatch(value):
+                try:
+                    return int(value)
+                except ValueError:  # a fraction or an exponent
+                    number = float(value)
+                    return int(number) if number.is_integer() else number
+        elif self.type == "text" and isinstance(value, (int, float)):
+            return str(value)
+        return value
 
 
 @dataclass(frozen=True)

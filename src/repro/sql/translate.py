@@ -418,77 +418,6 @@ def closure_cte(
     )
 
 
-# -- interval (nested-set) accelerator statements ------------------------------------
-
-
-def interval_probe(
-    table: str, bound: str, batch_size: Optional[int] = None
-) -> str:
-    """Prepared probe text over an interval-labeled hierarchy table.
-
-    ``table`` holds one ``(node, pre, post, cyc)`` row per node of a
-    forest, labels strictly nested (descendant ⇔ ``pre_a < pre_d AND
-    post_d < post_a``).  ``bound`` names the closure probe's bound side:
-
-    * ``"high"`` — descendants of the seed (the ``closure(X, seed)``
-      shape): a single range scan over the composite ``(pre, post)``
-      index, bounded on *both* sides (``s.pre > a.pre AND s.pre <
-      a.post``) so the scan touches exactly the seed's cone;
-    * ``"low"`` — ancestors of the seed (``closure(seed, Y)``): the
-      containing intervals.  The *answer* is at most one row per tree
-      level, but ``a.pre < s.pre AND a.post > s.post`` bounds the index
-      on one side only, so the scan covers every label before the seed —
-      about half the index on average.  The recursion planner therefore
-      answers ancestor probes with the recursive CTE (one parent chain).
-
-    A ``cyc = 1`` node carries a self-loop edge, which tree labels
-    cannot express; a ``UNION`` branch adds the seed's own reflexive
-    pair.  The single-seed form binds the seed **twice** (once per UNION
-    branch); the batch form (``batch_size`` seeds) binds each seed
-    exactly once through a ``VALUES`` CTE and returns ``(root, node)``
-    rows that demultiplex by seed, mirroring the batch closure CTE.
-    """
-    if bound not in ("low", "high"):
-        raise TranslationError(
-            f"bound side must be 'low' or 'high', got {bound!r}"
-        )
-    if batch_size is None:
-        if bound == "high":
-            return (
-                f"SELECT s.node FROM {table} a JOIN {table} s "
-                "ON s.pre > a.pre AND s.pre < a.post AND s.post < a.post "
-                "WHERE a.node = ? "
-                f"UNION SELECT node FROM {table} WHERE node = ? AND cyc = 1"
-            )
-        return (
-            f"SELECT a.node FROM {table} s JOIN {table} a "
-            "ON a.pre < s.pre AND a.post > s.post "
-            "WHERE s.node = ? "
-            f"UNION SELECT node FROM {table} WHERE node = ? AND cyc = 1"
-        )
-    if batch_size < 1:
-        raise TranslationError("interval batch probe needs at least one seed")
-    values = ", ".join("(?)" for _ in range(batch_size))
-    if bound == "high":
-        return (
-            f"WITH seeds(node) AS (VALUES {values}) "
-            f"SELECT a.node AS root, s.node AS node "
-            f"FROM seeds q JOIN {table} a ON a.node = q.node "
-            f"JOIN {table} s ON s.pre > a.pre AND s.pre < a.post "
-            "AND s.post < a.post "
-            f"UNION SELECT a.node, a.node FROM seeds q "
-            f"JOIN {table} a ON a.node = q.node WHERE a.cyc = 1"
-        )
-    return (
-        f"WITH seeds(node) AS (VALUES {values}) "
-        f"SELECT s.node AS root, a.node AS node "
-        f"FROM seeds q JOIN {table} s ON s.node = q.node "
-        f"JOIN {table} a ON a.pre < s.pre AND a.post > s.post "
-        f"UNION SELECT s.node, s.node FROM seeds q "
-        f"JOIN {table} s ON s.node = q.node WHERE s.cyc = 1"
-    )
-
-
 # -- certain-answer rewriting (consistent query answering, ROADMAP E19) --------------
 
 

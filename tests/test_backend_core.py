@@ -34,16 +34,9 @@ MUTATORS = {
     "set_intermediate_rows": lambda db: db.set_intermediate_rows(
         "frontier", [("a",), ("b",)]
     ),
-    "create_interval_index": lambda db: db.create_interval_index("ivl_tree"),
-    "set_interval_rows": lambda db: db.set_interval_rows(
-        "ivl_tree", [(5, 0, 9, 0)]
-    ),
-    "apply_interval_delta": lambda db: db.apply_interval_delta(
-        "ivl_tree", upserts=[(6, 3, 4, 0)], deletes=[1]
-    ),
 }
 
-TABLES = ("empl", "frontier", "ivl_tree")
+TABLES = ("empl", "frontier")
 
 
 class _FailsAfterFirstStatement:
@@ -80,8 +73,6 @@ def database():
     db.insert_rows("empl", EMPL_ROWS)
     db.create_intermediate("frontier", ["nam"])
     db.set_intermediate_rows("frontier", [("seed",)])
-    db.create_interval_index("ivl_tree")
-    db.set_interval_rows("ivl_tree", [(1, 0, 9, 0), (2, 3, 4, 0)])
     yield db
     db.close()
 

@@ -1,18 +1,19 @@
-"""The interval-labeled hierarchy accelerator (E17).
+"""The in-memory interval labels (E17).
 
-Covers the PR 7 engine end to end:
+Covers the accelerator end to end:
 
-* the ``interval_probe`` SQL builder;
-* the ``IntervalIndex`` labeling — one labeler for every node domain
-  (text, integer, slash-bearing names), probes answer-identical to every
-  CTE/frontier strategy (self-loop boss included);
-* incremental maintenance under churn: local gap absorption for leaf
-  hires, tombstones for leaf departures, bulk relabel on gap
-  exhaustion — with the counters that prove which path ran;
+* the tour — one depth-first visit order per data generation; the cone
+  below a seed is a slice of it, the chain above the parent walk, and
+  neither side (nor an ``ask_many`` batch) runs a statement;
+* one labeler for every node domain (text, integer, slash-bearing
+  names), answers identical to every CTE/frontier strategy (self-loop
+  boss included);
+* churn — each write moves the edge relations' data generations, and
+  the next ask rebuilds the tour from one edge fetch, with no commit;
 * demotion on non-tree data (multi-parent, cycles) back to the CTE
   tier, cached per data generation;
 * the planner integration: ``RecursionPlan.strategy == "interval"``
-  for descendant probes at every size, ``session.stats()["recursion_plans"]``
+  for both bound sides at every size, ``session.stats()["recursion_plans"]``
   observability, and the degradation ladder stepping interval → cte on
   operational probe failures.
 """
@@ -21,9 +22,8 @@ import pytest
 
 from repro.coupling import PrologDbSession
 from repro.dbms import generate_org
-from repro.errors import IntervalUnavailable, TranslationError
+from repro.errors import IntervalUnavailable
 from repro.schema import ALL_VIEWS_SOURCE
-from repro.sql.translate import interval_probe
 
 
 @pytest.fixture(scope="module")
@@ -41,12 +41,12 @@ def session(org):
 
 
 def warm_descendants(session, org):
-    """Ask for the root's cone: the planner freshens the labeling."""
+    """Ask for the root's cone: the planner freshens the labels."""
     return session.ask(f"works_for(X, {org.root_manager_name()})")
 
 
 def warm_index(session, org):
-    """Ask once so the planner builds the labeling; return the index."""
+    """Ask once so the planner builds the tour; return the index."""
     warm_descendants(session, org)
     return session.closure_for("works_for").interval_index()
 
@@ -56,27 +56,39 @@ def hire(session, eno, name, dept):
     session.ask(f"empl({eno}, N, S, D)")  # read the hire back
 
 
-# -- SQL builders ----------------------------------------------------------------------
+def cte_nodes(session, bound, seed):
+    run = session.solve_recursive("works_for", strategy="cte", **{bound: seed})
+    return run.nodes(bound)
 
 
-class TestProbeBuilders:
-    def test_single_seed_probe_shapes(self):
-        descend = interval_probe("ivl_x", "high")
-        ascend = interval_probe("ivl_x", "low")
-        assert descend.count("?") == 2  # seed bound twice (cyc branch)
-        assert ascend.count("?") == 2
-        assert "s.pre > a.pre" in descend and "s.post < a.post" in descend
-        assert "a.pre < s.pre" in ascend and "a.post > s.post" in ascend
+# -- the tour --------------------------------------------------------------------------
 
-    def test_batch_probe_binds_each_seed_once(self):
-        text = interval_probe("ivl_x", "high", batch_size=4)
-        assert text.lstrip().upper().startswith("WITH")  # pooled-reader routed
-        assert text.count("?") == 4
-        assert "VALUES (?), (?), (?), (?)" in text
 
-    def test_bad_bound_rejected(self):
-        with pytest.raises(TranslationError):
-            interval_probe("ivl_x", "sideways")
+class TestTour:
+    def test_each_cone_is_one_slice_of_the_tour(self, session, org):
+        index = warm_index(session, org)
+        tour = index._tour
+        assert sorted(tour.order, key=str) == sorted(tour.first, key=str)
+        for node, at in tour.first.items():
+            assert tour.order[at] == node
+            below = set(tour.order[at + 1:tour.last[at]])
+            assert below | ({node} & tour.selfloops) == set(
+                cte_nodes(session, "high", node)
+            ), node
+
+    def test_probes_and_batches_run_no_statement(self, session, org):
+        warm_index(session, org)
+        boss, leaf = org.root_manager_name(), org.leaf_employee_name()
+        goals = [f"works_for(X, {boss})", f"works_for({leaf}, Y)"]
+        serial = [session.ask(goal) for goal in goals]
+        session.database.stats.reset()
+        assert [session.ask(goal) for goal in goals] == serial
+        before = session.plans.stats.snapshot()["recursive_batches"]
+        assert session.ask_many(goals * 2) == serial * 2
+        # one group per shape, each answered from the tour
+        assert session.plans.stats.snapshot()["recursive_batches"] == before + 2
+        stats = session.database.stats
+        assert (stats.prepared_executions, stats.commits, stats.sql_prints) == (0, 0, 0)
 
 
 # -- equivalence -----------------------------------------------------------------------
@@ -105,8 +117,8 @@ class TestProbeEquivalence:
 
     def test_cyclic_boss_probe_includes_the_reflexive_pair(self, session, org):
         # The default org's root department manages itself: the boss
-        # works for the boss.  The tree labeling stores that edge as a
-        # cyc marker and the probe's UNION branch restores the pair.
+        # works for the boss.  The tour keeps that edge as a self-loop
+        # and folds the seed back into its own answer, on both sides.
         warm_index(session, org)
         boss = org.root_manager_name()
         run = session.solve_recursive("works_for", high=boss, strategy="interval")
@@ -114,6 +126,8 @@ class TestProbeEquivalence:
         assert set(run.pairs) == {
             (l, h) for (l, h) in org.works_for_pairs() if h == boss
         }
+        run = session.solve_recursive("works_for", low=boss, strategy="interval")
+        assert set(run.pairs) == {(boss, boss)}
 
     def test_integer_nodes_label_and_probe_like_the_cte(self, session, org):
         # Employee numbers as nodes: eno -> the eno managing its department.
@@ -135,27 +149,24 @@ class TestProbeEquivalence:
             assert set(cte.pairs) == set(ivl.pairs), eno
         index = session.closure_for("reports").interval_index()
         assert index.stats.snapshot()["builds"] == 1
-        labeled = session.database.execute(f"SELECT node FROM {index.table}")
-        assert {type(node) for (node,) in labeled} == {int}
+        assert {type(node) for node in index._tour.order} == {int}
 
 
 # -- churn maintenance -----------------------------------------------------------------
 
 
 class TestChurn:
-    def test_leaf_hire_is_absorbed_locally(self, session, org):
+    def test_a_leaf_hire_rebuilds_the_tour_without_a_commit(self, session, org):
         index = warm_index(session, org)
         hire(session, 41001, "ivlhire1", org.departments[2].dno)
-        answers = session.ask("works_for(ivlhire1, Y)")
-        assert answers  # new leaf reaches its manager chain
-        # Ancestor asks take the CTE; a descendant ask re-plans on the
-        # interval probe, which freshens the labeling first.
+        session.database.stats.reset()
+        assert session.ask("works_for(ivlhire1, Y)")  # new leaf, its chain
         assert "ivlhire1" in {a["X"] for a in warm_descendants(session, org)}
-        snapshot = index.stats.snapshot()
-        assert snapshot["local_absorbs"] == 1
-        assert snapshot["builds"] == 1  # no relabel for one hire
+        assert session.database.stats.commits == 0
+        assert index.stats.snapshot()["builds"] == 2  # one per data generation
+        assert session.stats()["recursion_plans"]["last_strategy"] == "interval"
 
-    def test_leaf_departure_is_a_tombstone(self, session, org):
+    def test_a_leaf_departure_leaves_the_tour(self, session, org):
         index = warm_index(session, org)
         hire(session, 41002, "ivlhire2", org.departments[2].dno)
         assert "ivlhire2" in {a["X"] for a in warm_descendants(session, org)}
@@ -165,42 +176,42 @@ class TestChurn:
         assert "ivlhire2" not in {
             a["X"] for a in warm_descendants(session, org)
         }
-        assert index.stats.snapshot()["tombstones"] == 1
+        assert "ivlhire2" not in index._tour.first
 
-    def test_gap_exhaustion_triggers_a_bulk_relabel(self, session, org):
+    def test_a_wave_of_hires_needs_one_build_per_ask(self, session, org):
+        # No gaps to run dry: thirty hires into one department, each
+        # followed by a descendant ask, cost one rebuild each and no
+        # commit at all.
         index = warm_index(session, org)
         dept = org.departments[-1].dno
+        commits = 0
         for i in range(30):
             hire(session, 42000 + i, f"ivlwave{i}", dept)
+            before = session.database.stats.commits
             warm_descendants(session, org)
-        snapshot = index.stats.snapshot()
-        assert snapshot["local_absorbs"] >= 10
-        assert snapshot["gap_exhaustions"] >= 1
-        assert snapshot["builds"] >= 2  # the exhaustion relabeled
+            commits += session.database.stats.commits - before
+        assert commits == 0
+        assert index.stats.snapshot()["builds"] == 31
         boss = org.root_manager_name()
         cte = session.solve_recursive("works_for", high=boss, strategy="cte")
         ivl = session.solve_recursive("works_for", high=boss, strategy="interval")
         assert set(cte.pairs) == set(ivl.pairs)
 
-    def test_slash_bearing_names_survive_absorb_and_relabel(self, session, org):
+    def test_slash_bearing_names_survive_rebuilds(self, session, org):
         # Names a path-string encoding would conflate ("a/b" under "a")
-        # go through the same labeler: first build, local absorbs, and
-        # the bulk relabel a gap exhaustion forces.
+        # go through the same labeler, first build and every rebuild.
         dept = org.departments[-1].dno
         session.database.insert_rows("empl", [(43000, "ivl/seed", 20000, dept)])
-        index = warm_index(session, org)
-        for i in range(30):
+        warm_index(session, org)
+        for i in range(5):
             hire(session, 43001 + i, f"ivl/wave/{i}", dept)
             warm_descendants(session, org)
-        snapshot = index.stats.snapshot()
-        assert snapshot["gap_exhaustions"] >= 1
-        assert snapshot["builds"] >= 2
         boss = org.root_manager_name()
         cte = session.solve_recursive("works_for", high=boss, strategy="cte")
         ivl = session.solve_recursive("works_for", high=boss, strategy="interval")
         assert set(cte.pairs) == set(ivl.pairs)
-        assert {"ivl/seed", "ivl/wave/0", "ivl/wave/29"} <= {l for l, _ in ivl.pairs}
-        for name in ("ivl/seed", "ivl/wave/29"):
+        assert {"ivl/seed", "ivl/wave/0", "ivl/wave/4"} <= {l for l, _ in ivl.pairs}
+        for name in ("ivl/seed", "ivl/wave/4"):
             cte = session.solve_recursive("works_for", low=name, strategy="cte")
             ivl = session.solve_recursive("works_for", low=name, strategy="interval")
             assert cte.pairs and set(cte.pairs) == set(ivl.pairs), name
@@ -256,17 +267,17 @@ class TestDemotion:
             "empl", [(clone.eno + 62000, clone.nam, clone.sal, 97)]
         )
         closure = session.closure_for("works_for")
-        closure.plan(low=None, high=org.root_manager_name())
-        closure.plan(low=None, high=org.root_manager_name())
+        closure.plan()
+        closure.plan()
         # The second plan reuses the cached verdict: one demotion, not two.
         assert index.stats.snapshot()["demotions"] == 1
         # Un-churn: removing the shadow rows restores the tree and the
-        # planner promotes back to the interval probe.
+        # planner promotes back to the interval labels.
         session.database.delete_row(
             "empl", (clone.eno + 62000, clone.nam, clone.sal, 97)
         )
         session.database.delete_row("dept", (97, "shadow", org.departments[1].mgr))
-        plan = closure.plan(low=None, high=org.root_manager_name())
+        plan = closure.plan()
         assert plan.strategy == "interval"
 
 
@@ -294,12 +305,14 @@ class TestPlannerIntegration:
         session.ask(f"works_for({tiny.leaf_employee_name()}, Y)")
         stats = session.stats()["recursion_plans"]
         assert stats["planned_asks"] == 2
-        assert stats["interval"] == 1
-        assert stats["cte"] == 1
+        assert stats["interval"] == 2
+        assert stats["cte"] == 0
         assert stats["memory"] == 0
         session.close()
 
-    def test_degraded_ladder_steps_interval_down_to_cte(self, session, org):
+    def test_degraded_ladder_steps_interval_down_to_cte(
+        self, session, org, monkeypatch
+    ):
         index = warm_index(session, org)
         resilience_before = session.database.resilience.snapshot()[
             "degraded_answers"
@@ -307,7 +320,10 @@ class TestPlannerIntegration:
         # Sabotage the probe *after* planning selects interval: the
         # execution failure is operational, so the ladder answers from
         # the CTE rung rather than surfacing the error.
-        index.descend_text = "SELECT node FROM no_such_table WHERE pre = ?"
+        def broken(bound, seed):
+            raise RuntimeError("labels unreadable")
+
+        monkeypatch.setattr(index, "nodes", broken)
         boss = org.root_manager_name()
         answers = session.ask(f"works_for(X, {boss})")
         assert {a["X"] for a in answers} == {

@@ -428,41 +428,41 @@ PINNED = {('empty_bind', False, False): {'ask': [(0, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                         (0, 1, 1, 0, 0, 1, 0, 1, 1, 0)],
                          'many': [(1, 1, 1, 0, 0, 2, 0, 2, 2, 0), (2, 0, 0, 0, 0, 0, 2, 0, 0, 0),
                                   (1, 1, 1, 0, 0, 1, 1, 1, 1, 0), (2, 0, 0, 0, 0, 0, 2, 0, 0, 0)]},
- ('recursive', False, False): {'ask': [(0, 0, 0, 0, 0, 2, 0, 0, 0, 0),
-                                       (0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
-                                       (0, 0, 0, 0, 0, 1, 0, 0, 0, 0)],
-                               'consistent': [(0, 0, 0, 0, 0, 4, 0, 0, 0, 0),
-                                              (0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
-                                              (0, 0, 0, 0, 0, 1, 0, 0, 0, 0)],
-                               'many': [(0, 0, 0, 0, 0, 3, 0, 0, 0, 0),
-                                        (0, 0, 0, 0, 0, 2, 0, 0, 0, 0),
-                                        (0, 0, 0, 0, 0, 2, 0, 0, 0, 0)]},
- ('recursive', False, True): {'ask': [(0, 0, 0, 0, 0, 2, 0, 0, 0, 0),
-                                      (0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
-                                      (0, 0, 0, 0, 0, 1, 0, 0, 0, 0)],
-                              'consistent': [(0, 0, 0, 0, 0, 4, 0, 0, 0, 0),
-                                             (0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
-                                             (0, 0, 0, 0, 0, 1, 0, 0, 0, 0)],
-                              'many': [(0, 0, 0, 0, 0, 3, 0, 0, 0, 0),
-                                       (0, 0, 0, 0, 0, 2, 0, 0, 0, 0),
-                                       (0, 0, 0, 0, 0, 2, 0, 0, 0, 0)]},
- ('recursive', True, False): {'ask': [(0, 1, 1, 0, 0, 2, 0, 0, 0, 0),
-                                      (1, 0, 0, 0, 0, 1, 0, 0, 0, 0),
-                                      (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)],
-                              'consistent': [(0, 1, 1, 0, 0, 4, 0, 0, 0, 0),
-                                             (1, 0, 0, 0, 0, 1, 0, 0, 0, 0),
-                                             (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)],
-                              'many': [(1, 1, 1, 0, 0, 3, 0, 0, 0, 0),
-                                       (0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
-                                       (0, 0, 0, 0, 0, 1, 0, 0, 0, 0)]},
- ('recursive', True, True): {'ask': [(0, 1, 1, 0, 0, 2, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1, 0, 0, 0, 0),
-                                     (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)],
-                             'consistent': [(0, 1, 1, 0, 0, 4, 0, 0, 0, 0),
-                                            (1, 0, 0, 0, 0, 1, 0, 0, 0, 0),
-                                            (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)],
-                             'many': [(1, 1, 1, 0, 0, 3, 0, 0, 0, 0),
-                                      (0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
-                                      (0, 0, 0, 0, 0, 1, 0, 0, 0, 0)]},
+ ('recursive', False, False): {'ask': [(0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
+                                       (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+                                       (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)],
+                               'consistent': [(0, 0, 0, 0, 0, 3, 0, 0, 0, 0),
+                                              (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+                                              (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)],
+                               'many': [(0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
+                                        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+                                        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)]},
+ ('recursive', False, True): {'ask': [(0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
+                                      (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+                                      (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)],
+                              'consistent': [(0, 0, 0, 0, 0, 3, 0, 0, 0, 0),
+                                             (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+                                             (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)],
+                              'many': [(0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
+                                       (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+                                       (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)]},
+ ('recursive', True, False): {'ask': [(0, 1, 1, 0, 0, 1, 0, 0, 0, 0),
+                                      (1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+                                      (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)],
+                              'consistent': [(0, 1, 1, 0, 0, 3, 0, 0, 0, 0),
+                                             (1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+                                             (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)],
+                              'many': [(1, 1, 1, 0, 0, 1, 0, 0, 0, 0),
+                                       (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+                                       (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)]},
+ ('recursive', True, True): {'ask': [(0, 1, 1, 0, 0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+                                     (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)],
+                             'consistent': [(0, 1, 1, 0, 0, 3, 0, 0, 0, 0),
+                                            (1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+                                            (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)],
+                             'many': [(1, 1, 1, 0, 0, 1, 0, 0, 0, 0),
+                                      (0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+                                      (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)]},
  ('sensitive', False, False): {'ask': [(0, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                        (0, 0, 0, 0, 0, 1, 0, 1, 1, 0),
                                        (0, 0, 0, 0, 0, 1, 0, 1, 1, 0)],

@@ -204,11 +204,11 @@ def dead_session(org):
 
 class TestRecursionPlanner:
     def test_large_edge_views_take_the_interval_probe(self, session, org):
-        # On a tree-shaped hierarchy a bound boss's cone is one indexed
-        # range probe over the interval labeling (ancestors take the
-        # CTE: TestPerSideRouting).
+        # On a tree-shaped hierarchy either bound side answers from the
+        # in-memory interval labels: a tour slice below a boss, the
+        # parent walk above a subordinate.
         closure = session.closure_for("works_for")
-        plan = closure.plan(low=None, high=org.root_manager_name())
+        plan = closure.plan()
         assert plan.strategy == "interval"
         assert "labeled forest" in plan.reason
         assert closure.last_plan is plan
@@ -222,8 +222,7 @@ class TestRecursionPlanner:
         session.consult(ALL_VIEWS_SOURCE)
         leaf, boss = tiny.leaf_employee_name(), tiny.root_manager_name()
         closure = session.closure_for("works_for")
-        assert closure.plan(low=leaf, high=None).strategy == "cte"
-        assert closure.plan(low=None, high=boss).strategy == "interval"
+        assert closure.plan().strategy == "interval"
         up = {(leaf, a["Y"]) for a in session.ask(f"works_for({leaf}, Y)")}
         down = {(a["X"], boss) for a in session.ask(f"works_for(X, {boss})")}
         assert up == session.solve_recursive(
@@ -240,12 +239,12 @@ class TestRecursionPlanner:
         # read; the failure is cached so later planned asks do not
         # re-metaevaluate.
         closure = dead_session.closure_for("dead_works")
-        first = closure.plan(low="nobody", high=None)
+        first = closure.plan()
         assert first.strategy == "memory"
         assert "no CTE support" in first.reason
         assert closure._cte_error is not None
         cached_error = closure._cte_error
-        second = closure.plan(low="nobody", high=None)
+        second = closure.plan()
         assert second.strategy == "memory"
         assert closure._cte_error is cached_error  # not recompiled
         assert dead_session.ask("dead_works(nobody, Y)") == []
@@ -510,24 +509,6 @@ class TestExplainQueryPlanRegressions:
         assert "USING INDEX idx_empl_nam" in used, used
         assert "SCAN v1" not in used or "USING INDEX" in used
 
-    def test_warm_interval_probe_uses_the_composite_index(self, session, org):
-        # PR 7 regression: both probe directions must range-scan the
-        # composite (pre, post) index — a drift back to a full SCAN of
-        # the ivl_* table silently re-introduces O(n) probes.
-        boss = org.root_manager_name()
-        session.ask(f"works_for(X, {boss})")  # warm: labeling built
-        index = session.closure_for("works_for").interval_index()
-        for text in (index.descend_text, index.ascend_text):
-            details = session.database.query_plan(text)
-            used = " | ".join(details)
-            # "USING COVERING INDEX" on the range side: the trailing
-            # node column means the probe never touches the table.
-            assert "INDEX idx_ivl_works_for_pre_post" in used, used
-            assert "COVERING" in used, used
-        batch = session.database.query_plan(index.batch_text("low", 3))
-        used = " | ".join(batch)
-        assert "INDEX idx_ivl_works_for_pre_post" in used, used
-
 
 # -- dialects --------------------------------------------------------------------------
 
@@ -635,9 +616,17 @@ class TestRecursiveAskMany:
             assert expected == got  # including per-goal answer order
 
     def test_duplicate_seeds_share_one_execution(self, session, org):
+        # A second parent for one employee: the interval labels demote,
+        # so the group takes the batch-seeded CTE.
+        victim = next(e for e in org.employees if e.dno == org.departments[3].dno)
+        session.database.insert_rows("dept", [(95, "shadow", org.departments[1].mgr)])
+        session.database.insert_rows(
+            "empl", [(victim.eno + 64000, victim.nam, victim.sal, 95)]
+        )
         boss = org.root_manager_name()
         goals = [f"works_for(X, {boss})"] * 4
         session.ask(goals[0])
+        assert session.closure_for("works_for").last_plan.strategy == "cte"
         before = session.database.stats.snapshot()["prepared_executions"]
         batched = session.ask_many(goals)
         after = session.database.stats.snapshot()["prepared_executions"]
@@ -681,11 +670,8 @@ class TestRecursiveAskConstants:
     reports(E, M) :- reports_dir(E, X), reports(X, M).
     """
 
-    def _agree(self, session, view, side, values, spell):
-        goals = [
-            f"{view}({spell(v)}, Y)" if side == "low" else f"{view}(X, {spell(v)})"
-            for v in values
-        ]
+    def _agree(self, session, view, side, values, *spells):
+        """Every spelling of the seeds answers as the CTE over the values."""
         variable = "Y" if side == "low" else "X"
         expected = []
         for value in values:
@@ -693,24 +679,45 @@ class TestRecursiveAskConstants:
             column = 1 if side == "low" else 0
             expected.append({pair[column] for pair in run.pairs})
         assert any(expected), "the probe set reaches something"
-        asked = [session.ask(goal) for goal in goals]
-        assert [{a[variable] for a in answers} for answers in asked] == expected
-        before = session.plans.stats.snapshot()["recursive_batches"]
-        assert session.ask_many(goals) == asked
-        assert session.plans.stats.snapshot()["recursive_batches"] == before + 1
+        spelled = [
+            [
+                f"{view}({spell(v)}, Y)" if side == "low" else f"{view}(X, {spell(v)})"
+                for v in values
+            ]
+            for spell in spells
+        ]
+        asked = []
+        for goals in spelled:
+            answers = [session.ask(goal) for goal in goals]
+            assert [{a[variable] for a in each} for each in answers] == expected
+            before = session.plans.stats.snapshot()["recursive_batches"]
+            assert session.ask_many(goals) == answers
+            assert session.plans.stats.snapshot()["recursive_batches"] == before + 1
+            asked.append(answers)
         session.materialize.view(f"{view}(A, B)")
-        maintained = [session.ask(goal) for goal in goals]
-        assert session.materialize.stats.maintained_asks == len(goals)
-        assert [answer_set(a) for a in maintained] == [answer_set(a) for a in asked]
+        for goals, answers in zip(spelled, asked):
+            maintained = [session.ask(goal) for goal in goals]
+            assert [answer_set(a) for a in maintained] == [answer_set(a) for a in answers]
+        assert session.materialize.stats.maintained_asks == len(values) * len(spells)
 
     @pytest.mark.parametrize("side", ["low", "high"])
     def test_integer_nodes(self, session, org, side):
+        # Bare and quoted: a quoted employee number reaches that
+        # employee, as the flat ask's column affinity makes it do.
         session.consult(self.REPORTS)
         if side == "high":
             values = sorted({d.mgr for d in org.departments})[:4]
         else:
             values = sorted(e.eno for e in org.employees)[5:25:6]
-        self._agree(session, "reports", side, values, str)
+        self._agree(session, "reports", side, values, str, lambda v: f'"{v}"')
+        for value in values:
+            for strategy in ("interval", "cte", "memory", "auto"):
+                run = session.solve_recursive(
+                    "reports", strategy=strategy, **{side: str(value)}
+                )
+                assert run.pairs == session.solve_recursive(
+                    "reports", strategy="cte", **{side: value}
+                ).pairs, (strategy, value)
 
     @pytest.mark.parametrize("side", ["low", "high"])
     def test_quoted_string_nodes(self, session, org, side):

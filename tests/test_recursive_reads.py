@@ -1,10 +1,12 @@
 """A warm recursive ask is a read.
 
-* **Per-side routing** — a bound subordinate's chain (``works_for(c, Y)``)
-  takes the recursive CTE, a bound boss's cone (``works_for(X, c)``) the
-  interval probe; ``ask_many`` batches follow the same rule.
+* **One read for both sides** — on a forest a bound subordinate's chain
+  (``works_for(c, Y)``) and a bound boss's cone (``works_for(X, c)``)
+  both answer from the in-memory interval labels, with no statement;
+  ``ask_many`` batches follow the same rule, and non-tree data sends
+  both to the recursive CTE.
 * **Decided once per data generation** — the planner runs on the first
-  ask of a side and again only after the edge relations' data moved;
+  recursive ask and again only after the edge relations' data moved;
   every other ask reuses the decision on the read lock (no
   ``acquire_write``, no ``plan()``), counting one plan-cache hit and one
   planned ask.  Every planned strategy is a read, on a tiny org too,
@@ -12,8 +14,8 @@
 * **Lazy asserts are store writes** — facts asserted straight into the
   knowledge base (``kb.assert_fact``, the paper's hypothetical tuples)
   are in the store at once, so the next recursive ask sees them on every
-  route: the interval probe and the CTE, on a tiny org and on larger
-  ones, serial or batched.
+  route: the interval labels on a tiny org and on larger ones, serial or
+  batched.
 * **Threaded differential** — readers asking both sides while a writer
   hires and departs see exactly the ``strategy="cte"`` answer of the
   data state their ask ran against.
@@ -28,7 +30,7 @@ from repro.dbms import generate_org
 from repro.schema import ALL_VIEWS_SOURCE
 
 TINY = dict(depth=2, branching=2, staff_per_dept=3, seed=1)  # 7 edge rows
-SMALL = dict(depth=4, branching=2, staff_per_dept=4, seed=7)  # interval / CTE
+SMALL = dict(depth=4, branching=2, staff_per_dept=4, seed=7)
 BENCH = dict(depth=5, branching=3, staff_per_dept=8, seed=5)  # bench_e2e's org
 
 
@@ -96,29 +98,45 @@ def asked_nodes(session, side, seed):
 
 
 class TestPerSideRouting:
-    def test_ancestors_plan_cte_and_descendants_plan_interval(self, session, org):
+    def test_both_sides_plan_interval_on_a_forest(self, session, org):
         closure = session.closure_for("works_for")
-        up = closure.plan(low=org.leaf_employee_name(), high=None)
-        down = closure.plan(low=None, high=org.root_manager_name())
-        assert up.strategy == "cte" and "parent chain" in up.reason
-        assert down.strategy == "interval" and "labeled forest" in down.reason
-        assert closure.decision("low") is up
-        assert closure.decision("high") is down
+        plan = closure.plan()
+        assert plan.strategy == "interval" and "labeled forest" in plan.reason
+        assert closure.decision("high") is plan
+        leaf, boss = org.leaf_employee_name(), org.root_manager_name()
+        session.database.stats.reset()
+        assert asked_nodes(session, "low", leaf) and asked_nodes(session, "high", boss)
+        assert session.database.stats.prepared_executions == 0
+        assert closure.decision("high") is plan
 
     def test_asks_count_one_strategy_per_side(self, session, org):
         session.ask(f"works_for({org.leaf_employee_name()}, Y)")
         session.ask(f"works_for(X, {org.root_manager_name()})")
         stats = session.stats()["recursion_plans"]
-        assert (stats["planned_asks"], stats["cte"], stats["interval"]) == (2, 1, 1)
+        assert (stats["planned_asks"], stats["cte"], stats["interval"]) == (2, 0, 2)
         assert stats["last_strategy"] == "interval"
 
     def test_batches_follow_the_serial_rule(self, session, org):
-        closure = session.closure_for("works_for")
-        up = closure.batch_probe_text("low", 3)
-        down = closure.batch_probe_text("high", 3)
-        assert up.lstrip().upper().startswith("WITH RECURSIVE")
-        assert closure.interval_index().table in down
-        assert closure.interval_index().table not in up
+        # A forest: both sides' batches answer from the tour, no
+        # statement; non-tree data: both take the batch-seeded CTE.
+        leaf, boss = org.leaf_employee_name(), org.root_manager_name()
+        goals = [f"works_for({leaf}, Y)", f"works_for(X, {boss})"]
+        for goal in goals:
+            session.ask(goal)
+        session.database.stats.reset()
+        batched = session.ask_many([goals[0]] * 2 + [goals[1]] * 2)
+        assert session.database.stats.prepared_executions == 0
+        assert batched == [session.ask(goal) for goal in goals for _ in range(2)]
+        victim = next(e for e in org.employees if e.dno == org.departments[3].dno)
+        session.assert_fact("dept", 94, "shadow", org.departments[1].mgr)
+        session.assert_fact("empl", victim.eno + 65000, victim.nam, victim.sal, 94)
+        for goal in goals:
+            session.ask(goal)
+        assert session.closure_for("works_for").last_plan.strategy == "cte"
+        session.database.stats.reset()
+        batched = session.ask_many([goals[0]] * 2 + [goals[1]] * 2)
+        assert session.database.stats.prepared_executions == 2  # one per side
+        assert batched == [session.ask(goal) for goal in goals for _ in range(2)]
 
     def test_demoted_labeling_sends_descendants_to_the_cte(self, session, org):
         session.ask(f"works_for(X, {org.root_manager_name()})")
@@ -162,7 +180,7 @@ class TestDecidedOncePerGeneration:
             assert session.ask(f"works_for({leaf}, Y)")
         assert counts == {"write": 0, "plan": 0}
         stats = session.database.stats
-        assert (stats.commits, stats.sql_prints, stats.prepared_executions) == (0, 0, 6)
+        assert (stats.commits, stats.sql_prints, stats.prepared_executions) == (0, 0, 0)
 
     def test_a_hire_makes_the_next_ask_re_decide_once(self, session, org):
         boss = middle_manager(org)
@@ -176,7 +194,7 @@ class TestDecidedOncePerGeneration:
         assert asked_nodes(session, "high", boss) == cte_nodes(session, "high", boss)
         assert counts == {"write": 3, "plan": 1}  # cte_nodes' own write lock
         index = session.closure_for("works_for").interval_index()
-        assert index.stats.snapshot()["local_absorbs"] == 1
+        assert index.stats.snapshot()["builds"] == 2  # one per data generation
 
     def test_tiny_warm_asks_are_reads(self):
         # A 7-edge view plans the same reads as a large one, so its warm
@@ -192,7 +210,7 @@ class TestDecidedOncePerGeneration:
                 session.database.stats.reset()
                 assert asked_nodes(session, side, seed) == nodes
                 stats = session.database.stats
-                assert (stats.commits, stats.prepared_executions) == (0, 1)
+                assert (stats.commits, stats.prepared_executions) == (0, 0)
             assert counts == {"write": 0, "plan": 0}
             assert below == cte_nodes(session, "high", boss)
             assert above == cte_nodes(session, "low", leaf)
@@ -202,15 +220,30 @@ class TestDecidedOncePerGeneration:
     def test_first_ancestor_ask_after_a_write_reads_no_statistics(
         self, session, org
     ):
+        # ... nor rebuilds the tour: one CTE probe under the read lock;
+        # the next descendant ask re-plans and rebuilds once.
         leaf = org.leaf_employee_name()
         session.ask(f"works_for({leaf}, Y)")
+        index = session.closure_for("works_for").interval_index()
         boss = middle_manager(org)
         session.assert_fact("empl", 47002, "newhire", 20000, managed_dept(org, boss))
+        counts = spy(session)
         session.database.stats.reset()
+        for _ in range(2):
+            assert asked_nodes(session, "low", "newhire") == cte_nodes(
+                session, "low", "newhire"
+            )
         assert boss in asked_nodes(session, "low", "newhire")
         stats = session.database.stats.snapshot()
         assert (stats["commits"], stats["stats_refreshes"]) == (0, 0)
-        assert session.closure_for("works_for").last_plan.strategy == "cte"
+        assert session.stats()["recursion_plans"]["last_strategy"] == "cte"
+        assert counts["plan"] == 0 and index.stats.snapshot()["builds"] == 1
+        assert "newhire" in asked_nodes(session, "high", boss)
+        assert counts["plan"] == 1 and index.stats.snapshot()["builds"] == 2
+        session.database.stats.reset()
+        assert boss in asked_nodes(session, "low", "newhire")
+        assert session.database.stats.prepared_executions == 0
+        assert session.stats()["recursion_plans"]["last_strategy"] == "interval"
 
 
 class TestLazyAssertsMergeFirst:
@@ -234,8 +267,7 @@ class TestLazyAssertsMergeFirst:
 
     @pytest.mark.parametrize(
         "shape, routes",
-        [(TINY, {"interval", "cte"}), (SMALL, {"interval", "cte"}),
-         (BENCH, {"interval", "cte"})],
+        [(TINY, {"interval"}), (SMALL, {"interval"}), (BENCH, {"interval"})],
         ids=["tiny", "interval-cte", "bench-org"],
     )
     def test_every_lazy_assert_is_visible(self, shape, routes):

@@ -13,8 +13,9 @@ import pytest
 
 from repro.coupling import CachePolicy, PrologDbSession
 from repro.dbms import generate_org
+from repro.errors import PrologError
 from repro.prolog import Clause, KnowledgeBase, parse_term
-from repro.schema import WORKS_DIR_FOR_SOURCE
+from repro.schema import WORKS_DIR_FOR_SOURCE, WORKS_FOR_TOP_DOWN_SOURCE
 
 
 @pytest.fixture
@@ -119,19 +120,64 @@ class TestWriteThenAsk:
     def test_a_consult_is_one_write_unit(self, org):
         session = make_session(org)
         dno = managers_of(org)[0].dno
+        kb = session.kb
+
+        def bulk(facts):
+            with kb.bulk_update():
+                for fact in facts:
+                    kb.assert_fact("empl", *fact)
+
+        # Three facts per route, each route one write unit.
+        routes = [
+            lambda facts: session.consult(" ".join(f"empl{fact}." for fact in facts)),
+            lambda facts: kb.consult(" ".join(f"empl{fact}." for fact in facts)),
+            bulk,
+        ]
+        for offset, route in enumerate(routes):
+            facts = [(9500 + 10 * offset + i, f"c{offset}_{i}", 30000, dno) for i in range(3)]
+            size = session.database.row_count("empl")
+            before = counters(session)
+            route(facts)
+            assert moved(session, before)["commits"] == 1, offset
+            assert session.kb.fact_count(("empl", 4)) == 0
+            assert session.database.row_count("empl") == size + 3
         size = session.database.row_count("empl")
-        before = counters(session)
-        session.consult(" ".join(f"empl({9500 + i}, c{i}, 30000, {dno})." for i in range(3)))
-        assert moved(session, before)["commits"] == 1
-        assert session.kb.fact_count(("empl", 4)) == 0
-        assert session.database.row_count("empl") == size + 3
         before = counters(session)
         session.consult("vip(X) :- empl(_, X, _, _).")
         assert moved(session, before)["commits"] == 0
         before = counters(session)
         session.consult(f"boss(X) :- vip(X). empl(9503, c3, 30000, {dno}).")
         assert moved(session, before)["commits"] == 1
-        assert session.database.row_count("empl") == size + 4
+        assert session.database.row_count("empl") == size + 1
+
+    @pytest.mark.parametrize("route", ["bulk_update", "kb.consult"])
+    def test_a_raising_bracket_leaves_store_and_views_in_step(self, org, route):
+        """The store rolls a raising bracket back; the maintained view,
+        the tour and a repeated insert follow the store, not the rows
+        the bracket wrote."""
+        session = make_session(org)
+        session.consult(WORKS_FOR_TOP_DOWN_SOURCE)
+        session.materialize.view("works_dir_for(X, Y)")
+        manager = managers_of(org)[0]
+        flat, cone = f"works_dir_for(X, {manager.nam})", f"works_for(X, {manager.nam})"
+        expected = (names(session.ask(flat)), names(session.ask(cone)))
+        size = session.database.row_count("empl")
+        row = (9600, "ghost", 30000, manager.dno)
+        generation = session.database.data_generation("empl")
+        with pytest.raises((RuntimeError, PrologError)):
+            if route == "kb.consult":
+                session.kb.consult(f"empl{row}. ?- true.")
+            with session.kb.bulk_update():
+                session.kb.assert_fact("empl", *row)
+                assert "ghost" in names(session.ask(flat)) & names(session.ask(cone))
+                generation = session.database.data_generation("empl")
+                raise RuntimeError("abort the bracket")
+        assert session.database.row_count("empl") == size
+        assert session.database.data_generation("empl") > generation
+        assert (names(session.ask(flat)), names(session.ask(cone))) == expected
+        session.assert_fact("empl", *row)  # no duplicate of a rolled-back row
+        assert session.database.row_count("empl") == size + 1
+        assert "ghost" in names(session.ask(flat)) & names(session.ask(cone))
 
     def test_a_fetch_of_a_base_relation_writes_nothing(self, org):
         """metaevaluate/4 asserts fetched answers; a base relation's are
