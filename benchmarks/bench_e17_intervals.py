@@ -63,8 +63,7 @@ def bench_probe_latency(
     closure.cte_queries()
 
     build_started = time.perf_counter()
-    index = closure.interval_index()
-    index.ensure_fresh()
+    tour = closure.interval_index().ensure_fresh()
     build_seconds = time.perf_counter() - build_started
     plan = closure.plan()
 
@@ -104,7 +103,7 @@ def bench_probe_latency(
         "probe_rounds": rounds,
         "descend_answers": len(interval_answers[0]),
         "ascend_answers": len(interval_answers[1]),
-        "labeling": index.describe(),
+        "labeling": tour.shape,
         "labeling_build_seconds": round(build_seconds, 4),
         "cte_seconds": round(cte_seconds, 4),
         "interval_seconds": round(interval_seconds, 4),

@@ -20,12 +20,16 @@ from typing import Optional, Union
 from ..errors import ExecutionError, TransientBackendError
 from ..prolog.terms import Term
 from .compiler import CQA, PLAIN, Mode
-from .executor import NEEDS_WRITE
 from .global_opt import GoalShape
 
+#: Sentinel: an ask under the read lock reached a step that mutates (a
+#: cold compile, a stale maintained view, a failed warm plan's recovery);
+#: :func:`attempt` re-runs it under the write lock.
+NEEDS_WRITE = object()
+
 #: Plan kinds a warm ask may execute under the read lock (an ``external``
-#: plan with no internal conjuncts; a ``recursive`` plan whose router
-#: reports anything that must write first as NEEDS_WRITE).
+#: plan with no internal conjuncts; a ``recursive`` plan, every rung of
+#: whose ladder is a read).
 _READ_KINDS = frozenset({"external", "recursive"})
 
 
@@ -135,8 +139,8 @@ def answer(
 
     The whole pipeline for one goal in one mode.  ``exclusive`` says
     the caller holds the write lock; without it, anything but a warm
-    pure-external or recursive execution returns :data:`~.executor.
-    NEEDS_WRITE` so the caller restarts on the write side (which
+    pure-external or recursive execution returns :data:`NEEDS_WRITE`
+    so the caller restarts on the write side (which
     repeats the lookup and does the hit/miss accounting).  A read-side
     hit is counted only once it answered, so counts match
     single-threaded use.  The open span (if any) arrives as a
@@ -192,7 +196,7 @@ def answer(
             if span is not None:
                 span.plan_cache = "miss"
         else:
-            if not exclusive and answers is not NEEDS_WRITE:
+            if not exclusive:
                 session.plans.stats.incr("hits")  # once, where it answered
             return answers
     elif not exclusive:

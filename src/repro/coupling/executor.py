@@ -39,11 +39,6 @@ Value = Union[int, float, str, None]
 
 _pc = time.perf_counter
 
-#: Sentinel: execution under the read lock reached a step that mutates
-#: (a recursion re-plan); the caller re-runs under the write lock.
-NEEDS_WRITE = object()
-
-
 def interface_name(predicate: DbclPredicate) -> str:
     """A stable, collision-resistant name for an interface predicate.
 
@@ -111,11 +106,11 @@ class Executor:
 
         Returns the answer dicts — ``(predicate, rows)`` for a fetch
         plan, whose answers are asserted as facts instead; the predicate
-        is None when binding proved the fetch empty — or
-        :data:`NEEDS_WRITE` when ``exclusive`` is false (the caller holds
-        only the read lock) and a recursive plan must write first
-        (:meth:`~.recursion_router.RecursionRouter.ask`).  ``dirty``
-        holds the violating relations of a consistent-mode ask.
+        is None when binding proved the fetch empty.  A recursive plan
+        is a read on either lock (:meth:`~.recursion_router.
+        RecursionRouter.ask`).  ``exclusive`` says the caller holds the
+        write lock; ``dirty`` holds the violating relations of a
+        consistent-mode ask.
         """
         session = self.session
         kind = plan.kind
@@ -125,11 +120,9 @@ class Executor:
             if shape is None:
                 shape = goal_shape(goal)
             answers = session._recursion.ask(
-                plan.closure_call, shape.constants[0], exclusive, span
+                plan.closure_call, shape.constants[0], span
             )
-            if max_solutions is None or answers is NEEDS_WRITE:
-                return answers
-            return answers[:max_solutions]
+            return answers if max_solutions is None else answers[:max_solutions]
         if kind == "engine":
             return self.answers_from_engine(goal, answer_variables(goal), max_solutions)
         constants = shape.constants if shape is not None else ()

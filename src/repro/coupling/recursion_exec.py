@@ -27,11 +27,12 @@ round-trip, no commits.  On forest-shaped data it goes one further:
 (:class:`~repro.materialize.intervals.IntervalIndex`) — a slice of one
 depth-first tour below a seed, the parent walk above it, no statement at
 all.  The planner (:meth:`TransitiveClosure.plan`) chooses only reads,
-once per data generation and the same for either bound side: the
-interval labels on a forest, the CTE otherwise, and ``memory`` (one flat
-edge fetch) when the CTE cannot be prepared.  The paper's frontier
-strategies stay callable (Example 7-1, E7) and are the degradation
-ladder's middle rung; maintained views keep their
+from the tour's standing alone: the interval labels on a forest, the CTE
+otherwise, and ``memory`` (one flat edge fetch) when the CTE cannot be
+prepared; a failing read steps down that same list.  The paper's
+frontier strategies, which write the intermediate relation, stay
+callable through :meth:`TransitiveClosure.solve` (Example 7-1, E7) and
+answer no planned ask; maintained views keep their
 :class:`IncrementalClosure` path in the materialize subsystem.
 """
 
@@ -250,16 +251,15 @@ class TransitiveClosure:
         #: The view's in-memory interval labels, built lazily the first
         #: time a probe is planned.
         self._interval = None
-        #: The most recent :meth:`plan` decision (inspection/benchmarks).
-        self.last_plan: Optional[RecursionPlan] = None
-        #: (edge relations' data generations, decision)
-        self._decision: Optional[tuple[tuple, RecursionPlan]] = None
+        #: ``(standing, plan)``: the plan :meth:`plan` made from the
+        #: labels' standing it last saw, kept so a warm ask allocates none.
+        self._planned: tuple = (None, None)
         # The setrel loop mutates one shared intermediate table per view;
         # two concurrent solves of the same closure would interleave
-        # frontier swaps.  The session runs the loop (and every re-plan)
-        # under the knowledge base's write lock, while warm probes read
-        # under its read lock and take no mutex; this one keeps *direct*
-        # executor use safe too.
+        # frontier swaps.  The session runs the loop under the knowledge
+        # base's write lock, while planned probes read under its read
+        # lock and take no mutex; this one keeps *direct* executor use
+        # safe too.
         self._solve_lock = threading.RLock()
 
     def interval_stats(self) -> Optional[dict]:
@@ -380,7 +380,7 @@ class TransitiveClosure:
             if self._cte is not None:
                 return self._cte
             if self._cte_error is not None:
-                raise self._cte_error
+                raise self._cte_error.with_traceback(None)  # no growing chain
             try:
                 return self._prepare_cte_uncached()
             except Exception as error:
@@ -496,70 +496,53 @@ class TransitiveClosure:
 
     # -- strategy choice -----------------------------------------------------------------
 
-    def _generations(self) -> tuple:
-        """The edge relations' data generations: the decision cache's key."""
-        if self._cte is None:
-            return ()  # no pushdown: ``memory`` for good
-        generation = self.database.data_generation
-        return tuple([generation(name) for name in self._edge.relations])
-
-    def decision(self, bound: str) -> Optional[RecursionPlan]:
-        """The read for a probe on ``bound`` without re-planning, or None.
-
-        The cached :meth:`plan` until the edge data moves; then an ancestor
-        probe reads the prepared CTE (tens of µs) rather than re-plan and
-        rebuild the tour from every edge (ms): a descendant probe does.
-        """
-        cached = self._decision
-        if cached is not None and cached[0] == self._generations():
-            return cached[1]
-        return _ANCESTORS_WHILE_STALE if bound == "low" and self._cte else None
-
-    def plan(self) -> RecursionPlan:
-        """Choose one read for the view's bound probes, either side.
+    def plan(self, bound: str = "high") -> RecursionPlan:
+        """Choose the read for a probe on ``bound`` (``"high"``: the cone).
 
         The README's Pushdown section draws the tree: ``memory`` (one
         flat edge fetch closed over in Python) when the recursive CTE
-        cannot be prepared (a provably empty edge view, a dialect without
-        ``WITH RECURSIVE``); ``interval`` (the tour) on forest-shaped
-        data; otherwise the CTE pushdown, the landing rung when the
-        labels demote.  No edge count enters the choice, so no statistics
-        are read.  Cached under the edge relations' data generations
-        (:meth:`decision`); maintained views never reach it (their
-        :class:`IncrementalClosure` answers first).
+        cannot be prepared; ``interval`` (the tour) while the edge data
+        is a forest; otherwise the CTE.  The labels' standing is the only
+        state read: while it is current (:meth:`~repro.materialize.
+        intervals.IntervalIndex.current`, one comparison, no lock) the
+        plan made from it returns as is.  While it is stale an ancestor
+        probe reads the CTE and a descendant probe rebuilds the tour,
+        under the index's lock.  No statistics are read; maintained
+        views never reach here.
         """
-        try:
-            self._prepare_cte()
-        except Exception as error:  # noqa: BLE001 - any failure means no pushdown
-            reason = f"no CTE support ({error}); one flat edge fetch"
-            return self._decide(RecursionPlan("memory", reason))
-        key = self._generations()
-        try:
-            index = self.interval_index()
-            index.ensure_fresh()
-        except Exception as error:  # noqa: BLE001 - demoted or failed → CTE rung
-            unavailable = str(error)
-        else:
-            return self._decide(RecursionPlan(
-                strategy="interval",
-                reason=(
-                    f"interval labels: labeled forest ({index.describe()}); "
-                    "a tour slice below a seed, the parent walk above"
-                ),
-            ), key)
-        return self._decide(RecursionPlan(
-            strategy="cte",
-            reason=(
+        index = self._interval
+        standing = None if index is None else index.current()
+        if standing is None:
+            if index is not None and bound == "low":
+                return _ANCESTORS_WHILE_STALE
+            try:
+                self._prepare_cte()
+            except Exception as error:  # noqa: BLE001 - any failure means no pushdown
+                standing = error  # cached: the same object every ask
+            else:
+                try:
+                    standing = self.interval_index().refresh()
+                except Exception as error:  # noqa: BLE001 - a failed build → CTE
+                    standing = str(error)
+        planned = self._planned
+        if planned[0] is standing:
+            return planned[1]
+        if isinstance(standing, Exception):
+            plan = RecursionPlan(
+                "memory", f"no CTE support ({standing}); one flat edge fetch"
+            )
+        elif isinstance(standing, str):
+            plan = RecursionPlan("cte", (
                 "pushdown: single WITH RECURSIVE statement, zero per-level "
-                f"round-trips; interval unavailable ({unavailable})"
-            ),
-        ), key)
-
-    def _decide(self, decision: RecursionPlan, key: tuple = ()) -> RecursionPlan:
-        """Cache ``decision`` under ``key``; return it."""
-        self._decision = (key, decision)
-        self.last_plan = decision
-        return decision
+                f"round-trips; interval unavailable ({standing})"
+            ))
+        else:
+            plan = RecursionPlan("interval", (
+                f"interval labels: labeled forest ({standing.shape}); "
+                "a tour slice below a seed, the parent walk above"
+            ))
+        self._planned = (standing, plan)
+        return plan
 
     # -- strategies --------------------------------------------------------------------
 

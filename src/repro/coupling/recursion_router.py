@@ -5,11 +5,12 @@ compile chain and is answered by a :class:`~.recursion_exec.TransitiveClosure`
 per view.  The router validates, at compile time, that the goal is one
 the executors can answer (a single call of a binary linear-recursive
 view with one side bound) and records it as a :class:`ClosureCall`; at
-execution it runs the planner's decision (the in-memory interval labels
-on a forest, for either bound side), steps down the degradation ladder
-when that fails, and answers a same-shape ``ask_many`` group per seed
-from the labels — or, when they cannot serve, with one batch-seeded
-statement.
+execution it runs the read :meth:`~.recursion_exec.TransitiveClosure.plan`
+names (the in-memory interval labels on a forest, for either bound
+side), steps down the ladder interval → CTE → ``memory`` when that read
+fails, and answers a same-shape ``ask_many`` group per seed from the
+labels — or, when they cannot serve, with one batch-seeded statement.
+Every rung is a read: a recursive ask never needs the write lock.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from ..concurrency import LockedCounters
 from ..errors import CouplingError, DeadlineExceeded
 from ..metaevaluate.recursion import is_recursive_goal
 from ..prolog.terms import Struct, Term, Variable, conjuncts
-from .executor import NEEDS_WRITE
 from .global_opt import CompiledPlan, GoalShape, _constant_value
 from .recursion_exec import RecursionPlan, TransitiveClosure
 
@@ -48,8 +48,7 @@ class RecursionPlanStats(LockedCounters):
     Every planned recursive ask counts the strategy the planner chose —
     one of its three reads — plus the *reason string* of the most recent
     decision, so interval-vs-CTE routing is auditable in production via
-    ``session.stats()["recursion_plans"]`` instead of requiring a
-    debugger on :attr:`TransitiveClosure.last_plan`.
+    ``session.stats()["recursion_plans"]`` (and on the ask's span).
     """
 
     planned_asks: int = 0
@@ -66,6 +65,10 @@ class RecursionPlanStats(LockedCounters):
             setattr(self, plan.strategy, getattr(self, plan.strategy) + 1)
             self.last_strategy = plan.strategy
             self.last_reason = plan.reason
+
+
+#: The planner's reads, fastest first: a failing read steps down this list.
+_LADDER = ("interval", "cte", "memory")
 
 
 class RecursionRouter:
@@ -162,80 +165,57 @@ class RecursionRouter:
             closure_call=ClosureCall(call.indicator[0], bound, variable.name),
         )
 
-    def ask(self, call: ClosureCall, seed, exclusive: bool = True, span=None):
-        """Answer one bound closure probe: answer dicts, or ``NEEDS_WRITE``.
+    def ask(self, call: ClosureCall, seed, span=None):
+        """Answer one bound closure probe: answer dicts; every step reads.
 
-        A warm ask is a read: the cached decision (:meth:`~.
-        recursion_exec.TransitiveClosure.decision`) and the read it names
-        — the interval labels' tour, one prepared CTE statement, or
-        ``memory``'s flat edge fetch; an ancestor ask after the edge data
-        moved reads the CTE and leaves the tour's rebuild to the next
-        descendant ask.  Without ``exclusive`` (the caller holds only the
-        read lock) anything that must run under the write lock returns
-        :data:`~.executor.NEEDS_WRITE`: a missing decision (none yet, or
-        a descendant ask after the data moved; re-planning may rebuild
-        the tour), or a probe that raised (the ladder runs once, on the
-        write side).
-        Maintained views never reach this point: they answer from their
-        :class:`IncrementalClosure` first.
+        The read :meth:`~.recursion_exec.TransitiveClosure.plan` names —
+        the interval labels' tour (rebuilt first, under the index's lock,
+        when a descendant ask finds it stale), one prepared CTE
+        statement, or ``memory``'s flat edge fetch — and, when that read
+        raises, the rungs below it.  Maintained views never reach this
+        point: they answer from their :class:`IncrementalClosure` first.
         """
         closure = self.closure_for(call.view)
-        plan = closure.decision(call.bound)
-        if plan is None:
-            if not exclusive:
-                return NEEDS_WRITE
-            plan = closure.plan()
-        try:
-            nodes = closure.probe(plan.strategy, call.bound, seed)
-        except (CouplingError, DeadlineExceeded):
-            self._note(closure, plan, span)
-            raise  # semantic errors and expired budgets are not rungs
-        except Exception:  # noqa: BLE001 - any execution failure degrades
-            if not exclusive:
-                return NEEDS_WRITE
-            self._note(closure, plan, span)
-            nodes = self._degraded(closure, plan, call.bound, seed)
-        else:
-            self._note(closure, plan, span)
-        variable = call.variable
-        return [{variable: node} for node in nodes]
-
-    def _note(self, closure: TransitiveClosure, plan: RecursionPlan, span) -> None:
-        """Count one planned ask; record its decision on the open span."""
+        plan = closure.plan(call.bound)
         self.stats.note(plan)
         if span is not None:
             span.note_recursion(plan, closure.interval_stats())
+        try:
+            nodes = closure.probe(plan.strategy, call.bound, seed)
+        except (CouplingError, DeadlineExceeded):
+            raise  # semantic errors and expired budgets are not rungs
+        except Exception as error:  # noqa: BLE001 - any execution failure degrades
+            nodes = self._degraded(closure, plan, call.bound, seed, error)
+        variable = call.variable
+        return [{variable: node} for node in nodes]
 
     def _degraded(
-        self, closure: TransitiveClosure, plan: RecursionPlan, bound: str, seed
+        self, closure: TransitiveClosure, plan: RecursionPlan, bound: str, seed,
+        error: Exception,
     ) -> list:
-        """Step down the recursion ladder when the planned strategy fails.
+        """Step down the planner's own list when its read fails.
 
-        When the failed plan was the interval labels, the first rung down
-        is the CTE pushdown (stale or failing labels must not cost the
-        whole pushdown tier); then the prepared frontier loop on the
-        bound side (``auto``); finally one flat edge fetch with the
-        fixpoint in Python (``memory``) — the slowest strategy, but the
-        one with the fewest backend dependencies.  Answers from any rung
-        are identical (the E7 equivalence the tests pin); only the cost
-        differs, which is why a stepped-down answer counts as
-        *degraded*, not wrong.
+        Below the interval labels is the CTE pushdown (stale or failing
+        labels must not cost the whole pushdown tier); below both, one
+        flat edge fetch with the fixpoint in Python (``memory``) — the
+        slowest read, but the one with the fewest backend dependencies.
+        No rung writes: the setrel loop would answer only when the reads
+        fail and the writer does not, a state in which every flat ask
+        fails too.  Answers from any rung are identical (the E7
+        equivalence the tests pin); only the cost differs, which is why
+        a stepped-down answer counts as *degraded*, not wrong.
         """
-        rungs = ["auto", "memory"]
-        if plan.strategy == "interval":
-            rungs.insert(0, "cte")
-        run = None
-        for position, rung in enumerate(rungs):
+        for rung in _LADDER[_LADDER.index(plan.strategy) + 1:]:
             try:
                 run = closure.solve(strategy=rung, **{bound: seed})
-                break
             except (CouplingError, DeadlineExceeded):
                 raise
-            except Exception:  # noqa: BLE001 - try the next rung
-                if position == len(rungs) - 1:
-                    raise
-        self.session.database.resilience.incr("degraded_answers")
-        return run.nodes(bound)
+            except Exception as failure:  # noqa: BLE001 - try the next rung
+                error = failure
+            else:
+                self.session.database.resilience.incr("degraded_answers")
+                return run.nodes(bound)
+        raise error  # the last read failed too
 
     # -- batch-seeded execution (ask_many) --------------------------------------
 
@@ -296,18 +276,11 @@ class RecursionRouter:
             entry = plans.entry_for(shapes[0])
             if entry is None or entry.uncacheable:
                 return None  # a concurrent write invalidated the plan
-            # The serial rule (:meth:`ask`): the labels while they serve,
-            # the CTE otherwise.  Under the read lock: a rebuild of the
-            # tour must not race a writer.
+            # The serial decision (:meth:`ask`), under the read lock: a
+            # rebuild of the tour must not race a writer.
             index = None
-            plan = closure.decision(call.bound)
-            if plan is None or plan.strategy == "interval":
-                try:
-                    index = closure.interval_index()
-                    index.ensure_fresh()
-                except Exception:  # noqa: BLE001 - demoted or failed: no labels
-                    index = None
-            if index is not None:
+            if closure.plan(call.bound).strategy == "interval":
+                index = closure.interval_index()
                 demux = {seed: index.nodes(call.bound, seed) for seed in distinct}
             else:
                 try:

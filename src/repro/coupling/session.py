@@ -635,10 +635,14 @@ class PrologDbSession:
         strategy: str = "auto",
         max_levels: int = 64,
     ) -> RecursionRun:
-        """Direct access to the recursion strategies (benchmarks use this)."""
-        # The setrel loop swaps a shared intermediate relation per level;
-        # serialize against mutations and other closure runs.
-        with self.kb.lock.write():
+        """Direct access to the recursion strategies (benchmarks use this).
+
+        Only the setrel loop (``auto``, ``topdown``, ``bottomup``) writes:
+        it swaps a shared intermediate relation per level, so it runs
+        under the write lock; every other strategy is a read.
+        """
+        setrel = strategy in ("auto", "topdown", "bottomup")
+        with self.kb.lock.write() if setrel else self.kb.lock.read():
             closure = self.closure_for(view_name)
             return closure.solve(
                 low=low, high=high, strategy=strategy, max_levels=max_levels

@@ -17,23 +17,23 @@ The labels are the visit order itself: no gaps to absorb, tombstone or
 relabel, and nothing written, so no read commits.  A stale index
 rebuilds from one fetch of the edge view and swaps the new tour in.
 Non-tree data (a multi-parent node, a cycle longer than a self-loop)
-**demotes** the index: :meth:`IntervalIndex.ensure_fresh` raises
-:class:`~repro.errors.IntervalUnavailable` and the recursion planner
-falls back to the CTE pushdown until the data moves again.
+**demotes** the index, and the recursion planner reads the CTE pushdown
+until the data moves again.
 
 The org generator's self-managed top department (edge ``boss → boss``)
 is the one cycle a forest cannot express; such self-loops are kept as a
 set and fold the seed back into its own answer, on either side.
 
 Freshness is keyed on the data generations of the base relations the
-edge view reads: a steady probe stream pays one comparison per ask.
+edge view reads: a steady probe stream pays one comparison per ask, and
+no lock.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from ..concurrency import LockedCounters
 from ..errors import IntervalUnavailable
@@ -62,36 +62,23 @@ class IntervalIndex:
     """The in-memory interval labels of one recursive view's edges.
 
     Owned by the view's :class:`~repro.coupling.recursion_exec.
-    TransitiveClosure`; the planner calls :meth:`ensure_fresh` before
-    choosing the ``interval`` strategy, and :meth:`nodes` answers either
+    TransitiveClosure`, whose planner reads :meth:`current` (and
+    :meth:`refresh` when it is stale); :meth:`nodes` answers either
     bound side from the current tour.
     """
 
-    def __init__(
-        self,
-        database,
-        name: str,
-        edge_sql: object,
-        edge_relations: Sequence[str],
-    ):
+    def __init__(self, database, name: str, edge_sql, edge_relations: Sequence[str]):
         self.database = database
         self.name = name
         self.edge_text = database.prepare(edge_sql)
         self.edge_relations = tuple(edge_relations)
         self.stats = IntervalStats()
-        #: data generations of the current tour or demotion (None: none yet)
-        self._generations: Optional[dict[str, int]] = None
-        self._demoted: Optional[str] = None
-        # Readers take the tour once and never see it change under them:
-        # a rebuild assigns a new one.
-        self._tour: Optional[_Tour] = None
-        self._lock = threading.RLock()
-
-    # -- inspection ---------------------------------------------------------
-
-    def describe(self) -> str:
-        """One-line shape summary for planner reason strings."""
-        return self._tour.shape
+        self._generation = database.data_generation
+        #: ``(generations, standing)``: the data generations the labels
+        #: were made at and a :class:`_Tour`, or the demotion reason (a
+        #: str).  Replaced whole: a lock-free reader sees one pair.
+        self._labels: tuple = (None, None)
+        self._lock = threading.Lock()  # serializes rebuilds
 
     # -- answers ------------------------------------------------------------
 
@@ -102,7 +89,7 @@ class IntervalIndex:
         a self-loop also reaches itself.  A seed that is no node of the
         forest reaches nothing.
         """
-        tour = self._tour
+        tour = self._labels[1]
         if bound == "high":
             at = tour.first.get(seed)
             found = [] if at is None else tour.order[at + 1:tour.last[at]]
@@ -118,35 +105,48 @@ class IntervalIndex:
 
     # -- freshness ----------------------------------------------------------
 
-    def ensure_fresh(self) -> None:
-        """Make the tour current, or raise ``IntervalUnavailable``.
+    def _stamp(self) -> tuple:
+        generation = self._generation
+        return tuple([generation(name) for name in self.edge_relations])
 
-        A generation-fresh index returns after one dictionary comparison.
-        A stale one fetches the edge view once and builds a new tour;
-        non-forest data demotes, and the demotion is cached until the
-        data generations move, so a demoted view costs one comparison
-        per ask, not one fetch.
+    def current(self):
+        """The labels' standing at the current data generation, or None.
+
+        One comparison, no lock.  The standing is the tour on a forest,
+        the demotion reason (a str) otherwise; None: stale or never built.
+        """
+        generations, standing = self._labels
+        return standing if generations == self._stamp() else None
+
+    def refresh(self):
+        """Make the labels current; return their standing (see :meth:`current`).
+
+        Under the index's lock: concurrent rebuilds of one generation run
+        once.  The generations are read before the one edge fetch, so a
+        write landing during it leaves the labels stale, never wrong.  A
+        demotion is kept until the generations move, as a tour is.
         """
         with self._lock:
-            generations = {
-                relation: self.database.data_generation(relation)
-                for relation in self.edge_relations
-            }
-            if self._generations == generations:
-                if self._demoted is not None:
-                    raise IntervalUnavailable(self._demoted)
-                return
+            generations = self._stamp()
+            if self._labels[0] == generations:
+                return self._labels[1]
             rows = self.database.execute_prepared(self.edge_text, ())
             try:
-                self._tour = self._build(rows)
+                standing = self._build(rows)
             except IntervalUnavailable as error:
-                self._demoted = str(error)
-                self._generations = generations
+                standing = str(error)
                 self.stats.incr("demotions")
-                raise
-            self._demoted = None
-            self._generations = generations
-            self.stats.incr("builds")
+            else:
+                self.stats.incr("builds")
+            self._labels = (generations, standing)
+            return standing
+
+    def ensure_fresh(self) -> _Tour:
+        """The current tour, rebuilt if stale; ``IntervalUnavailable`` if demoted."""
+        standing = self.refresh()
+        if isinstance(standing, str):
+            raise IntervalUnavailable(standing)
+        return standing
 
     def _build(self, rows) -> _Tour:
         """Check the forest shape and walk it once."""

@@ -67,7 +67,7 @@ def cte_nodes(session, bound, seed):
 class TestTour:
     def test_each_cone_is_one_slice_of_the_tour(self, session, org):
         index = warm_index(session, org)
-        tour = index._tour
+        tour = index.current()
         assert sorted(tour.order, key=str) == sorted(tour.first, key=str)
         for node, at in tour.first.items():
             assert tour.order[at] == node
@@ -149,7 +149,7 @@ class TestProbeEquivalence:
             assert set(cte.pairs) == set(ivl.pairs), eno
         index = session.closure_for("reports").interval_index()
         assert index.stats.snapshot()["builds"] == 1
-        assert {type(node) for node in index._tour.order} == {int}
+        assert {type(node) for node in index.current().order} == {int}
 
 
 # -- churn maintenance -----------------------------------------------------------------
@@ -176,7 +176,7 @@ class TestChurn:
         assert "ivlhire2" not in {
             a["X"] for a in warm_descendants(session, org)
         }
-        assert "ivlhire2" not in index._tour.first
+        assert "ivlhire2" not in index.current().first
 
     def test_a_wave_of_hires_needs_one_build_per_ask(self, session, org):
         # No gaps to run dry: thirty hires into one department, each

@@ -211,7 +211,7 @@ class TestRecursionPlanner:
         plan = closure.plan()
         assert plan.strategy == "interval"
         assert "labeled forest" in plan.reason
-        assert closure.last_plan is plan
+        assert closure.plan("low") is plan
 
     def test_tiny_edge_views_take_the_probes(self):
         # A tiny view plans the same reads as a large one, and answers
@@ -272,8 +272,8 @@ class TestRecursionPlanner:
     def test_ask_routes_through_the_planner(self, session, org):
         boss = org.root_manager_name()
         session.ask(f"works_for(People, {boss})")
-        plan = session.closure_for("works_for").last_plan
-        assert plan is not None and plan.strategy == "interval"
+        plans = session.stats()["recursion_plans"]
+        assert (plans["planned_asks"], plans["last_strategy"]) == (1, "interval")
 
     def test_warm_recursive_ask_binds_into_prepared_cte(self, session, org):
         boss = org.root_manager_name()
@@ -626,7 +626,7 @@ class TestRecursiveAskMany:
         boss = org.root_manager_name()
         goals = [f"works_for(X, {boss})"] * 4
         session.ask(goals[0])
-        assert session.closure_for("works_for").last_plan.strategy == "cte"
+        assert session.stats()["recursion_plans"]["last_strategy"] == "cte"
         before = session.database.stats.snapshot()["prepared_executions"]
         batched = session.ask_many(goals)
         after = session.database.stats.snapshot()["prepared_executions"]

@@ -5,10 +5,11 @@
   both answer from the in-memory interval labels, with no statement;
   ``ask_many`` batches follow the same rule, and non-tree data sends
   both to the recursive CTE.
-* **Decided once per data generation** — the planner runs on the first
-  recursive ask and again only after the edge relations' data moved;
-  every other ask reuses the decision on the read lock (no
-  ``acquire_write``, no ``plan()``), counting one plan-cache hit and one
+* **Decided by the tour's freshness alone** — the tour is built on the
+  first recursive ask and rebuilt only after the edge relations' data
+  moved, by the next descendant ask or ``ask_many`` group, once; every
+  recursive ask runs on the read lock (no ``acquire_write``, a warm one
+  gets the same plan object back), counting one plan-cache hit and one
   planned ask.  Every planned strategy is a read, on a tiny org too,
   and re-planning after a write reads no relation statistics.
 * **Lazy asserts are store writes** — facts asserted straight into the
@@ -66,23 +67,24 @@ def middle_manager(org):
 
 
 def spy(session):
-    """Count write-lock acquisitions and planner runs on ``session``."""
-    counts = {"write": 0, "plan": 0}
+    """Count write-lock acquisitions and tour builds on ``session`` from now
+    on; returns a function that reads ``{"write": …, "builds": …}``."""
+    writes = [0]
     lock = session.kb.lock
-    closure = session.closure_for("works_for")
-    acquire_write, plan = lock.acquire_write, closure.plan
+    acquire_write = lock.acquire_write
 
     def counting_write():
-        counts["write"] += 1
+        writes[0] += 1
         acquire_write()
 
-    def counting_plan(*args, **kwargs):
-        counts["plan"] += 1
-        return plan(*args, **kwargs)
-
     lock.acquire_write = counting_write
-    closure.plan = counting_plan
-    return counts
+    stats = session.closure_for("works_for").interval_index().stats
+    start = stats.snapshot()["builds"]
+    return lambda: {"write": writes[0], "builds": stats.snapshot()["builds"] - start}
+
+
+def last_strategy(session):
+    return session.stats()["recursion_plans"]["last_strategy"]
 
 
 def cte_nodes(session, side, seed):
@@ -102,12 +104,12 @@ class TestPerSideRouting:
         closure = session.closure_for("works_for")
         plan = closure.plan()
         assert plan.strategy == "interval" and "labeled forest" in plan.reason
-        assert closure.decision("high") is plan
+        assert closure.plan("high") is plan and closure.plan("low") is plan
         leaf, boss = org.leaf_employee_name(), org.root_manager_name()
         session.database.stats.reset()
         assert asked_nodes(session, "low", leaf) and asked_nodes(session, "high", boss)
         assert session.database.stats.prepared_executions == 0
-        assert closure.decision("high") is plan
+        assert closure.plan("high") is plan
 
     def test_asks_count_one_strategy_per_side(self, session, org):
         session.ask(f"works_for({org.leaf_employee_name()}, Y)")
@@ -132,7 +134,7 @@ class TestPerSideRouting:
         session.assert_fact("empl", victim.eno + 65000, victim.nam, victim.sal, 94)
         for goal in goals:
             session.ask(goal)
-        assert session.closure_for("works_for").last_plan.strategy == "cte"
+        assert last_strategy(session) == "cte"
         session.database.stats.reset()
         batched = session.ask_many([goals[0]] * 2 + [goals[1]] * 2)
         assert session.database.stats.prepared_executions == 2  # one per side
@@ -145,7 +147,7 @@ class TestPerSideRouting:
         session.assert_fact("empl", victim.eno + 63000, victim.nam, victim.sal, 96)
         boss = org.root_manager_name()
         assert asked_nodes(session, "high", boss) == cte_nodes(session, "high", boss)
-        assert session.closure_for("works_for").last_plan.strategy == "cte"
+        assert last_strategy(session) == "cte"
 
 
 class TestDecidedOncePerGeneration:
@@ -161,8 +163,7 @@ class TestDecidedOncePerGeneration:
             assert asked_nodes(session, "high", boss) == cte_nodes(session, "high", boss)
             assert asked_nodes(session, "low", name) == cte_nodes(session, "low", name)
         after = session.stats()
-        # solve_recursive takes the write lock itself: one per cte_nodes call
-        assert counts == {"write": 2 * len(bosses), "plan": 0}
+        assert counts() == {"write": 0, "builds": 0}  # cte_nodes reads too
         asks = 2 * len(bosses)
         assert after["plan_cache"]["hits"] - before["plan_cache"]["hits"] == asks
         assert after["plan_cache"]["misses"] == before["plan_cache"]["misses"]
@@ -178,23 +179,34 @@ class TestDecidedOncePerGeneration:
         for _ in range(3):
             assert session.ask(f"works_for(X, {boss})")
             assert session.ask(f"works_for({leaf}, Y)")
-        assert counts == {"write": 0, "plan": 0}
+        assert counts() == {"write": 0, "builds": 0}
         stats = session.database.stats
         assert (stats.commits, stats.sql_prints, stats.prepared_executions) == (0, 0, 0)
 
     def test_a_hire_makes_the_next_ask_re_decide_once(self, session, org):
+        # The next descendant ask rebuilds the tour once, on the read
+        # lock; so does an ask_many group, and the serial ask after it
+        # reuses that tour.
         boss = middle_manager(org)
-        session.ask(f"works_for(X, {boss})")
+        goal = f"works_for(X, {boss})"
+        session.ask(goal)
         counts = spy(session)
-        session.assert_fact("empl", 47001, "rehire", 20000, managed_dept(org, boss))
-        assert counts == {"write": 1, "plan": 0}  # the store write itself
+        dno = managed_dept(org, boss)
+        session.assert_fact("empl", 47001, "rehire", 20000, dno)
+        assert counts() == {"write": 1, "builds": 0}  # the store write itself
         assert "rehire" in asked_nodes(session, "high", boss)
-        assert counts == {"write": 2, "plan": 1}
+        assert counts() == {"write": 1, "builds": 1}
         assert "rehire" in asked_nodes(session, "high", boss)
         assert asked_nodes(session, "high", boss) == cte_nodes(session, "high", boss)
-        assert counts == {"write": 3, "plan": 1}  # cte_nodes' own write lock
-        index = session.closure_for("works_for").interval_index()
-        assert index.stats.snapshot()["builds"] == 2  # one per data generation
+        assert counts() == {"write": 1, "builds": 1}  # one per data generation
+        session.assert_fact("empl", 47003, "rehire2", 20000, dno)
+        batches = session.plans.stats.snapshot()["recursive_batches"]
+        batched = session.ask_many([goal] * 2)
+        assert session.plans.stats.snapshot()["recursive_batches"] == batches + 1
+        assert counts() == {"write": 2, "builds": 2}
+        assert "rehire2" in asked_nodes(session, "high", boss)
+        assert counts() == {"write": 2, "builds": 2}
+        assert batched == [session.ask(goal)] * 2
 
     def test_tiny_warm_asks_are_reads(self):
         # A 7-edge view plans the same reads as a large one, so its warm
@@ -211,7 +223,7 @@ class TestDecidedOncePerGeneration:
                 assert asked_nodes(session, side, seed) == nodes
                 stats = session.database.stats
                 assert (stats.commits, stats.prepared_executions) == (0, 0)
-            assert counts == {"write": 0, "plan": 0}
+            assert counts() == {"write": 0, "builds": 0}
             assert below == cte_nodes(session, "high", boss)
             assert above == cte_nodes(session, "low", leaf)
         finally:
@@ -221,11 +233,11 @@ class TestDecidedOncePerGeneration:
         self, session, org
     ):
         # ... nor rebuilds the tour: one CTE probe under the read lock;
-        # the next descendant ask re-plans and rebuilds once.
-        leaf = org.leaf_employee_name()
+        # the next descendant ask rebuilds it once, on the read lock too.
+        leaf, boss = org.leaf_employee_name(), middle_manager(org)
         session.ask(f"works_for({leaf}, Y)")
+        session.ask(f"works_for(X, {leaf})")  # compiles the descendant shape
         index = session.closure_for("works_for").interval_index()
-        boss = middle_manager(org)
         session.assert_fact("empl", 47002, "newhire", 20000, managed_dept(org, boss))
         counts = spy(session)
         session.database.stats.reset()
@@ -236,14 +248,15 @@ class TestDecidedOncePerGeneration:
         assert boss in asked_nodes(session, "low", "newhire")
         stats = session.database.stats.snapshot()
         assert (stats["commits"], stats["stats_refreshes"]) == (0, 0)
-        assert session.stats()["recursion_plans"]["last_strategy"] == "cte"
-        assert counts["plan"] == 0 and index.stats.snapshot()["builds"] == 1
+        assert last_strategy(session) == "cte"
+        assert counts() == {"write": 0, "builds": 0}
         assert "newhire" in asked_nodes(session, "high", boss)
-        assert counts["plan"] == 1 and index.stats.snapshot()["builds"] == 2
+        assert counts() == {"write": 0, "builds": 1}
+        assert index.stats.snapshot()["builds"] == 2
         session.database.stats.reset()
         assert boss in asked_nodes(session, "low", "newhire")
         assert session.database.stats.prepared_executions == 0
-        assert session.stats()["recursion_plans"]["last_strategy"] == "interval"
+        assert last_strategy(session) == "interval"
 
 
 class TestLazyAssertsMergeFirst:
@@ -280,9 +293,9 @@ class TestLazyAssertsMergeFirst:
             for offset, name in enumerate(("zed", "zoe")):
                 session.kb.assert_fact("empl", 888001 + offset, name, 20000, dno)
                 below = asked_nodes(session, "high", boss)
-                seen.add(session.closure_for("works_for").last_plan.strategy)
+                seen.add(last_strategy(session))
                 chain = asked_nodes(session, "low", name)
-                seen.add(session.closure_for("works_for").last_plan.strategy)
+                seen.add(last_strategy(session))
                 pairs = self.closure_of_direct(session)
                 assert name in below
                 assert below == sorted(low for low, high in pairs if high == boss)

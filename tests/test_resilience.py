@@ -524,11 +524,15 @@ class TestSessionLadder:
             session.close()
 
     def test_recursive_ladder_steps_down_to_memory(self):
+        # With the tour and the CTE down, the ask still reads: no rung
+        # runs the setrel loop, which would create the intermediate
+        # relation and commit once per level.
         session = make_session()
         try:
             expected = answer_set(session.ask("works_for(X, 'emp00001')"))
             closure = session.closure_for("works_for")
             original = closure.solve
+            requested = []
 
             def failing_probe(strategy, bound, seed):
                 raise TransientBackendError("substrate probe down")
@@ -536,7 +540,8 @@ class TestSessionLadder:
             def failing_upper_rungs(
                 low=None, high=None, strategy="auto", max_levels=64
             ):
-                if strategy in ("interval", "cte", "auto"):
+                requested.append(strategy)
+                if strategy in ("interval", "cte"):
                     raise TransientBackendError("substrate rung down")
                 return original(
                     low=low, high=high, strategy=strategy, max_levels=max_levels
@@ -544,9 +549,15 @@ class TestSessionLadder:
 
             closure.probe = failing_probe
             closure.solve = failing_upper_rungs
+            commits = session.database.stats.commits
             degraded = session.ask("works_for(X, 'emp00001')")
             assert answer_set(degraded) == expected
             assert session.stats()["resilience"]["degraded_answers"] >= 1
+            assert session.database.stats.commits == commits
+            assert "auto" not in requested and requested[-1] == "memory"
+            assert session.database.execute(
+                "SELECT name FROM sqlite_master WHERE name = 'intermediate'"
+            ) == []
         finally:
             session.close()
 
