@@ -105,9 +105,12 @@ class StatisticsService:
             )
 
     def data_generation(self, relation_name: str) -> int:
-        """The relation's mutation counter (statistics-freshness key)."""
-        with self._lock:
-            return self._generations.get(relation_name, 0)
+        """The relation's mutation counter (statistics-freshness key).
+
+        Lock-free: one ``dict.get`` is atomic, and only ``note_mutation``
+        (under the mutex) moves a counter.
+        """
+        return self._generations.get(relation_name, 0)
 
     def relation_statistics(self, relation_name: str) -> RelationStatistics:
         """Row and distinct-value counts for one base relation, cached.

@@ -13,8 +13,8 @@ publish is a cheap ``("generation", g)`` advance unless the owner's
 program clock (``KnowledgeBase.generation``) moved since the last
 program the fleet was sent, in which case it is a full ``("refresh", g,
 program)`` payload: consults, and writes to non-base predicates, whose
-facts exist only in the snapshot.  Publishing and request
-dispatch share one lock, and each worker's queue is FIFO, so a request
+facts exist only in the snapshot.  Publishing and request dispatch
+share one lock, and each worker's request pipe is FIFO, so a request
 stamped with generation floor *g* can only be processed after the
 worker has seen the advance to *g*: no answer is ever served from a
 stale generation.
@@ -26,21 +26,27 @@ boundaries); a replay after a worker death re-serializes whatever is
 left, and a budget that ran out in the queue raises
 ``DeadlineExceeded`` worker-side.
 
+**Answers.**  No thread sits between a worker and its callers: a
+caller blocked in :meth:`PendingRequest.result` reads its worker's
+response pipe itself, one leader per worker at a time, and completes
+every request it reads.  The monitor drains answers nobody awaits, so
+a full pipe never stalls a worker for long.
+
 **Worker death.**  A monitor thread notices a dead worker process,
-restarts it from the current snapshot (fresh request queue — items
-buffered in the old one may be lost with the process), and replays the
-outstanding requests.  Replays are idempotent (workers only read), and
-a request completed twice resolves once: completion is a single
-``dict.pop``.
+restarts it from the current snapshot (fresh pipes — requests buffered
+in the old one are lost with the process), and replays the outstanding
+requests.  Replays are idempotent (workers only read), and a request
+completed twice resolves once: completion is a single ``dict.pop``.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
+import select
 import threading
 import time
-from multiprocessing import connection as mp_connection
 
 from ..concurrency import Deadline
 from ..errors import (
@@ -57,13 +63,15 @@ from .worker import worker_main
 #: before killing it outright.
 _STOP_GRACE_SECONDS = 5.0
 
-#: Seconds between the monitor's liveness passes, and the collector's
-#: wait on the workers' response pipes.
+#: Seconds between the monitor's liveness (and drain) passes.
 _MONITOR_INTERVAL_SECONDS = 0.05
+
+#: How often a waiter not reading its worker's pipe tries to take it over.
+_FOLLOW_SECONDS = 0.002
 
 
 class PendingRequest:
-    """One dispatched request: a thread-safe future the collector resolves."""
+    """One dispatched request: a thread-safe future its waiter resolves."""
 
     __slots__ = (
         "req_id",
@@ -77,7 +85,7 @@ class PendingRequest:
         "status",
         "result_payload",
         "_event",
-        "_abandon",
+        "_await",
     )
 
     def __init__(self, req_id, kind, payload, max_solutions, deadline):
@@ -92,7 +100,7 @@ class PendingRequest:
         self.status = None
         self.result_payload = None
         self._event = threading.Event()
-        self._abandon = None
+        self._await = None
 
     def complete(self, status, payload, generation, worker_index) -> None:
         self.status = status
@@ -103,9 +111,7 @@ class PendingRequest:
 
     def result(self, timeout=None):
         """Block for the answer; re-raise typed errors from the worker."""
-        if not self._event.wait(timeout):
-            if self._abandon is not None:
-                self._abandon(self)
+        if not self._event.is_set() and not self._await(self, timeout):
             raise TimeoutError(
                 f"serving request {self.req_id} unanswered after {timeout}s"
             )
@@ -133,20 +139,15 @@ def _rebuild_error(name: str, message: str, detail) -> Exception:
 class _WorkerHandle:
     """Owner-side bookkeeping for one worker process."""
 
-    __slots__ = (
-        "index",
-        "process",
-        "requests",
-        "response_reader",
-        "ready",
-        "restarts",
-    )
+    __slots__ = ("index", "process", "requests", "responses", "receiving",
+                 "ready", "restarts")
 
     def __init__(self, index):
         self.index = index
         self.process = None
         self.requests = None
-        self.response_reader = None
+        self.responses = None
+        self.receiving = threading.Lock()
         self.ready = None
         self.restarts = 0
 
@@ -183,21 +184,9 @@ class ServingTier:
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )
-        # Request queues are SimpleQueue over Queue: the synchronous
-        # pickle+write path has no feeder thread, so a fleet of N workers
-        # does not put N+1 extra GIL-hungry threads in the owner process —
-        # on a small host that overhead alone collapses throughput.
-        # Responses deliberately do NOT share one queue: a SimpleQueue
-        # shared by many writers serializes them through one cross-process
-        # write-lock semaphore, and a worker SIGKILLed between finishing
-        # its write and releasing that semaphore (routine on a one-core
-        # host, where the owner wakes on the received bytes and may kill
-        # the worker before it is rescheduled) orphans the lock and
-        # deadlocks every future response — fleet-wide.  Each worker
-        # instead owns a single-writer pipe, which needs no lock at all;
-        # the collector multiplexes over them with ``connection.wait``,
-        # and a killed worker poisons nothing: its pipe just hits EOF.
-        self._response_readers: set = set()
+        # Each worker has two single-writer pipes, so no cross-process
+        # lock: requests (the owner writes them under self._lock) and
+        # answers (a worker SIGKILLed mid-send leaves its pipe at EOF).
         self._lock = threading.RLock()
         self._pending: dict[int, PendingRequest] = {}
         self._req_ids = itertools.count(1)
@@ -221,10 +210,6 @@ class ServingTier:
         self._workers = [_WorkerHandle(i) for i in range(workers)]
         for handle in self._workers:
             self._start_worker(handle)
-        self._collector = threading.Thread(
-            target=self._collect, name="serving-collector", daemon=True
-        )
-        self._collector.start()
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="serving-monitor", daemon=True
         )
@@ -234,10 +219,9 @@ class ServingTier:
 
     def _start_worker(self, handle: _WorkerHandle) -> None:
         """Spawn (or respawn) one worker from the current snapshot."""
-        handle.requests = self._ctx.SimpleQueue()
+        requests, handle.requests = self._ctx.Pipe(duplex=False)
+        handle.responses, responses = self._ctx.Pipe(duplex=False)
         handle.ready = self._ctx.Event()
-        reader, writer = self._ctx.Pipe(duplex=False)
-        handle.response_reader = reader
         handle.process = self._ctx.Process(
             target=worker_main,
             name=f"repro-serving-{handle.index}",
@@ -249,17 +233,16 @@ class ServingTier:
                 self._program,
                 self._generation,
                 list(self._warm_goals),
-                handle.requests,
-                writer,
+                requests,
+                responses,
                 handle.ready,
                 self._slow_query_seconds,
             ),
             daemon=True,
         )
         handle.process.start()
-        writer.close()  # the worker holds the only write end now
-        with self._lock:
-            self._response_readers.add(reader)
+        requests.close()  # the worker holds the only read end now,
+        responses.close()  # and the only write end of its answers
 
     def wait_ready(self, timeout: float = 30.0) -> None:
         """Block until every worker has warmed its plan cache."""
@@ -300,9 +283,8 @@ class ServingTier:
     def _monitor_loop(self) -> None:
         while not self._closed:
             time.sleep(_MONITOR_INTERVAL_SECONDS)
-            if self._closed:
-                return
             for handle in list(self._workers):
+                self._receive(handle)
                 process = handle.process
                 if process is not None and not process.is_alive():
                     self._restart_worker(handle)
@@ -317,30 +299,23 @@ class ServingTier:
         hang.  Past ``restart_limit`` deaths the typed transient error
         surfaces instead (the caller's retry layer takes over).
         """
-        with self._lock:
-            if self._closed:
-                return
+        # Only tried: a dispatch holding the lock may be waiting on a
+        # full pipe that the monitor's next drain empties.
+        if not self._lock.acquire(timeout=_MONITOR_INTERVAL_SECONDS):
+            return
+        try:
             process = handle.process
-            if process is None or process.is_alive():
-                return  # raced with another restart
+            if self._closed or process is None or process.is_alive():
+                return  # raced with close() or another restart
             self._counters["worker_deaths"] += 1
             outstanding = [
                 pending
-                for pending in self._pending.values()
+                for pending in list(self._pending.values())
                 if pending.worker_index == handle.index
                 and not pending._event.is_set()
             ]
             process.join(timeout=0)
             handle.restarts += 1
-            # The dead worker's pipe may still buffer responses, but every
-            # request they could answer is replayed (or failed) below, and
-            # a request completed twice resolves once — so retire the pipe
-            # now rather than waiting for an EOF that, under fork, only
-            # arrives once every later-spawned worker has also exited
-            # (children inherit their elders' write ends).
-            if handle.response_reader is not None:
-                self._discard_reader(handle.response_reader)
-                handle.response_reader = None
             if handle.restarts > self._restart_limit:
                 handle.process = None
                 for pending in outstanding:
@@ -365,6 +340,8 @@ class ServingTier:
                 self._counters["replayed_requests"] += 1
                 pending.replays += 1
                 self._dispatch_locked(pending, handle.index)
+        finally:
+            self._lock.release()
 
     # -- request dispatch ------------------------------------------------------
 
@@ -372,7 +349,7 @@ class ServingTier:
         """Next *live* worker round-robin; caller holds ``self._lock``.
 
         A handle whose restart budget is exhausted has ``process set to
-        None`` and no consumer on its queue — dispatching there would
+        None`` and no reader on its pipe — dispatching there would
         strand the request until timeout.  Skip such handles; if the
         whole fleet is gone, surface the typed transient error so the
         caller's retry layer takes over immediately.
@@ -386,18 +363,18 @@ class ServingTier:
         )
 
     def _dispatch_locked(self, pending: PendingRequest, index: int) -> None:
-        """Enqueue one request to one worker; caller holds ``self._lock``.
+        """Send one request to one worker; caller holds ``self._lock``.
 
         The generation floor is read under the same lock every publish
-        holds, and the queue is FIFO, so the worker always advances to
+        holds, and the pipe is FIFO, so the worker always advances to
         the floor before it sees the request.
         """
         remaining = None
         if pending.deadline is not None:
             remaining = pending.deadline.remaining()
         pending.worker_index = index
-        handle = self._workers[index]
-        handle.requests.put(
+        self._send(
+            self._workers[index],
             (
                 pending.kind,
                 pending.req_id,
@@ -407,8 +384,16 @@ class ServingTier:
                 self._generation,
             )
             if pending.kind in ("ask", "ask_many")
-            else (pending.kind, pending.req_id)
+            else (pending.kind, pending.req_id),
         )
+
+    @staticmethod
+    def _send(handle: _WorkerHandle, message) -> None:
+        """Write one message to a live worker; a dead one's restart resends."""
+        try:
+            handle.requests.send(message)
+        except OSError:
+            pass  # the worker died: the monitor restarts (and replays) it
 
     def _submit(
         self, kind, payload, max_solutions=None, deadline=None, worker=None
@@ -417,7 +402,7 @@ class ServingTier:
         pending = PendingRequest(
             next(self._req_ids), kind, payload, max_solutions, scope
         )
-        pending._abandon = self._forget
+        pending._await = self._await
         with self._lock:
             # Checked under the lock: close() flips the flag and fails
             # the pendings under the same lock, so a racing submit can
@@ -435,11 +420,6 @@ class ServingTier:
             self._pending[pending.req_id] = pending
             self._dispatch_locked(pending, index)
         return pending
-
-    def _forget(self, pending: PendingRequest) -> None:
-        """Drop a timed-out request so it cannot leak in ``_pending``."""
-        with self._lock:
-            self._pending.pop(pending.req_id, None)
 
     def submit(self, goal, max_solutions=None, deadline=None, worker=None):
         """Dispatch one goal; returns a :class:`PendingRequest` future."""
@@ -469,40 +449,60 @@ class ServingTier:
             timeout
         )
 
-    def _discard_reader(self, reader) -> None:
-        """Retire one response pipe (idempotent; collector or restart)."""
-        with self._lock:
-            self._response_readers.discard(reader)
-        try:
-            reader.close()
-        except OSError:
-            pass
+    # -- answers: the waiting caller reads its worker's pipe -------------------
 
-    def _collect(self) -> None:
-        while not self._closed:
-            with self._lock:
-                readers = list(self._response_readers)
-            if not readers:
-                time.sleep(_MONITOR_INTERVAL_SECONDS)
-                continue
-            try:
-                ready = mp_connection.wait(
-                    readers, timeout=_MONITOR_INTERVAL_SECONDS
-                )
-            except (OSError, ValueError):
-                continue  # a reader was retired mid-wait; rebuild the set
-            for reader in ready:
-                try:
-                    item = reader.recv()
-                except (EOFError, OSError):
-                    self._discard_reader(reader)
-                    continue
-                req_id, worker_index, generation, status, payload = item
-                with self._lock:
-                    pending = self._pending.pop(req_id, None)
-                if pending is None:
-                    continue  # a replayed duplicate already resolved this
-                pending.complete(status, payload, generation, worker_index)
+    def _await(self, pending: PendingRequest, timeout) -> bool:
+        """Wait for ``pending``'s answer; False (and forgotten) on timeout.
+
+        Leader/follower: the waiter holding a worker's receive lock reads
+        its pipe, completing every request it reads; the others wait on
+        their own answer briefly, then try to lead.  ``worker_index`` is
+        re-read each round: a replay onto a restarted worker is followed.
+        """
+        give_up_at = None if timeout is None else time.monotonic() + timeout
+        event = pending._event
+        while not event.is_set():
+            left = None if timeout is None else give_up_at - time.monotonic()
+            if left is not None and left <= 0:
+                self._pending.pop(pending.req_id, None)  # drop a late answer
+                return event.is_set()
+            handle = self._workers[pending.worker_index]
+            if not self._receive(handle, pending, give_up_at):
+                event.wait(min(left or _FOLLOW_SECONDS, _FOLLOW_SECONDS))
+        return True
+
+    def _receive(self, handle, pending=None, give_up_at=None) -> bool:
+        """Lead one worker's pipe, unless another waiter does: False then.
+
+        With a ``pending``, read until it is answered or ``give_up_at``
+        passes; without (a drain), only what is in the pipe.  False too
+        once the pipe is dead or replaced.  Completion is a lock-free
+        ``dict.pop``: a dispatch blocked on a full pipe under
+        ``self._lock`` cannot stop a reader emptying the worker's side.
+        """
+        if not handle.receiving.acquire(blocking=False):
+            return False
+        reader = handle.responses
+        try:
+            poller = select.poll()
+            poller.register(reader, select.POLLIN)
+            while pending is None or not pending._event.is_set():
+                if handle.responses is not reader:
+                    return False
+                wait = 0 if pending is None else None  # milliseconds
+                if pending is not None and give_up_at is not None:
+                    wait = max(0.0, give_up_at - time.monotonic()) * 1000
+                if not poller.poll(wait):
+                    return True  # drained, or the caller's time ran out
+                req_id, index, generation, status, payload = reader.recv()
+                done = self._pending.pop(req_id, None)
+                if done is not None:  # else answered already, or timed out
+                    done.complete(status, payload, generation, index)
+        except (EOFError, OSError):
+            return False  # its worker died: the monitor restarts it
+        finally:
+            handle.receiving.release()
+        return True
 
     # -- writes: funnel to the owner, publish the new generation ---------------
 
@@ -543,7 +543,7 @@ class ServingTier:
                 message = ("generation", self._generation)
             for handle in self._workers:
                 if handle.process is not None:
-                    handle.requests.put(message)
+                    self._send(handle, message)
 
     def warm(self, goals) -> None:
         """Replace the fleet's warm-goal list and re-warm every worker."""
@@ -552,7 +552,7 @@ class ServingTier:
             self._warm_goals = texts
             for handle in self._workers:
                 if handle.process is not None:
-                    handle.requests.put(("warm", texts))
+                    self._send(handle, ("warm", texts))
 
     # -- observability ---------------------------------------------------------
 
@@ -632,7 +632,7 @@ class ServingTier:
                 return
             self._closed = True
             workers = list(self._workers)
-            for pending in self._pending.values():
+            for pending in list(self._pending.values()):
                 pending.complete(
                     "error",
                     ("ExecutionError", "serving tier closed", None),
@@ -641,29 +641,29 @@ class ServingTier:
                 )
             self._pending.clear()
         for handle in workers:
-            if handle.process is None:
-                continue
-            try:
-                handle.requests.put(("stop",))
-            except (ValueError, OSError):
-                pass
+            if handle.process is not None:
+                # Non-blocking: a full pipe drops the stop; the kill follows.
+                os.set_blocking(handle.requests.fileno(), False)
+                self._send(handle, ("stop",))
+        give_up_at = time.monotonic() + _STOP_GRACE_SECONDS
         for handle in workers:
             if handle.process is None:
                 continue
-            handle.process.join(timeout=_STOP_GRACE_SECONDS)
+            # Drain answers nobody awaits, or a worker blocked writing
+            # one would never read its stop.
+            while handle.process.is_alive() and time.monotonic() < give_up_at:
+                self._receive(handle)
+                handle.process.join(timeout=_MONITOR_INTERVAL_SECONDS)
             if handle.process.is_alive():
                 handle.process.kill()
                 handle.process.join(timeout=_STOP_GRACE_SECONDS)
             handle.process.close()
             handle.process = None
         self._monitor.join(timeout=_STOP_GRACE_SECONDS)
-        # The collector polls self._closed between waits, so it exits on
-        # its own — no sentinel write that could block on worker state.
-        self._collector.join(timeout=_STOP_GRACE_SECONDS)
         for handle in workers:
-            if handle.response_reader is not None:
-                self._discard_reader(handle.response_reader)
-                handle.response_reader = None
+            with handle.receiving:  # a leader sees its worker's EOF, leaves
+                handle.responses.close()
+            handle.requests.close()
 
     def __enter__(self) -> "ServingTier":
         return self

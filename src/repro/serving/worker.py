@@ -4,14 +4,14 @@
 :class:`~repro.coupling.PrologDbSession` over its *own* connections to
 the shared file-backed WAL store, consults the shipped program
 snapshot, warms the plan cache, and then serves requests from its
-queue until told to stop.
+pipe until told to stop.
 
 Everything a worker sends back is plain picklable data — answer lists,
 stats dicts, ``(error class name, message, detail)`` triples — never
 live objects, so the protocol survives any start method and any
 exception type.
 
-Request messages (owner → worker, one queue per worker)::
+Request messages (owner → worker, one pipe per worker)::
 
     ("ask",      req_id, goal_text,  max_solutions, remaining, floor)
     ("ask_many", req_id, goal_texts, max_solutions, remaining, floor)
@@ -25,8 +25,8 @@ Request messages (owner → worker, one queue per worker)::
 ``remaining`` is the deadline budget serialized as *seconds left*, not
 an absolute monotonic stamp — monotonic clocks are per process, so an
 absolute ``until`` would be meaningless (or catastrophically wrong)
-on the worker's clock.  Response messages (worker → owner, shared
-queue) are ``(req_id, worker_index, generation, status, payload)``.
+on the worker's clock.  Responses (worker → owner, the worker's own
+pipe) are ``(req_id, worker_index, generation, status, payload)``.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def worker_main(
         session.warm(warm_goals)
         ready.set()
         while True:
-            message = requests.get()
+            message = requests.recv()
             kind = message[0]
             if kind == "stop":
                 break
@@ -150,7 +150,7 @@ def worker_main(
             else:
                 responses.send((req_id, index, generation, "ok", payload))
     except (EOFError, OSError, KeyboardInterrupt):
-        pass  # queues torn down under us: the owner is shutting down
+        pass  # pipes closed under us: the owner is shutting down
     finally:
         try:
             responses.close()

@@ -11,6 +11,7 @@ owner session's serial answers.
 import asyncio
 import multiprocessing
 import os
+import signal
 import threading
 import time
 
@@ -19,7 +20,11 @@ import pytest
 from repro import ExternalDatabase, FrontDoor, PrologDbSession, ServingTier
 from repro.coupling.global_opt import CachePolicy
 from repro.dbms import generate_org
-from repro.errors import DeadlineExceeded, SingleProcessStoreError
+from repro.errors import (
+    DeadlineExceeded,
+    ExecutionError,
+    SingleProcessStoreError,
+)
 from repro.schema import ALL_VIEWS_SOURCE, empdep_constraints, empdep_schema
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -369,6 +374,189 @@ def test_exhausted_worker_is_skipped_not_hung_on(org, tmp_path):
             tier.ask(goal)
         assert time.monotonic() - started < 5.0
         assert tier.stats()["serving"]["pending"] == 0
+    finally:
+        tier.close()
+        session.close()
+
+
+# -- an answer reaches its caller over one pipe round trip -------------------------
+
+
+def test_a_tier_starts_no_collector_thread(org, tmp_path):
+    """The waiting caller reads its worker's pipe: the monitor is the
+    only thread a tier adds to the owner process."""
+    session = make_owner(str(tmp_path / "threads.db"), org)
+    before = set(threading.enumerate())
+    tier = ServingTier(session, workers=2)
+    try:
+        started = set(threading.enumerate()) - before
+        assert [thread.name for thread in started] == ["serving-monitor"]
+    finally:
+        tier.close()
+        session.close()
+
+
+class _Counting:
+    """A connection wrapper that counts the messages through it."""
+
+    def __init__(self, connection):
+        self.connection = connection
+        self.sent = self.received = 0
+
+    def send(self, message):
+        self.sent += 1
+        self.connection.send(message)
+
+    def recv(self):
+        self.received += 1
+        return self.connection.recv()
+
+    def __getattr__(self, name):
+        return getattr(self.connection, name)
+
+
+def test_one_ask_is_one_request_and_one_response(fleet):
+    session, tier, org = fleet
+    goal = f"same_manager(X, {org.employees[3].nam})"
+    handle = tier._workers[0]
+    requests, responses = handle.requests, handle.responses
+    handle.requests, handle.responses = _Counting(requests), _Counting(responses)
+    try:
+        answers = tier.submit(goal, worker=0).result(30)
+        counted = (handle.requests.sent, handle.responses.received)
+    finally:
+        handle.requests, handle.responses = requests, responses
+    assert counted == (1, 1)
+    assert answer_set(answers) == answer_set(session.ask(goal))
+
+
+def test_one_waiter_completes_every_unawaited_answer(fleet):
+    session, tier, org = fleet
+    goals = [f"same_manager(X, {e.nam})" for e in org.employees[:6]]
+    futures = [tier.submit(goal, worker=0) for goal in goals]
+    # The worker answers in order, so whoever reads the last answer has
+    # read (and completed) every earlier one on the way.
+    futures[-1].result(30)
+    for future, goal in zip(futures, goals):
+        assert answer_set(future.result(0)) == answer_set(session.ask(goal))
+    # A timed-out future leaves nothing behind, before or after its
+    # answer arrives.
+    late = tier.submit(goals[0], worker=0)
+    with pytest.raises(TimeoutError):
+        late.result(0)
+    assert late.req_id not in tier._pending
+    tier.submit(goals[1], worker=0).result(30)  # reads the late answer first
+    assert tier.stats()["serving"]["pending"] == 0
+
+
+def test_full_pipes_stall_no_dispatch_and_no_close(org, tmp_path):
+    """Answers nobody awaits fill the response pipe until the worker
+    blocks on its send, then requests fill the request pipe; the
+    monitor drains the answers, so neither the dispatch (under the
+    tier's lock) nor the worker deadlocks, and close() stops the worker
+    rather than killing it after the grace period."""
+    session = make_owner(str(tmp_path / "full.db"), org)
+    goals = [f"works_for(X, {employee.nam})" for employee in org.employees]
+    want = [answer_set(answers) for answers in session.ask_many(goals)]
+    tier = ServingTier(session, workers=1)
+    tier.wait_ready()
+    pid = tier.worker_pids()[0]
+    futures, stalled = [], []
+
+    def submit_unawaited():
+        # About 1.5 kB per request and 2 kB per answer: 100 of each
+        # overfill both 64 KiB pipes.
+        submitter = threading.Thread(
+            target=lambda: futures.extend(
+                tier.submit_many(goals) for _ in range(100)
+            ),
+            daemon=True,
+        )
+        submitter.start()
+        submitter.join(30)
+        if submitter.is_alive():  # free the dispatch, or close() hangs
+            stalled.append(True)
+            os.kill(pid, signal.SIGKILL)
+            submitter.join(30)
+
+    try:
+        submit_unawaited()
+        assert not stalled
+        assert [answer_set(a) for a in futures[-1].result(60)] == want
+        assert all(
+            [answer_set(a) for a in future.result(0)] == want
+            for future in futures
+        )
+        futures.clear()
+        submit_unawaited()
+    finally:
+        started = time.monotonic()
+        tier.close()
+        closing = time.monotonic() - started
+        session.close()
+    assert not stalled
+    assert closing < 4.0
+    for future in futures:
+        try:
+            assert [answer_set(a) for a in future.result(0)] == want
+        except ExecutionError as error:
+            assert "closed" in str(error)
+
+
+def test_concurrent_asks_and_batches_match_serial(fleet):
+    """Four threads over two workers, each waiter leading or following."""
+    session, tier, org = fleet
+    names = [employee.nam for employee in org.employees]
+    goals = [
+        f"same_manager(X, {name})" if i % 2 else f"works_dir_for(X, {name})"
+        for i, name in enumerate(names[:12])
+    ]
+    want = {goal: answer_set(session.ask(goal)) for goal in goals}
+    errors = []
+
+    def hammer(offset):
+        try:
+            for round_ in range(12):
+                picked = goals[offset + round_ % 4 :: 3][:4]
+                if round_ % 2:
+                    got = [answer_set(a) for a in tier.ask_many(picked)]
+                    assert got == [want[goal] for goal in picked]
+                else:
+                    assert answer_set(tier.ask(picked[0])) == want[picked[0]]
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=hammer, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(120)
+    assert errors == []
+    assert tier.stats()["serving"]["pending"] == 0
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP")
+def test_a_blocked_caller_receives_the_replayed_answer(org, tmp_path):
+    session = make_owner(str(tmp_path / "replay.db"), org)
+    boss = org.root_manager_name()
+    goal = f"works_for(X, {boss})"
+    tier = ServingTier(session, workers=1, warm_goals=[goal])
+    tier.wait_ready()
+    try:
+        # A stopped worker cannot answer: the caller is certain to be
+        # blocked inside result() when the worker dies.
+        os.kill(tier.worker_pids()[0], signal.SIGSTOP)
+        future = tier.submit(goal)
+        got = []
+        caller = threading.Thread(target=lambda: got.append(future.result(60)))
+        caller.start()
+        caller.join(0.2)
+        assert caller.is_alive() and not got
+        tier.kill_worker(0)
+        caller.join(60)
+        assert [answer_set(a) for a in got] == [answer_set(session.ask(goal))]
+        assert future.replays == 1
+        assert tier.stats()["serving"]["replayed_requests"] == 1
     finally:
         tier.close()
         session.close()
